@@ -38,9 +38,9 @@ class SmallestJobFirstPolicy(SchedulerPolicy):
         return NoCachePlanner(tertiary)
 
     def on_job_arrival(self, job) -> None:
-        idle = self.cluster.idle_nodes()
-        if idle:
-            self.start_on(idle[0], job.make_root_subjob())
+        node = self.cluster.first_idle()
+        if node is not None:
+            self.start_on(node, job.make_root_subjob())
         else:
             self.queue.append(job)
             self.queue.sort(key=lambda j: j.n_events)

@@ -19,12 +19,11 @@ contended uplinks are consulted by the tiered access planner; the
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional
 
 from ..core.engine import Engine
 from ..core.errors import ConfigurationError
 from ..data.cache import LRUSegmentCache
-from ..data.intervals import Interval
 from ..obs.hooks import NULL_BUS, HookBus
 from .access import DataAccessPlanner
 from .costmodel import CostModel
@@ -68,6 +67,12 @@ class Cluster:
             )
             for i in range(n_nodes)
         ]
+        #: Ids of the idle nodes, ascending.  Owned by the nodes: each
+        #: one inserts or deletes its id in ``Node._sync_idle`` when its
+        #: idle flag flips, so no query here ever scans the cluster.
+        self._idle_ids: List[int] = [node.node_id for node in self.nodes]
+        for node in self.nodes:
+            node.idle_index = self._idle_ids
 
     # -- iteration -------------------------------------------------------------
 
@@ -83,8 +88,18 @@ class Cluster:
     # -- scheduling helpers -------------------------------------------------------
 
     def idle_nodes(self) -> List[Node]:
-        """All currently idle nodes, in id order (deterministic)."""
-        return [node for node in self.nodes if node.idle]
+        """All currently idle nodes, in id order (deterministic).
+
+        A fresh snapshot, O(idle nodes): callers may start nodes while
+        iterating it, so the live index is never handed out.
+        """
+        nodes = self.nodes
+        return [nodes[node_id] for node_id in self._idle_ids]
+
+    def first_idle(self) -> Optional[Node]:
+        """The lowest-id idle node, or ``None`` when none is idle (O(1))."""
+        ids = self._idle_ids
+        return self.nodes[ids[0]] if ids else None
 
     def busy_nodes(self) -> List[Node]:
         return [node for node in self.nodes if node.busy]
@@ -94,33 +109,6 @@ class Cluster:
     ) -> None:
         for node in self.nodes:
             node.on_subjob_complete = callback
-
-    # -- cache geography ------------------------------------------------------------
-
-    def cached_events_by_node(self, interval: Interval) -> List[Tuple[Node, int]]:
-        """``(node, cached events of interval)`` for every node, id order."""
-        return [(node, node.cache.cached_events(interval)) for node in self.nodes]
-
-    def best_cache_owner(
-        self, interval: Interval, exclude: Optional[Node] = None
-    ) -> Tuple[Optional[Node], int]:
-        """The node caching the most of ``interval`` (ties → lowest id).
-
-        Returns ``(None, 0)`` when nothing is cached anywhere.
-        """
-        best: Optional[Node] = None
-        best_events = 0
-        for node in self.nodes:
-            if node is exclude:
-                continue
-            events = node.cache.cached_events(interval)
-            if events > best_events:
-                best = node
-                best_events = events
-        return best, best_events
-
-    def total_cached_events(self) -> int:
-        return sum(node.cache.used_events for node in self.nodes)
 
     def utilization(self, elapsed: float) -> float:
         """Mean fraction of node time spent processing events."""

@@ -13,8 +13,9 @@ the paper's event-atomic processing).
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.sanitizer import InvariantChecker
@@ -138,11 +139,17 @@ class Node:
         #: its cache is invisible to placement decisions until recovery.
         self.failed = False
         self._down_since = 0.0
-        #: Control-plane reservation (repro.faults.net): set while a
-        #: reliable dispatch is in flight to this node so no other
-        #: scheduling decision double-books it; cleared on delivery or
-        #: dead-letter.  Always ``False`` on a perfect network.
-        self.reserved = False
+        #: Control-plane reservation (see :attr:`reserved`).
+        self._reserved = False
+        #: Free to accept work: no running subjob, not crashed, and no
+        #: dispatch already in flight to it.  A plain attribute kept by
+        #: :meth:`_sync_idle` at every transition of those three fields;
+        #: read-only for everyone else.
+        self.idle = True
+        #: The owning cluster's sorted list of idle node ids, installed by
+        #: :class:`~repro.cluster.cluster.Cluster`; ``None`` for a
+        #: stand-alone node.
+        self.idle_index: Optional[List[int]] = None
         #: Per-event time multiplier for tertiary chunks (tertiary-stall
         #: modelling; snapshotted into each chunk at plan time, mirroring
         #: the contention planner's rate_factor approximation).
@@ -161,10 +168,17 @@ class Node:
         return self.current is not None
 
     @property
-    def idle(self) -> bool:
-        """Free to accept work: no running subjob, not crashed, and no
-        dispatch already in flight to it."""
-        return self.current is None and not self.failed and not self.reserved
+    def reserved(self) -> bool:
+        """Control-plane reservation (repro.faults.net): set while a
+        reliable dispatch is in flight to this node so no other
+        scheduling decision double-books it; cleared on delivery or
+        dead-letter.  Always ``False`` on a perfect network."""
+        return self._reserved
+
+    @reserved.setter
+    def reserved(self, value: bool) -> None:
+        self._reserved = value
+        self._sync_idle()
 
     def current_source(self) -> Optional[DataSource]:
         """Data source of the in-flight chunk (None when idle)."""
@@ -210,6 +224,7 @@ class Node:
         subjob.state = SubjobState.RUNNING
         subjob.node = self
         self.current = subjob
+        self._sync_idle()
         subjob.job.mark_started(self.engine.now)
         self._begin_next_chunk()
 
@@ -233,6 +248,7 @@ class Node:
         self._account_chunk(chunk, events_done, min(elapsed, chunk.setup_latency))
         self._chunk = None
         self.current = None
+        self._sync_idle()
         self.stats.preemptions += 1
         if subjob.remaining_events == 0:
             # Preempted exactly at completion: it is in fact done.
@@ -298,6 +314,7 @@ class Node:
             subjob.node = None
             aborted = subjob
         self.failed = True
+        self._sync_idle()
         self._down_since = self.engine.now
         self.stats.failures += 1
         if wipe_cache:
@@ -332,6 +349,7 @@ class Node:
         if not self.failed:
             raise SchedulingError(f"node {self.node_id} is not failed")
         self.failed = False
+        self._sync_idle()
         self.stats.downtime_seconds += self.engine.now - self._down_since
         if self.checker is not None:
             self.checker.on_node_recovered(self)
@@ -347,6 +365,21 @@ class Node:
             self._down_since = self.engine.now
 
     # -- internals ----------------------------------------------------------------
+
+    def _sync_idle(self) -> None:
+        """Recompute :attr:`idle` after a transition; on a flip, insert or
+        delete this node's id in the cluster's sorted idle index."""
+        idle = self.current is None and not self.failed and not self._reserved
+        if idle is self.idle:
+            return
+        self.idle = idle
+        index = self.idle_index
+        if index is None:
+            return
+        if idle:
+            insort(index, self.node_id)
+        else:
+            del index[bisect_left(index, self.node_id)]
 
     def _begin_next_chunk(self) -> None:
         subjob = self.current
@@ -384,6 +417,7 @@ class Node:
         self._chunk = None
         if subjob.remaining_events == 0:
             self.current = None
+            self._sync_idle()
             self._finish_subjob(subjob, deferred=False)
         else:
             self._begin_next_chunk()

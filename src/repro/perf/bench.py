@@ -641,23 +641,31 @@ def _maybe_profile(
     )
 
 
+#: The kernel suite, in report order: (record name, bench function,
+#: full-size workload).  Quick mode runs each at a tenth of its size.
+KERNEL_BENCHES: Tuple[Tuple[str, Callable[[int, int], BenchRecord], int], ...] = (
+    ("engine.dispatch", bench_engine_dispatch, 200_000),
+    ("engine.cancel_churn", bench_engine_cancel_churn, 200_000),
+    ("intervals.arith", bench_interval_ops, 100_000),
+    ("intervals.set_ops", bench_intervalset_ops, 50_000),
+    ("cache.lru_ops", bench_cache_lru, 30_000),
+    ("exec.fingerprint", bench_exec_fingerprint, 2_000),
+    ("sched.bidding", bench_sched_bidding, 200),
+    ("sched.netchannel", bench_net_channel, 20_000),
+    ("lint.flow", bench_lint_flow, 150),
+    ("topo.route", bench_topo_route, 100_000),
+)
+
+
 def run_kernel_bench(
     quick: bool = False, profile: bool = False
 ) -> BenchReport:
     """All kernel micro-benchmarks as one ``kernel`` report."""
     scale = 10 if quick else 1
     repeats = 2 if quick else KERNEL_REPEATS
-    builders: Sequence[Callable[[], BenchRecord]] = (
-        lambda: bench_engine_dispatch(200_000 // scale, repeats),
-        lambda: bench_engine_cancel_churn(200_000 // scale, repeats),
-        lambda: bench_interval_ops(100_000 // scale, repeats),
-        lambda: bench_intervalset_ops(50_000 // scale, repeats),
-        lambda: bench_cache_lru(30_000 // scale, repeats),
-        lambda: bench_exec_fingerprint(2_000 // scale, repeats),
-        lambda: bench_sched_bidding(200 // scale, repeats),
-        lambda: bench_net_channel(20_000 // scale, repeats),
-        lambda: bench_lint_flow(150 // scale, repeats),
-        lambda: bench_topo_route(100_000 // scale, repeats),
+    builders: Sequence[Callable[[], BenchRecord]] = tuple(
+        (lambda bench=bench, size=size: bench(size // scale, repeats))
+        for _, bench, size in KERNEL_BENCHES
     )
     records = tuple(_maybe_profile(build, profile) for build in builders)
     return BenchReport(kind="kernel", records=records)

@@ -35,9 +35,9 @@ class ProcessingFarmPolicy(SchedulerPolicy):
     # -- notifications -------------------------------------------------------
 
     def on_job_arrival(self, job: Job) -> None:
-        idle = self.cluster.idle_nodes()
-        if idle:
-            self._run_whole_job(idle[0], job)
+        node = self.cluster.first_idle()
+        if node is not None:
+            self._run_whole_job(node, job)
         else:
             self.queue.append(job)
 

@@ -33,7 +33,7 @@ class MixedDelayPolicy(DelayedPolicy):
         self.stats_immediate_jobs = 0
 
     def on_job_arrival(self, job: Job) -> None:
-        if self.period > 0 and not self.cluster.idle_nodes():
+        if self.period > 0 and self.cluster.first_idle() is None:
             self.pending_jobs.append(job)
             return
         self.stats_immediate_jobs += 1

@@ -7,6 +7,9 @@ module checks properties of a *running* simulation:
   heap stays well-formed (:meth:`repro.core.engine.Engine.validate_heap`);
 * per-node caches conserve event accounting and keep a valid LRU
   structure (:meth:`repro.data.cache.LRUSegmentCache.validate`);
+* the cluster's idle-node index lists exactly the nodes a full scan
+  finds free (no subjob, not failed, not reserved), in id order, and
+  every node's ``idle`` flag agrees with that scan;
 * subjobs follow the documented state machine
   (``PENDING → RUNNING ⇄ SUSPENDED → DONE``) and are never assigned to
   two nodes at once — the paper's "single subjob per processor" rule from
@@ -28,7 +31,7 @@ a message naming the component, the simulated time and the broken law.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, Set
+from typing import TYPE_CHECKING, Dict, Iterable, List, Set
 
 from ..core.errors import InvariantViolation, SchedulingError
 from ..workload.jobs import Job, Subjob, SubjobState
@@ -163,13 +166,23 @@ class InvariantChecker:
         cluster: "Cluster",
         jobs: Iterable[Job],
     ) -> None:
-        """Validate the calendar heap, every node cache and job/subjob
-        bookkeeping; piggybacked on the simulator's metric probe."""
+        """Validate the calendar heap, every node cache, the idle-node
+        index and job/subjob bookkeeping; piggybacked on the simulator's
+        metric probe."""
         self.checks_run += 1
         engine.validate_heap()
+        scanned_idle: List[int] = []
         for node in cluster:
             node.cache.validate()
             current = node.current
+            free = current is None and not node.failed and not node.reserved
+            if node.idle != free:
+                raise InvariantViolation(
+                    f"node {node.node_id} idle flag ({node.idle}) disagrees "
+                    f"with its state (free={free})"
+                )
+            if free:
+                scanned_idle.append(node.node_id)
             if current is not None and self._running.get(current.sid) != node.node_id:
                 raise InvariantViolation(
                     f"node {node.node_id} runs {current.sid} but the "
@@ -184,6 +197,12 @@ class InvariantChecker:
                 raise InvariantViolation(
                     f"failed node {node.node_id} is executing {current.sid}"
                 )
+        indexed_idle = [node.node_id for node in cluster.idle_nodes()]
+        if indexed_idle != scanned_idle:
+            raise InvariantViolation(
+                f"idle-node index {indexed_idle} disagrees with the scan "
+                f"{scanned_idle} at t={engine.now:.6f}"
+            )
         running_sids = {
             node.current.sid for node in cluster if node.current is not None
         }

@@ -389,3 +389,21 @@ class TestTertiaryLatency:
         assert suspended is subjob
         assert subjob.processed == 0
         assert tertiary.stats.events_read == 0
+
+
+class TestIdleFlag:
+    def test_stand_alone_node_tracks_idle_without_an_index(self, space):
+        engine, node, _ = build_node(space)
+        assert node.idle_index is None and node.idle
+        node.reserved = True
+        assert not node.idle
+        node.reserved = False
+        node.on_subjob_complete = lambda n, s: None
+        node.start(make_subjob(0, 100))
+        assert not node.idle
+        engine.run()
+        assert node.idle
+        node.fail()
+        assert not node.idle
+        node.recover()
+        assert node.idle

@@ -111,6 +111,36 @@ class TestCacheCorruption:
             cache.validate()
 
 
+class TestIdleIndexCorruption:
+    def test_index_corruption_is_caught(self):
+        sim = _checked_simulation("farm")
+        sim.prime()
+
+        def corrupt() -> None:
+            # Test-only hook: drop an idle node from the cluster's index
+            # behind the nodes' backs, as a transition that forgot to
+            # resync would; the next deep check must notice.
+            ids = sim.cluster._idle_ids
+            assert ids, "expected an idle node to hide"
+            del ids[0]
+
+        sim.engine.call_at(units.DAY, corrupt)
+        with pytest.raises(InvariantViolation, match="idle-node index"):
+            sim.engine.run(until=sim.config.duration)
+
+    def test_stale_idle_flag_is_caught(self):
+        sim = _checked_simulation("farm")
+        sim.prime()
+
+        def corrupt() -> None:
+            node = sim.cluster[0]
+            node.idle = not node.idle
+
+        sim.engine.call_at(units.DAY, corrupt)
+        with pytest.raises(InvariantViolation, match="idle flag"):
+            sim.engine.run(until=sim.config.duration)
+
+
 class TestEventOrderingCorruption:
     def test_non_monotone_dispatch_is_caught(self):
         engine = Engine(check_invariants=True)

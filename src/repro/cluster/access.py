@@ -34,7 +34,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .node import Node
 
 
-@dataclass(frozen=True, slots=True)
 class ChunkPlan:
     """One uniform-rate chunk: events, source, and (for remote reads)
     which node owns the cached copy.
@@ -49,14 +48,28 @@ class ChunkPlan:
     while the chunk runs, and ``tier`` names the tier cache serving a
     :attr:`DataSource.TIER` chunk.  Both stay at their defaults on flat
     topologies, keeping the plan byte-compatible with the paper's model.
+
+    A plan is built once per chunk, so it is a plain ``__slots__`` record
+    with a direct ``__init__``; treat it as read-only.
     """
 
-    interval: Interval
-    source: DataSource
-    owner: Optional["Node"] = None
-    rate_factor: float = 1.0
-    via: Tuple["Tier", ...] = ()
-    tier: Optional["Tier"] = None
+    __slots__ = ("interval", "source", "owner", "rate_factor", "via", "tier")
+
+    def __init__(
+        self,
+        interval: Interval,
+        source: DataSource,
+        owner: Optional["Node"] = None,
+        rate_factor: float = 1.0,
+        via: Tuple["Tier", ...] = (),
+        tier: Optional["Tier"] = None,
+    ) -> None:
+        self.interval = interval
+        self.source = source
+        self.owner = owner
+        self.rate_factor = rate_factor
+        self.via = via
+        self.tier = tier
 
 
 class DataAccessPlanner:
@@ -100,7 +113,7 @@ class DataAccessPlanner:
         """Record the side effects of having processed ``processed``
         (a left prefix of ``plan.interval``; may be empty after an
         immediate preemption)."""
-        if processed.empty:
+        if processed.end <= processed.start:
             return
         now = node.engine.now
         obs = node.obs

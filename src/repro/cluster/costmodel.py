@@ -34,6 +34,12 @@ class DataSource(enum.Enum):
     REMOTE = "remote"  # read from another node's disk cache
     TIER = "tier"  # served by an interior tier cache (repro.topo)
 
+    #: Members are singletons compared by identity, so identity hashing is
+    #: exact.  It runs in C, where :class:`enum.Enum`'s name hash is a
+    #: Python-level call on every source-keyed dict access of the chunk
+    #: loop.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class CostModel:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.sanitizer import InvariantChecker
@@ -24,6 +24,7 @@ from ..core.engine import Engine
 from ..core.errors import SchedulingError
 from ..core.events import EventPriority, ScheduledEvent
 from ..data.cache import LRUSegmentCache
+from ..data.intervals import Interval
 from ..obs.hooks import NULL_BUS, HookBus, kinds
 from ..workload.jobs import Subjob, SubjobState
 from .access import ChunkPlan, DataAccessPlanner
@@ -32,6 +33,10 @@ from .costmodel import CostModel, DataSource
 #: Tolerance for float round-off when counting whole events in an elapsed
 #: chunk time (an event is counted as done if at least 1 - 1e-9 of it ran).
 _EVENT_EPSILON = 1e-9
+
+#: Calendar priority of chunk completions, as the plain int the engine
+#: keys its heap on.
+_COMPLETION = int(EventPriority.COMPLETION)
 
 
 @dataclass
@@ -57,30 +62,6 @@ class NodeStats:
 
     def utilization(self, elapsed: float) -> float:
         return 0.0 if elapsed <= 0 else self.busy_seconds / elapsed
-
-
-class _RunningChunk:
-    __slots__ = (
-        "plan",
-        "per_event_time",
-        "setup_latency",
-        "started_at",
-        "completion_event",
-    )
-
-    def __init__(
-        self,
-        plan: ChunkPlan,
-        per_event_time: float,
-        setup_latency: float,
-        started_at: float,
-        completion_event: ScheduledEvent,
-    ) -> None:
-        self.plan = plan
-        self.per_event_time = per_event_time
-        self.setup_latency = setup_latency
-        self.started_at = started_at
-        self.completion_event = completion_event
 
 
 class Node:
@@ -118,23 +99,31 @@ class Node:
         self.planner = planner
         self.chunk_events = chunk_events
         self.speed_factor = speed_factor
-        #: Memoized per-source chunk costs: the cost model is a frozen
-        #: dataclass and ``speed_factor`` is fixed at construction, so the
-        #: per-event time and setup latency per source are constants —
-        #: computing them once keeps the chunk hot path free of method
-        #: calls and branch chains.
-        self._event_time: Dict[DataSource, float] = {
-            source: cost_model.event_time(source, speed_factor)
-            for source in DataSource
-        }
-        self._setup_latency: Dict[DataSource, float] = {
-            source: cost_model.setup_latency(source) * speed_factor
+        #: Memoized per-source chunk costs ``(per_event, setup)``: the cost
+        #: model is a frozen dataclass and ``speed_factor`` is fixed at
+        #: construction, so both are constants — one lookup per chunk keeps
+        #: the hot path free of method calls and branch chains.
+        self._costs: Dict[DataSource, Tuple[float, float]] = {
+            source: (
+                cost_model.event_time(source, speed_factor),
+                cost_model.setup_latency(source) * speed_factor,
+            )
             for source in DataSource
         }
         self.obs = obs
         self.stats = NodeStats()
         self.current: Optional[Subjob] = None
-        self._chunk: Optional[_RunningChunk] = None
+        #: The in-flight chunk, kept in plain attributes rather than a
+        #: record per chunk: its plan (``None`` when idle), per-event time,
+        #: setup latency, start time and completion event.
+        self._plan: Optional[ChunkPlan] = None
+        self._per_event = 0.0
+        self._setup = 0.0
+        self._started_at = 0.0
+        self._completion: Optional[ScheduledEvent] = None
+        #: Calendar label of the running subjob's chunk completions, built
+        #: once per :meth:`start`.
+        self._label = ""
         #: Crash state (repro.faults): a failed node accepts no work and
         #: its cache is invisible to placement decisions until recovery.
         self.failed = False
@@ -182,7 +171,7 @@ class Node:
 
     def current_source(self) -> Optional[DataSource]:
         """Data source of the in-flight chunk (None when idle)."""
-        return self._chunk.plan.source if self._chunk else None
+        return self._plan.source if self._plan is not None else None
 
     # -- control ----------------------------------------------------------------
 
@@ -224,6 +213,7 @@ class Node:
         subjob.state = SubjobState.RUNNING
         subjob.node = self
         self.current = subjob
+        self._label = f"chunk:{subjob.sid}@{self.node_id}"
         self._sync_idle()
         subjob.job.mark_started(self.engine.now)
         self._begin_next_chunk()
@@ -238,15 +228,22 @@ class Node:
         subjob = self.current
         if subjob is None:
             return None
-        chunk = self._chunk
-        assert chunk is not None
-        self.engine.cancel(chunk.completion_event)
-        elapsed = self.engine.now - chunk.started_at
-        productive = max(0.0, elapsed - chunk.setup_latency)
-        events_done = int(productive / chunk.per_event_time + _EVENT_EPSILON)
-        events_done = min(events_done, chunk.plan.interval.length)
-        self._account_chunk(chunk, events_done, min(elapsed, chunk.setup_latency))
-        self._chunk = None
+        plan = self._plan
+        assert plan is not None
+        self.engine.cancel(self._completion)
+        elapsed = self.engine.now - self._started_at
+        productive = max(0.0, elapsed - self._setup)
+        events_done = int(productive / self._per_event + _EVENT_EPSILON)
+        events_done = min(events_done, plan.interval.length)
+        self._account_chunk(
+            subjob,
+            plan,
+            plan.interval.take_left(events_done),
+            events_done,
+            events_done * self._per_event + min(elapsed, self._setup),
+        )
+        self._plan = None
+        self._completion = None
         self.current = None
         self._sync_idle()
         self.stats.preemptions += 1
@@ -290,20 +287,19 @@ class Node:
         subjob = self.current
         aborted: Optional[Subjob] = None
         if subjob is not None:
-            chunk = self._chunk
-            assert chunk is not None
-            self.engine.cancel(chunk.completion_event)
-            elapsed = self.engine.now - chunk.started_at
-            productive = max(0.0, elapsed - chunk.setup_latency)
-            lost = int(productive / chunk.per_event_time + _EVENT_EPSILON)
-            lost = min(lost, chunk.plan.interval.length)
+            plan = self._plan
+            assert plan is not None
+            self.engine.cancel(self._completion)
+            elapsed = self.engine.now - self._started_at
+            productive = max(0.0, elapsed - self._setup)
+            lost = int(productive / self._per_event + _EVENT_EPSILON)
+            lost = min(lost, plan.interval.length)
             # Keep the planner's started/finished pairing, crediting no
             # events (contention trackers must see the stream end).
-            self.planner.on_chunk_processed(
-                self, chunk.plan, chunk.plan.interval.take_left(0)
-            )
-            self.planner.on_chunk_finished(self, chunk.plan)
-            self._chunk = None
+            self.planner.on_chunk_processed(self, plan, plan.interval.take_left(0))
+            self.planner.on_chunk_finished(self, plan)
+            self._plan = None
+            self._completion = None
             self.current = None
             self.stats.subjobs_aborted += 1
             self.stats.lost_events += lost
@@ -382,40 +378,54 @@ class Node:
             del index[bisect_left(index, self.node_id)]
 
     def _begin_next_chunk(self) -> None:
+        """Plan the next chunk of the running subjob and schedule its
+        completion: one planner call and one calendar push."""
         subjob = self.current
         assert subjob is not None
-        remaining = subjob.remaining
-        assert not remaining.empty
+        segment = subjob.segment
+        start = segment.start + subjob.processed
+        remaining = Interval(start, segment.end)
+        assert start < segment.end
         plan = self.planner.plan_chunk(self, remaining, self.chunk_events)
-        if plan.interval.empty or plan.interval.start != remaining.start:
+        interval = plan.interval
+        if interval.end <= start or interval.start != start:
             raise SchedulingError(
-                f"planner returned bad chunk {plan.interval} for {remaining}"
+                f"planner returned bad chunk {interval} for {remaining}"
             )
         source = plan.source
-        per_event = self._event_time[source] * plan.rate_factor
+        per_event, setup = self._costs[source]
+        per_event = per_event * plan.rate_factor
         if source is DataSource.TERTIARY and self.tertiary_slowdown != 1.0:
             per_event *= self.tertiary_slowdown
-        setup = self._setup_latency[source]
-        duration = setup + plan.interval.length * per_event
+        duration = setup + (interval.end - start) * per_event
         self.planner.on_chunk_started(self, plan)
-        completion = self.engine.call_after(
-            duration,
+        now = self.engine.now
+        self._completion = self.engine.call_at(
+            now + duration,
             self._on_chunk_complete,
-            priority=EventPriority.COMPLETION,
-            label=f"chunk:{subjob.sid}@{self.node_id}",
+            priority=_COMPLETION,
+            label=self._label,
         )
-        self._chunk = _RunningChunk(
-            plan, per_event, setup, self.engine.now, completion
-        )
+        self._plan = plan
+        self._per_event = per_event
+        self._setup = setup
+        self._started_at = now
         self.stats.chunks_started += 1
 
     def _on_chunk_complete(self) -> None:
+        """Credit the whole planned interval of the finished chunk, then
+        plan the next one or finish the subjob."""
         subjob = self.current
-        chunk = self._chunk
-        assert subjob is not None and chunk is not None
-        self._account_chunk(chunk, chunk.plan.interval.length, chunk.setup_latency)
-        self._chunk = None
-        if subjob.remaining_events == 0:
+        plan = self._plan
+        assert subjob is not None and plan is not None
+        interval = plan.interval
+        events = interval.end - interval.start
+        self._account_chunk(
+            subjob, plan, interval, events, events * self._per_event + self._setup
+        )
+        self._plan = None
+        self._completion = None
+        if interval.end == subjob.segment.end:
             self.current = None
             self._sync_idle()
             self._finish_subjob(subjob, deferred=False)
@@ -423,23 +433,26 @@ class Node:
             self._begin_next_chunk()
 
     def _account_chunk(
-        self, chunk: _RunningChunk, events_done: int, setup_spent: float = 0.0
+        self,
+        subjob: Subjob,
+        plan: ChunkPlan,
+        processed: Interval,
+        events: int,
+        seconds: float,
     ) -> None:
-        """Credit ``events_done`` whole events of the chunk (plus any
-        setup latency actually paid)."""
-        subjob = self.current
-        assert subjob is not None
-        plan = chunk.plan
+        """Credit ``processed`` — the first ``events`` whole events of the
+        chunk — and the ``seconds`` of node time spent on it (setup
+        latency included).  A completed chunk passes its whole planned
+        interval; a preempted one its ``take_left`` prefix."""
         planner = self.planner
-        processed = plan.interval.take_left(events_done)
         planner.on_chunk_processed(self, plan, processed)
         planner.on_chunk_finished(self, plan)
-        subjob.advance(events_done)
+        subjob.advance(events)
         stats = self.stats
-        stats.busy_seconds += events_done * chunk.per_event_time + setup_spent
-        stats.events_processed += events_done
-        stats.events_by_source[plan.source] += events_done
-        if self.obs.enabled and events_done > 0:
+        stats.busy_seconds += seconds
+        stats.events_processed += events
+        stats.events_by_source[plan.source] += events
+        if self.obs.enabled and events > 0:
             self.obs.emit(
                 self.engine.now,
                 kinds.CHUNK_DONE,
@@ -447,9 +460,9 @@ class Node:
                 node=self.node_id,
                 job=subjob.job.job_id,
                 sid=subjob.sid,
-                src=chunk.plan.source.value,
-                events=events_done,
-                duration=events_done * chunk.per_event_time + setup_spent,
+                src=plan.source.value,
+                events=events,
+                duration=seconds,
             )
 
     def _finish_subjob(self, subjob: Subjob, deferred: bool) -> None:

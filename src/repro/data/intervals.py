@@ -289,20 +289,39 @@ class IntervalSet:
 
     def add(self, interval: Interval) -> None:
         """Insert ``interval``, merging with any overlapping/adjacent runs."""
-        if interval.empty:
-            return
+        self.add_measure(interval)
+
+    def add_measure(self, interval: Interval) -> int:
+        """Insert ``interval`` like :meth:`add` and return the number of
+        its points that were not in the set before.
+
+        One binary-searched pass does both: the result equals
+        ``interval.length - overlap_measure(interval)`` taken before the
+        insert, without walking the covered runs twice.
+        """
+        start = interval.start
+        end = interval.end
+        if end <= start:
+            return 0
         starts, ends = self._starts, self._ends
-        # All runs with end < interval.start stay untouched on the left.
-        lo = bisect_left(ends, interval.start)
-        # All runs with start > interval.end stay untouched on the right.
-        hi = bisect_right(starts, interval.end)
-        new_start = interval.start
-        new_end = interval.end
-        if lo < hi:
-            new_start = min(new_start, starts[lo])
-            new_end = max(new_end, ends[hi - 1])
-        starts[lo:hi] = [new_start]
-        ends[lo:hi] = [new_end]
+        # All runs with end < start stay untouched on the left.
+        lo = bisect_left(ends, start)
+        # All runs with start > end stay untouched on the right.
+        hi = bisect_right(starts, end)
+        if lo == hi:
+            starts.insert(lo, start)
+            ends.insert(lo, end)
+            return end - start
+        # Runs lo..hi-1 overlap or touch ``interval``: they merge with it
+        # into one run, and their own points were already covered.
+        covered = sum(ends[lo:hi]) - sum(starts[lo:hi])
+        if starts[lo] < start:
+            start = starts[lo]
+        if ends[hi - 1] > end:
+            end = ends[hi - 1]
+        starts[lo:hi] = [start]
+        ends[lo:hi] = [end]
+        return end - start - covered
 
     def remove(self, interval: Interval) -> None:
         """Delete every point of ``interval`` from the set."""

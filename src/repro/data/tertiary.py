@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+from ..core.errors import InvariantViolation
 from ..obs.hooks import NULL_BUS, HookBus, kinds
 from .dataspace import DataSpace
 from .intervals import Interval, IntervalSet
@@ -58,25 +59,49 @@ class TertiaryStorage:
     ) -> None:
         """Record that ``node_id`` streamed ``interval`` from tertiary
         storage (``now`` timestamps the trace event when tracing)."""
-        if interval.empty:
+        if interval.end <= interval.start:
             return
         self.dataspace.validate_segment(interval)
-        self.stats.events_read += interval.length
-        self.stats.read_requests += 1
-        per_node = self.stats.events_read_per_node
-        per_node[node_id] = per_node.get(node_id, 0) + interval.length
-        fresh = interval.length - self._distinct.overlap_measure(interval)
-        self.stats.distinct_events_read += fresh
-        self._distinct.add(interval)
+        events = interval.end - interval.start
+        stats = self.stats
+        stats.events_read += events
+        stats.read_requests += 1
+        per_node = stats.events_read_per_node
+        per_node[node_id] = per_node.get(node_id, 0) + events
+        stats.distinct_events_read += self._distinct.add_measure(interval)
         if self.obs.enabled and now is not None:
             self.obs.emit(
                 now,
                 kinds.TAPE_READ,
                 "tertiary",
                 node=node_id,
-                events=interval.length,
+                events=events,
                 start=interval.start,
                 end=interval.end,
+            )
+
+    def validate(self) -> None:
+        """Deep sim-sanitizer check: the read counters balance.
+
+        Total reads equal the sum of the per-node reads, and the
+        incrementally kept distinct count equals the measure of the
+        distinct-event set.  Raises :class:`InvariantViolation`; O(nodes +
+        runs), called from the simulator's periodic probe in
+        ``--check-invariants`` mode only.
+        """
+        stats = self.stats
+        per_node = sum(stats.events_read_per_node.values())
+        if stats.events_read != per_node:
+            raise InvariantViolation(
+                f"tertiary: events_read ({stats.events_read}) != sum of "
+                f"per-node reads ({per_node})"
+            )
+        measure = self._distinct.measure()
+        if stats.distinct_events_read != measure:
+            raise InvariantViolation(
+                f"tertiary: distinct_events_read "
+                f"({stats.distinct_events_read}) != measure of the "
+                f"distinct-event set ({measure})"
             )
 
     @property
@@ -84,7 +109,8 @@ class TertiaryStorage:
         """Number of distinct events ever pulled from tape.
 
         Maintained incrementally in :meth:`read` (mirrored on
-        ``stats.distinct_events_read``); equals ``self._distinct.measure()``.
+        ``stats.distinct_events_read``); equals ``self._distinct.measure()``,
+        which :meth:`validate` checks.
         """
         return self.stats.distinct_events_read
 

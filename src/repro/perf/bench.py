@@ -4,8 +4,8 @@ Three report kinds:
 
 * ``kernel`` — micro-benchmarks of the simulator's hot paths: engine heap
   dispatch (with and without cancellation churn), :class:`Interval` /
-  :class:`IntervalSet` arithmetic, disk-cache LRU operations, and
-  topology routing (``topo.route``);
+  :class:`IntervalSet` arithmetic, disk-cache LRU operations, a node's
+  chunk loop (``node.chunk_loop``) and topology routing (``topo.route``);
 * ``policies`` — end-to-end ``run_simulation`` per scheduling policy on
   the reduced ``quick`` configuration, the ``sim.tier.d1/d2/d3`` tiered
   grid points (pricing the topology layer per depth), plus (outside
@@ -29,11 +29,16 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from ..cluster.access import CachingPlanner, NoCachePlanner
+from ..cluster.costmodel import CostModel
+from ..cluster.node import Node
 from ..core import units
 from ..core.clock import wall_clock
 from ..core.engine import Engine
 from ..data.cache import LRUSegmentCache
+from ..data.dataspace import DataSpace
 from ..data.intervals import Interval, IntervalSet
+from ..data.tertiary import TertiaryStorage
 from ..exec.executor import Executor
 from ..exec.fingerprint import spec_fingerprint
 from ..exec.outcomes import SpecError
@@ -41,6 +46,7 @@ from ..sched import available_policies
 from ..sim.config import SimulationConfig, paper_config, quick_config
 from ..sim.export import SCHEMA_VERSION
 from ..sim.runner import RunSpec
+from ..workload.jobs import Job, JobRequest
 from .profiling import profile_call
 from .report import BenchRecord, BenchReport, Hotspot
 
@@ -295,6 +301,59 @@ def bench_cache_lru(n_ops: int = 30_000, repeats: int = KERNEL_REPEATS) -> Bench
         wall_seconds=wall,
         work=n_ops,
         unit="ops",
+        repeats=repeats,
+    )
+
+
+def bench_node_chunk_loop(
+    n_chunks: int = 20_000, repeats: int = KERNEL_REPEATS
+) -> BenchRecord:
+    """A node's per-chunk loop: plan, schedule one completion, account.
+
+    One subjob streams ``n_chunks`` chunks from tertiary storage through
+    :class:`~repro.cluster.access.NoCachePlanner`, then another streams as
+    many through :class:`~repro.cluster.access.CachingPlanner`, every
+    chunk a miss written through to the disk cache.
+
+    >>> bench_node_chunk_loop(n_chunks=10, repeats=1).work
+    20
+    """
+    chunk_events = 10
+    n_events = n_chunks * chunk_events
+    space = DataSpace(total_events=n_events, event_bytes=600 * units.KB)
+    model = CostModel.from_hardware(space.event_bytes)
+
+    def setup() -> Callable[[], None]:
+        engine = Engine()
+        nodes = [
+            Node(
+                node_id,
+                engine,
+                LRUSegmentCache(n_events),
+                model,
+                planner(TertiaryStorage(space)),
+                chunk_events=chunk_events,
+            )
+            for node_id, planner in enumerate((NoCachePlanner, CachingPlanner))
+        ]
+        subjobs = [
+            Job(JobRequest(job_id, 0.0, 0, n_events)).make_root_subjob()
+            for job_id in range(len(nodes))
+        ]
+
+        def run() -> None:
+            for node, subjob in zip(nodes, subjobs):
+                node.start(subjob)
+                engine.run()
+
+        return run
+
+    wall = _best_of(setup, repeats)
+    return BenchRecord(
+        name="node.chunk_loop",
+        wall_seconds=wall,
+        work=2 * n_chunks,
+        unit="chunks",
         repeats=repeats,
     )
 
@@ -649,6 +708,7 @@ KERNEL_BENCHES: Tuple[Tuple[str, Callable[[int, int], BenchRecord], int], ...] =
     ("intervals.arith", bench_interval_ops, 100_000),
     ("intervals.set_ops", bench_intervalset_ops, 50_000),
     ("cache.lru_ops", bench_cache_lru, 30_000),
+    ("node.chunk_loop", bench_node_chunk_loop, 20_000),
     ("exec.fingerprint", bench_exec_fingerprint, 2_000),
     ("sched.bidding", bench_sched_bidding, 200),
     ("sched.netchannel", bench_net_channel, 20_000),

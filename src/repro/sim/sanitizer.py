@@ -10,6 +10,11 @@ module checks properties of a *running* simulation:
 * the cluster's idle-node index lists exactly the nodes a full scan
   finds free (no subjob, not failed, not reserved), in id order, and
   every node's ``idle`` flag agrees with that scan;
+* event accounting balances across the chunk loop: each node's
+  ``events_processed`` equals the sum of its ``events_by_source``, and
+  the tertiary store's total reads equal the sum of its per-node reads
+  and its distinct count equals the measure of its distinct-event set
+  (:meth:`repro.data.tertiary.TertiaryStorage.validate`);
 * subjobs follow the documented state machine
   (``PENDING → RUNNING ⇄ SUSPENDED → DONE``) and are never assigned to
   two nodes at once — the paper's "single subjob per processor" rule from
@@ -40,6 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.cluster import Cluster
     from ..cluster.node import Node
     from ..core.engine import Engine
+    from ..data.tertiary import TertiaryStorage
 
 
 class InvariantChecker:
@@ -165,15 +171,25 @@ class InvariantChecker:
         engine: "Engine",
         cluster: "Cluster",
         jobs: Iterable[Job],
+        tertiary: "TertiaryStorage",
     ) -> None:
         """Validate the calendar heap, every node cache, the idle-node
-        index and job/subjob bookkeeping; piggybacked on the simulator's
-        metric probe."""
+        index, the node and tertiary event balances and job/subjob
+        bookkeeping; piggybacked on the simulator's metric probe."""
         self.checks_run += 1
         engine.validate_heap()
+        tertiary.validate()
         scanned_idle: List[int] = []
         for node in cluster:
             node.cache.validate()
+            stats = node.stats
+            by_source = sum(stats.events_by_source.values())
+            if stats.events_processed != by_source:
+                raise InvariantViolation(
+                    f"node {node.node_id} events_processed "
+                    f"({stats.events_processed}) != sum of events_by_source "
+                    f"({by_source}) at t={engine.now:.6f}"
+                )
             current = node.current
             free = current is None and not node.failed and not node.reserved
             if node.idle != free:

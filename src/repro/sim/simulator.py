@@ -368,7 +368,9 @@ class Simulation:
 
     def _probe(self) -> None:
         if self.checker is not None:
-            self.checker.deep_check(self.engine, self.cluster, self.jobs.values())
+            self.checker.deep_check(
+                self.engine, self.cluster, self.jobs.values(), self.tertiary
+            )
         self.metrics.probe(self.engine.now, len(self.cluster.busy_nodes()))
         if self.engine.now + self.config.probe_interval <= self.config.duration:
             self.engine.call_after(

@@ -285,7 +285,8 @@ class Subjob:
         """Record ``events`` more processed events (left to right)."""
         if events < 0:
             raise SchedulingError(f"negative progress {events}")
-        if self.processed + events > self.segment.length:
+        segment = self.segment
+        if self.processed + events > segment.end - segment.start:
             raise SchedulingError(
                 f"subjob {self.sid} progressed past its segment"
             )

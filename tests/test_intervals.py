@@ -5,6 +5,8 @@ plain Python sets of integer points over a small universe.  Every set
 operation must agree with its pointwise counterpart.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -213,6 +215,58 @@ class TestIntervalSetBasics:
     def test_overlap_measure(self):
         iset = IntervalSet([Interval(0, 4), Interval(10, 14)])
         assert iset.overlap_measure(Interval(2, 12)) == 2 + 2
+
+
+class TestAddMeasure:
+    """``add_measure`` inserts like ``add`` and returns the points that
+    were new, in one pass; it must agree with ``overlap_measure``
+    followed by ``add``."""
+
+    @staticmethod
+    def two_pass(iset: IntervalSet, interval: Interval) -> int:
+        fresh = interval.length - iset.overlap_measure(interval)
+        iset.add(interval)
+        return fresh
+
+    @pytest.mark.parametrize(
+        "pairs, interval, fresh, after",
+        [
+            ([], Interval(3, 7), 4, [(3, 7)]),  # into an empty set
+            ([(0, 5)], Interval(5, 5), 0, [(0, 5)]),  # empty interval
+            ([(0, 5)], Interval(5, 8), 3, [(0, 8)]),  # adjacent on the right
+            ([(5, 8)], Interval(0, 5), 5, [(0, 8)]),  # adjacent on the left
+            ([(0, 5)], Interval(3, 8), 3, [(0, 8)]),  # overlapping
+            ([(2, 4), (6, 8)], Interval(0, 10), 6, [(0, 10)]),  # containing
+            ([(0, 10)], Interval(2, 6), 0, [(0, 10)]),  # contained
+            ([(0, 3), (5, 8)], Interval(3, 5), 2, [(0, 8)]),  # bridging
+            ([(0, 3), (9, 12)], Interval(5, 7), 2, [(0, 3), (5, 7), (9, 12)]),
+        ],
+    )
+    def test_cases(self, pairs, interval, fresh, after):
+        iset = IntervalSet.from_pairs(pairs)
+        assert iset.add_measure(interval) == fresh
+        assert iset.pairs() == after
+        iset.check_invariants()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_random_walk_matches_two_pass(self, seed):
+        rng = random.Random(seed)
+        fused, reference = IntervalSet(), IntervalSet()
+        for _ in range(400):
+            start = rng.randrange(0, 500)
+            interval = Interval(start, start + rng.randrange(0, 30))
+            assert fused.add_measure(interval) == self.two_pass(reference, interval)
+            fused.check_invariants()
+            assert fused == reference
+
+    @settings(max_examples=150)
+    @given(interval_lists, intervals())
+    def test_matches_pointwise(self, items, probe):
+        iset = IntervalSet(items)
+        before = points_of_set(iset)
+        assert iset.add_measure(probe) == len(points_of(probe) - before)
+        iset.check_invariants()
+        assert points_of_set(iset) == before | points_of(probe)
 
 
 class TestIntervalSetProperties:

@@ -2,16 +2,18 @@
 
 import pytest
 
-from repro.cluster.access import CachingPlanner, NoCachePlanner
+from repro.cluster.access import CachingPlanner, ChunkPlan, NoCachePlanner
 from repro.cluster.costmodel import CostModel, DataSource
 from repro.cluster.node import Node
 from repro.core.engine import Engine
 from repro.core.errors import SchedulingError
+from repro.core.events import EventPriority
 from repro.core import units
 from repro.data.cache import LRUSegmentCache
 from repro.data.dataspace import DataSpace
 from repro.data.intervals import Interval
 from repro.data.tertiary import TertiaryStorage
+from repro.obs.hooks import HookBus, TraceSink, kinds
 from repro.workload.jobs import SubjobState
 
 from .helpers import make_subjob
@@ -407,3 +409,72 @@ class TestIdleFlag:
         assert not node.idle
         node.recover()
         assert node.idle
+
+
+class _DispatchLog(TraceSink):
+    """Keeps the engine-dispatch trace events of chunk completions."""
+
+    def __init__(self) -> None:
+        self.chunks = []
+
+    def on_event(self, event) -> None:
+        if event.kind == kinds.ENGINE_DISPATCH and event.data["label"].startswith(
+            "chunk:"
+        ):
+            self.chunks.append(event.data)
+
+
+class TestChunkLoopContract:
+    def test_completion_label_and_priority_survive_preempt_and_resume(self, space):
+        # Sanitizer messages and the engine-dispatch trace both read the
+        # completion event's label and priority.
+        bus = HookBus()
+        log = bus.attach(_DispatchLog())
+        bus.engine_dispatch = True
+        engine = Engine(obs=bus)
+        node = Node(
+            node_id=7,
+            engine=engine,
+            cache=LRUSegmentCache(10_000),
+            cost_model=CostModel.from_hardware(600 * units.KB),
+            planner=NoCachePlanner(TertiaryStorage(space)),
+            chunk_events=100,
+        )
+        subjob = make_subjob(0, 300)
+        node.on_subjob_complete = lambda n, s: None
+        node.start(subjob)
+        engine.run(until=120.0)  # one chunk done, the second half run
+        assert node.preempt() is subjob
+        assert subjob.processed == 150
+        node.start(subjob)
+        engine.run()
+        assert subjob.state is SubjobState.DONE
+        # 0-100 before the preemption, then 150-250 and 250-300.
+        assert [chunk["label"] for chunk in log.chunks] == [f"chunk:{subjob.sid}@7"] * 3
+        assert [chunk["priority"] for chunk in log.chunks] == [
+            EventPriority.COMPLETION
+        ] * 3
+
+    @pytest.mark.parametrize("bad", [Interval(0, 0), Interval(5, 50)])
+    def test_empty_or_misaligned_plan_is_rejected(self, space, bad):
+        _, node, _ = build_node(space, caching=False)
+        node.planner.plan_chunk = lambda n, remaining, cap: ChunkPlan(
+            bad, DataSource.TERTIARY
+        )
+        with pytest.raises(SchedulingError, match="bad chunk"):
+            node.start(make_subjob(0, 100))
+
+    def test_keyword_chunk_plan_keeps_path_defaults(self):
+        # The tiered planner builds plans with keywords only.
+        plan = ChunkPlan(
+            interval=Interval(0, 10), source=DataSource.TERTIARY, rate_factor=1.5
+        )
+        assert (plan.owner, plan.via, plan.tier) == (None, (), None)
+        assert plan.rate_factor == 1.5
+        plain = ChunkPlan(Interval(0, 10), DataSource.CACHE)
+        assert (plain.owner, plain.rate_factor, plain.via, plain.tier) == (
+            None,
+            1.0,
+            (),
+            None,
+        )

@@ -267,6 +267,7 @@ class TestHarness:
             "intervals.arith",
             "intervals.set_ops",
             "cache.lru_ops",
+            "node.chunk_loop",
             "exec.fingerprint",
             "sched.bidding",
             "sched.netchannel",

@@ -141,6 +141,38 @@ class TestIdleIndexCorruption:
             sim.engine.run(until=sim.config.duration)
 
 
+class TestAccountingBalanceCorruption:
+    """Each balance the deep check holds across the chunk loop, broken
+    behind the accounting code's back as a mis-credited chunk would."""
+
+    @staticmethod
+    def _run_with(corrupt, match: str) -> None:
+        sim = _checked_simulation("farm")
+        sim.prime()
+        sim.engine.call_at(units.DAY, corrupt, sim)
+        with pytest.raises(InvariantViolation, match=match):
+            sim.engine.run(until=sim.config.duration)
+
+    def test_events_by_source_imbalance_is_caught(self):
+        def corrupt(sim) -> None:
+            sim.cluster[0].stats.events_processed += 1
+
+        self._run_with(corrupt, "events_by_source")
+
+    def test_per_node_tertiary_reads_imbalance_is_caught(self):
+        def corrupt(sim) -> None:
+            per_node = sim.tertiary.stats.events_read_per_node
+            per_node[0] = per_node.get(0, 0) + 1
+
+        self._run_with(corrupt, "per-node reads")
+
+    def test_distinct_count_drift_is_caught(self):
+        def corrupt(sim) -> None:
+            sim.tertiary.stats.distinct_events_read += 1
+
+        self._run_with(corrupt, "distinct-event set")
+
+
 class TestEventOrderingCorruption:
     def test_non_monotone_dispatch_is_caught(self):
         engine = Engine(check_invariants=True)

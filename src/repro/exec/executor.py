@@ -33,7 +33,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
@@ -300,7 +300,7 @@ class Executor:
         if self.obs.enabled:
             self.obs.emit(
                 stats.wall_seconds, kinds.EXEC_SWEEP_END, "exec",
-                **stats.as_dict(),
+                **asdict(stats),
             )
         results = [slot for slot in slots if slot is not None]
         assert len(results) == len(specs), "executor lost a slot"

@@ -95,18 +95,6 @@ class ExecStats:
         """Slots satisfied without running a simulation."""
         return self.cache_hits + self.resumed
 
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "total": self.total,
-            "executed": self.executed,
-            "cache_hits": self.cache_hits,
-            "resumed": self.resumed,
-            "failed": self.failed,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "wall_seconds": self.wall_seconds,
-        }
-
     def brief(self) -> str:
         """The one-line ``exec:`` summary printed by the CLI."""
         return (

@@ -41,7 +41,7 @@ message is ever silently stranded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -89,22 +89,6 @@ class ChannelStats:
     #: One-way posts lost (the sender finds out via its own timeout logic).
     oneway_lost: int = 0
 
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "sent": self.sent,
-            "delivered": self.delivered,
-            "dead_letters": self.dead_letters,
-            "copies_lost": self.copies_lost,
-            "duplicates": self.duplicates,
-            "duplicates_dropped": self.duplicates_dropped,
-            "reordered": self.reordered,
-            "retransmits": self.retransmits,
-            "timeouts": self.timeouts,
-            "failovers": self.failovers,
-            "dispatch_repends": self.dispatch_repends,
-            "oneway_sent": self.oneway_sent,
-            "oneway_lost": self.oneway_lost,
-        }
 
 
 class _Message:
@@ -506,15 +490,8 @@ class ControlChannel:
         else:
             self._repend_timer.cancel()
 
-    def summary(self) -> Dict[str, Any]:
-        """Counters plus live queue depths (debug dumps and tests)."""
-        payload: Dict[str, Any] = self.stats.as_dict()
-        payload["in_flight"] = self.in_flight
-        payload["repend_backlog"] = self.repend_backlog
-        return payload
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ControlChannel(enabled={self.enabled}, "
-            f"in_flight={self.in_flight}, stats={self.stats.as_dict()})"
+            f"in_flight={self.in_flight}, stats={self.stats})"
         )

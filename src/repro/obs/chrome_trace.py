@@ -103,6 +103,8 @@ def chrome_trace_events(recorder: TraceRecorder) -> List[Dict[str, Any]]:
         kinds.STALL_START: "tertiary stall start",
         kinds.STALL_END: "tertiary stall end",
         kinds.TASK_GRANT: "task grant",
+        # Recorded only while the bus's per-dispatch gate is on.
+        kinds.ENGINE_DISPATCH: "engine dispatch",
     }
     for event in recorder.events:
         label = _INSTANTS.get(event.kind)

@@ -7,8 +7,8 @@ It keeps
   default — the newest ``capacity`` events survive; ``keep="first"``
   retains the head of the run instead, which is what the CLI's
   ``--limit-events`` safety cap uses);
-* running **counters** (cache hits/misses, tape traffic, steals,
-  preemptions, jobs in system, ...);
+* running **counters** keyed by hook kind (occurrences, and summed
+  ``events`` payloads), read through the :data:`COUNTERS` table;
 * **counter time-series** sampled on event boundaries whenever simulated
   time has advanced by ``sample_interval`` since the last sample;
 * per-node **busy spans** (one per subjob residency on a node) and
@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import deque
-from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Optional, Set
+from collections import Counter, deque
+from dataclasses import dataclass, fields
+from typing import Any, ClassVar, Deque, Dict, List, Optional, Set, Tuple
 
 from .hooks import TraceEvent, TraceSink, kinds
 
@@ -53,6 +53,54 @@ class ChunkSlice:
     events: int
 
 
+#: The recorder's counters in :meth:`TraceRecorder.summary` order: each
+#: summary key maps to the hook kind it counts and what it counts —
+#: ``"n"`` the occurrences of that kind, ``"events"`` the sum of their
+#: ``events`` payloads.  Adding a counter is one row here.
+#:
+#: ``grants`` counts landed ``TASK_GRANT`` batches (one per node per
+#: arbitration round, once it reaches a live node), whereas
+#: :attr:`~repro.sched.stats.SchedulerStats.grants` counts the tasks
+#: granted at arbitration, so the recorder's figure is the smaller.
+COUNTERS: Dict[str, Tuple[str, str]] = {
+    "jobs_arrived": (kinds.JOB_ARRIVAL, "n"),
+    "jobs_completed": (kinds.JOB_END, "n"),
+    "jobs_scheduled": (kinds.JOB_SCHEDULE, "n"),
+    "jobs_promoted": (kinds.JOB_PROMOTE, "n"),
+    "subjobs_started": (kinds.SUBJOB_START, "n"),
+    "subjobs_completed": (kinds.SUBJOB_END, "n"),
+    "subjob_splits": (kinds.SUBJOB_SPLIT, "n"),
+    "steals": (kinds.SUBJOB_STEAL, "n"),
+    "preemptions": (kinds.SUBJOB_PREEMPT, "n"),
+    "cache_hit_events": (kinds.CACHE_HIT, "events"),
+    "cache_miss_events": (kinds.CACHE_MISS, "events"),
+    "evicted_events": (kinds.CACHE_EVICT, "events"),
+    "tape_events": (kinds.TAPE_READ, "events"),
+    "tape_requests": (kinds.TAPE_READ, "n"),
+    "remote_events": (kinds.REMOTE_READ, "events"),
+    "tier_hit_events": (kinds.TIER_HIT, "events"),
+    "tier_miss_events": (kinds.TIER_MISS, "events"),
+    "tier_evicted_events": (kinds.TIER_EVICT, "events"),
+    "tier_replicated_events": (kinds.TIER_REPLICATE, "events"),
+    "link_saturations": (kinds.LINK_SATURATED, "n"),
+    "periods": (kinds.SCHED_PERIOD, "n"),
+    "meta_subjobs": (kinds.SCHED_META, "n"),
+    "rules_published": (kinds.RULE_PUBLISH, "n"),
+    "bid_rounds": (kinds.BID_ROUND, "n"),
+    "grants": (kinds.TASK_GRANT, "n"),
+    "net_drops": (kinds.NET_DROP, "n"),
+    "net_delivered": (kinds.NET_DELIVER, "n"),
+    "net_duplicates": (kinds.NET_DUP, "n"),
+    "net_retransmits": (kinds.NET_RETRANSMIT, "n"),
+    "net_timeouts": (kinds.NET_TIMEOUT, "n"),
+    "net_dead_letters": (kinds.NET_DEAD_LETTER, "n"),
+    "net_failovers": (kinds.NET_FAILOVER, "n"),
+}
+
+#: Kinds whose ``events`` payload is summed.
+_SUMMED_KINDS = frozenset(kind for kind, what in COUNTERS.values() if what == "events")
+
+
 @dataclass(slots=True)
 class CounterSample:
     """One row of the counter time-series."""
@@ -68,21 +116,17 @@ class CounterSample:
     steals: int
     hit_ratio: float
 
-    FIELDS = (
-        "time",
-        "jobs_in_system",
-        "busy_nodes",
-        "cache_hit_events",
-        "cache_miss_events",
-        "tape_events",
-        "tape_requests",
-        "evicted_events",
-        "steals",
-        "hit_ratio",
-    )
+    #: Column names, in field order (set below from the dataclass).
+    FIELDS: ClassVar[Tuple[str, ...]] = ()
 
     def row(self) -> List[Any]:
         return [getattr(self, name) for name in CounterSample.FIELDS]
+
+
+CounterSample.FIELDS = tuple(f.name for f in fields(CounterSample))
+
+#: The sampled columns that are table counters.
+_SAMPLED_COUNTERS = tuple(name for name in CounterSample.FIELDS if name in COUNTERS)
 
 
 class TraceRecorder(TraceSink):
@@ -139,40 +183,11 @@ class TraceRecorder(TraceSink):
         )
         self.total_emitted = 0
 
-        # -- counters ---------------------------------------------------------
-        self.jobs_arrived = 0
-        self.jobs_completed = 0
-        self.jobs_scheduled = 0
-        self.jobs_promoted = 0
-        self.subjobs_started = 0
-        self.subjobs_completed = 0
-        self.subjob_splits = 0
-        self.steals = 0
-        self.preemptions = 0
-        self.cache_hit_events = 0
-        self.cache_miss_events = 0
-        self.evicted_events = 0
-        self.tape_events = 0
-        self.tape_requests = 0
-        self.remote_events = 0
-        self.tier_hit_events = 0
-        self.tier_miss_events = 0
-        self.tier_evicted_events = 0
-        self.tier_replicated_events = 0
-        self.link_saturations = 0
-        self.periods = 0
-        self.meta_subjobs = 0
-        self.engine_dispatches = 0
-        self.rules_published = 0
-        self.bid_rounds = 0
-        self.grants = 0
-        self.net_drops = 0
-        self.net_delivered = 0
-        self.net_duplicates = 0
-        self.net_retransmits = 0
-        self.net_timeouts = 0
-        self.net_dead_letters = 0
-        self.net_failovers = 0
+        # -- counters (read through the COUNTERS table) -----------------------
+        #: Occurrences of each hook kind.
+        self.counts: Counter[str] = Counter()
+        #: Summed ``events`` payloads of the kinds in ``_SUMMED_KINDS``.
+        self.event_sums: Counter[str] = Counter()
         self.sim_start_time: Optional[float] = None
         self._busy: Set[int] = set()
         self.last_time = 0.0
@@ -213,6 +228,9 @@ class TraceRecorder(TraceSink):
 
     def _count(self, event: TraceEvent) -> None:
         kind = event.kind
+        self.counts[kind] += 1
+        if kind in _SUMMED_KINDS:
+            self.event_sums[kind] += event.data.get("events", 0)
         if kind == kinds.CHUNK_DONE:
             if len(self.chunk_slices) >= self.max_slices:
                 self.slices_dropped += 1
@@ -227,79 +245,14 @@ class TraceRecorder(TraceSink):
                         events=event.data.get("events", 0),
                     )
                 )
-        elif kind == kinds.CACHE_HIT:
-            self.cache_hit_events += event.data.get("events", 0)
-        elif kind == kinds.CACHE_MISS:
-            self.cache_miss_events += event.data.get("events", 0)
-        elif kind == kinds.CACHE_EVICT:
-            self.evicted_events += event.data.get("events", 0)
-        elif kind == kinds.TAPE_READ:
-            self.tape_events += event.data.get("events", 0)
-            self.tape_requests += 1
-        elif kind == kinds.REMOTE_READ:
-            self.remote_events += event.data.get("events", 0)
-        elif kind == kinds.TIER_HIT:
-            self.tier_hit_events += event.data.get("events", 0)
-        elif kind == kinds.TIER_MISS:
-            self.tier_miss_events += event.data.get("events", 0)
-        elif kind == kinds.TIER_EVICT:
-            self.tier_evicted_events += event.data.get("events", 0)
-        elif kind == kinds.TIER_REPLICATE:
-            self.tier_replicated_events += event.data.get("events", 0)
-        elif kind == kinds.LINK_SATURATED:
-            self.link_saturations += 1
         elif kind in (kinds.SUBJOB_START, kinds.SUBJOB_RESUME):
-            if kind == kinds.SUBJOB_START:
-                self.subjobs_started += 1
             self._open_span(event)
         elif kind in (kinds.SUBJOB_SUSPEND, kinds.SUBJOB_END):
-            if kind == kinds.SUBJOB_END:
-                self.subjobs_completed += 1
             self._close_span(event)
         elif kind == kinds.NODE_BUSY:
             self._busy.add(event.node)
         elif kind == kinds.NODE_IDLE:
             self._busy.discard(event.node)
-        elif kind == kinds.JOB_ARRIVAL:
-            self.jobs_arrived += 1
-        elif kind == kinds.JOB_END:
-            self.jobs_completed += 1
-        elif kind == kinds.JOB_SCHEDULE:
-            self.jobs_scheduled += 1
-        elif kind == kinds.JOB_PROMOTE:
-            self.jobs_promoted += 1
-        elif kind == kinds.SUBJOB_SPLIT:
-            self.subjob_splits += 1
-        elif kind == kinds.SUBJOB_STEAL:
-            self.steals += 1
-        elif kind == kinds.SUBJOB_PREEMPT:
-            self.preemptions += 1
-        elif kind == kinds.SCHED_PERIOD:
-            self.periods += 1
-        elif kind == kinds.SCHED_META:
-            self.meta_subjobs += 1
-        elif kind == kinds.ENGINE_DISPATCH:
-            self.engine_dispatches += 1
-        elif kind == kinds.RULE_PUBLISH:
-            self.rules_published += 1
-        elif kind == kinds.BID_ROUND:
-            self.bid_rounds += 1
-        elif kind == kinds.TASK_GRANT:
-            self.grants += 1
-        elif kind == kinds.NET_DROP:
-            self.net_drops += 1
-        elif kind == kinds.NET_DELIVER:
-            self.net_delivered += 1
-        elif kind == kinds.NET_DUP:
-            self.net_duplicates += 1
-        elif kind == kinds.NET_RETRANSMIT:
-            self.net_retransmits += 1
-        elif kind == kinds.NET_TIMEOUT:
-            self.net_timeouts += 1
-        elif kind == kinds.NET_DEAD_LETTER:
-            self.net_dead_letters += 1
-        elif kind == kinds.NET_FAILOVER:
-            self.net_failovers += 1
         elif kind == kinds.SIM_START:
             self.sim_start_time = event.time
         elif kind == kinds.SIM_END:
@@ -336,15 +289,10 @@ class TraceRecorder(TraceSink):
         self.samples.append(
             CounterSample(
                 time=time,
-                jobs_in_system=self.jobs_arrived - self.jobs_completed,
+                jobs_in_system=self.jobs_in_system,
                 busy_nodes=len(self._busy),
-                cache_hit_events=self.cache_hit_events,
-                cache_miss_events=self.cache_miss_events,
-                tape_events=self.tape_events,
-                tape_requests=self.tape_requests,
-                evicted_events=self.evicted_events,
-                steals=self.steals,
                 hit_ratio=self.hit_ratio,
+                **{name: self._counter(name) for name in _SAMPLED_COUNTERS},
             )
         )
 
@@ -355,11 +303,22 @@ class TraceRecorder(TraceSink):
         """Events emitted but no longer in the raw buffer."""
         return self.total_emitted - len(self.events)
 
+    def _counter(self, key: str) -> int:
+        """The value of one :data:`COUNTERS` entry."""
+        kind, what = COUNTERS[key]
+        return (self.counts if what == "n" else self.event_sums)[kind]
+
+    @property
+    def jobs_in_system(self) -> int:
+        """Jobs arrived but not yet completed."""
+        return self.counts[kinds.JOB_ARRIVAL] - self.counts[kinds.JOB_END]
+
     @property
     def hit_ratio(self) -> float:
         """Cache hits / (hits + misses), NaN before any data access."""
-        total = self.cache_hit_events + self.cache_miss_events
-        return math.nan if total == 0 else self.cache_hit_events / total
+        hits = self.event_sums[kinds.CACHE_HIT]
+        total = hits + self.event_sums[kinds.CACHE_MISS]
+        return math.nan if total == 0 else hits / total
 
     def node_ids(self) -> List[int]:
         """Every node id that appears in spans or chunk slices, sorted."""
@@ -374,7 +333,7 @@ class TraceRecorder(TraceSink):
 
     def summary(self) -> Dict[str, Any]:
         """Aggregate counters as a plain dict (for reports and tests)."""
-        return {
+        out: Dict[str, Any] = {
             "events_recorded": len(self.events),
             "events_emitted": self.total_emitted,
             "events_dropped": self.dropped_events,
@@ -382,40 +341,11 @@ class TraceRecorder(TraceSink):
             "spans_dropped": self.spans_dropped,
             "slices_recorded": len(self.chunk_slices),
             "slices_dropped": self.slices_dropped,
-            "jobs_arrived": self.jobs_arrived,
-            "jobs_completed": self.jobs_completed,
-            "jobs_scheduled": self.jobs_scheduled,
-            "jobs_promoted": self.jobs_promoted,
-            "subjobs_started": self.subjobs_started,
-            "subjobs_completed": self.subjobs_completed,
-            "subjob_splits": self.subjob_splits,
-            "steals": self.steals,
-            "preemptions": self.preemptions,
-            "cache_hit_events": self.cache_hit_events,
-            "cache_miss_events": self.cache_miss_events,
-            "evicted_events": self.evicted_events,
-            "tape_events": self.tape_events,
-            "tape_requests": self.tape_requests,
-            "remote_events": self.remote_events,
-            "tier_hit_events": self.tier_hit_events,
-            "tier_miss_events": self.tier_miss_events,
-            "tier_evicted_events": self.tier_evicted_events,
-            "tier_replicated_events": self.tier_replicated_events,
-            "link_saturations": self.link_saturations,
-            "periods": self.periods,
-            "meta_subjobs": self.meta_subjobs,
-            "rules_published": self.rules_published,
-            "bid_rounds": self.bid_rounds,
-            "grants": self.grants,
-            "net_drops": self.net_drops,
-            "net_delivered": self.net_delivered,
-            "net_duplicates": self.net_duplicates,
-            "net_retransmits": self.net_retransmits,
-            "net_timeouts": self.net_timeouts,
-            "net_dead_letters": self.net_dead_letters,
-            "net_failovers": self.net_failovers,
-            "hit_ratio": self.hit_ratio,
         }
+        for key in COUNTERS:
+            out[key] = self._counter(key)
+        out["hit_ratio"] = self.hit_ratio
+        return out
 
     # -- export ---------------------------------------------------------------------------
 

@@ -17,7 +17,7 @@ same axis:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 #: Bytes charged per synthesized central-scheduler control message (a
 #: subjob descriptor or a completion report; same order of magnitude as
@@ -74,23 +74,7 @@ class SchedulerStats:
         return self.messages / self.subjobs_started
 
     def as_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "rounds": self.rounds,
-            "rules_published": self.rules_published,
-            "bids": self.bids,
-            "grants": self.grants,
-            "messages": self.messages,
-            "control_bytes": self.control_bytes,
-            "control_seconds": self.control_seconds,
-            "subjobs_started": self.subjobs_started,
-            "retransmits": self.retransmits,
-            "duplicates_dropped": self.duplicates_dropped,
-            "timeouts": self.timeouts,
-            "dead_letters": self.dead_letters,
-            "failovers": self.failovers,
-            "messages_per_subjob": self.messages_per_subjob(),
-        }
+        return {**asdict(self), "messages_per_subjob": self.messages_per_subjob()}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SchedulerStats":

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import asdict
 from pathlib import Path
 from typing import List, Sequence, Union
 
@@ -145,9 +146,9 @@ def result_summary_dict(result: SimulationResult) -> dict:
         "engine_events": result.engine_events,
         "records_dropped": result.records_dropped,
         "wall_seconds": result.wall_seconds,
-        "faults": result.faults.as_dict() if result.faults is not None else None,
+        "faults": asdict(result.faults) if result.faults is not None else None,
         "sched": result.sched.as_dict() if result.sched is not None else None,
-        "topo": result.topo.as_dict() if result.topo is not None else None,
+        "topo": asdict(result.topo) if result.topo is not None else None,
     }
 
 

@@ -94,21 +94,6 @@ class FaultSummary:
     goodput: float = 1.0
     degraded_makespan: float = 0.0
 
-    def as_dict(self) -> dict:
-        return {
-            "failures": self.failures,
-            "stalls": self.stalls,
-            "subjobs_aborted": self.subjobs_aborted,
-            "retries": self.retries,
-            "giveups": self.giveups,
-            "lost_events": self.lost_events,
-            "lost_seconds": self.lost_seconds,
-            "downtime_seconds": self.downtime_seconds,
-            "stall_seconds": self.stall_seconds,
-            "goodput": self.goodput,
-            "degraded_makespan": self.degraded_makespan,
-        }
-
 
 @dataclass
 class BacklogSample:

@@ -26,7 +26,7 @@ the :class:`~repro.exec.SpecError` that felled it).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -185,7 +185,7 @@ class SweepResult:
                         "tertiary_redundancy": outcome.tertiary_redundancy,
                         "node_utilization": outcome.node_utilization,
                         "faults": (
-                            outcome.faults.as_dict()
+                            asdict(outcome.faults)
                             if outcome.faults is not None
                             else None
                         ),
@@ -195,7 +195,7 @@ class SweepResult:
                             else None
                         ),
                         "topo": (
-                            outcome.topo.as_dict()
+                            asdict(outcome.topo)
                             if outcome.topo is not None
                             else None
                         ),

@@ -231,21 +231,6 @@ class TierSummary:
     link_saturated_plans: int
     link_peak_streams: int
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "parent": self.parent,
-            "level": self.level,
-            "nodes": self.nodes,
-            "cache_capacity_events": self.cache_capacity_events,
-            "cache_hit_events": self.cache_hit_events,
-            "cache_miss_events": self.cache_miss_events,
-            "cache_evicted_events": self.cache_evicted_events,
-            "storage_event_seconds": self.storage_event_seconds,
-            "link_events": self.link_events,
-            "link_saturated_plans": self.link_saturated_plans,
-            "link_peak_streams": self.link_peak_streams,
-        }
 
 
 @dataclass(frozen=True)
@@ -259,19 +244,8 @@ class TopoSummary:
     replicated_events: int
     storage_event_seconds: float
     link_saturated_plans: int
-    tiers: Tuple[TierSummary, ...]
+    tiers: List[TierSummary]
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "depth": self.depth,
-            "placement": self.placement,
-            "tier_hit_events": self.tier_hit_events,
-            "tier_miss_events": self.tier_miss_events,
-            "replicated_events": self.replicated_events,
-            "storage_event_seconds": self.storage_event_seconds,
-            "link_saturated_plans": self.link_saturated_plans,
-            "tiers": [tier.as_dict() for tier in self.tiers],
-        }
 
 
 class Topology:
@@ -456,7 +430,7 @@ class Topology:
             replicated_events=self.replicated_events,
             storage_event_seconds=storage,
             link_saturated_plans=saturated,
-            tiers=tuple(tiers),
+            tiers=tiers,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

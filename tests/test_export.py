@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.core import units
-from repro.sim.config import quick_config
+from repro.sim.config import FaultConfig, NetFaultConfig, quick_config
 from repro.sim.export import (
     SCHEMA_VERSION,
     load_records_csv,
@@ -16,7 +16,9 @@ from repro.sim.export import (
     write_result_json,
 )
 from repro.sim.metrics import BacklogSample
+from repro.sim.runner import RunSpec, run_sweep
 from repro.sim.simulator import run_simulation
+from repro.topo.spec import topology_preset
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +118,67 @@ class TestResultJson:
         path.write_text(json.dumps({"schema_version": SCHEMA_VERSION}))
         with pytest.raises(ValueError, match="missing keys"):
             load_result_json(path)
+
+
+#: The nested summary sections' key order, as written to disk.
+FAULTS_KEYS = [
+    "failures", "stalls", "subjobs_aborted", "retries", "giveups",
+    "lost_events", "lost_seconds", "downtime_seconds", "stall_seconds",
+    "goodput", "degraded_makespan",
+]
+SCHED_KEYS = [
+    "mode", "rounds", "rules_published", "bids", "grants", "messages",
+    "control_bytes", "control_seconds", "subjobs_started", "retransmits",
+    "duplicates_dropped", "timeouts", "dead_letters", "failovers",
+    "messages_per_subjob",
+]
+TOPO_KEYS = [
+    "depth", "placement", "tier_hit_events", "tier_miss_events",
+    "replicated_events", "storage_event_seconds", "link_saturated_plans",
+    "tiers",
+]
+TIER_KEYS = [
+    "name", "parent", "level", "nodes", "cache_capacity_events",
+    "cache_hit_events", "cache_miss_events", "cache_evicted_events",
+    "storage_event_seconds", "link_events", "link_saturated_plans",
+    "link_peak_streams",
+]
+
+
+@pytest.fixture(scope="module")
+def chaos_config():
+    """Faulted, lossy, depth-3: every nested summary section is filled."""
+    return quick_config(
+        n_nodes=8,
+        arrival_rate_per_hour=12.0,
+        duration=0.5 * units.DAY,
+        seed=3,
+        topology=topology_preset("depth3", "proactive-site"),
+        net=NetFaultConfig(loss=0.1, duplicate=0.02, delay_mean=0.01, reorder=0.05),
+        faults=FaultConfig(node_mtbf=2 * units.DAY, node_mttr=1 * units.HOUR),
+    )
+
+
+def _assert_nested_layout(entry):
+    assert list(entry["faults"]) == FAULTS_KEYS
+    assert list(entry["sched"]) == SCHED_KEYS
+    assert list(entry["topo"]) == TOPO_KEYS
+    assert isinstance(entry["topo"]["tiers"], list)
+    assert list(entry["topo"]["tiers"][0]) == TIER_KEYS
+
+
+class TestNestedSummaryLayout:
+    def test_result_summary_dict(self, chaos_config):
+        payload = result_summary_dict(run_simulation(chaos_config, "out-of-order"))
+        _assert_nested_layout(payload)
+        # In memory exactly what a reader gets back from disk.
+        nested = {key: payload[key] for key in ("faults", "sched", "topo")}
+        assert json.loads(json.dumps(nested, default=float)) == nested
+
+    def test_sweep_json(self, chaos_config):
+        sweep = run_sweep([RunSpec.make(chaos_config, "decentral")], processes=1)
+        (entry,) = json.loads(sweep.to_json())["results"]
+        _assert_nested_layout(entry)
 
 
 class TestCliIntegration:

@@ -32,8 +32,10 @@ from repro.obs.chrome_trace import (
     to_chrome_trace,
     validate_trace_events,
 )
-from repro.sim.config import quick_config
+from repro.sched.base import available_policies
+from repro.sim.config import FaultConfig, NetFaultConfig, quick_config
 from repro.sim.simulator import run_simulation
+from repro.topo.spec import topology_preset
 
 
 def _traced_run(policy="out-of-order", seed=3, **recorder_kwargs):
@@ -177,12 +179,55 @@ class TestRecorderCrossCheck:
 
     def test_counters_match_result(self):
         recorder, result = _traced_run()
-        assert recorder.jobs_arrived == result.jobs_arrived
-        assert recorder.jobs_completed == result.jobs_completed
-        assert recorder.cache_hit_events == result.events_by_source["cache"]
-        assert recorder.tape_events == result.tertiary_events_read
-        assert recorder.subjobs_started == recorder.subjobs_completed
-        assert recorder.steals == result.policy_stats["steals"]
+        summary = recorder.summary()
+        assert summary["jobs_arrived"] == result.jobs_arrived
+        assert summary["jobs_completed"] == result.jobs_completed
+        assert summary["cache_hit_events"] == result.events_by_source["cache"]
+        assert summary["tape_events"] == result.tertiary_events_read
+        assert summary["subjobs_started"] == summary["subjobs_completed"]
+        assert summary["steals"] == result.policy_stats["steals"]
+
+    @pytest.mark.parametrize("policy", available_policies())
+    def test_every_counter_matches_result_under_chaos(self, policy):
+        """Faults, a lossy control plane and a 3-tier topology at once:
+        every recorder counter with a result counterpart agrees with it."""
+        recorder = TraceRecorder()
+        config = quick_config(
+            n_nodes=8,
+            arrival_rate_per_hour=12.0,
+            duration=0.5 * units.DAY,
+            seed=3,
+            topology=topology_preset("depth3", "proactive-site"),
+            net=NetFaultConfig(
+                loss=0.1, duplicate=0.02, delay_mean=0.01, reorder=0.05
+            ),
+            faults=FaultConfig(node_mtbf=2 * units.DAY, node_mttr=1 * units.HOUR),
+        )
+        result = run_simulation(config, policy, sink=recorder)
+        recorder.close()
+        summary = recorder.summary()
+        sched, topo = result.sched, result.topo
+        assert summary["jobs_arrived"] == result.jobs_arrived
+        assert summary["jobs_completed"] == result.jobs_completed
+        assert summary["tape_events"] == result.tertiary_events_read
+        assert summary["cache_hit_events"] == result.events_by_source["cache"]
+        assert summary["remote_events"] == result.events_by_source["remote"]
+        assert summary["net_retransmits"] == sched.retransmits
+        assert summary["net_timeouts"] == sched.timeouts
+        assert summary["net_dead_letters"] == sched.dead_letters
+        assert summary["net_duplicates"] == sched.duplicates_dropped
+        assert summary["net_failovers"] == sched.failovers
+        assert summary["tier_hit_events"] == topo.tier_hit_events
+        assert summary["tier_miss_events"] == topo.tier_miss_events
+        assert summary["tier_replicated_events"] == topo.replicated_events
+        assert summary["link_saturations"] == topo.link_saturated_plans
+        assert summary["rules_published"] == sched.rules_published
+        assert summary["bid_rounds"] == sched.rounds
+        if sched.mode == "decentral":
+            # Landed grant batches vs tasks granted at arbitration.
+            assert 0 < summary["grants"] <= sched.grants
+        else:
+            assert summary["grants"] == sched.grants == 0
 
     def test_sim_start_time_and_summary_keys(self):
         recorder, _ = _traced_run()
@@ -247,7 +292,10 @@ class TestRecorderCrossCheck:
         assert summary["slices_dropped"] == capped.slices_dropped
         # Counters are derived from the event stream, not the capped
         # lists, so they are unaffected by retention.
-        assert capped.subjobs_completed == unbounded.subjobs_completed
+        assert (
+            summary["subjobs_completed"]
+            == unbounded.summary()["subjobs_completed"]
+        )
 
     def test_default_retention_reports_zero_drops(self):
         recorder, _ = _traced_run()
@@ -267,8 +315,9 @@ class TestRecorderCrossCheck:
         times = [s.time for s in recorder.samples]
         assert times == sorted(times)
         final = recorder.samples[-1]
-        assert final.cache_hit_events == recorder.cache_hit_events
-        assert final.tape_events == recorder.tape_events
+        summary = recorder.summary()
+        assert final.cache_hit_events == summary["cache_hit_events"]
+        assert final.tape_events == summary["tape_events"]
 
     def test_counters_csv_roundtrip(self, tmp_path):
         import csv
@@ -279,7 +328,7 @@ class TestRecorderCrossCheck:
         with open(path, newline="") as handle:
             rows = list(csv.DictReader(handle))
         assert len(rows) == count == len(recorder.samples)
-        assert int(rows[-1]["tape_events"]) == recorder.tape_events
+        assert int(rows[-1]["tape_events"]) == recorder.summary()["tape_events"]
 
 
 class TestChromeTrace:

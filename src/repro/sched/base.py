@@ -21,6 +21,7 @@ from __future__ import annotations
 import difflib
 import inspect
 from abc import ABC, abstractmethod
+from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Type
 
 from ..cluster.access import CachingPlanner, DataAccessPlanner
@@ -167,6 +168,17 @@ class SchedulerPolicy(ABC):
                 best_key = key
                 best = node
         return best
+
+    # -- sanitizer ------------------------------------------------------------------
+
+    def check_invariants(self) -> None:
+        """Validate policy-internal bookkeeping against a full recount.
+
+        Called from the ``--check-invariants`` probe next to the
+        simulator's deep check; raises
+        :class:`~repro.core.errors.InvariantViolation`.  Default: nothing
+        to check.
+        """
 
     # -- reporting ----------------------------------------------------------------
 
@@ -402,23 +414,49 @@ def split_interval_by_caches(
     same events (possible after work stealing), the lower-id node wins —
     deterministic and unbiased since node ids carry no meaning.
     """
-    # 1. Claim cached parts, lower node id first.
-    claims: List[Tuple[Interval, Optional[Node]]] = []
-    from ..data.intervals import IntervalSet  # local import to avoid cycle noise
-
-    unclaimed = IntervalSet([segment])
+    # 1. Claim: the owner of a point is the lowest-id live node caching
+    # it.  One sweep over every live node's cached runs, sorted by start,
+    # emits the maximal runs of one owner; a min-heap of (node id, run
+    # end) holds the runs covering the sweep position, and a run that
+    # ended is dropped once it surfaces at the top.
+    runs: List[Tuple[int, int, int]] = []
     for node in cluster:
-        if not unclaimed:
-            break
         if node.failed:
             continue  # a dead node's cache must not attract placements
-        parts = node.cache.cached_parts(segment).intersection(unclaimed)
-        for part in parts:
-            claims.append((part, node))
-        unclaimed = unclaimed.difference(parts)
-    for part in unclaimed:
-        claims.append((part, None))
-    claims.sort(key=lambda item: item[0].start)
+        node_id = node.node_id
+        for start, end in node.cache.cached_parts(segment).pairs():
+            runs.append((start, end, node_id))
+    runs.sort()
+    nodes = cluster.nodes
+    cuts: List[int] = []
+    owners: List[Optional[Node]] = []
+    active: List[Tuple[int, int]] = []
+    position = segment.start
+    segment_end = segment.end
+    index = 0
+    count = len(runs)
+    while position < segment_end:
+        while index < count and runs[index][0] <= position:
+            _, end, node_id = runs[index]
+            heappush(active, (node_id, end))
+            index += 1
+        while active and active[0][1] <= position:
+            heappop(active)
+        stop = runs[index][0] if index < count else segment_end
+        owner: Optional[Node] = None
+        if active:
+            node_id, end = active[0]
+            owner = nodes[node_id]
+            if end < stop:
+                stop = end
+        if not owners or owners[-1] is not owner:
+            cuts.append(position)
+            owners.append(owner)
+        position = stop
+    cuts.append(segment_end)
+    claims = [
+        (Interval(cuts[i], cuts[i + 1]), owner) for i, owner in enumerate(owners)
+    ]
 
     # 2. Merge undersized pieces into a neighbour.
     merged: List[Tuple[Interval, Optional[Node]]] = []

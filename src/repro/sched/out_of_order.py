@@ -25,6 +25,7 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from ..core import units
+from ..core.errors import InvariantViolation
 from ..core.events import EventPriority
 from ..cluster.node import Node
 from ..obs.hooks import kinds
@@ -39,6 +40,37 @@ from .base import (
 _NOCACHE = ("nocache",)
 
 
+class NodeQueue(deque[Subjob]):
+    """A node's private subjob queue that keeps ``events``, the sum of
+    its subjobs' ``remaining_events``, exact through every add and
+    removal.  Queued subjobs do not progress, so only a split of a queued
+    subjob changes the sum otherwise; its caller adjusts ``events``."""
+
+    __slots__ = ("events",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.events = 0
+
+    def append(self, subjob: Subjob) -> None:
+        super().append(subjob)
+        self.events += subjob.remaining_events
+
+    def appendleft(self, subjob: Subjob) -> None:
+        super().appendleft(subjob)
+        self.events += subjob.remaining_events
+
+    def pop(self) -> Subjob:
+        subjob = super().pop()
+        self.events -= subjob.remaining_events
+        return subjob
+
+    def popleft(self) -> Subjob:
+        subjob = super().popleft()
+        self.events -= subjob.remaining_events
+        return subjob
+
+
 @register_policy
 class OutOfOrderPolicy(SchedulerPolicy):
     """Table 3 of the paper."""
@@ -48,7 +80,7 @@ class OutOfOrderPolicy(SchedulerPolicy):
     def __init__(self, fairness_timeout: float = 2 * units.DAY) -> None:
         super().__init__()
         self.fairness_timeout = fairness_timeout
-        self.node_queues: Dict[int, Deque[Subjob]] = {}
+        self.node_queues: Dict[int, NodeQueue] = {}
         self.nocache_queue: Deque[Subjob] = deque()
         #: Jobs promoted by the fairness valve, in promotion order.
         self.priority_jobs: Deque[Job] = deque()
@@ -60,7 +92,7 @@ class OutOfOrderPolicy(SchedulerPolicy):
 
     def bind(self, ctx: SchedulerContext) -> None:
         super().bind(ctx)
-        self.node_queues = {node.node_id: deque() for node in ctx.cluster}
+        self.node_queues = {node.node_id: NodeQueue() for node in ctx.cluster}
 
     # -- arrival (Table 3, "Upon job arrival") -----------------------------------
 
@@ -208,6 +240,7 @@ class OutOfOrderPolicy(SchedulerPolicy):
                 return
             point = victim.remaining.end - share
             right = victim.split_remaining_at(point)
+            queue.events -= right.remaining_events
             self._mark_stolen(right, donor)
             self.start_on(thief, right)
             self.stats_steals += 1
@@ -229,7 +262,7 @@ class OutOfOrderPolicy(SchedulerPolicy):
 
     def _most_loaded_node(self, exclude: Node) -> Optional[Node]:
         """The busy node with the most outstanding work (running subjob
-        remainder plus its queue).
+        remainder plus its queue's ``events`` total).
 
         On hierarchical topologies equal loads go to the donor closest to
         the thief in the tier tree — stolen work streams its data from
@@ -242,11 +275,14 @@ class OutOfOrderPolicy(SchedulerPolicy):
         best: Optional[Node] = None
         best_load = 0
         best_distance = 0
+        queues = self.node_queues
         for node in self.cluster:
             if node is exclude or node.idle:
                 continue
-            load = node.current.remaining_events if node.current else 0
-            load += sum(s.remaining_events for s in self.node_queues[node.node_id])
+            current = node.current
+            load = queues[node.node_id].events
+            if current is not None:
+                load += current.remaining_events
             if load > best_load:
                 best_load = load
                 best = node
@@ -358,6 +394,16 @@ class OutOfOrderPolicy(SchedulerPolicy):
             pieces.append(largest.split_remaining_at(midpoint))
         pieces.sort(key=lambda s: s.segment.start)
         return pieces
+
+    def check_invariants(self) -> None:
+        """Every node queue's ``events`` total equals a full re-sum."""
+        for node_id, queue in self.node_queues.items():
+            recount = sum(s.remaining_events for s in queue)
+            if queue.events != recount:
+                raise InvariantViolation(
+                    f"node {node_id} queue events total ({queue.events}) "
+                    f"!= sum of its subjobs' remaining events ({recount})"
+                )
 
     def describe(self) -> Dict[str, object]:
         return {

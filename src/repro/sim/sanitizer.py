@@ -15,6 +15,9 @@ module checks properties of a *running* simulation:
   the tertiary store's total reads equal the sum of its per-node reads
   and its distinct count equals the measure of its distinct-event set
   (:meth:`repro.data.tertiary.TertiaryStorage.validate`);
+* the policy's own bookkeeping agrees with a full recount
+  (:meth:`repro.sched.base.SchedulerPolicy.check_invariants`; e.g. each
+  out-of-order node queue's running ``events`` total);
 * subjobs follow the documented state machine
   (``PENDING → RUNNING ⇄ SUSPENDED → DONE``) and are never assigned to
   two nodes at once — the paper's "single subjob per processor" rule from

@@ -371,6 +371,7 @@ class Simulation:
             self.checker.deep_check(
                 self.engine, self.cluster, self.jobs.values(), self.tertiary
             )
+            self.policy.check_invariants()
         self.metrics.probe(self.engine.now, len(self.cluster.busy_nodes()))
         if self.engine.now + self.config.probe_interval <= self.config.duration:
             self.engine.call_after(

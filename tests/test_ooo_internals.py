@@ -4,6 +4,9 @@ import pytest
 
 from repro.core import units
 from repro.data.intervals import Interval
+from repro.sched.base import create_policy
+from repro.sim.config import quick_config
+from repro.sim.simulator import Simulation
 from repro.workload.jobs import SubjobState
 
 from .helpers import make_subjob
@@ -125,3 +128,105 @@ class TestSplitToFeed:
         pieces = policy._split_to_feed([make_subjob(0, 25)], 8)
         assert len(pieces) < 8
         assert all(p.remaining_events >= 10 for p in pieces)
+
+
+def assert_exact_total(queue):
+    assert queue.events == sum(s.remaining_events for s in queue)
+
+
+class TestQueueEventTotals:
+    """Each node queue's running ``events`` total stays equal to a full
+    re-sum through every path that adds to or takes from the queue."""
+
+    def test_cached_arrival_queued(self):
+        sim, policy = primed_sim([(0.0, 0, 2000), (1.0, 2000, 1000)], n_nodes=1)
+        sim.cluster[0].cache.insert(Interval(0, 5000), now=0.0)
+        sim.engine.run(until=2.0)
+        queue = policy.node_queues[0]
+        assert len(queue) == 1
+        assert queue.events == 1000
+        assert_exact_total(queue)
+
+    def test_displaced_subjob_put_back(self):
+        sim, policy = primed_sim([(0.0, 0, 2000)], n_nodes=2)
+        sim.engine.run(until=100.0)
+        policy.node_queues[1].append(make_subjob(50_000, 300))
+        displaced = sim.cluster[1].preempt()
+        displaced.origin = ("node", 1)
+        assert displaced.processed > 0  # the total counts what is left
+        policy._put_back_front(displaced)
+        queue = policy.node_queues[1]
+        assert queue[0] is displaced
+        assert queue.events == 300 + displaced.remaining_events
+        assert_exact_total(queue)
+
+    def test_feed_node_pops_own_queue(self):
+        sim, policy = primed_sim([(0.0, 0, 2000)], n_nodes=1)
+        sim.engine.run(until=1.0)
+        node = sim.cluster[0]
+        node.preempt().state = SubjobState.DONE  # park it out of the way
+        first, second = make_subjob(50_000, 500), make_subjob(60_000, 700)
+        queue = policy.node_queues[0]
+        queue.append(first)
+        queue.append(second)
+        policy._feed_node(node)
+        assert node.current is first
+        assert queue.events == 700
+        assert_exact_total(queue)
+
+    def _steal_setup(self, tail_events):
+        sim, policy = primed_sim([(0.0, 0, 8000)], n_nodes=2)
+        sim.engine.run(until=1.0)
+        queue = policy.node_queues[0]
+        for start, events in ((20_000, 4000), (30_000, tail_events)):
+            queued = make_subjob(start, events)
+            queued.origin = ("node", 0)
+            queue.append(queued)
+        displaced = sim.cluster[1].preempt()
+        policy.nocache_queue.clear()  # force the steal path
+        if displaced is not None:
+            displaced.state = SubjobState.DONE
+        return sim, policy, queue
+
+    def test_whole_tail_steal(self):
+        # 40 events: the thief's share (9) is under the minimum subjob
+        # size, so the whole tail subjob moves.
+        sim, policy, queue = self._steal_setup(40)
+        tail = queue[-1]
+        policy._feed_node(sim.cluster[1])
+        assert sim.cluster[1].current is tail
+        assert len(queue) == 1
+        assert queue.events == 4000
+        assert_exact_total(queue)
+
+    def test_split_tail_steal(self):
+        sim, policy, queue = self._steal_setup(4000)
+        policy._feed_node(sim.cluster[1])
+        stolen = sim.cluster[1].current
+        assert stolen.segment.start == queue[-1].segment.end
+        assert queue.events == 8000 - stolen.remaining_events
+        assert_exact_total(queue)
+
+    def test_failed_node_queue_rehomed(self):
+        sim, policy = primed_sim([(0.0, 0, 2000)], n_nodes=2)
+        sim.engine.run(until=1.0)
+        queue = policy.node_queues[0]
+        queue.append(make_subjob(50_000, 500))
+        queue.append(make_subjob(60_000, 700))
+        node = sim.cluster[0]
+        policy.on_node_failed(node, node.fail())
+        assert len(queue) == 0
+        assert queue.events == 0
+        assert len(policy.nocache_queue) >= 2
+
+    def test_sanitized_replication_run(self):
+        sim = Simulation(
+            quick_config(duration=4 * units.DAY, seed=11),
+            create_policy("replication"),
+            check_invariants=True,
+        )
+        sim.run()
+        assert sim.checker.checks_run > 0
+        assert sim.policy.stats_steals > 0
+        for queue in sim.policy.node_queues.values():
+            assert_exact_total(queue)

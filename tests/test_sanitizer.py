@@ -173,6 +173,22 @@ class TestAccountingBalanceCorruption:
         self._run_with(corrupt, "distinct-event set")
 
 
+class TestPolicyBookkeepingCorruption:
+    def test_queue_events_total_drift_is_caught(self):
+        sim = _checked_simulation("out-of-order")
+        sim.prime()
+
+        def corrupt() -> None:
+            # A queue mutation that forgot its running total.
+            sim.policy.node_queues[3].events += 5
+
+        sim.engine.call_at(units.DAY, corrupt)
+        with pytest.raises(
+            InvariantViolation, match=r"node 3 queue events total \(\d+\)"
+        ):
+            sim.engine.run(until=sim.config.duration)
+
+
 class TestEventOrderingCorruption:
     def test_non_monotone_dispatch_is_caught(self):
         engine = Engine(check_invariants=True)

@@ -1,10 +1,15 @@
 """Tests for the scheduler framework: registry, shared helpers."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster.access import CachingPlanner
+from repro.core import units
+from repro.core.engine import Engine
 from repro.core.errors import ConfigurationError, SchedulingError
-from repro.data.intervals import Interval
+from repro.data.dataspace import DataSpace
+from repro.data.intervals import Interval, IntervalSet
+from repro.data.tertiary import TertiaryStorage
 from repro.sched.base import (
     SchedulerPolicy,
     available_policies,
@@ -180,6 +185,93 @@ class TestSplitByCaches:
         cluster[1].cache.insert(Interval(0, 2000), now=0.0)
         pieces = split_interval_by_caches(Interval(500, 1500), cluster, 10)
         assert pieces == [(Interval(500, 1500), cluster[1])]
+
+
+def reference_split_by_caches(segment, cluster, min_events):
+    """The set-algebra claim loop ``split_interval_by_caches`` replaced:
+    each live node, in id order, claims its cached parts of what earlier
+    nodes left unclaimed.  Kept as the oracle for the ownership sweep."""
+    claims = []
+    unclaimed = IntervalSet([segment])
+    for node in cluster:
+        if not unclaimed:
+            break
+        if node.failed:
+            continue
+        parts = node.cache.cached_parts(segment).intersection(unclaimed)
+        for part in parts:
+            claims.append((part, node))
+        unclaimed = unclaimed.difference(parts)
+    for part in unclaimed:
+        claims.append((part, None))
+    claims.sort(key=lambda item: item[0].start)
+
+    merged = []
+    for piece, owner in claims:
+        if merged and (
+            piece.length < min_events or merged[-1][0].length < min_events
+        ):
+            previous, previous_owner = merged[-1]
+            keep_owner = (
+                previous_owner if previous.length >= piece.length else owner
+            )
+            merged[-1] = (Interval(previous.start, piece.end), keep_owner)
+        else:
+            merged.append((piece, owner))
+    return merged
+
+
+@st.composite
+def cached_clusters(draw):
+    """A 3–8 node cluster description: inserts (each copied onto one to
+    three nodes, so coverage overlaps across nodes) and failed nodes."""
+    n_nodes = draw(st.integers(3, 8))
+    inserts = draw(
+        st.lists(
+            st.tuples(
+                st.lists(
+                    st.integers(0, n_nodes - 1), min_size=1, max_size=3, unique=True
+                ),
+                st.integers(0, 380),
+                st.integers(1, 60),
+            ),
+            max_size=40,
+        )
+    )
+    failed = draw(st.sets(st.integers(0, n_nodes - 1), max_size=n_nodes))
+    return n_nodes, inserts, failed
+
+
+class TestSplitByCachesOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        cached_clusters(),
+        st.lists(
+            st.tuples(st.integers(0, 400), st.integers(0, 200), st.integers(1, 40)),
+            min_size=1,
+            max_size=5,
+        ),
+    )
+    def test_sweep_matches_set_algebra(self, description, queries):
+        n_nodes, inserts, failed = description
+        tertiary = TertiaryStorage(
+            DataSpace(total_events=100_000, event_bytes=600 * units.KB)
+        )
+        # A small cache so inserts evict; a distinct LRU stamp per insert
+        # keeps abutting inserts as separate extents.
+        cluster = make_cluster(Engine(), tertiary, n_nodes=n_nodes, cache_events=150)
+        for stamp, (node_ids, start, length) in enumerate(inserts):
+            for node_id in node_ids:
+                cluster[node_id].cache.insert(
+                    Interval(start, start + length), now=float(stamp)
+                )
+        for node_id in failed:
+            cluster[node_id].fail()
+        for start, length, min_events in queries:
+            segment = Interval(start, start + length)
+            assert split_interval_by_caches(
+                segment, cluster, min_events
+            ) == reference_split_by_caches(segment, cluster, min_events)
 
 
 class TestBestSubjobForNode:

@@ -300,12 +300,12 @@ def _build_parser() -> argparse.ArgumentParser:
             "--mttr DUR [--stall-interval DUR] [--wipe-cache], plus "
             "--net-loss/--net-dup/--net-delay/--net-reorder for "
             "control-plane message faults (repro.faults.net).  "
-            "performance: `repro bench` times the kernel hot paths, "
-            "every policy end-to-end and the 10/100/1000-node scale tier "
-            "(peak RSS included), writes BENCH_kernel.json / "
-            "BENCH_policies.json / BENCH_scale.json, and with "
-            "--baseline-dir fails on throughput or memory regressions "
-            "(see docs/PERFORMANCE.md and docs/SCALING.md)."
+            "performance: `repro bench` times the kernel hot paths and, "
+            "each in a fresh child with its peak RSS, every policy "
+            "end-to-end, the tiered grid and the 10/100/1000-node scale "
+            "tier; it writes BENCH_kernel.json / BENCH_scale.json, and "
+            "with --baseline-dir fails on throughput or memory "
+            "regressions (see docs/PERFORMANCE.md and docs/SCALING.md)."
         ),
     )
     parser.add_argument(
@@ -536,29 +536,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench_parser = sub.add_parser(
         "bench",
-        help="benchmark the simulation kernel, policies and scale tier; "
+        help="benchmark the simulation kernel and whole runs; "
         "write BENCH_*.json and optionally compare against a committed "
         "baseline",
     )
     bench_parser.add_argument(
         "--quick",
         action="store_true",
-        help="reduced sizes and repeats (seconds instead of minutes; "
-        "skips the paper-scale figure-5 record)",
-    )
-    bench_parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="additionally run each benchmark under cProfile and attach "
-        "the top hotspots to its JSON record",
+        help="reduced kernel sizes and repeats (seconds instead of "
+        "minutes; skips the 1000-node scale point)",
     )
     bench_parser.add_argument(
         "--kind",
-        choices=["kernel", "policies", "scale", "all"],
+        choices=["kernel", "scale", "all"],
         default="all",
-        help="which report(s) to produce: kernel micro-benchmarks, "
-        "end-to-end policy runs, or the 10/100/1000-node scale tier "
-        "with peak-RSS tracking (default: all)",
+        help="which report(s) to produce: kernel micro-benchmarks, or "
+        "whole runs (every policy, the tiered grid and 10/100/1000 "
+        "nodes) with peak-RSS tracking (default: all)",
     )
     bench_parser.add_argument(
         "--out-dir",
@@ -1081,7 +1075,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         render_report,
         report_filename,
         run_kernel_bench,
-        run_policy_bench,
         run_scale_bench,
     )
 
@@ -1095,17 +1088,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    kinds = (
-        ["kernel", "policies", "scale"] if args.kind == "all" else [args.kind]
-    )
+    runners = {"kernel": run_kernel_bench, "scale": run_scale_bench}
+    kinds = list(runners) if args.kind == "all" else [args.kind]
     regressed = False
     for kind in kinds:
-        if kind == "kernel":
-            report = run_kernel_bench(quick=args.quick, profile=args.profile)
-        elif kind == "scale":
-            report = run_scale_bench(quick=args.quick, profile=args.profile)
-        else:
-            report = run_policy_bench(quick=args.quick, profile=args.profile)
+        report = runners[kind](quick=args.quick)
         print(render_report(report))
         # Load the baseline BEFORE writing: with --out-dir and
         # --baseline-dir both pointing at the repo root, writing first

@@ -2,20 +2,20 @@
 
 Public surface:
 
-* :func:`run_kernel_bench` / :func:`run_policy_bench` /
-  :func:`run_scale_bench` — produce :class:`BenchReport` s for the
-  simulator's hot paths, the end-to-end policy runs and the
-  10/100/1000-node scale tier (see docs/SCALING.md);
+* :func:`run_kernel_bench` / :func:`run_scale_bench` — produce
+  :class:`BenchReport` s for the simulator's hot paths and for whole
+  runs: every policy, the tiered grid and the 10/100/1000-node scale
+  tier, each point in a fresh spawned child (see docs/SCALING.md);
 * :class:`BenchReport` / :class:`BenchRecord` — the stable
   ``BENCH_*.json`` schema (wall time, work, throughput, git SHA, peak
-  RSS; scale-tier records carry per-run ``rss_kb``);
+  RSS; ``scale`` records carry per-run ``rss_kb``);
 * :func:`compare_reports` / :func:`load_baseline` — committed-baseline
   regression checking with configurable slowdown and peak-RSS
-  thresholds;
-* :func:`profile_call` — cProfile top-N hotspot extraction
-  (``repro bench --profile``).
+  thresholds.
 
-See docs/PERFORMANCE.md for how these pieces fit together.
+For profiles, use the repository benchmark: ``python bench/run.py
+--trace 1`` splits a run's self time across layers.  See
+docs/PERFORMANCE.md for how these pieces fit together.
 """
 
 from .baseline import (
@@ -33,24 +33,22 @@ from .bench import (
     bench_interval_ops,
     bench_intervalset_ops,
     bench_net_channel,
-    bench_simulation,
-    fig5_config,
     run_kernel_bench,
-    run_policy_bench,
 )
-from .profiling import profile_call
 from .scale import (
     QUICK_SCALE_SIZES,
     SCALE_SIZES,
-    bench_scale_point,
+    BenchPoint,
+    bench_point,
+    bench_points,
     run_scale_bench,
     scale_config,
+    scale_point,
 )
 from .report import (
     SCHEMA_VERSION,
     BenchRecord,
     BenchReport,
-    Hotspot,
     render_report,
     report_filename,
 )
@@ -61,9 +59,9 @@ __all__ = [
     "DEFAULT_THRESHOLD",
     "QUICK_SCALE_SIZES",
     "SCALE_SIZES",
+    "BenchPoint",
     "BenchRecord",
     "BenchReport",
-    "Hotspot",
     "ComparisonResult",
     "RecordComparison",
     "bench_cache_lru",
@@ -72,16 +70,14 @@ __all__ = [
     "bench_interval_ops",
     "bench_intervalset_ops",
     "bench_net_channel",
-    "bench_scale_point",
-    "bench_simulation",
+    "bench_point",
+    "bench_points",
     "compare_reports",
-    "fig5_config",
     "load_baseline",
-    "profile_call",
     "render_report",
     "report_filename",
     "run_kernel_bench",
-    "run_policy_bench",
     "run_scale_bench",
     "scale_config",
+    "scale_point",
 ]

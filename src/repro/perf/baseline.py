@@ -1,18 +1,19 @@
 """Committed-baseline comparison: fail CI on throughput regressions.
 
-The repository commits ``BENCH_kernel.json`` / ``BENCH_policies.json`` /
-``BENCH_scale.json`` at its root.  A fresh benchmark run is compared
-record-by-record (matched by name) against those files: a record
-**regresses** when
+The repository commits ``BENCH_kernel.json`` and ``BENCH_scale.json``
+at its root.  A fresh benchmark run is compared record-by-record
+(matched by name) against those files: a record **regresses** when
 
     baseline_throughput / current_throughput > threshold
 
 i.e. the threshold is the tolerated slowdown factor.  Records carrying a
-peak-RSS measurement (``rss_kb``, the scale tier) are additionally gated
-on memory: ``current_rss / baseline_rss > rss_threshold`` regresses too.
-Records present on only one side are reported but never fail the
-comparison — quick CI runs deliberately execute a subset of the
-committed full baseline.
+peak-RSS measurement (``rss_kb``, every ``scale`` record) are
+additionally gated on memory: ``current_rss / baseline_rss >
+rss_threshold`` regresses too.  Records present on only one side are
+reported but never fail the comparison — quick CI runs deliberately
+execute a subset of the committed full baseline, and
+``tests/test_perf.py`` checks that every record a quick run emits has a
+committed entry, so none runs ungated.
 
 >>> from .report import BenchRecord, BenchReport
 >>> base = BenchReport(kind="kernel", records=(
@@ -42,10 +43,11 @@ from .report import BenchReport, report_filename
 DEFAULT_THRESHOLD = 2.0
 
 #: Default tolerated peak-RSS growth factor for records that carry
-#: ``rss_kb`` (the scale tier).  Memory is far less noisy than wall time
-#: across machines, but allocator and interpreter-version variance is
-#: real; 2.0x still catches a per-job list sneaking back into the
-#: metrics path (which grows RSS by an order of magnitude at 1M jobs).
+#: ``rss_kb`` (the ``scale`` report).  Memory is far less noisy than
+#: wall time across machines, but allocator and interpreter-version
+#: variance is real; 2.0x still catches a per-job list sneaking back
+#: into the metrics path (which grows RSS by an order of magnitude at
+#: 1M jobs).
 DEFAULT_RSS_THRESHOLD = 2.0
 
 
@@ -58,7 +60,8 @@ class RecordComparison:
     current_throughput: float
     threshold: float
     #: Peak-RSS ceiling check — engaged only when *both* sides measured
-    #: ``rss_kb`` (the scale tier); ``None`` on either side disables it.
+    #: ``rss_kb`` (the ``scale`` report); ``None`` on either side
+    #: disables it.
     baseline_rss_kb: Optional[int] = None
     current_rss_kb: Optional[int] = None
     rss_threshold: float = DEFAULT_RSS_THRESHOLD
@@ -145,7 +148,7 @@ def compare_reports(
 
     Throughput is gated by ``threshold`` on every matched record; peak
     RSS is additionally gated by ``rss_threshold`` on records where both
-    sides carry ``rss_kb`` (the scale tier).
+    sides carry ``rss_kb`` (the ``scale`` report).
     """
     baseline_names = {entry.name for entry in baseline.records}
     current_names = {entry.name for entry in current.records}

@@ -1,19 +1,12 @@
-"""The benchmark harness: kernel micro-benchmarks and policy macro-runs.
+"""Kernel micro-benchmarks: the simulator's hot paths, one at a time.
 
-Three report kinds:
-
-* ``kernel`` — micro-benchmarks of the simulator's hot paths: engine heap
-  dispatch (with and without cancellation churn), :class:`Interval` /
-  :class:`IntervalSet` arithmetic, disk-cache LRU operations, a node's
-  chunk loop (``node.chunk_loop``) and topology routing (``topo.route``);
-* ``policies`` — end-to-end ``run_simulation`` per scheduling policy on
-  the reduced ``quick`` configuration, the ``sim.tier.d1/d2/d3`` tiered
-  grid points (pricing the topology layer per depth), plus (outside
-  ``--quick`` mode) the paper's figure-5 out-of-order workload, whose
-  data-events/second rate is the headline throughput number of this
-  repository;
-* ``scale`` — the 10/100/1000-node scale tier with per-run peak-RSS
-  tracking, in :mod:`repro.perf.scale`.
+The ``kernel`` report covers engine heap dispatch (with and without
+cancellation churn), :class:`Interval` / :class:`IntervalSet`
+arithmetic, disk-cache LRU operations, a node's chunk loop
+(``node.chunk_loop``), sweep fingerprinting, decentralized bidding, the
+lossy control channel, flow lint and topology routing (``topo.route``).
+Whole runs of every policy are the ``scale`` report, in
+:mod:`repro.perf.scale`.
 
 Workloads are generated with an inline linear-congruential generator —
 not :mod:`numpy` — so the benchmark inputs are bit-stable across runs and
@@ -27,7 +20,7 @@ the standard technique for suppressing scheduler noise.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..cluster.access import CachingPlanner, NoCachePlanner
 from ..cluster.costmodel import CostModel
@@ -39,21 +32,15 @@ from ..data.cache import LRUSegmentCache
 from ..data.dataspace import DataSpace
 from ..data.intervals import Interval, IntervalSet
 from ..data.tertiary import TertiaryStorage
-from ..exec.executor import Executor
 from ..exec.fingerprint import spec_fingerprint
-from ..exec.outcomes import SpecError
-from ..sched import available_policies
-from ..sim.config import SimulationConfig, paper_config, quick_config
+from ..sim.config import quick_config
 from ..sim.export import SCHEMA_VERSION
 from ..sim.runner import RunSpec
 from ..workload.jobs import Job, JobRequest
-from .profiling import profile_call
-from .report import BenchRecord, BenchReport, Hotspot
+from .report import BenchRecord, BenchReport
 
-#: Default repeat counts (best-of-N): micro benches are cheap enough to
-#: repeat more often than end-to-end simulations.
+#: Default repeat count (best-of-N) of every micro-benchmark.
 KERNEL_REPEATS = 5
-POLICY_REPEATS = 3
 
 _LCG_MULTIPLIER = 6364136223846793005
 _LCG_INCREMENT = 1442695040888963407
@@ -599,105 +586,7 @@ def bench_lint_flow(
     )
 
 
-# -- policy macro-benchmarks ---------------------------------------------------
-
-
-def fig5_config() -> SimulationConfig:
-    """The committed-baseline macro workload: the paper's figure-5 grid
-    point at 1.6 jobs/hour over five simulated days (the same run the
-    seed-metrics goldens pin bit-exactly)."""
-    return paper_config(duration=5 * units.DAY, arrival_rate_per_hour=1.6)
-
-
-def tier_config(depth: int) -> SimulationConfig:
-    """The tiered macro workload at a given topology depth.
-
-    Depth 1 is the flat preset (trivially skipped data path), so the
-    ``sim.tier.d1`` / ``d2`` / ``d3`` records price exactly the overhead
-    the :class:`~repro.topo.planner.TieredPlanner` adds per level.
-    """
-    from ..topo.spec import topology_preset
-
-    preset = {1: "flat", 2: "depth2", 3: "depth3"}[depth]
-    return quick_config(
-        n_nodes=8,
-        duration=4 * units.DAY,
-        arrival_rate_per_hour=4.0,
-        seed=7,
-        topology=topology_preset(preset, "lru-rack"),
-    )
-
-
-def bench_simulation(
-    name: str,
-    config_factory: Callable[[], SimulationConfig],
-    policy: str,
-    repeats: int = POLICY_REPEATS,
-) -> BenchRecord:
-    """Time ``run_simulation`` end-to-end; work is data events processed.
-
-    >>> from ..sim.config import quick_config
-    >>> from ..core import units
-    >>> record = bench_simulation(
-    ...     "sim.tiny", lambda: quick_config(duration=units.DAY), "farm",
-    ...     repeats=1)
-    >>> record.unit
-    'data events'
-    >>> record.work > 0
-    True
-    """
-    work = 0
-    # The macro benches route through the execution layer like every
-    # other sweep; a serial, cache-free executor so the measured wall
-    # time is the simulation itself, not pool forking or pickle I/O.
-    executor = Executor(jobs=1)
-
-    def setup() -> Callable[[], None]:
-        spec = RunSpec.make(config_factory(), policy)
-
-        def run() -> None:
-            nonlocal work
-            outcome = executor.run([spec])
-            result = outcome.results[0]
-            if isinstance(result, SpecError):  # pragma: no cover - bench guard
-                raise RuntimeError(f"benchmark spec failed: {result.brief()}")
-            work = sum(result.events_by_source.values())
-
-        return run
-
-    wall = _best_of(setup, repeats)
-    return BenchRecord(
-        name=name,
-        wall_seconds=wall,
-        work=work,
-        unit="data events",
-        repeats=repeats,
-    )
-
-
 # -- report assembly -----------------------------------------------------------
-
-
-def _maybe_profile(
-    build: Callable[[], BenchRecord], profile: bool
-) -> BenchRecord:
-    """Run ``build`` (optionally under cProfile), attaching hotspots.
-
-    The profiled pass is separate from the timed pass — cProfile's
-    tracing overhead would otherwise poison the wall times.
-    """
-    record = build()
-    if not profile:
-        return record
-    _, hotspots = profile_call(lambda: build())
-    return BenchRecord(
-        name=record.name,
-        wall_seconds=record.wall_seconds,
-        work=record.work,
-        unit=record.unit,
-        repeats=record.repeats,
-        hotspots=tuple(hotspots),
-    )
 
 
 #: The kernel suite, in report order: (record name, bench function,
@@ -717,56 +606,11 @@ KERNEL_BENCHES: Tuple[Tuple[str, Callable[[int, int], BenchRecord], int], ...] =
 )
 
 
-def run_kernel_bench(
-    quick: bool = False, profile: bool = False
-) -> BenchReport:
+def run_kernel_bench(quick: bool = False) -> BenchReport:
     """All kernel micro-benchmarks as one ``kernel`` report."""
     scale = 10 if quick else 1
     repeats = 2 if quick else KERNEL_REPEATS
-    builders: Sequence[Callable[[], BenchRecord]] = tuple(
-        (lambda bench=bench, size=size: bench(size // scale, repeats))
-        for _, bench, size in KERNEL_BENCHES
+    records = tuple(
+        bench(size // scale, repeats) for _, bench, size in KERNEL_BENCHES
     )
-    records = tuple(_maybe_profile(build, profile) for build in builders)
     return BenchReport(kind="kernel", records=records)
-
-
-def run_policy_bench(
-    quick: bool = False,
-    profile: bool = False,
-    policies: Optional[Sequence[str]] = None,
-) -> BenchReport:
-    """End-to-end simulation benchmarks as one ``policies`` report.
-
-    Quick mode times every policy on the reduced configuration only; the
-    full run adds the figure-5 out-of-order workload (the committed
-    baseline's headline events/second record).
-    """
-    repeats = 1 if quick else POLICY_REPEATS
-    names = list(policies) if policies is not None else list(available_policies())
-    builders: List[Callable[[], BenchRecord]] = [
-        (
-            lambda policy=policy: bench_simulation(
-                f"sim.quick.{policy}", quick_config, policy, repeats
-            )
-        )
-        for policy in names
-    ]
-    if policies is None:
-        builders.extend(
-            lambda depth=depth: bench_simulation(
-                f"sim.tier.d{depth}",
-                lambda: tier_config(depth),
-                "out-of-order",
-                repeats,
-            )
-            for depth in (1, 2, 3)
-        )
-    if not quick:
-        builders.append(
-            lambda: bench_simulation(
-                "sim.fig5.out-of-order", fig5_config, "out-of-order", POLICY_REPEATS
-            )
-        )
-    records = tuple(_maybe_profile(build, profile) for build in builders)
-    return BenchReport(kind="policies", records=records)

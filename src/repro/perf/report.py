@@ -44,35 +44,22 @@ def git_sha(short: bool = False) -> str:
 
 
 def peak_rss_kb() -> int:
-    """Peak resident set size of this process in KiB (Linux semantics)."""
+    """Peak resident set size of this process in KiB.
+
+    On Linux this is ``VmHWM``, the high-water mark of the process's own
+    address space.  ``ru_maxrss`` is not: Linux carries it across fork
+    and exec, so a freshly spawned child would report its parent's peak
+    whenever that is the larger.  Elsewhere ``ru_maxrss`` is the best
+    there is.
+    """
+    try:
+        with open("/proc/self/status", encoding="ascii") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
     return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-
-
-@dataclass(frozen=True)
-class Hotspot:
-    """One profiled function (``--profile`` mode)."""
-
-    function: str
-    calls: int
-    total_seconds: float
-    cumulative_seconds: float
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "function": self.function,
-            "calls": self.calls,
-            "total_seconds": self.total_seconds,
-            "cumulative_seconds": self.cumulative_seconds,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Hotspot":
-        return cls(
-            function=str(data["function"]),
-            calls=int(data["calls"]),
-            total_seconds=float(data["total_seconds"]),
-            cumulative_seconds=float(data["cumulative_seconds"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -91,10 +78,9 @@ class BenchRecord:
     work: int
     unit: str
     repeats: int
-    hotspots: Tuple[Hotspot, ...] = ()
     #: Peak RSS of the run in KiB, when the benchmark measures it (the
-    #: scale tier runs each point in a fresh child process for exactly
-    #: this).  ``None`` means "not measured" and the key is omitted from
+    #: ``scale`` report runs each point in a fresh child process for
+    #: exactly this).  ``None`` means "not measured" and the key is omitted from
     #: the JSON — an additive, schema-compatible extension.
     rss_kb: Optional[int] = None
 
@@ -116,8 +102,6 @@ class BenchRecord:
         }
         if self.rss_kb is not None:
             data["rss_kb"] = self.rss_kb
-        if self.hotspots:
-            data["hotspots"] = [spot.as_dict() for spot in self.hotspots]
         return data
 
     @classmethod
@@ -130,9 +114,6 @@ class BenchRecord:
             repeats=int(data["repeats"]),
             rss_kb=(
                 int(data["rss_kb"]) if data.get("rss_kb") is not None else None
-            ),
-            hotspots=tuple(
-                Hotspot.from_dict(spot) for spot in data.get("hotspots", ())
             ),
         )
 
@@ -232,9 +213,4 @@ def render_report(report: BenchReport) -> str:
         if entry.rss_kb is not None:
             row += f"  rss {entry.rss_kb // 1024} MiB"
         lines.append(row)
-        for spot in entry.hotspots:
-            lines.append(
-                f"    {spot.total_seconds:8.4f}s  {spot.calls:>9} calls  "
-                f"{spot.function}"
-            )
     return "\n".join(lines)

@@ -1,29 +1,41 @@
-"""Scale-tier benchmarks: the simulator at 10, 100 and 1000 nodes.
+"""End-to-end benchmarks: whole simulation runs, each in a fresh child.
 
-The ``kernel`` and ``policies`` reports guard the hot paths at the
-paper's cluster size (tens of nodes).  This tier guards the *scale-out*
-story instead: one end-to-end ``run_simulation`` per cluster size, each
-reporting wall time, data-event throughput **and peak RSS**, so CI
-catches both a slowdown and a memory-bound regression (e.g. a per-job
-list sneaking back into the metrics path).
+The ``kernel`` report times the simulator's hot paths one at a time.
+This ``scale`` report times whole ``run_simulation`` calls.  Every point
+is a :class:`BenchPoint` — a record name, a
+:class:`~repro.sim.config.SimulationConfig` and a policy — and reports
+wall time, engine-event throughput **and peak RSS**, so CI catches both
+a slowdown and a memory-bound regression (e.g. a per-job list sneaking
+back into the metrics path).  The points (:func:`bench_points`):
+
+* ``sim.scale.n10`` / ``n100`` / ``n1000`` — farm at 10, 100 and 1000
+  nodes with the load scaled to the cluster (``n1000`` in full mode
+  only);
+* ``sim.quick.<policy>`` — every stock policy on ``quick_config()``;
+* ``sim.tier.d1`` / ``d2`` / ``d3`` — out-of-order on an 8-node grid at
+  topology depth 1, 2 and 3, pricing the tiered data path per level.
 
 Design notes, documented in docs/SCALING.md:
 
-* **Policy is ``farm``.**  The out-of-order policy scans every node per
-  scheduling decision — O(nodes) per job, which is the right trade at
-  the paper's 10-node scale but makes a 1000-node run ~50x slower than
-  farm without changing what this tier measures (engine + metrics +
-  workload generation scaling).
-* **Each point runs in a fresh spawned child process.**  Linux
-  ``ru_maxrss`` is monotone over a process lifetime, so measuring two
-  cluster sizes in one process would report the larger size's peak for
-  both.  A ``spawn`` (not ``fork``) child starts from a clean RSS
-  baseline; the parent never pays the simulation's memory.
-* **Throughput counts engine events**, not data events: the quantity
-  that scales with cluster size and job count, and the denominator the
-  streaming-metrics work is amortised over.
+* **The cluster-size points run farm.**  At 100 nodes out-of-order runs
+  about 10x slower per engine event than farm (its cache split and
+  donor search visit every node per arrival), so it would measure the
+  policy's scan, not the scaling of the kernel every policy shares.
+* **Each point runs in a fresh spawned child process.**  A peak RSS
+  is monotone over a process lifetime, so measuring two points in one
+  process would report the larger peak for both.  A ``spawn`` (not
+  ``fork``) child gets a fresh address space whose high-water mark
+  (:func:`~repro.perf.report.peak_rss_kb`) is its own; the parent
+  never pays the simulation's memory.
+* **Throughput counts engine events**, not data events: one unit for
+  every policy and cluster size (data events/s spreads 18x across
+  policies on the same workload).
 
->>> record = bench_scale_point(4, duration_days=0.05, in_process=True)
+For a profile of where a run's time goes, use the repository benchmark:
+``python bench/run.py --trace 1`` splits self time across layers.
+
+>>> point = scale_point(4, duration_days=0.05)
+>>> record = bench_point(point, in_process=True)
 >>> record.name
 'sim.scale.n4'
 >>> record.unit
@@ -35,9 +47,10 @@ True
 from __future__ import annotations
 
 import multiprocessing
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from ..core import units
+from ..sched import available_policies
 from ..sim.config import SimulationConfig, quick_config
 from ..sim.simulator import run_simulation
 from .report import BenchRecord, BenchReport, peak_rss_kb
@@ -53,13 +66,21 @@ QUICK_SCALE_SIZES: Tuple[int, ...] = (10, 100)
 #: grows to keep each point's wall time comparable.
 SCALE_DURATION_DAYS: Dict[int, float] = {10: 2.0, 100: 2.0, 1000: 0.5}
 
-#: Scheduling policy of the scale tier (see the module docstring).
+#: Scheduling policy of the cluster-size points (see the module docstring).
 SCALE_POLICY = "farm"
 
 #: Offered load per node per hour.  2.5 jobs/node/hour on the quick
 #: cost model puts utilization near (but below) saturation, so the
 #: calendar and metrics paths are exercised under realistic pressure.
 SCALE_JOBS_PER_NODE_HOUR = 2.5
+
+
+class BenchPoint(NamedTuple):
+    """One end-to-end benchmark: the record name and the run it times."""
+
+    name: str
+    config: SimulationConfig
+    policy: str
 
 
 def scale_config(
@@ -84,45 +105,89 @@ def scale_config(
     )
 
 
-def _scale_payload(n_nodes: int, duration_days: Optional[float]) -> Dict[str, Any]:
-    """Run one scale point and summarise it (runs inside the child)."""
-    result = run_simulation(scale_config(n_nodes, duration_days), SCALE_POLICY)
-    return {
-        "wall_seconds": result.wall_seconds,
-        "engine_events": result.engine_events,
-        "jobs_completed": result.jobs_completed,
-        "records_dropped": result.records_dropped,
-        "exact": result.measured.exact,
-        "rss_kb": peak_rss_kb(),
-    }
+def tier_config(depth: int) -> SimulationConfig:
+    """The tiered workload at a given topology depth.
+
+    Depth 1 is the flat preset (trivially skipped data path), so the
+    ``sim.tier.d1`` / ``d2`` / ``d3`` records price exactly the overhead
+    the :class:`~repro.topo.planner.TieredPlanner` adds per level.
+    """
+    from ..topo.spec import topology_preset
+
+    preset = {1: "flat", 2: "depth2", 3: "depth3"}[depth]
+    return quick_config(
+        n_nodes=8,
+        duration=4 * units.DAY,
+        arrival_rate_per_hour=4.0,
+        seed=7,
+        topology=topology_preset(preset, "lru-rack"),
+    )
 
 
-def _scale_child(
+def scale_point(
+    n_nodes: int, duration_days: Optional[float] = None
+) -> BenchPoint:
+    """The ``sim.scale.n<nodes>`` point: farm on :func:`scale_config`."""
+    config = scale_config(n_nodes, duration_days)
+    return BenchPoint(f"sim.scale.n{n_nodes}", config, SCALE_POLICY)
+
+
+def bench_points(quick: bool = False) -> Tuple[BenchPoint, ...]:
+    """Every point of the ``scale`` report, in report order.
+
+    Quick mode drops only the 1000-node point, so each quick record has
+    a full-mode record of the same name in the committed baseline.
+    """
+    sizes = QUICK_SCALE_SIZES if quick else SCALE_SIZES
+    return (
+        *(scale_point(n_nodes) for n_nodes in sizes),
+        *(
+            BenchPoint(f"sim.quick.{policy}", quick_config(), policy)
+            for policy in available_policies()
+        ),
+        *(
+            BenchPoint(f"sim.tier.d{depth}", tier_config(depth), "out-of-order")
+            for depth in (1, 2, 3)
+        ),
+    )
+
+
+#: What a child sends back: (wall seconds, engine events, peak RSS KiB).
+_Payload = Tuple[float, int, int]
+
+
+def _point_payload(config: SimulationConfig, policy: str) -> _Payload:
+    """Run one point and summarise it (runs inside the child)."""
+    result = run_simulation(config, policy)
+    return result.wall_seconds, result.engine_events, peak_rss_kb()
+
+
+def _point_child(
     conn: "multiprocessing.connection.Connection",
-    n_nodes: int,
-    duration_days: Optional[float],
-) -> None:  # pragma: no cover - exercised via spawn in bench_scale_point
+    config: SimulationConfig,
+    policy: str,
+) -> None:  # pragma: no cover - exercised via spawn in bench_point
     try:
-        conn.send(_scale_payload(n_nodes, duration_days))
+        conn.send(_point_payload(config, policy))
     finally:
         conn.close()
 
 
-def _run_in_child(n_nodes: int, duration_days: Optional[float]) -> Dict[str, Any]:
-    """One scale point in a fresh ``spawn`` child (clean ``ru_maxrss``)."""
+def _run_in_child(point: BenchPoint) -> _Payload:
+    """One point in a fresh ``spawn`` child (clean ``ru_maxrss``)."""
     context = multiprocessing.get_context("spawn")
     parent_conn, child_conn = context.Pipe(duplex=False)
     process = context.Process(
-        target=_scale_child, args=(child_conn, n_nodes, duration_days)
+        target=_point_child, args=(child_conn, point.config, point.policy)
     )
     process.start()
     child_conn.close()
     try:
-        payload: Dict[str, Any] = parent_conn.recv()
+        payload: _Payload = parent_conn.recv()
     except EOFError:
         process.join()
         raise RuntimeError(
-            f"scale benchmark child (n_nodes={n_nodes}) died with exit code "
+            f"benchmark child for {point.name} died with exit code "
             f"{process.exitcode}"
         ) from None
     finally:
@@ -131,55 +196,29 @@ def _run_in_child(n_nodes: int, duration_days: Optional[float]) -> Dict[str, Any
     return payload
 
 
-def bench_scale_point(
-    n_nodes: int,
-    repeats: int = 1,
-    duration_days: Optional[float] = None,
-    in_process: bool = False,
-) -> BenchRecord:
-    """Benchmark one cluster size end-to-end; work is engine events.
+def bench_point(point: BenchPoint, in_process: bool = False) -> BenchRecord:
+    """Benchmark one point end-to-end, once; work is engine events.
 
-    Each repeat runs in a fresh spawned child process so ``rss_kb`` is
-    that run's true peak (best wall time, maximum RSS over repeats).
-    ``in_process=True`` skips the child — cheaper for tests and
-    doctests, but then ``rss_kb`` inherits this process's monotone peak.
+    The run happens in a fresh spawned child process so ``rss_kb`` is
+    its true peak.  ``in_process=True`` skips the child — cheaper for
+    tests and doctests, but then ``rss_kb`` inherits this process's
+    monotone peak.
     """
-    best_wall: Optional[float] = None
-    work = 0
-    rss_kb = 0
-    for _ in range(max(1, repeats)):
-        if in_process:
-            payload = _scale_payload(n_nodes, duration_days)
-        else:
-            payload = _run_in_child(n_nodes, duration_days)
-        wall = float(payload["wall_seconds"])
-        if best_wall is None or wall < best_wall:
-            best_wall = wall
-            work = int(payload["engine_events"])
-        rss_kb = max(rss_kb, int(payload["rss_kb"]))
-    assert best_wall is not None
+    if in_process:
+        wall, events, rss_kb = _point_payload(point.config, point.policy)
+    else:
+        wall, events, rss_kb = _run_in_child(point)
     return BenchRecord(
-        name=f"sim.scale.n{n_nodes}",
-        wall_seconds=best_wall,
-        work=work,
+        name=point.name,
+        wall_seconds=wall,
+        work=events,
         unit="events",
-        repeats=repeats,
+        repeats=1,
         rss_kb=rss_kb,
     )
 
 
-def run_scale_bench(
-    quick: bool = False,
-    profile: bool = False,
-    sizes: Optional[Sequence[int]] = None,
-) -> BenchReport:
-    """All scale points as one ``scale`` report.
-
-    ``profile`` is accepted for CLI symmetry but ignored: the work runs
-    in child processes, which cProfile in the parent cannot see.
-    """
-    del profile  # hotspots are not supported for out-of-process points
-    if sizes is None:
-        sizes = QUICK_SCALE_SIZES if quick else SCALE_SIZES
-    records = tuple(bench_scale_point(n_nodes) for n_nodes in sizes)
+def run_scale_bench(quick: bool = False) -> BenchReport:
+    """Every point of :func:`bench_points` as one ``scale`` report."""
+    records = tuple(bench_point(point) for point in bench_points(quick))
     return BenchReport(kind="scale", records=records)

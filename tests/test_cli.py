@@ -137,6 +137,43 @@ class TestParser:
             main(["run", "fig2", "--scale", "enormous"])
 
 
+class TestBenchArguments:
+    """``repro bench`` rejects bad gate arguments before timing anything."""
+
+    def test_threshold_without_baseline_dir_exits_2(self, capsys, tmp_path):
+        code = main(["bench", "--threshold", "1.5", "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "--threshold requires --baseline-dir" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_zero_threshold_exits_2(self, capsys, tmp_path):
+        code = main(
+            [
+                "bench",
+                "--baseline-dir",
+                str(tmp_path),
+                "--threshold",
+                "0",
+                "--out-dir",
+                str(tmp_path),
+            ]
+        )
+        assert code == 2
+        assert "--threshold must be > 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_policies_kind_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--kind", "policies"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_profile_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--profile"])
+        assert excinfo.value.code == 2
+
+
 class TestReplicate:
     def test_replicate_farm(self, capsys):
         code = main(

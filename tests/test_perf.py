@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 
 import pytest
 
@@ -23,19 +24,22 @@ from repro.perf import (
     DEFAULT_THRESHOLD,
     BenchRecord,
     BenchReport,
-    Hotspot,
     compare_reports,
     load_baseline,
-    profile_call,
     render_report,
     report_filename,
     run_kernel_bench,
     scale_config,
+    scale_point,
 )
+from repro.perf.report import peak_rss_kb
 
-# Aliased import: pytest collects ``bench_*`` names (the benchmarks/
-# directory convention), so the plain name would be mistaken for a test.
-from repro.perf import bench_scale_point as scale_point
+# Aliased imports: pytest collects ``bench_*`` names (the benchmarks/
+# directory convention), so the plain names would be mistaken for tests.
+from repro.perf import bench_point as time_point
+from repro.perf import bench_points as points_of
+from repro.perf.bench import KERNEL_BENCHES
+from repro.sched import available_policies
 from repro.sim.config import paper_config, quick_config
 from repro.sim.simulator import run_simulation
 
@@ -52,14 +56,6 @@ def _report(**overrides) -> BenchReport:
                 work=100_000,
                 unit="events",
                 repeats=3,
-                hotspots=(
-                    Hotspot(
-                        function="engine.py:180(run)",
-                        calls=1,
-                        total_seconds=0.4,
-                        cumulative_seconds=0.5,
-                    ),
-                ),
             ),
             BenchRecord(
                 name="cache.lru_ops",
@@ -175,13 +171,13 @@ class TestBaseline:
         assert result.compared[0].slowdown < 1.0
 
     def test_unmatched_records_reported_but_not_failing(self):
-        current = _single("policies", "sim.quick.farm", 1.0)
-        baseline = _single("policies", "sim.fig5.out-of-order", 1.0)
+        current = _single("scale", "sim.quick.farm", 1.0)
+        baseline = _single("scale", "sim.scale.n1000", 1.0)
         result = compare_reports(current, baseline, threshold=DEFAULT_THRESHOLD)
         assert not result.regressed
         assert result.compared == ()
         assert result.only_current == ("sim.quick.farm",)
-        assert result.only_baseline == ("sim.fig5.out-of-order",)
+        assert result.only_baseline == ("sim.scale.n1000",)
 
     def _scale_report(self, wall_seconds: float, rss_kb) -> BenchReport:
         return BenchReport(
@@ -239,19 +235,24 @@ class TestBaseline:
 
     def test_committed_baselines_exist_at_repo_root(self):
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        for kind in ("kernel", "policies", "scale"):
+        for kind in ("kernel", "scale"):
             baseline = load_baseline(root, kind)
             assert baseline is not None, f"missing committed BENCH_{kind}.json"
             assert baseline.kind == kind
             assert all(r.throughput > 0 for r in baseline.records)
 
     def test_committed_scale_baseline_carries_rss(self):
+        # compare_reports passes a record missing from the baseline, so
+        # every record the quick CI run emits must have a committed
+        # entry with a memory figure, or its gate would be silently off.
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         baseline = load_baseline(root, "scale")
         assert baseline is not None
-        names = [r.name for r in baseline.records]
-        assert names == ["sim.scale.n10", "sim.scale.n100", "sim.scale.n1000"]
-        assert all(r.rss_kb is not None and r.rss_kb > 0 for r in baseline.records)
+        for point in points_of(quick=True):
+            record = baseline.record(point.name)
+            assert record is not None, f"{point.name} runs ungated"
+            assert record.unit == "events"
+            assert record.rss_kb is not None and record.rss_kb > 0, point.name
 
 
 # -- harness smoke ------------------------------------------------------------
@@ -261,25 +262,15 @@ class TestHarness:
     def test_quick_kernel_bench_produces_all_records(self):
         report = run_kernel_bench(quick=True)
         names = [record.name for record in report.records]
-        assert names == [
-            "engine.dispatch",
-            "engine.cancel_churn",
-            "intervals.arith",
-            "intervals.set_ops",
-            "cache.lru_ops",
-            "node.chunk_loop",
-            "exec.fingerprint",
-            "sched.bidding",
-            "sched.netchannel",
-            "lint.flow",
-            "topo.route",
-        ]
+        assert names == [name for name, _, _ in KERNEL_BENCHES]
+        assert len(names) == 11
         for record in report.records:
+            assert record.work > 0
             assert record.wall_seconds > 0
             assert record.throughput > 0
 
     def test_scale_point_in_process(self):
-        record = scale_point(3, duration_days=0.1, in_process=True)
+        record = time_point(scale_point(3, duration_days=0.1), in_process=True)
         assert record.name == "sim.scale.n3"
         assert record.unit == "events"
         assert record.work > 0
@@ -294,13 +285,34 @@ class TestHarness:
         # The tier's seed is dedicated — not the test fixtures' seed 0.
         assert small.seed == large.seed == 7
 
-    def test_profile_call_returns_value_and_hotspots(self):
-        value, hotspots = profile_call(lambda: sum(range(10_000)), top_n=5)
-        assert value == sum(range(10_000))
-        assert len(hotspots) <= 5
-        for spot in hotspots:
-            assert spot.calls >= 1
-            assert spot.total_seconds >= 0.0
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="needs Linux /proc"
+    )
+    def test_spawned_point_reports_its_own_peak_not_the_parents(self):
+        # Linux carries ru_maxrss across fork and exec: a child spawned
+        # from a large parent would report the parent's peak.
+        ballast = b"\x01" * (160 * 1024 * 1024)  # resident, not just mapped
+        parent_peak = peak_rss_kb()
+        record = time_point(scale_point(3, duration_days=0.05))
+        del ballast
+        assert parent_peak > 160 * 1024
+        assert 0 < record.rss_kb < parent_peak - 100 * 1024
+
+    def test_points_cover_every_policy_tier_and_size(self):
+        quick = [point.name for point in points_of(quick=True)]
+        policies = available_policies()
+        assert len(policies) == 10
+        assert quick == (
+            ["sim.scale.n10", "sim.scale.n100"]
+            + [f"sim.quick.{policy}" for policy in policies]
+            + ["sim.tier.d1", "sim.tier.d2", "sim.tier.d3"]
+        )
+        full = [point.name for point in points_of()]
+        assert full == quick[:2] + ["sim.scale.n1000"] + quick[2:]
+
+    def test_points_pickle_for_the_spawned_child(self):
+        for point in points_of(quick=True):
+            assert pickle.loads(pickle.dumps(point)) == point
 
 
 # -- determinism: optimized kernel == seed goldens ---------------------------

@@ -9,15 +9,22 @@ the least recently used cached segments").
 
 Extents are half-open event ranges.  Touching or inserting a sub-range of
 an existing extent splits it, so LRU timestamps stay exact at arbitrary
-granularity.  Adjacent extents with identical timestamps are coalesced to
-bound fragmentation (chunked streaming would otherwise grow the extent
-count linearly with simulated time).
+granularity.  Abutting extents never share a timestamp: a re-stamped range
+is coalesced with an identically-stamped neighbour, which bounds
+fragmentation (chunked streaming would otherwise grow the extent count
+linearly with simulated time).
+
+``touch``, ``insert`` and ``invalidate`` share one walk (``_restamp``):
+each maximal abutting run of overlapping extents becomes the left leftover
+of its first extent, the right leftover of its last (old stamps kept) and
+the re-stamped part, spliced back by one slice assignment.  Each gets a
+fresh LRU heap entry in that order, which fixes how equal stamps evict.
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -51,6 +58,15 @@ class _Extent:
         self.interval = interval
         self.last_access = last_access
         self.alive = True
+
+
+def _uncoalesced(left: _Extent, right: _Extent) -> bool:
+    """True if ``left`` abuts ``right`` with the same stamp, which the
+    cache never leaves behind (stamps are copied, so compare exactly)."""
+    return (
+        left.interval.end == right.interval.start
+        and left.last_access == right.last_access  # simlint: disable=SIM003
+    )
 
 
 class LRUSegmentCache:
@@ -115,8 +131,10 @@ class LRUSegmentCache:
         # clipped pieces can be appended directly, merging abutting runs
         # (extents may touch when their LRU stamps differ) to keep the
         # set canonical.
-        for extent in self._overlapping(interval):
-            piece = extent.interval
+        by_start = self._by_start
+        lo, hi = self._span(query_start, query_end)
+        for key in self._starts[lo:hi]:
+            piece = by_start[key].interval
             start = piece.start if piece.start > query_start else query_start
             end = piece.end if piece.end < query_end else query_end
             if start >= end:
@@ -132,8 +150,10 @@ class LRUSegmentCache:
     def cached_events(self, interval: Interval) -> int:
         """Number of events of ``interval`` present in the cache."""
         total = 0
-        for extent in self._overlapping(interval):
-            total += extent.interval.intersection(interval).length
+        by_start = self._by_start
+        lo, hi = self._span(interval.start, interval.end)
+        for start in self._starts[lo:hi]:
+            total += by_start[start].interval.intersection(interval).length
         return total
 
     def covers(self, interval: Interval) -> bool:
@@ -153,33 +173,21 @@ class LRUSegmentCache:
         is the hot query of chunked execution: a node processing left to
         right asks "how far can I read from disk before hitting a miss?".
         """
-        if interval.empty:
-            return Interval(interval.start, interval.start)
+        start = interval.start
         starts = self._starts
         by_start = self._by_start
-        n = len(starts)
-        end = interval.start
-        index = bisect_right(starts, end) - 1
+        index = bisect_right(starts, start) - 1
+        end = by_start[starts[index]].interval.end if index >= 0 else start
+        if end <= start or interval.end <= start:
+            return Interval(start, start)
         # Walk right over contiguous extents (they may abut without merging
         # when their timestamps differ).
-        while True:
-            found = None
-            if 0 <= index < n:
-                candidate = by_start[starts[index]].interval
-                if candidate.start <= end < candidate.end:
-                    found = candidate
-            if found is None and index + 1 < n:
-                candidate = by_start[starts[index + 1]].interval
-                if candidate.start == end:
-                    found = candidate
-                    index += 1
-            if found is None:
-                break
-            end = found.end
-            if end >= interval.end:
-                end = interval.end
-                break
-        return Interval(interval.start, min(end, interval.end))
+        index += 1
+        n = len(starts)
+        while end < interval.end and index < n and starts[index] == end:
+            end = by_start[end].interval.end
+            index += 1
+        return interval if end >= interval.end else Interval(start, end)
 
     def uncached_prefix(self, interval: Interval) -> Interval:
         """The longest run starting at ``interval.start`` with no cached
@@ -221,8 +229,7 @@ class LRUSegmentCache:
         if interval.end - interval.start > self.capacity_events:
             interval = Interval(interval.end - self.capacity_events, interval.end)
         self.stats.inserted_events += interval.end - interval.start
-        self._carve(interval)
-        self._add_extent(interval, now)
+        self._restamp(interval, now, fill=True)
         evicted_before = self.stats.evicted_events
         self._evict_to_fit(protect=interval)
         if self.obs.enabled:
@@ -238,16 +245,12 @@ class LRUSegmentCache:
 
     def touch(self, interval: Interval, now: float) -> None:
         """Refresh the LRU timestamp of the cached parts of ``interval``."""
-        parts = self.cached_parts(interval)
-        for part in parts:
-            self.stats.touched_events += part.length
-            self._carve(part)
-            self._add_extent(part, now)
+        self.stats.touched_events += self._restamp(interval, now, fill=False)
 
     def invalidate(self, interval: Interval) -> int:
         """Drop any cached events inside ``interval``; returns count."""
         before = self._used
-        self._carve(interval)
+        self._restamp(interval, None, fill=True)
         dropped = before - self._used
         self.stats.dropped_events += dropped
         return dropped
@@ -260,74 +263,104 @@ class LRUSegmentCache:
 
     # -- internals ---------------------------------------------------------------
 
-    def _overlapping(self, interval: Interval) -> List[_Extent]:
-        """Extents intersecting ``interval``, in start order."""
-        if interval.empty or not self._starts:
-            return []
+    def _span(self, start: int, end: int) -> Tuple[int, int]:
+        """Index range ``[lo, hi)`` of the extents intersecting
+        ``[start, end)``."""
+        if end <= start:
+            return 0, 0
+        starts = self._starts
+        lo = bisect_right(starts, start) - 1
+        if lo < 0 or self._by_start[starts[lo]].interval.end <= start:
+            lo += 1
+        return lo, bisect_left(starts, end, lo)
+
+    def _restamp(self, interval: Interval, now: Optional[float], fill: bool) -> int:
+        """Stamp ``interval`` with ``now`` in one walk over its extents:
+        all of it with ``fill`` (insert), else its cached runs (touch);
+        ``now=None`` drops the range instead (invalidate).  Returns the
+        events stamped before coalescing."""
+        query_start = interval.start
+        query_end = interval.end
         starts = self._starts
         by_start = self._by_start
-        result: List[_Extent] = []
-        query_start = interval.start
-        index = bisect_right(starts, query_start) - 1
-        if index < 0:
-            index = 0
-        end = interval.end
-        n = len(starts)
-        while index < n:
-            start = starts[index]
-            if start >= end:
-                break
-            extent = by_start[start]
-            if extent.interval.end > query_start:
-                result.append(extent)
-            index += 1
-        return result
+        lo, hi = self._span(query_start, query_end)
+        if lo == hi and (not fill or now is None):
+            return 0
+        bounds = [lo, hi]  # one run for a fill, else the maximal abutting runs
+        if not fill and hi - lo > 1:
+            ends = [by_start[start].interval.end for start in starts[lo:hi - 1]]
+            bounds[1:1] = [i for i, end in enumerate(ends, lo + 1) if starts[i] != end]
+        splice_lo = lo
+        splice_hi = hi
+        pieces: List[_Extent] = []  # the replacement extents, in start order
+        stamped = 0
+        for run_lo, run_hi in zip(bounds, bounds[1:]):
+            part_start = query_start
+            part_end = query_end
+            left: Optional[_Extent] = None
+            right: Optional[_Extent] = None
+            if run_lo < run_hi:
+                head = by_start[starts[run_lo]]
+                tail = by_start[starts[run_hi - 1]]
+                head_start = head.interval.start
+                tail_end = tail.interval.end
+                if not fill:
+                    part_start = head_start if head_start > query_start else query_start
+                    part_end = tail_end if tail_end < query_end else query_end
+                    stamped += part_end - part_start
+                # Leftovers keep their (copied, so exactly compared) stamps;
+                # one stamped ``now`` is absorbed by the part.
+                if head_start < query_start:
+                    if head.last_access == now:  # simlint: disable=SIM003
+                        part_start = head_start
+                    else:
+                        left = self._push(Interval(head_start, query_start), head.last_access)
+                if tail_end > query_end:
+                    if tail.last_access == now:  # simlint: disable=SIM003
+                        part_end = tail_end
+                    else:
+                        right = self._push(Interval(query_end, tail_end), tail.last_access)
+            if left is not None:
+                pieces.append(left)
+            if now is not None:
+                # The part coalesces with an outer neighbour stamped ``now``.
+                if run_lo == lo and lo > 0:
+                    neighbour = by_start[starts[lo - 1]]
+                    if neighbour.interval.end == part_start:
+                        if neighbour.last_access == now:  # simlint: disable=SIM003
+                            part_start = neighbour.interval.start
+                            splice_lo = lo - 1
+                if run_hi == hi and hi < len(starts):
+                    neighbour = by_start[starts[hi]]
+                    if neighbour.interval.start == part_end:
+                        if neighbour.last_access == now:  # simlint: disable=SIM003
+                            part_end = neighbour.interval.end
+                            splice_hi = hi + 1
+                part = interval
+                if part_start != query_start or part_end != query_end:
+                    part = Interval(part_start, part_end)
+                pieces.append(self._push(part, now))
+            if right is not None:
+                pieces.append(right)
+        used = self._used
+        for start in starts[splice_lo:splice_hi]:
+            extent = by_start.pop(start)
+            extent.alive = False
+            used -= extent.interval.end - start
+        for extent in pieces:
+            by_start[extent.interval.start] = extent
+            used += extent.interval.end - extent.interval.start
+        self._used = used
+        starts[splice_lo:splice_hi] = [extent.interval.start for extent in pieces]
+        return stamped
 
-    def _carve(self, interval: Interval) -> None:
-        """Remove every cached event inside ``interval`` (splitting
-        boundary extents, preserving their timestamps)."""
-        for extent in self._overlapping(interval):
-            self._drop_extent(extent)
-            for piece in extent.interval.subtract(interval):
-                self._add_extent(piece, extent.last_access, count_stats=False)
-
-    def _add_extent(self, interval: Interval, last_access: float, count_stats: bool = True) -> None:
-        if interval.empty:
-            return
-        # Coalesce with an identically-stamped neighbour on each side.
-        interval = self._try_merge(interval, last_access)
+    def _push(self, interval: Interval, last_access: float) -> _Extent:
+        """A new extent with a fresh LRU heap entry (the next tiebreak)."""
         extent = _Extent(interval, last_access)
-        insort(self._starts, interval.start)
-        self._by_start[interval.start] = extent
         tiebreak = self._tiebreak + 1
         self._tiebreak = tiebreak
         heapq.heappush(self._lru_heap, (last_access, tiebreak, extent))
-        self._used += interval.end - interval.start
-
-    def _try_merge(self, interval: Interval, last_access: float) -> Interval:
-        """Absorb abutting extents with the same timestamp into
-        ``interval`` (removing them); returns the widened interval."""
-        changed = True
-        while changed:
-            changed = False
-            index = bisect_left(self._starts, interval.end)
-            if index < len(self._starts) and self._starts[index] == interval.end:
-                right = self._by_start[self._starts[index]]
-                # Stamps are copied values (never arithmetic results), so
-                # exact equality is the correct coalescing criterion here.
-                if right.last_access == last_access:  # simlint: disable=SIM003
-                    self._drop_extent(right)
-                    interval = Interval(interval.start, right.interval.end)
-                    changed = True
-            index = bisect_left(self._starts, interval.start) - 1
-            if index >= 0:
-                left = self._by_start[self._starts[index]]
-                # Same as above: copied stamps, exact equality intended.
-                if left.interval.end == interval.start and left.last_access == last_access:  # simlint: disable=SIM003
-                    self._drop_extent(left)
-                    interval = Interval(left.interval.start, interval.end)
-                    changed = True
-        return interval
+        return extent
 
     def _drop_extent(self, extent: _Extent) -> None:
         start = extent.interval.start
@@ -356,12 +389,15 @@ class LRUSegmentCache:
             excess = self._used - self.capacity_events
             if extent.interval.length > excess:
                 # Partial eviction: keep the rightmost part (the part a
-                # sequential reader touched last).
-                keep = Interval(extent.interval.start + excess, extent.interval.end)
-                stamp = extent.last_access
-                self._drop_extent(extent)
+                # sequential reader touched last) under a fresh heap entry.
+                start = extent.interval.start
+                extent.alive = False
+                keep = Interval(start + excess, extent.interval.end)
+                self._starts[bisect_left(self._starts, start)] = start + excess
+                del self._by_start[start]
+                self._by_start[start + excess] = self._push(keep, extent.last_access)
+                self._used -= excess
                 self.stats.evicted_events += excess
-                self._add_extent(keep, stamp, count_stats=False)
             else:
                 self.stats.evicted_events += extent.interval.length
                 self._drop_extent(extent)
@@ -375,14 +411,17 @@ class LRUSegmentCache:
         if self._used > self.capacity_events:
             raise CacheError(f"used {self._used} > capacity {self.capacity_events}")
         total = 0
-        previous_end = None
+        previous: Optional[_Extent] = None
         for start in self._starts:
             extent = self._by_start[start]
             if extent.interval.start != start:
                 raise CacheError("start index out of sync")
-            if previous_end is not None and extent.interval.start < previous_end:
-                raise CacheError("extents overlap")
-            previous_end = extent.interval.end
+            if previous is not None:
+                if start < previous.interval.end:
+                    raise CacheError("extents overlap")
+                if _uncoalesced(previous, extent):
+                    raise CacheError("abutting extents share a stamp")
+            previous = extent
             total += extent.interval.length
         if total != self._used:
             raise CacheError(f"used counter {self._used} != measured {total}")
@@ -395,7 +434,7 @@ class LRUSegmentCache:
         O(extents + heap) — called from the simulator's periodic probe in
         ``--check-invariants`` mode, never from the hot path.
         """
-        who = f"cache(node {self.owner_id})"
+        who = f"cache(node {self.owner_id})" if self.owner_id >= 0 else "cache"
         if self._used > self.capacity_events:
             raise InvariantViolation(
                 f"{who}: accounting over capacity "
@@ -409,7 +448,7 @@ class LRUSegmentCache:
                 f"(starts={len(self._starts)}, extents={len(self._by_start)})"
             )
         total = 0
-        previous_end: Optional[int] = None
+        previous: Optional[_Extent] = None
         for start in self._starts:
             extent = self._by_start.get(start)
             if extent is None:
@@ -424,12 +463,19 @@ class LRUSegmentCache:
                 raise InvariantViolation(
                     f"{who}: dead extent {extent.interval} still indexed"
                 )
-            if previous_end is not None and extent.interval.start < previous_end:
-                raise InvariantViolation(
-                    f"{who}: extents overlap at {extent.interval.start} "
-                    f"(previous extent ends at {previous_end})"
-                )
-            previous_end = extent.interval.end
+            if previous is not None:
+                if start < previous.interval.end:
+                    raise InvariantViolation(
+                        f"{who}: extents overlap at {start} "
+                        f"(previous extent ends at {previous.interval.end})"
+                    )
+                if _uncoalesced(previous, extent):
+                    raise InvariantViolation(
+                        f"{who}: abutting extents {previous.interval} and "
+                        f"{extent.interval} share stamp {extent.last_access} "
+                        "(not coalesced)"
+                    )
+            previous = extent
             total += extent.interval.length
         if total != self._used:
             raise InvariantViolation(

@@ -5,8 +5,9 @@ module checks properties of a *running* simulation:
 
 * the engine never dispatches events backwards in time and its calendar
   heap stays well-formed (:meth:`repro.core.engine.Engine.validate_heap`);
-* per-node caches conserve event accounting and keep a valid LRU
-  structure (:meth:`repro.data.cache.LRUSegmentCache.validate`);
+* per-node and per-tier caches conserve event accounting and keep a
+  valid LRU structure with abutting extents never sharing a stamp
+  (:meth:`repro.data.cache.LRUSegmentCache.validate`);
 * the cluster's idle-node index lists exactly the nodes a full scan
   finds free (no subjob, not failed, not reserved), in id order, and
   every node's ``idle`` flag agrees with that scan;
@@ -49,6 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.node import Node
     from ..core.engine import Engine
     from ..data.tertiary import TertiaryStorage
+    from ..topo.tree import Tier
 
 
 class InvariantChecker:
@@ -175,13 +177,18 @@ class InvariantChecker:
         cluster: "Cluster",
         jobs: Iterable[Job],
         tertiary: "TertiaryStorage",
+        tiers: Iterable["Tier"],
     ) -> None:
-        """Validate the calendar heap, every node cache, the idle-node
-        index, the node and tertiary event balances and job/subjob
-        bookkeeping; piggybacked on the simulator's metric probe."""
+        """Validate the calendar heap, every node and tier cache, the
+        idle-node index, the node and tertiary event balances and
+        job/subjob bookkeeping; piggybacked on the simulator's metric
+        probe."""
         self.checks_run += 1
         engine.validate_heap()
         tertiary.validate()
+        for tier in tiers:
+            if tier.cache is not None:
+                tier.cache.validate()
         scanned_idle: List[int] = []
         for node in cluster:
             node.cache.validate()

@@ -369,7 +369,11 @@ class Simulation:
     def _probe(self) -> None:
         if self.checker is not None:
             self.checker.deep_check(
-                self.engine, self.cluster, self.jobs.values(), self.tertiary
+                self.engine,
+                self.cluster,
+                self.jobs.values(),
+                self.tertiary,
+                self.topo.tiers.values() if self.topo is not None else (),
             )
             self.policy.check_invariants()
         self.metrics.probe(self.engine.now, len(self.cluster.busy_nodes()))

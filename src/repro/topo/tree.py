@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Protocol, Tuple
 
-from ..core.errors import ConfigurationError
+from ..core.errors import ConfigurationError, InvariantViolation
 from ..data.cache import LRUSegmentCache
 from ..data.intervals import Interval
 from ..obs.hooks import NULL_BUS, HookBus, kinds
@@ -101,6 +101,13 @@ class TierCache:
                 events=interval.length,
                 tier=self.tier_name,
             )
+
+    def validate(self) -> None:
+        """Sanitizer check of the wrapped cache, naming this tier."""
+        try:
+            self.cache.validate()
+        except InvariantViolation as error:
+            raise InvariantViolation(f"tier {self.tier_name}: {error}") from error
 
     def admit(self, interval: Interval, now: float) -> None:
         """Insert ``interval`` (replica placement), emitting evictions."""

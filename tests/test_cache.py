@@ -2,15 +2,21 @@
 
 Includes a hypothesis property suite comparing the extent-granular cache
 against a reference model: a dict of event → last-access time with
-pointwise LRU eviction.
+pointwise LRU eviction; and an oracle suite holding the one-walk
+re-stamping to the carve-and-merge cache it replaced, extent for extent,
+stamp for stamp and in LRU eviction order.
 """
+
+import heapq
+import random
+from bisect import bisect_left, bisect_right, insort
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.errors import CacheError
-from repro.data.cache import LRUSegmentCache
-from repro.data.intervals import Interval
+from repro.data.cache import CacheStats, LRUSegmentCache, _Extent
+from repro.data.intervals import Interval, IntervalSet
 
 
 class TestBasics:
@@ -280,3 +286,281 @@ class TestAgainstReferenceModel:
             interval.end - capacity, interval.end
         )
         assert cache.covers(kept)
+
+
+# -- oracle: the carve-and-merge cache the one-walk re-stamping replaced ------------
+
+
+class _CarveAndMergeCache:
+    """The historical mutation side of :class:`LRUSegmentCache`, kept
+    verbatim as a test oracle: every touched, inserted or invalidated
+    range is carved out extent by extent (each leftover re-added through
+    a bisect merge loop, an ``insort`` and a heap push), then the range
+    itself is added and merged with identically-stamped neighbours."""
+
+    def __init__(self, capacity_events: int) -> None:
+        self.capacity_events = capacity_events
+        self._starts = []
+        self._by_start = {}
+        self._lru_heap = []
+        self._used = 0
+        self._tiebreak = 0
+        self.stats = CacheStats()
+
+    @property
+    def used_events(self) -> int:
+        return self._used
+
+    def __iter__(self):
+        for start in self._starts:
+            extent = self._by_start[start]
+            yield extent.interval, extent.last_access
+
+    def cached_parts(self, interval: Interval) -> IntervalSet:
+        result = IntervalSet()
+        for extent in self._overlapping(interval):
+            result.add(extent.interval.intersection(interval))
+        return result
+
+    def insert(self, interval: Interval, now: float) -> None:
+        if interval.empty or self.capacity_events == 0:
+            return
+        if interval.end - interval.start > self.capacity_events:
+            interval = Interval(interval.end - self.capacity_events, interval.end)
+        self.stats.inserted_events += interval.end - interval.start
+        self._carve(interval)
+        self._add_extent(interval, now)
+        self._evict_to_fit(protect=interval)
+
+    def touch(self, interval: Interval, now: float) -> None:
+        parts = self.cached_parts(interval)
+        for part in parts:
+            self.stats.touched_events += part.length
+            self._carve(part)
+            self._add_extent(part, now)
+
+    def invalidate(self, interval: Interval) -> int:
+        before = self._used
+        self._carve(interval)
+        dropped = before - self._used
+        self.stats.dropped_events += dropped
+        return dropped
+
+    def _overlapping(self, interval: Interval):
+        if interval.empty or not self._starts:
+            return []
+        result = []
+        index = max(bisect_right(self._starts, interval.start) - 1, 0)
+        while index < len(self._starts):
+            start = self._starts[index]
+            if start >= interval.end:
+                break
+            extent = self._by_start[start]
+            if extent.interval.end > interval.start:
+                result.append(extent)
+            index += 1
+        return result
+
+    def _carve(self, interval: Interval) -> None:
+        for extent in self._overlapping(interval):
+            self._drop_extent(extent)
+            for piece in extent.interval.subtract(interval):
+                self._add_extent(piece, extent.last_access)
+
+    def _add_extent(self, interval: Interval, last_access: float) -> None:
+        if interval.empty:
+            return
+        interval = self._try_merge(interval, last_access)
+        extent = _Extent(interval, last_access)
+        insort(self._starts, interval.start)
+        self._by_start[interval.start] = extent
+        self._tiebreak += 1
+        heapq.heappush(self._lru_heap, (last_access, self._tiebreak, extent))
+        self._used += interval.length
+
+    def _try_merge(self, interval: Interval, last_access: float) -> Interval:
+        changed = True
+        while changed:
+            changed = False
+            index = bisect_left(self._starts, interval.end)
+            if index < len(self._starts) and self._starts[index] == interval.end:
+                right = self._by_start[self._starts[index]]
+                if right.last_access == last_access:
+                    self._drop_extent(right)
+                    interval = Interval(interval.start, right.interval.end)
+                    changed = True
+            index = bisect_left(self._starts, interval.start) - 1
+            if index >= 0:
+                left = self._by_start[self._starts[index]]
+                if left.interval.end == interval.start and left.last_access == last_access:
+                    self._drop_extent(left)
+                    interval = Interval(left.interval.start, interval.end)
+                    changed = True
+        return interval
+
+    def _drop_extent(self, extent) -> None:
+        del self._by_start[extent.interval.start]
+        del self._starts[bisect_left(self._starts, extent.interval.start)]
+        extent.alive = False
+        self._used -= extent.interval.length
+
+    def _evict_to_fit(self, protect: Interval) -> None:
+        stash = []
+        while self._used > self.capacity_events:
+            if not self._lru_heap:
+                raise CacheError("cache accounting corrupt: over capacity with empty LRU")
+            entry = heapq.heappop(self._lru_heap)
+            extent = entry[2]
+            if not extent.alive:
+                continue
+            if extent.interval.overlaps(protect):
+                stash.append(entry)
+                continue
+            excess = self._used - self.capacity_events
+            if extent.interval.length > excess:
+                keep = Interval(extent.interval.start + excess, extent.interval.end)
+                stamp = extent.last_access
+                self._drop_extent(extent)
+                self.stats.evicted_events += excess
+                self._add_extent(keep, stamp)
+            else:
+                self.stats.evicted_events += extent.interval.length
+                self._drop_extent(extent)
+        for entry in stash:
+            heapq.heappush(self._lru_heap, entry)
+
+
+def _drain_order(cache):
+    """Live extents in the order eviction would take them: live heap
+    entries sorted by ``(stamp, tiebreak)``."""
+    live = sorted(
+        (stamp, tiebreak, extent.interval)
+        for stamp, tiebreak, extent in cache._lru_heap
+        if extent.alive
+    )
+    return [(interval, stamp) for stamp, _tiebreak, interval in live]
+
+
+def _assert_same_state(cache, oracle):
+    assert list(cache) == list(oracle)
+    assert cache.stats == oracle.stats
+    assert cache.used_events == oracle.used_events
+    assert _drain_order(cache) == _drain_order(oracle)
+    cache.validate()
+
+
+def _apply(cache, op, interval, now):
+    """The operation's return value, or ``CacheError`` if it raised.
+
+    An insert stamped like an abutting extent coalesces with it, and the
+    merged extent is protected from eviction as a whole; when nothing
+    else can be evicted, both caches raise alike."""
+    try:
+        if op == "invalidate":
+            return cache.invalidate(interval)
+        return getattr(cache, op)(interval, now)
+    except CacheError:
+        return CacheError
+
+
+@st.composite
+def oracle_ops(draw):
+    op = draw(st.sampled_from(["insert", "touch", "invalidate"]))
+    start = draw(st.integers(0, 60))
+    length = draw(st.integers(0, 25))
+    # Half the operations reuse the previous stamp, so equal-stamp
+    # coalescing (leftovers and neighbours stamped ``now``) is exercised.
+    step = draw(st.sampled_from([0.0, 1.0]))
+    return (op, Interval(start, start + length), step)
+
+
+class TestAgainstCarveAndMerge:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 40), st.lists(oracle_ops(), max_size=30))
+    def test_every_operation_matches(self, capacity, operations):
+        cache = LRUSegmentCache(capacity)
+        oracle = _CarveAndMergeCache(capacity)
+        now = 0.0
+        for op, interval, step in operations:
+            now += step
+            outcome = _apply(cache, op, interval, now)
+            assert outcome == _apply(oracle, op, interval, now)
+            if outcome is CacheError:
+                return
+            _assert_same_state(cache, oracle)
+
+    def test_protected_merge_over_capacity_raises_alike(self):
+        cache = LRUSegmentCache(1)
+        oracle = _CarveAndMergeCache(1)
+        for target in (cache, oracle):
+            target.insert(Interval(0, 1), now=0.0)
+            with pytest.raises(CacheError, match="over capacity"):
+                target.insert(Interval(0, 2), now=0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(oracle_ops(), max_size=20),
+        st.lists(st.tuples(st.integers(0, 90), st.integers(0, 40)), max_size=8),
+    )
+    def test_prefix_queries_follow_coverage(self, operations, queries):
+        cache = LRUSegmentCache(40)
+        now = 0.0
+        for op, interval, step in operations:
+            now += step
+            if _apply(cache, op, interval, now) is CacheError:
+                break
+        coverage = cache.coverage.pairs()
+        for start, length in queries:
+            query = Interval(start, start + length)
+            end = next((e for s, e in coverage if s <= start < e), start)
+            assert cache.cached_prefix(query) == Interval(start, max(start, min(end, query.end)))
+            first = next((s for s, e in coverage if e > start), query.end)
+            uncached_end = start if first <= start else min(first, query.end)
+            assert cache.uncached_prefix(query) == Interval(start, uncached_end)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_long_random_walk_matches(self, seed):
+        rng = random.Random(seed)
+        cache = LRUSegmentCache(300)
+        oracle = _CarveAndMergeCache(300)
+        now = 0.0
+        for _ in range(3000):
+            op = rng.choice(["insert", "touch", "touch", "invalidate"])
+            start = rng.randrange(0, 1000)
+            interval = Interval(start, start + rng.randrange(0, 120))
+            now += rng.choice([0.0, 1.0])
+            assert _apply(cache, op, interval, now) == _apply(oracle, op, interval, now)
+            assert list(cache) == list(oracle)
+        _assert_same_state(cache, oracle)
+
+    def test_split_leftovers_evict_in_push_order(self):
+        """Touching the middle of E leaves L and R at one stamp; touching
+        inside L then splits it again.  R's heap entry is older than both
+        pieces of L, so R goes first — shrinking L in place (keeping its
+        old entry) would evict L's left piece first instead."""
+        cache = LRUSegmentCache(100)
+        oracle = _CarveAndMergeCache(100)
+        for target in (cache, oracle):
+            target.insert(Interval(0, 100), now=1.0)
+            target.touch(Interval(40, 60), now=2.0)
+            target.touch(Interval(10, 20), now=3.0)
+        assert _drain_order(cache)[:3] == [
+            (Interval(60, 100), 1.0),
+            (Interval(0, 10), 1.0),
+            (Interval(20, 40), 1.0),
+        ]
+        _assert_same_state(cache, oracle)
+        for target in (cache, oracle):
+            target.insert(Interval(200, 240), now=4.0)
+        assert cache.coverage.pairs() == [(0, 60), (200, 240)]
+        _assert_same_state(cache, oracle)
+
+    def test_leftover_stamped_now_coalesces_into_the_part(self):
+        cache = LRUSegmentCache(100)
+        oracle = _CarveAndMergeCache(100)
+        for target in (cache, oracle):
+            target.insert(Interval(0, 30), now=1.0)
+            target.insert(Interval(30, 60), now=2.0)
+            target.touch(Interval(10, 40), now=2.0)
+        assert list(cache) == [(Interval(0, 10), 1.0), (Interval(10, 60), 2.0)]
+        _assert_same_state(cache, oracle)

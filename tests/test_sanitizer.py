@@ -19,7 +19,7 @@ from repro.cluster.costmodel import CostModel
 from repro.cluster.node import Node
 from repro.core import units
 from repro.core.engine import Engine
-from repro.core.errors import InvariantViolation
+from repro.core.errors import CacheError, InvariantViolation
 from repro.core.events import EventPriority, ScheduledEvent
 from repro.data.cache import LRUSegmentCache
 from repro.data.dataspace import DataSpace
@@ -29,6 +29,7 @@ from repro.sched.base import create_policy
 from repro.sim.config import quick_config
 from repro.sim.sanitizer import InvariantChecker
 from repro.sim.simulator import Simulation, run_simulation
+from repro.topo import topology_preset
 from repro.workload.jobs import SubjobState
 
 from .helpers import make_subjob
@@ -109,6 +110,50 @@ class TestCacheCorruption:
         cache._used -= 1
         with pytest.raises(InvariantViolation, match="accounting"):
             cache.validate()
+
+    def test_uncoalesced_abutting_extents_are_caught(self):
+        cache = LRUSegmentCache(1000)
+        cache.insert(Interval(0, 100), now=1.0)
+        cache.insert(Interval(100, 200), now=2.0)
+        cache.validate()
+        # Test-only hook: restamp the right extent (heap entry included)
+        # so two abutting extents share a stamp, as a re-stamp that forgot
+        # to coalesce would leave them.
+        right = cache._by_start[100]
+        right.last_access = 1.0
+        cache._lru_heap = [
+            (extent.last_access, tiebreak, extent)
+            for tiebreak, extent in enumerate(cache._by_start.values())
+        ]
+        heapq.heapify(cache._lru_heap)
+        with pytest.raises(InvariantViolation, match="share stamp 1.0"):
+            cache.validate()
+        with pytest.raises(CacheError, match="share a stamp"):
+            cache.check_invariants()
+
+    def test_tier_cache_corruption_is_caught(self):
+        config = quick_config(
+            duration=4 * units.DAY,
+            seed=11,
+            topology=topology_preset("depth3", "lru-rack"),
+        )
+        sim = Simulation(config, create_policy("out-of-order"), check_invariants=True)
+        sim.prime()
+        assert sim.topo is not None
+
+        def corrupt() -> None:
+            # Test-only hook: break accounting in a tier cache holding
+            # data; the node caches are untouched.
+            tier = next(
+                tier
+                for tier in sim.topo.tiers.values()
+                if tier.cache is not None and tier.cache.cache.used_events
+            )
+            tier.cache.cache._used += 7
+
+        sim.engine.call_at(units.DAY, corrupt)
+        with pytest.raises(InvariantViolation, match=r"tier \S+: cache: .*not conserved"):
+            sim.engine.run(until=sim.config.duration)
 
 
 class TestIdleIndexCorruption:

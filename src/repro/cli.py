@@ -12,7 +12,9 @@ Subcommands::
 Sweep-shaped commands (run, run-all, sweep, export, replicate,
 calibrate) share the execution-layer knobs: ``--jobs/-j`` (worker
 processes; ``$REPRO_JOBS`` sets the default), and where results are
-cacheable ``--no-cache``, ``--cache-dir`` and ``--resume``.
+cacheable ``--no-cache`` and ``--cache-dir``.  The result cache is the
+checkpoint of an interrupted sweep: rerun the same command and only the
+missing points execute.
     repro simulate --policy out-of-order --load 1.5 --days 20
     repro trace --policy out-of-order --days 7 -o run   # traced run
     repro calibrate --stripe 5000       # measure the adaptive delay table
@@ -85,12 +87,6 @@ def _add_exec_args(parser: argparse.ArgumentParser, cache: bool = True) -> None:
         help="result cache location (default: $REPRO_CACHE_DIR or .repro-cache)",
     )
     group.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume an interrupted sweep from its checkpoint journal: "
-        "run only the specs the journal does not mark complete",
-    )
-    group.add_argument(
         "--spec-timeout",
         type=float,
         default=None,
@@ -101,28 +97,17 @@ def _add_exec_args(parser: argparse.ArgumentParser, cache: bool = True) -> None:
     )
 
 
-def _executor_from_args(
-    args: argparse.Namespace, journal_name: Optional[str] = None
-) -> "Executor":
+def _executor_from_args(args: argparse.Namespace) -> "Executor":
     """Build the executor a sweep-shaped command asked for."""
     from .exec import Executor, RetryPolicy, make_cache
 
-    resume = bool(getattr(args, "resume", False))
-    no_cache = bool(getattr(args, "no_cache", True))
-    if resume and no_cache:
-        raise SystemExit("repro: --resume requires the result cache (drop --no-cache)")
     cache = None
-    journal_path = None
-    if not no_cache:
+    if not getattr(args, "no_cache", True):
         cache = make_cache(getattr(args, "cache_dir", None))
-        if journal_name is not None:
-            journal_path = cache.journal_path(journal_name)
     return Executor(
         jobs=args.jobs,
         cache=cache,
         retry=RetryPolicy(max_attempts=2),
-        journal_path=journal_path,
-        resume=resume,
         spec_timeout=getattr(args, "spec_timeout", None),
     )
 
@@ -332,7 +317,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_parser = sub.add_parser(
         "sweep",
         help="run an experiment's raw sweep and emit its summary JSON "
-        "(schema v7; deterministic across --jobs, cache hits and --resume)",
+        "(schema v7; deterministic across --jobs and cache hits; rerun an "
+        "interrupted sweep to run only its missing points)",
     )
     sweep_parser.add_argument("experiment", help="experiment id (e.g. fig3)")
     _add_scale(sweep_parser)
@@ -627,9 +613,7 @@ def _cmd_limits() -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    executor = _executor_from_args(
-        args, journal_name=f"run-{args.experiment}-{args.scale}"
-    )
+    executor = _executor_from_args(args)
     outcome = run_experiment(
         args.experiment,
         scale=Scale(args.scale),
@@ -647,15 +631,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_run_all(args: argparse.Namespace) -> int:
-    # One executor (and checkpoint journal) per experiment, so --resume
-    # restarts exactly the interrupted figure; the result cache is
-    # shared across all of them by content fingerprint.
     ids = list(args.only) if args.only else available_experiments()
+    executor = _executor_from_args(args)
     outcomes = []
     for exp_id in ids:
-        executor = _executor_from_args(
-            args, journal_name=f"run-{exp_id}-{args.scale}"
-        )
         outcomes.append(
             run_experiment(
                 exp_id, scale=Scale(args.scale), progress=True, executor=executor
@@ -676,9 +655,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from .sim.runner import run_sweep
 
     experiment = get_experiment(args.experiment)
-    executor = _executor_from_args(
-        args, journal_name=f"sweep-{args.experiment}-{args.scale}"
-    )
+    executor = _executor_from_args(args)
     sweep = run_sweep(
         experiment.specs(Scale(args.scale)),
         progress=True,
@@ -914,9 +891,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
     from .sim.runner import run_sweep
 
     experiment = get_experiment(args.experiment)
-    executor = _executor_from_args(
-        args, journal_name=f"export-{args.experiment}-{args.scale}"
-    )
+    executor = _executor_from_args(args)
     sweep = run_sweep(
         experiment.specs(Scale(args.scale)),
         progress=True,

@@ -52,8 +52,7 @@ class InvariantViolation(ReproError):
 
 class ExecError(ReproError):
     """The execution layer (``repro.exec``) failed a batch: one or more
-    specs errored in ``raise`` mode, or a journal/cache store is
-    unusable."""
+    specs errored in ``raise`` mode, or the result cache is unusable."""
 
 
 class OverloadedError(ReproError):

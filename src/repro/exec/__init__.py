@@ -4,9 +4,10 @@ Every paper figure is a sweep of dozens-to-hundreds of independent
 simulations; this package is the one owner of how such batches run.
 :class:`Executor` provides serial and process-pool backends behind a
 single API with streamed completions, per-spec crash isolation
-(:class:`SpecError` slots instead of aborted pools), bounded retries, a
-content-addressed :class:`ResultCache` (``.repro-cache/``), and a
-resumable :class:`~repro.exec.journal.SweepJournal` checkpoint.
+(:class:`SpecError` slots instead of aborted pools), bounded retries and
+a content-addressed :class:`ResultCache` (``.repro-cache/``).  The cache
+is also the checkpoint of an interrupted sweep: running the same sweep
+again executes only the points it does not hold.
 
 The high-level entry points — :func:`repro.sim.runner.run_sweep`, the
 experiment registry, ``repro sweep``/``repro run`` — all build on this;
@@ -27,7 +28,6 @@ from .executor import (
     run_with_retries,
 )
 from .fingerprint import FINGERPRINT_VERSION, spec_fingerprint, spec_payload
-from .journal import JOURNAL_VERSION, JournalEntry, SweepJournal
 from .outcomes import ExecOutcome, ExecStats, Progress, SpecError
 
 __all__ = [
@@ -38,15 +38,12 @@ __all__ = [
     "Executor",
     "FINGERPRINT_VERSION",
     "JOBS_ENV",
-    "JOURNAL_VERSION",
-    "JournalEntry",
     "NO_RETRY",
     "Progress",
     "ResultCache",
     "RetryPolicy",
     "SPEC_TIMEOUT_ENV",
     "SpecError",
-    "SweepJournal",
     "TIMEOUT_KIND",
     "make_cache",
     "resolve_cache_dir",

@@ -44,9 +44,6 @@ class ResultCache:
     ) -> None:
         self.root = resolve_cache_dir(root)
         self.schema_version = schema_version
-        self.hits = 0
-        self.misses = 0
-        self.writes = 0
 
     @property
     def store_dir(self) -> Path:
@@ -64,15 +61,12 @@ class ResultCache:
         path = self.path_for(fingerprint)
         try:
             with open(path, "rb") as handle:
-                result = pickle.load(handle)
+                return pickle.load(handle)
         except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
                 ImportError, IndexError):
             # Missing file, torn write from an older tool, or a pickle
             # referencing since-renamed classes: all are plain misses.
-            self.misses += 1
             return None
-        self.hits += 1
-        return result
 
     def put(self, fingerprint: str, result: Any) -> Path:
         """Atomically store ``result`` under ``fingerprint``."""
@@ -82,16 +76,7 @@ class ResultCache:
         with open(tmp, "wb") as handle:
             pickle.dump(result, handle, protocol=pickle.HIGHEST_PROTOCOL)
         os.replace(tmp, path)
-        self.writes += 1
         return path
 
-    def journal_path(self, name: str) -> Path:
-        """Canonical journal location for a named sweep in this store."""
-        return self.root / "journals" / f"{name}.journal.jsonl"
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ResultCache(root={str(self.root)!r}, "
-            f"v{self.schema_version}, hits={self.hits}, "
-            f"misses={self.misses}, writes={self.writes})"
-        )
+        return f"ResultCache(root={str(self.root)!r}, v{self.schema_version})"

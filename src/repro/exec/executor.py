@@ -17,11 +17,9 @@ chosen by ``jobs``.  Whatever the backend:
   in its slot instead of hanging the batch forever;
 * with a :class:`~repro.exec.cache.ResultCache` attached, each spec is
   first looked up by content fingerprint and only misses are executed;
-  completed misses are written back;
-* with a journal path attached, each finished slot is appended to the
-  ``*.journal.jsonl`` checkpoint, and ``resume=True`` re-runs only the
-  specs the journal does not mark complete (payloads restored from the
-  cache).
+  completed misses are written back the moment they finish.  The cache
+  is the sweep's only checkpoint: rerunning an interrupted sweep against
+  the same cache executes just the points it had not finished.
 
 Workers execute :func:`repro.sim.simulator.run_simulation`, imported
 lazily so this module stays import-cycle-free (``sim.runner`` builds on
@@ -39,7 +37,6 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
-    Dict,
     Iterator,
     List,
     Optional,
@@ -52,7 +49,6 @@ from ..core.clock import wall_clock
 from ..obs.hooks import NULL_BUS, HookBus, kinds
 from .cache import ResultCache
 from .fingerprint import spec_fingerprint
-from .journal import JournalEntry, SweepJournal
 from .outcomes import ExecOutcome, ExecStats, Progress, SpecError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -222,16 +218,12 @@ class Executor:
         jobs: Optional[int] = None,
         cache: Optional[ResultCache] = None,
         retry: RetryPolicy = NO_RETRY,
-        journal_path: Optional[Union[str, Path]] = None,
-        resume: bool = False,
         obs: HookBus = NULL_BUS,
         spec_timeout: Optional[float] = None,
     ) -> None:
         self.jobs = jobs
         self.cache = cache
         self.retry = retry
-        self.journal_path = Path(journal_path) if journal_path else None
-        self.resume = resume
         self.obs = obs
         self.spec_timeout = spec_timeout
 
@@ -253,48 +245,32 @@ class Executor:
             self.obs.emit(0.0, kinds.EXEC_SWEEP_START, "exec", total=len(specs))
 
         fingerprints = self._fingerprints(specs)
-        resumed_from = self._load_resume_state()
-        journal = self._open_journal()
         done = 0
-        try:
-            # Phase 1: satisfy slots from the journal (resume) and the
-            # content-addressed cache, in spec order.
-            pending: List[int] = []
-            for index, spec in enumerate(specs):
-                restored = self._restore(
-                    index, fingerprints, resumed_from, stats
-                )
-                if restored is None:
-                    pending.append(index)
-                    continue
-                slots[index] = restored
-                done += 1
-                self._record(
-                    journal, fingerprints, index, spec, restored, attempts=1
-                )
-                self._notify(
-                    progress, done, len(specs), index, spec, restored,
-                    cached=True,
-                )
+        # Phase 1: satisfy slots from the content-addressed cache, in
+        # spec order.
+        pending: List[int] = []
+        for index, spec in enumerate(specs):
+            restored = self._restore(index, fingerprints, stats)
+            if restored is None:
+                pending.append(index)
+                continue
+            slots[index] = restored
+            done += 1
+            self._notify(
+                progress, done, len(specs), index, spec, restored, cached=True
+            )
 
-            # Phase 2: execute the misses, streaming completions.
-            for index, attempts, payload in self._execute(pending, specs):
-                spec = specs[index]
-                outcome = self._finish(
-                    index, spec, attempts, payload, fingerprints, stats
-                )
-                slots[index] = outcome
-                done += 1
-                self._record(
-                    journal, fingerprints, index, spec, outcome, attempts
-                )
-                self._notify(
-                    progress, done, len(specs), index, spec, outcome,
-                    cached=False,
-                )
-        finally:
-            if journal is not None:
-                journal.close()
+        # Phase 2: execute the misses, streaming completions.
+        for index, attempts, payload in self._execute(pending, specs):
+            spec = specs[index]
+            outcome = self._finish(
+                index, spec, attempts, payload, fingerprints, stats
+            )
+            slots[index] = outcome
+            done += 1
+            self._notify(
+                progress, done, len(specs), index, spec, outcome, cached=False
+            )
 
         stats.wall_seconds = wall_clock() - started
         if self.obs.enabled:
@@ -306,60 +282,33 @@ class Executor:
         assert len(results) == len(specs), "executor lost a slot"
         return ExecOutcome(results=results, stats=stats)
 
-    # -- phase 1: cache & resume ----------------------------------------------
+    # -- phase 1: cache -------------------------------------------------------
 
     def _fingerprints(
         self, specs: Sequence["RunSpec"]
     ) -> Optional[List[str]]:
-        """Per-spec fingerprints, or ``None`` when nothing needs them."""
-        if self.cache is None and self.journal_path is None:
+        """Per-spec fingerprints, or ``None`` when no cache is attached."""
+        if self.cache is None:
             return None
-        schema = (
-            self.cache.schema_version
-            if self.cache is not None
-            else _result_schema_version()
-        )
-        return [spec_fingerprint(spec, schema) for spec in specs]
-
-    def _load_resume_state(self) -> Dict[str, JournalEntry]:
-        if not (self.resume and self.journal_path is not None):
-            return {}
-        return SweepJournal.completed(SweepJournal.load(self.journal_path))
-
-    def _open_journal(self) -> Optional[SweepJournal]:
-        if self.journal_path is None:
-            return None
-        journal = SweepJournal(self.journal_path)
-        # Both fresh and resumed runs rewrite the journal: every restored
-        # slot is re-recorded immediately below, so the file always
-        # describes the *current* sweep invocation.
-        journal.open(truncate=True)
-        return journal
+        return [
+            spec_fingerprint(spec, self.cache.schema_version) for spec in specs
+        ]
 
     def _restore(
         self,
         index: int,
         fingerprints: Optional[List[str]],
-        resumed_from: Dict[str, JournalEntry],
         stats: ExecStats,
     ) -> Optional["SimulationResult"]:
-        """A completed payload for this slot, or ``None`` to execute it."""
+        """The cached payload for this slot, or ``None`` to execute it."""
         if fingerprints is None or self.cache is None:
             return None
-        fingerprint = fingerprints[index]
-        via_journal = fingerprint in resumed_from
-        result = self.cache.get(fingerprint)
+        result = self.cache.get(fingerprints[index])
         if result is None:
             return None
-        if via_journal:
-            stats.resumed += 1
-        else:
-            stats.cache_hits += 1
+        stats.cache_hits += 1
         if self.obs.enabled:
-            self.obs.emit(
-                0.0, kinds.EXEC_CACHE_HIT, "exec",
-                index=index, resumed=via_journal,
-            )
+            self.obs.emit(0.0, kinds.EXEC_CACHE_HIT, "exec", index=index)
         return result
 
     # -- phase 2: execution ---------------------------------------------------
@@ -453,33 +402,6 @@ class Executor:
         return payload
 
     # -- bookkeeping ----------------------------------------------------------
-
-    @staticmethod
-    def _record(
-        journal: Optional[SweepJournal],
-        fingerprints: Optional[List[str]],
-        index: int,
-        spec: "RunSpec",
-        outcome: Union["SimulationResult", SpecError],
-        attempts: int,
-    ) -> None:
-        if journal is None or fingerprints is None:
-            return
-        failed = isinstance(outcome, SpecError)
-        journal.append(
-            JournalEntry(
-                fingerprint=fingerprints[index],
-                index=index,
-                label=spec.label,
-                policy=spec.policy,
-                status="error" if failed else "ok",
-                attempts=attempts,
-                error_kind=outcome.kind if isinstance(outcome, SpecError) else "",
-                error_message=(
-                    outcome.message if isinstance(outcome, SpecError) else ""
-                ),
-            )
-        )
 
     @staticmethod
     def _notify(

@@ -4,8 +4,8 @@ A batch run fills one slot per :class:`~repro.sim.runner.RunSpec`: either
 the spec's :class:`~repro.sim.simulator.SimulationResult` or a
 :class:`SpecError` describing why the worker failed after its retry
 budget.  :class:`ExecStats` aggregates what the executor did (executed,
-cache hits, resumed, retries), and :class:`Progress` is the payload of
-the live per-completion callback.
+cache hits, retries), and :class:`Progress` is the payload of the live
+per-completion callback.
 
 This module deliberately imports nothing outside the standard library so
 that :mod:`repro.sim.runner` can depend on it without an import cycle.
@@ -13,7 +13,6 @@ that :mod:`repro.sim.runner` can depend on it without an import cycle.
 
 from __future__ import annotations
 
-import traceback as traceback_module
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -47,59 +46,30 @@ class SpecError:
             "attempts": self.attempts,
         }
 
-    @classmethod
-    def from_exception(
-        cls,
-        error: BaseException,
-        index: int,
-        label: str,
-        policy: str,
-        attempts: int,
-    ) -> "SpecError":
-        return cls(
-            index=index,
-            label=label,
-            policy=policy,
-            kind=type(error).__name__,
-            message=str(error),
-            traceback="".join(
-                traceback_module.format_exception(
-                    type(error), error, error.__traceback__
-                )
-            ),
-            attempts=attempts,
-        )
-
 
 @dataclass
 class ExecStats:
     """What one executor batch did, slot by slot.
 
-    ``executed + cache_hits + resumed`` equals ``total``; ``failed``
-    counts executed slots that ended as :class:`SpecError` and ``retries``
-    counts extra attempts beyond each slot's first.  ``timeouts`` counts
+    ``executed + cache_hits`` equals ``total``; ``failed`` counts executed
+    slots that ended as :class:`SpecError` and ``retries`` counts extra
+    attempts beyond each slot's first.  ``timeouts`` counts
     the subset of failures killed by the executor's spec timeout.
     """
 
     total: int = 0
     executed: int = 0
     cache_hits: int = 0
-    resumed: int = 0
     failed: int = 0
     retries: int = 0
     timeouts: int = 0
     wall_seconds: float = 0.0
 
-    @property
-    def skipped(self) -> int:
-        """Slots satisfied without running a simulation."""
-        return self.cache_hits + self.resumed
-
     def brief(self) -> str:
         """The one-line ``exec:`` summary printed by the CLI."""
         return (
             f"exec: total={self.total} executed={self.executed} "
-            f"cache_hits={self.cache_hits} resumed={self.resumed} "
+            f"cache_hits={self.cache_hits} "
             f"failed={self.failed} retries={self.retries} "
             f"timeouts={self.timeouts} "
             f"wall={self.wall_seconds:.1f}s"
@@ -112,7 +82,7 @@ class Progress:
 
     ``done`` counts completed slots so far (completion order, not spec
     order); ``cached`` is true when the slot was satisfied from the result
-    cache or the resume journal; ``error`` is set when the slot failed.
+    cache; ``error`` is set when the slot failed.
     """
 
     done: int

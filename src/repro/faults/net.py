@@ -27,7 +27,7 @@ state machine:
 
 Determinism: all randomness comes from the channel's four private
 streams, so a run depends only on ``(seed, NetFaultConfig)`` and is
-bit-identical across ``--jobs``, ``--resume`` and the sanitizer.  With
+bit-identical across ``--jobs``, cache hits and the sanitizer.  With
 the channel disabled (``config is None`` or all probabilities zero)
 ``send_reliable`` degenerates to a synchronous call — no draws, no
 calendar events — so disabled runs are bit-identical to a channel-less
@@ -174,11 +174,6 @@ class ControlChannel:
     def in_flight(self) -> int:
         """Reliable messages neither delivered+acked nor dead-lettered."""
         return len(self._messages)
-
-    @property
-    def repend_backlog(self) -> int:
-        """Subjobs waiting for re-dispatch after a dead-letter/bounce."""
-        return len(self._repend_backlog)
 
     # -- one-way posts ----------------------------------------------------------
 

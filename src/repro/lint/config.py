@@ -31,7 +31,7 @@ DEFAULT_OBS_MODULES: Tuple[str, ...] = ("*/obs/*.py",)
 #: sinks, the sweep runner's progress output, workload-trace files, the
 #: benchmark harness (``repro.perf`` reads/writes BENCH_*.json and runs
 #: ``git rev-parse``), the execution layer (``repro.exec`` owns the
-#: result cache and checkpoint journal on disk), simlint itself (reads
+#: result cache on disk), simlint itself (reads
 #: sources, writes the flow baseline) — and the top-level driver
 #: scripts (benchmarks/, examples/), whose entire job is terminal
 #: output.

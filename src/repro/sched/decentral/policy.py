@@ -27,7 +27,7 @@ recovery manager's retry path untouched.
 Determinism: every decision runs inside engine events, and the only
 randomness is the ``sched.arbiter`` stream (mirroring the ``faults.*``
 pattern) — so runs are bit-identical for a given seed, unchanged by the
-sanitizer, process pools, result-cache hits or resumed sweeps.
+sanitizer, process pools or result-cache hits.
 """
 
 from __future__ import annotations

@@ -38,6 +38,7 @@ PathLike = Union[str, Path]
 #: cache hit/miss/eviction counts, storage-cost integrals and
 #: link-saturation counters of a hierarchical (repro.topo) run, and
 #: allowed a ``tier`` key inside ``events_by_source``.
+#: Sweep exports (``SweepResult.to_json``) stamp the same version.
 SCHEMA_VERSION = 7
 
 #: Keys every version-2 summary must carry.

@@ -213,27 +213,10 @@ class MetricsCollector:
         """
         tallies = self.tallies
         waiting = tallies["waiting"]
-        if waiting.exact:
-            return PerformanceSummary._from_series(
-                waits=waiting.values(),
-                waits_excl=tallies["waiting_excl"].values(),
-                speedups=tallies["speedup"].values(),
-                processing=tallies["processing"].values(),
-                sojourn=tallies["sojourn"].values(),
-                events=tallies["events"].values(),
-                stretch=tallies["stretch"].values(),
-                measure_interval=measure_interval,
-            )
         speedup = tallies["speedup"]
         stretch = tallies["stretch"]
-        n_jobs = waiting.n
-        if measure_interval and measure_interval > 0:
-            throughput = n_jobs * 3600.0 / measure_interval
-        else:
-            throughput = math.nan
-        empty = np.empty(0, dtype=float)
         return PerformanceSummary(
-            n_jobs=n_jobs,
+            n_jobs=waiting.n,
             mean_waiting=waiting.mean(),
             median_waiting=waiting.percentile(50.0),
             p95_waiting=waiting.percentile(95.0),
@@ -244,15 +227,15 @@ class MetricsCollector:
             mean_speedup=speedup.mean(),
             median_speedup=speedup.percentile(50.0),
             mean_job_events=tallies["events"].mean(),
-            throughput_per_hour=throughput,
-            waiting_times=empty,
-            waiting_times_excl_delay=empty,
-            speedups=empty,
+            throughput_per_hour=_throughput(waiting.n, measure_interval),
+            waiting_times=waiting.values(),
+            waiting_times_excl_delay=tallies["waiting_excl"].values(),
+            speedups=speedup.values(),
             std_waiting=waiting.std(),
             mean_stretch=stretch.mean(),
             p95_stretch=stretch.percentile(95.0),
             max_stretch=stretch.max(),
-            exact=False,
+            exact=waiting.exact,
         )
 
 
@@ -262,6 +245,12 @@ def _mean(values: Sequence[float]) -> float:
 
 def _percentile(values: Sequence[float], q: float) -> float:
     return float(np.percentile(values, q)) if len(values) else math.nan
+
+
+def _throughput(n_jobs: int, measure_interval: Optional[float]) -> float:
+    if measure_interval and measure_interval > 0:
+        return n_jobs * 3600.0 / measure_interval
+    return math.nan
 
 
 @dataclass
@@ -303,39 +292,18 @@ class PerformanceSummary:
         records: Sequence[JobRecord],
         measure_interval: Optional[float] = None,
     ) -> "PerformanceSummary":
-        return cls._from_series(
-            waits=np.array([r.waiting_time for r in records], dtype=float),
-            waits_excl=np.array(
-                [r.waiting_time_excl_delay for r in records], dtype=float
-            ),
-            speedups=np.array([r.speedup for r in records], dtype=float),
-            processing=[r.processing_time for r in records],
-            sojourn=[r.sojourn_time for r in records],
-            events=[float(r.n_events) for r in records],
-            stretch=[
-                r.sojourn_time / r.reference_time if r.reference_time else math.inf
-                for r in records
-            ],
-            measure_interval=measure_interval,
+        """Exact aggregation of ``records`` — the reference that
+        :meth:`MetricsCollector.summary` matches bit for bit below its
+        exact cap."""
+        waits = np.array([r.waiting_time for r in records], dtype=float)
+        waits_excl = np.array(
+            [r.waiting_time_excl_delay for r in records], dtype=float
         )
-
-    @classmethod
-    def _from_series(
-        cls,
-        waits: np.ndarray,
-        waits_excl: np.ndarray,
-        speedups: np.ndarray,
-        processing: Sequence[float],
-        sojourn: Sequence[float],
-        events: Sequence[float],
-        stretch: Sequence[float],
-        measure_interval: Optional[float] = None,
-    ) -> "PerformanceSummary":
-        """Exact aggregation of raw series (the historical numpy path)."""
-        if measure_interval and measure_interval > 0:
-            throughput = len(waits) * 3600.0 / measure_interval
-        else:
-            throughput = math.nan
+        speedups = np.array([r.speedup for r in records], dtype=float)
+        stretch = [
+            r.sojourn_time / r.reference_time if r.reference_time else math.inf
+            for r in records
+        ]
         return cls(
             n_jobs=len(waits),
             mean_waiting=_mean(waits),
@@ -343,18 +311,17 @@ class PerformanceSummary:
             p95_waiting=_percentile(waits, 95),
             max_waiting=float(np.max(waits)) if len(waits) else math.nan,
             mean_waiting_excl_delay=_mean(waits_excl),
-            mean_processing=_mean(processing),
-            mean_sojourn=_mean(sojourn),
+            mean_processing=_mean([r.processing_time for r in records]),
+            mean_sojourn=_mean([r.sojourn_time for r in records]),
             mean_speedup=_mean(speedups),
             median_speedup=_percentile(speedups, 50),
-            mean_job_events=_mean(events),
-            throughput_per_hour=throughput,
-            waiting_times=np.asarray(waits, dtype=float),
-            waiting_times_excl_delay=np.asarray(waits_excl, dtype=float),
-            speedups=np.asarray(speedups, dtype=float),
+            mean_job_events=_mean([float(r.n_events) for r in records]),
+            throughput_per_hour=_throughput(len(waits), measure_interval),
+            waiting_times=waits,
+            waiting_times_excl_delay=waits_excl,
+            speedups=speedups,
             std_waiting=float(np.std(waits)) if len(waits) else math.nan,
             mean_stretch=_mean(stretch),
             p95_stretch=_percentile(stretch, 95),
             max_stretch=float(np.max(stretch)) if len(stretch) else math.nan,
-            exact=True,
         )

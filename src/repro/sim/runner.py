@@ -42,19 +42,11 @@ from typing import (
 from ..core.errors import ExecError
 from ..exec.outcomes import ExecStats, Progress, SpecError
 from .config import SimulationConfig
+from .export import SCHEMA_VERSION
 from .simulator import SimulationResult, run_simulation
 
 if TYPE_CHECKING:  # pragma: no cover - the executor imports us back lazily
     from ..exec.executor import Executor
-
-#: Sweep-export schema version; tracks the summary-JSON conventions
-#: (v3 added ``schema_version``, ``seed`` and the ``faults`` object;
-#: v4 added the ``sched`` control-plane accounting object; v5 added the
-#: reliability counters inside ``sched``; v6 added the streaming-metrics
-#: fields — ``measured.exact``, stretch statistics, ``records_dropped``;
-#: v7 added the per-point ``topo`` object — per-tier cache and
-#: link-saturation accounting, ``None`` on flat runs).
-SWEEP_SCHEMA_VERSION = 7
 
 #: One slot of a sweep: the result, or the structured failure.
 SpecOutcome = Union[SimulationResult, SpecError]
@@ -159,9 +151,10 @@ class SweepResult:
         return out
 
     def to_json(self) -> str:
-        """Summary-JSON v3 export: deterministic for a given sweep —
-        byte-identical across ``--jobs`` settings, cache hits and
-        resumed runs."""
+        """Sweep export at the summary-JSON ``SCHEMA_VERSION``:
+        deterministic for a given sweep — byte-identical across
+        ``--jobs`` settings, cache hits and reruns of an interrupted
+        sweep."""
         points = []
         for spec, outcome in zip(self.specs, self.results):
             entry = {
@@ -202,7 +195,7 @@ class SweepResult:
                     }
                 )
             points.append(entry)
-        payload = {"schema_version": SWEEP_SCHEMA_VERSION, "results": points}
+        payload = {"schema_version": SCHEMA_VERSION, "results": points}
         return json.dumps(payload, indent=2, default=float)
 
 
@@ -241,7 +234,7 @@ def run_sweep(
     ``processes=None`` picks a sensible default (serial for small sweeps,
     a process pool otherwise; ``$REPRO_JOBS`` overrides).  Pass a
     preconfigured :class:`repro.exec.Executor` to enable result caching,
-    journaling/resume, retries or observability.
+    retries or observability.
 
     ``on_error="raise"`` (the default) raises :class:`ExecError` if any
     spec failed — the historical abort semantics; ``on_error="capture"``

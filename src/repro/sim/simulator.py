@@ -88,18 +88,6 @@ class SimulationResult:
         return self.config.arrival_rate_per_hour
 
     @property
-    def mean_speedup(self) -> float:
-        return self.measured.mean_speedup
-
-    @property
-    def mean_waiting(self) -> float:
-        return self.measured.mean_waiting
-
-    @property
-    def mean_waiting_excl_delay(self) -> float:
-        return self.measured.mean_waiting_excl_delay
-
-    @property
     def steady(self) -> bool:
         return not self.overload.overloaded
 

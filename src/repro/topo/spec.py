@@ -157,9 +157,6 @@ class TopologySpec:
                 return tier
         raise ConfigurationError("topology has no root tier")  # unreachable
 
-    def children_of(self, name: str) -> Tuple[TierSpec, ...]:
-        return tuple(tier for tier in self.tiers if tier.parent == name)
-
     @property
     def leaves(self) -> Tuple[TierSpec, ...]:
         """Tiers with no children, in declaration order (the compute

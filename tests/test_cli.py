@@ -216,7 +216,7 @@ class TestExport:
 
 
 class TestSweep:
-    def _sweep(self, tmp_path, name, extra=()):
+    def _sweep(self, tmp_path, name):
         out = tmp_path / name
         code = main(
             [
@@ -230,7 +230,6 @@ class TestSweep:
                 str(tmp_path / "cache"),
                 "-o",
                 str(out),
-                *extra,
             ]
         )
         return code, out
@@ -238,12 +237,12 @@ class TestSweep:
     def test_sweep_writes_versioned_json(self, capsys, tmp_path):
         import json
 
-        from repro.sim.runner import SWEEP_SCHEMA_VERSION
+        from repro.sim.export import SCHEMA_VERSION
 
         code, out = self._sweep(tmp_path, "sweep.json")
         assert code == 0
         payload = json.loads(out.read_text())
-        assert payload["schema_version"] == SWEEP_SCHEMA_VERSION
+        assert payload["schema_version"] == SCHEMA_VERSION
         assert all("seed" in point for point in payload["results"])
         assert "exec: total=" in capsys.readouterr().out
 
@@ -259,23 +258,15 @@ class TestSweep:
         assert "cache_hits=" in out and "cache_hits=0" not in out
         assert first.read_bytes() == second.read_bytes()
 
-    def test_resume_reruns_nothing_and_matches(self, capsys, tmp_path):
+    def test_interrupted_sweep_reruns_only_the_missing_point(
+        self, capsys, tmp_path
+    ):
         _, first = self._sweep(tmp_path, "first.json")
+        pickles = sorted((tmp_path / "cache").rglob("*.pkl"))
+        assert len(pickles) == 2
+        pickles[0].unlink()  # the one point an interrupted run never wrote
         capsys.readouterr()
-        code, resumed = self._sweep(tmp_path, "resumed.json", extra=["--resume"])
+        code, second = self._sweep(tmp_path, "second.json")
         assert code == 0
-        assert "resumed=" in capsys.readouterr().out
-        assert first.read_bytes() == resumed.read_bytes()
-
-    def test_resume_without_cache_rejected(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "sweep",
-                    "farmq",
-                    "--scale",
-                    "smoke",
-                    "--no-cache",
-                    "--resume",
-                ]
-            )
+        assert "executed=1 cache_hits=1 " in capsys.readouterr().out
+        assert first.read_bytes() == second.read_bytes()

@@ -1,13 +1,12 @@
 """Crash-consistency tests for the execution layer.
 
 A sweep process can die at any instant — SIGKILL admits no cleanup — and
-the durable artifacts it leaves behind (the checkpoint journal and the
-content-addressed result cache) must never poison a later run:
+the one durable artifact it leaves behind, the content-addressed result
+cache, must never poison a later run:
 
-* a journal whose final line was torn mid-write is loaded without it;
 * a partially written cache entry is a plain miss, never a bad payload;
-* resuming after any of the above re-runs exactly the missing work and
-  produces byte-identical sweep output.
+* rerunning the sweep after any such death re-runs exactly the missing
+  work and produces byte-identical sweep output.
 """
 
 import os
@@ -15,13 +14,15 @@ import signal
 import subprocess
 import sys
 import textwrap
-
-import pytest
+from pathlib import Path
 
 from repro.core import units
-from repro.exec import Executor, SweepJournal, make_cache, spec_fingerprint
+from repro.exec import Executor, make_cache, spec_fingerprint
 from repro.sim.config import quick_config
 from repro.sim.runner import load_sweep, run_sweep
+
+#: The ``src`` directory the killed subprocess imports ``repro`` from.
+_SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: The workload every test (and the killed subprocess) sweeps — small
 #: enough for milliseconds, three points so a partial run is visible.
@@ -46,7 +47,6 @@ def _reference_json(tmp_path):
 class TestSigkillMidSweep:
     def test_resume_after_sigkill_is_bit_identical(self, tmp_path):
         cache_dir = tmp_path / "store"
-        journal = cache_dir / "journals" / "t.journal.jsonl"
         child = textwrap.dedent(
             f"""
             import os, signal
@@ -61,69 +61,32 @@ class TestSigkillMidSweep:
             )
 
             def kill_after_first(progress):
-                # The first slot's journal line and cache payload are
-                # already durable; die the hard way mid-sweep.
+                # The first slot's cache payload is already durable; die
+                # the hard way mid-sweep.
                 os.kill(os.getpid(), signal.SIGKILL)
 
-            Executor(
-                jobs=1,
-                cache=make_cache({str(cache_dir)!r}),
-                journal_path={str(journal)!r},
-            ).run(specs, progress=kill_after_first)
+            Executor(jobs=1, cache=make_cache({str(cache_dir)!r})).run(
+                specs, progress=kill_after_first
+            )
             """
         )
         env = dict(os.environ)
-        env["PYTHONPATH"] = "src"
+        env["PYTHONPATH"] = str(_SRC)
         proc = subprocess.run(
-            [sys.executable, "-c", child], env=env, cwd="/root/repo",
+            [sys.executable, "-c", child], env=env, cwd=tmp_path,
             capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == -signal.SIGKILL, proc.stderr
 
-        # The kill left exactly one completed slot behind.
-        entries = SweepJournal.load(journal)
-        assert len(entries) == 1
+        # The kill left exactly one completed payload behind.
+        assert len(list(make_cache(cache_dir).store_dir.rglob("*.pkl"))) == 1
 
-        resumed = Executor(
-            jobs=1, cache=make_cache(cache_dir), journal_path=journal,
-            resume=True,
-        )
-        sweep = run_sweep(_specs(), executor=resumed)
-        assert sweep.stats.resumed == 1
-        assert sweep.stats.executed == 2
-        assert sweep.to_json() == _reference_json(tmp_path)
-
-
-class TestTornJournal:
-    def test_torn_final_line_skipped_on_resume(self, tmp_path):
-        cache_dir = tmp_path / "store"
-        cache = make_cache(cache_dir)
-        journal = cache.journal_path("torn")
-        run_sweep(
-            _specs(),
-            executor=Executor(jobs=1, cache=cache, journal_path=journal),
-        )
-        # Simulate a kill mid-append: the final line stops mid-JSON with
-        # no newline, exactly what a torn page boundary leaves behind.
-        whole = journal.read_text().splitlines()
-        assert len(whole) == 3
-        journal.write_text(
-            "\n".join(whole[:2]) + "\n" + whole[2][: len(whole[2]) // 2]
-        )
-        assert len(SweepJournal.load(journal)) == 2
-
+        # Running the same sweep again continues it from the cache.
         sweep = run_sweep(
-            _specs(),
-            executor=Executor(
-                jobs=1, cache=make_cache(cache_dir), journal_path=journal,
-                resume=True,
-            ),
+            _specs(), executor=Executor(jobs=1, cache=make_cache(cache_dir))
         )
-        # The torn slot's payload is still content-addressed in the
-        # cache, so it comes back as a hit rather than a journal resume.
-        assert sweep.stats.resumed == 2
         assert sweep.stats.cache_hits == 1
-        assert sweep.stats.executed == 0
+        assert sweep.stats.executed == 2
         assert sweep.to_json() == _reference_json(tmp_path)
 
 

@@ -1,8 +1,9 @@
 """Tests for the execution layer (repro.exec).
 
 Covers the tentpole guarantees: content-addressed fingerprints and
-caching, crash isolation with bounded retries, journal-based resume,
-and bit-identical sweep output regardless of the worker count.
+caching (the checkpoint an interrupted sweep reruns from), crash
+isolation with bounded retries, and bit-identical sweep output
+regardless of the worker count.
 """
 
 import json
@@ -13,12 +14,10 @@ from repro.core import units
 from repro.core.errors import ExecError
 from repro.exec import (
     Executor,
-    JournalEntry,
     NO_RETRY,
     RetryPolicy,
     ResultCache,
     SpecError,
-    SweepJournal,
     make_cache,
     resolve_jobs,
     run_with_retries,
@@ -76,7 +75,6 @@ class TestResultCache:
         cache.put(fp, {"answer": 42})
         assert fp in cache
         assert cache.get(fp) == {"answer": 42}
-        assert (cache.hits, cache.misses, cache.writes) == (1, 1, 1)
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path / "store", schema_version=3)
@@ -205,73 +203,6 @@ class TestDeterminism:
         assert warm.stats.cache_hits == 3
         assert warm.stats.executed == 0
         assert cold.to_json() == warm.to_json()
-
-
-class TestJournalAndResume:
-    def test_torn_final_line_is_ignored(self, tmp_path):
-        path = tmp_path / "s.journal.jsonl"
-        with SweepJournal(path) as journal:
-            journal.open()
-            journal.append(JournalEntry("f" * 64, 0, "a", "farm", "ok"))
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"v": 1, "fingerprint": "tr')  # killed mid-append
-        entries = SweepJournal.load(path)
-        assert len(entries) == 1
-        assert SweepJournal.completed(entries) == {"f" * 64: entries[0]}
-
-    def test_error_entries_are_not_complete(self):
-        entries = [
-            JournalEntry("a" * 64, 0, "x", "farm", "ok"),
-            JournalEntry("b" * 64, 1, "y", "farm", "error",
-                         error_kind="ValueError"),
-        ]
-        assert set(SweepJournal.completed(entries)) == {"a" * 64}
-
-    def test_resume_runs_only_missing_specs(self, tmp_path):
-        specs = _specs(3)
-        cache = make_cache(tmp_path)
-        journal = cache.journal_path("t")
-
-        first = Executor(jobs=1, cache=cache, journal_path=journal)
-        full = first.run(specs)
-
-        # Simulate an interrupted run: keep only the first journal line
-        # and evict the other payloads from the cache.
-        lines = journal.read_text().splitlines()
-        assert len(lines) == 3
-        journal.write_text(lines[0] + "\n")
-        for spec in specs[1:]:
-            make_cache(tmp_path).path_for(
-                spec_fingerprint(spec, cache.schema_version)
-            ).unlink()
-
-        second = Executor(
-            jobs=1, cache=make_cache(tmp_path), journal_path=journal,
-            resume=True,
-        )
-        outcome = second.run(specs)
-        assert outcome.stats.resumed == 1
-        assert outcome.stats.executed == 2
-        assert [r.measured.n_jobs for r in outcome.results] == [
-            r.measured.n_jobs for r in full.results
-        ]
-        # The journal now records the full sweep again.
-        assert len(SweepJournal.load(journal)) == 3
-
-    def test_journal_entry_missing_payload_reruns(self, tmp_path):
-        specs = _specs(1)
-        cache = make_cache(tmp_path)
-        journal = cache.journal_path("gone")
-        Executor(jobs=1, cache=cache, journal_path=journal).run(specs)
-        cache.path_for(
-            spec_fingerprint(specs[0], cache.schema_version)
-        ).unlink()
-        outcome = Executor(
-            jobs=1, cache=make_cache(tmp_path), journal_path=journal,
-            resume=True,
-        ).run(specs)
-        assert outcome.stats.resumed == 0
-        assert outcome.stats.executed == 1
 
 
 class TestProgressStreaming:

@@ -156,11 +156,11 @@ class TestRunner:
         import json
 
         specs = load_sweep(quick_config(duration=units.DAY), "farm", [1.0])
-        from repro.sim.runner import SWEEP_SCHEMA_VERSION
+        from repro.sim.export import SCHEMA_VERSION
 
         sweep = run_sweep(specs)
         payload = json.loads(sweep.to_json())
-        assert payload["schema_version"] == SWEEP_SCHEMA_VERSION
+        assert payload["schema_version"] == SCHEMA_VERSION
         point = payload["results"][0]
         assert point["policy"] == "farm"
         assert point["seed"] == specs[0].config.seed

@@ -13,8 +13,8 @@ Four contracts are pinned here:
   bit-identical to the committed seed goldens for every stock policy
   (the automated cmp of ISSUE acceptance);
 * **tiered determinism** — a 3-tier run replays bit-identically across
-  ``--jobs`` settings, under ``check_invariants`` and through
-  exec-cache resume, and each replica placement policy leaves the
+  ``--jobs`` settings, under ``check_invariants`` and through the
+  exec result cache, and each replica placement policy leaves the
   accounting it promises.
 """
 
@@ -455,17 +455,11 @@ class TestTieredDeterminism:
 
     def test_bit_identical_through_cache_and_resume(self, tmp_path):
         specs = _tiered_specs()
-        cache = make_cache(tmp_path)
-        journal = cache.journal_path("topo")
         cold = run_sweep(
-            specs, executor=Executor(jobs=1, cache=cache, journal_path=journal)
+            specs, executor=Executor(jobs=1, cache=make_cache(tmp_path))
         )
         warm = run_sweep(
-            specs,
-            executor=Executor(
-                jobs=2, cache=make_cache(tmp_path), journal_path=journal,
-                resume=True,
-            ),
+            specs, executor=Executor(jobs=2, cache=make_cache(tmp_path))
         )
         assert warm.stats.executed == 0
         assert cold.to_json() == warm.to_json()

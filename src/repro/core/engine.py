@@ -21,7 +21,7 @@ profiling runs on this workload.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
 
 from ..obs.hooks import NULL_BUS, HookBus, kinds
 from .errors import EngineError, InvariantViolation
@@ -276,6 +276,11 @@ class Engine:
         self._stopped = True
 
     # -- validation -------------------------------------------------------------
+
+    def pending_events(self) -> Iterator[ScheduledEvent]:
+        """The calendar's live (uncancelled) events in heap order, not
+        time order.  O(n) — for sanitizer checks, never the hot path."""
+        return (entry[3] for entry in self._heap if not entry[3].cancelled)
 
     def validate_heap(self) -> None:
         """Deep calendar consistency check (sim-sanitizer mode).

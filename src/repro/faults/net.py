@@ -27,25 +27,39 @@ state machine:
 
 Determinism: all randomness comes from the channel's four private
 streams, so a run depends only on ``(seed, NetFaultConfig)`` and is
-bit-identical across ``--jobs``, cache hits and the sanitizer.  With
-the channel disabled (``config is None`` or all probabilities zero)
+bit-identical across ``--jobs``, cache hits and the sanitizer.  Each
+stream is read through a block reader that draws ``_BLOCK`` values at a
+time and hands them out one per decision.  Nothing else reads these
+streams, and on Philox a block draw yields exactly the values the same
+number of single draws would, so the order of reads *within* a stream
+is all that fixes each decision's value — how the streams' reads
+interleave, or where a block boundary falls, changes nothing.  With the
+channel disabled (``config is None`` or all probabilities zero)
 ``send_reliable`` degenerates to a synchronous call — no draws, no
 calendar events — so disabled runs are bit-identical to a channel-less
 build.
 
-Accounting invariant (asserted by tests): for reliable messages,
-``sent == delivered + dead_letters + in_flight`` at every instant — no
-message is ever silently stranded.
+Accounting invariant (checked by :meth:`ControlChannel.validate` under
+the sanitizer): for reliable messages, at every instant,
+``sent == delivered + dead_letters + (in-flight messages not yet
+delivered)`` — a delivered message stays in flight until its ack
+arrives, so it counts as delivered already.  Every in-flight message
+has exactly one live retransmit timer, so no message is ever silently
+stranded.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from functools import partial
+from itertools import chain
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..core.engine import Engine, Timer
+from ..core.errors import InvariantViolation
 from ..core.events import EventPriority, ScheduledEvent
 from ..core.rng import RandomStreams
 from ..obs.hooks import NULL_BUS, HookBus, kinds
@@ -56,6 +70,23 @@ from .recovery import exponential_backoff
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.node import Node
     from ..sched.base import SchedulerPolicy
+
+#: Values drawn per refill of a private stream's block reader.
+_BLOCK = 512
+
+_MESSAGE = int(EventPriority.MESSAGE)
+_TIMER = int(EventPriority.TIMER)
+
+
+def _block_reader(draw: Callable[[int], np.ndarray]) -> Callable[[], float]:
+    """A zero-argument reader handing out the values of ``draw(_BLOCK)``
+    one per call and drawing the next block when one runs out; the
+    chained iterator's ``__next__`` keeps each read at C level."""
+
+    def refill() -> List[float]:
+        return draw(_BLOCK).tolist()
+
+    return chain.from_iterable(iter(refill, None)).__next__
 
 
 @dataclass
@@ -90,13 +121,13 @@ class ChannelStats:
     oneway_lost: int = 0
 
 
-
 class _Message:
     """Sender-side state of one reliable message."""
 
     __slots__ = (
         "msg_id",
         "kind",
+        "labels",
         "node",
         "deliver",
         "on_dead_letter",
@@ -111,6 +142,7 @@ class _Message:
         self,
         msg_id: int,
         kind: str,
+        labels: Tuple[str, str, str],
         node: int,
         deliver: Callable[[], None],
         on_dead_letter: Optional[Callable[[], None]],
@@ -118,6 +150,8 @@ class _Message:
     ) -> None:
         self.msg_id = msg_id
         self.kind = kind
+        #: ``(copy, ack, rto)`` calendar labels, shared by the kind.
+        self.labels = labels
         self.node = node
         self.deliver = deliver
         self.on_dead_letter = on_dead_letter
@@ -153,15 +187,23 @@ class ControlChannel:
         self.stats = ChannelStats()
         self._seq = 0
         self._messages: Dict[int, _Message] = {}
+        self._labels: Dict[str, Tuple[str, str, str]] = {}
         # -- central-dispatch coordination -----------------------------------
         self.policy: Optional["SchedulerPolicy"] = None
         self._repend_backlog: List[Subjob] = []
         self._repend_timer: Optional[Timer] = None
         if self.enabled:
-            self._loss: np.random.Generator = streams.get("faults.net.loss")
-            self._dup: np.random.Generator = streams.get("faults.net.dup")
-            self._delay: np.random.Generator = streams.get("faults.net.delay")
-            self._reorder: np.random.Generator = streams.get("faults.net.reorder")
+            self._loss = _block_reader(streams.get("faults.net.loss").random)
+            self._dup = _block_reader(streams.get("faults.net.dup").random)
+            self._delay = _block_reader(
+                partial(
+                    streams.get("faults.net.delay").exponential,
+                    self.config.delay_mean,
+                )
+            )
+            self._reorder = _block_reader(
+                streams.get("faults.net.reorder").random
+            )
             self._repend_timer = engine.timer(
                 self._on_repend_timer,
                 priority=EventPriority.TIMER,
@@ -175,6 +217,43 @@ class ControlChannel:
         """Reliable messages neither delivered+acked nor dead-lettered."""
         return len(self._messages)
 
+    def validate(self) -> None:
+        """Deep consistency check (sim-sanitizer mode): the reliable
+        balance law of the module docstring, and exactly one live
+        retransmit timer per in-flight message.  O(calendar) — called
+        from the simulator's periodic probe."""
+        stats = self.stats
+        undelivered = sum(
+            1 for msg in self._messages.values() if not msg.delivered
+        )
+        if stats.sent != stats.delivered + stats.dead_letters + undelivered:
+            raise InvariantViolation(
+                f"control channel balance broken at t={self.engine.now:.6f}: "
+                f"sent ({stats.sent}) != delivered ({stats.delivered}) + "
+                f"dead letters ({stats.dead_letters}) + undelivered in "
+                f"flight ({undelivered})"
+            )
+        timers = Counter(
+            event.args[0].msg_id
+            for event in self.engine.pending_events()
+            if event.callback == self._on_timeout
+        )
+        for msg_id, msg in self._messages.items():
+            event = msg.retransmit_event
+            if (
+                msg.done
+                or event is None
+                or event.cancelled
+                or event.args[0] is not msg
+                or timers[msg_id] != 1
+            ):
+                raise InvariantViolation(
+                    f"in-flight message {msg_id} ({msg.kind}) has "
+                    f"{timers[msg_id]} live retransmit timers at "
+                    f"t={self.engine.now:.6f} (done={msg.done}, "
+                    f"armed={event is not None and not event.cancelled})"
+                )
+
     # -- one-way posts ----------------------------------------------------------
 
     def attempt(self, kind: str = "post", node: int = -1) -> bool:
@@ -185,7 +264,7 @@ class ControlChannel:
         if not self.enabled:
             return True
         self.stats.oneway_sent += 1
-        if float(self._loss.random()) < self.config.loss:
+        if self._loss() < self.config.loss:
             self.stats.oneway_lost += 1
             self.stats.copies_lost += 1
             if self.obs.enabled:
@@ -214,7 +293,13 @@ class ControlChannel:
         if not self.enabled:
             deliver()
             return
-        msg = _Message(self._seq, kind, node, deliver, on_dead_letter, unlimited)
+        labels = self._labels.get(kind)
+        if labels is None:
+            labels = (f"net:{kind}", f"net.ack:{kind}", f"net.rto:{kind}")
+            self._labels[kind] = labels
+        msg = _Message(
+            self._seq, kind, labels, node, deliver, on_dead_letter, unlimited
+        )
         self._seq += 1
         self._messages[msg.msg_id] = msg
         self.stats.sent += 1
@@ -226,7 +311,7 @@ class ControlChannel:
     def _transmit(self, msg: _Message) -> None:
         """Put one (possibly duplicated) copy of ``msg`` on the wire."""
         config = self.config
-        if float(self._loss.random()) < config.loss:
+        if self._loss() < config.loss:
             self.stats.copies_lost += 1
             if self.obs.enabled:
                 self.obs.emit(
@@ -238,27 +323,25 @@ class ControlChannel:
                 )
         else:
             self._schedule_copy(msg)
-        if config.duplicate > 0 and float(self._dup.random()) < config.duplicate:
+        if config.duplicate > 0 and self._dup() < config.duplicate:
             self.stats.duplicates += 1
             self._schedule_copy(msg)
 
-    def _copy_delay(self) -> float:
+    def _schedule_copy(self, msg: _Message) -> None:
         config = self.config
         delay = 0.0
         if config.delay_mean > 0:
-            delay += float(self._delay.exponential(config.delay_mean))
-        if config.reorder > 0 and float(self._reorder.random()) < config.reorder:
+            delay += self._delay()
+        if config.reorder > 0 and self._reorder() < config.reorder:
             self.stats.reordered += 1
-            delay += config.reorder_window * (1.0 + float(self._reorder.random()))
-        return delay
-
-    def _schedule_copy(self, msg: _Message) -> None:
-        self.engine.call_after(
-            self._copy_delay(),
+            delay += config.reorder_window * (1.0 + self._reorder())
+        engine = self.engine
+        engine.call_at(
+            engine.now + delay,
             self._deliver_copy,
             msg,
-            priority=EventPriority.MESSAGE,
-            label=f"net:{msg.kind}",
+            priority=_MESSAGE,
+            label=msg.labels[0],
         )
 
     def _deliver_copy(self, msg: _Message) -> None:
@@ -297,18 +380,17 @@ class ControlChannel:
         if msg.done:
             return
         config = self.config
-        if float(self._loss.random()) < config.loss:
+        if self._loss() < config.loss:
             self.stats.copies_lost += 1
             return  # lost ack: the sender's timer keeps retransmitting
-        delay = 0.0
-        if config.delay_mean > 0:
-            delay = float(self._delay.exponential(config.delay_mean))
-        self.engine.call_after(
-            delay,
+        delay = self._delay() if config.delay_mean > 0 else 0.0
+        engine = self.engine
+        engine.call_at(
+            engine.now + delay,
             self._on_ack,
             msg,
-            priority=EventPriority.MESSAGE,
-            label=f"net.ack:{msg.kind}",
+            priority=_MESSAGE,
+            label=msg.labels[1],
         )
 
     def _on_ack(self, msg: _Message) -> None:
@@ -332,12 +414,13 @@ class ControlChannel:
             config.ack_backoff_factor,
             config.ack_timeout_max,
         )
-        msg.retransmit_event = self.engine.call_after(
-            timeout,
+        engine = self.engine
+        msg.retransmit_event = engine.call_at(
+            engine.now + timeout,
             self._on_timeout,
             msg,
-            priority=EventPriority.TIMER,
-            label=f"net.rto:{msg.kind}",
+            priority=_TIMER,
+            label=msg.labels[2],
         )
 
     def _on_timeout(self, msg: _Message) -> None:

@@ -19,6 +19,9 @@ module checks properties of a *running* simulation:
 * the policy's own bookkeeping agrees with a full recount
   (:meth:`repro.sched.base.SchedulerPolicy.check_invariants`; e.g. each
   out-of-order node queue's running ``events`` total);
+* the control channel's reliable messages balance and each in-flight
+  message has exactly one live retransmit timer
+  (:meth:`repro.faults.net.ControlChannel.validate`);
 * subjobs follow the documented state machine
   (``PENDING → RUNNING ⇄ SUSPENDED → DONE``) and are never assigned to
   two nodes at once — the paper's "single subjob per processor" rule from
@@ -40,7 +43,7 @@ a message naming the component, the simulated time and the broken law.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Set
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set
 
 from ..core.errors import InvariantViolation, SchedulingError
 from ..workload.jobs import Job, Subjob, SubjobState
@@ -50,6 +53,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.node import Node
     from ..core.engine import Engine
     from ..data.tertiary import TertiaryStorage
+    from ..faults.net import ControlChannel
     from ..topo.tree import Tier
 
 
@@ -178,14 +182,17 @@ class InvariantChecker:
         jobs: Iterable[Job],
         tertiary: "TertiaryStorage",
         tiers: Iterable["Tier"],
+        channel: Optional["ControlChannel"],
     ) -> None:
         """Validate the calendar heap, every node and tier cache, the
-        idle-node index, the node and tertiary event balances and
-        job/subjob bookkeeping; piggybacked on the simulator's metric
-        probe."""
+        idle-node index, the node and tertiary event balances, the
+        control channel and job/subjob bookkeeping; piggybacked on the
+        simulator's metric probe."""
         self.checks_run += 1
         engine.validate_heap()
         tertiary.validate()
+        if channel is not None and channel.enabled:
+            channel.validate()
         for tier in tiers:
             if tier.cache is not None:
                 tier.cache.validate()

@@ -362,6 +362,7 @@ class Simulation:
                 self.jobs.values(),
                 self.tertiary,
                 self.topo.tiers.values() if self.topo is not None else (),
+                self.channel,
             )
             self.policy.check_invariants()
         self.metrics.probe(self.engine.now, len(self.cluster.busy_nodes()))

@@ -3,24 +3,37 @@
 Covers the tentpole guarantees: zero-overhead pass-through when
 disabled (bit-identical to a channel-less run), deterministic seeded
 fault injection when enabled (bit-identical across repeats, --jobs and
-the sanitizer), the ack+retransmit/dead-letter accounting invariant,
-exactly-once delivery under duplication, liveness under brutal loss
-(dead-lettered dispatches are re-pended, not stranded), and the
-decentral policy's lease-based arbiter failover.
+the sanitizer), the ack+retransmit/dead-letter accounting invariant
+and ``ControlChannel.validate``, exactly-once delivery under
+duplication, liveness under brutal loss (dead-lettered dispatches are
+re-pended, not stranded), and the decentral policy's lease-based arbiter
+failover.  Two checks reach across commits: lossy runs pinned to
+``goldens/net_metrics.json``, and a hypothesis oracle that drives the
+block-draw channel against the scalar-draw channel it replaced.
 """
 
+import dataclasses
+import json
 import math
+import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import units
 from repro.core.engine import Engine
+from repro.core.errors import InvariantViolation
+from repro.core.events import EventPriority
 from repro.core.rng import RandomStreams
 from repro.faults import ChannelStats, ControlChannel
-from repro.sim.config import NetFaultConfig, quick_config
+from repro.faults.recovery import exponential_backoff
+from repro.sched.base import create_policy
+from repro.sim.config import FaultConfig, NetFaultConfig, quick_config
 from repro.sim.export import SCHEMA_VERSION, result_summary_dict
 from repro.sim.runner import RunSpec, run_sweep
-from repro.sim.simulator import run_simulation
+from repro.sim.simulator import Simulation, run_simulation
+
+GOLDENS = os.path.join(os.path.dirname(__file__), "goldens", "net_metrics.json")
 
 
 def _config(net=None, **overrides):
@@ -206,6 +219,38 @@ class TestChannelProtocol:
         assert channel.stats.dead_letters == 0
         assert channel.in_flight == 0
 
+    def test_balance_law_holds_at_every_instant(self):
+        engine, channel = self._channel(
+            NetFaultConfig(loss=0.3, duplicate=0.1, delay_mean=0.2,
+                           reorder=0.1, ack_timeout=0.5, retransmit_budget=2)
+        )
+        for _ in range(50):
+            channel.send_reliable(lambda: None, kind="test")
+        stats = channel.stats
+        while engine.step():
+            channel.validate()
+        assert channel.in_flight == 0
+        assert stats.sent == stats.delivered + stats.dead_letters
+
+    def test_validate_rejects_a_broken_balance(self):
+        engine, channel = self._channel(NetFaultConfig(loss=0.1))
+        channel.send_reliable(lambda: None, kind="test")
+        channel.validate()
+        channel.stats.delivered += 1
+        with pytest.raises(InvariantViolation, match="balance"):
+            channel.validate()
+
+    def test_validate_rejects_a_missing_or_extra_timer(self):
+        engine, channel = self._channel(NetFaultConfig(loss=0.1))
+        channel.send_reliable(lambda: None, kind="test")
+        (msg,) = channel._messages.values()
+        channel._arm(msg)  # the first timer is orphaned, still live
+        with pytest.raises(InvariantViolation, match="2 live retransmit"):
+            channel.validate()
+        engine.cancel(msg.retransmit_event)
+        with pytest.raises(InvariantViolation, match="retransmit"):
+            channel.validate()
+
     def test_oneway_posts_tracked_separately(self):
         engine, channel = self._channel(NetFaultConfig(loss=0.5))
         survived = sum(channel.attempt() for _ in range(400))
@@ -273,3 +318,301 @@ class TestObsEvents:
         assert summary["net_delivered"] > 0
         assert summary["net_retransmits"] > 0
         assert summary["net_timeouts"] > 0
+
+
+# -- cross-commit golden: lossy runs pinned to the committed file ------------
+
+_GOLDEN_POLICIES = ("out-of-order", "decentral")
+
+_SCHED_RELIABILITY = (
+    "messages", "subjobs_started", "retransmits", "duplicates_dropped",
+    "timeouts", "dead_letters", "failovers",
+)
+
+
+def _golden_config():
+    """Loss, duplication, delay and reordering all on, over node crashes."""
+    return quick_config(
+        duration=2 * units.DAY, seed=7, n_nodes=8, arrival_rate_per_hour=6.0,
+        faults=FaultConfig(node_mtbf=6 * units.HOUR,
+                           node_mttr=30 * units.MINUTE),
+        net=NetFaultConfig(loss=0.2, duplicate=0.05, delay_mean=0.05,
+                           reorder=0.1, ack_timeout=2.0, retransmit_budget=2),
+    )
+
+
+def _net_snapshot(policy: str) -> dict:
+    sim = Simulation(_golden_config(), create_policy(policy))
+    result = sim.run()
+    measured = result.measured
+    return {
+        "channel": dataclasses.asdict(sim.channel.stats),
+        "engine": {
+            "dispatched": sim.engine.stats.dispatched,
+            "scheduled": sim.engine.stats.scheduled,
+            "cancelled": sim.engine.stats.cancelled,
+        },
+        "engine_events": result.engine_events,
+        "sched": {key: getattr(result.sched, key) for key in _SCHED_RELIABILITY},
+        "events_by_source": result.events_by_source,
+        "jobs_arrived": result.jobs_arrived,
+        "jobs_completed": result.jobs_completed,
+        "n_jobs": measured.n_jobs,
+        "mean_processing": measured.mean_processing,
+        "mean_sojourn": measured.mean_sojourn,
+        "mean_speedup": measured.mean_speedup,
+        "mean_waiting": measured.mean_waiting,
+        "p95_waiting": measured.p95_waiting,
+        "node_utilization": result.node_utilization,
+        "tertiary_events_read": result.tertiary_events_read,
+    }
+
+
+def write_net_golden(path: str = GOLDENS) -> None:
+    """Regenerate ``goldens/net_metrics.json`` (only on a deliberate
+    change of the channel's draws or schedule)."""
+    payload = {policy: _net_snapshot(policy) for policy in _GOLDEN_POLICIES}
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+
+
+class TestCrossCommitGolden:
+    """A change in draw order or calendar pushes passes every
+    self-comparison above; it cannot pass this one."""
+
+    @pytest.mark.parametrize("policy", _GOLDEN_POLICIES)
+    def test_lossy_run_matches_committed_golden(self, policy):
+        with open(GOLDENS, "r", encoding="utf-8") as handle:
+            golden = json.load(handle)[policy]
+        snapshot = json.loads(json.dumps(_net_snapshot(policy)))
+        assert snapshot == golden
+
+
+# -- oracle: the scalar-draw channel the block-draw one replaced --------------
+
+
+class _ScalarMessage:
+    __slots__ = ("msg_id", "kind", "deliver", "on_dead_letter", "unlimited",
+                 "attempt", "delivered", "done", "retransmit_event")
+
+    def __init__(self, msg_id, kind, deliver, on_dead_letter, unlimited):
+        self.msg_id = msg_id
+        self.kind = kind
+        self.deliver = deliver
+        self.on_dead_letter = on_dead_letter
+        self.unlimited = unlimited
+        self.attempt = 1
+        self.delivered = False
+        self.done = False
+        self.retransmit_event = None
+
+
+class _ScalarChannel:
+    """The messaging half of the channel as it was before block draws:
+    one numpy draw per decision, ``call_after`` for every copy, ack and
+    timer, labels built per call and the backoff recomputed per arm."""
+
+    def __init__(self, engine, config, streams):
+        self.engine = engine
+        self.config = config
+        self.stats = ChannelStats()
+        self._seq = 0
+        self._messages = {}
+        self._loss = streams.get("faults.net.loss")
+        self._dup = streams.get("faults.net.dup")
+        self._delay = streams.get("faults.net.delay")
+        self._reorder = streams.get("faults.net.reorder")
+
+    @property
+    def in_flight(self):
+        return len(self._messages)
+
+    def attempt(self, kind="post", node=-1):
+        self.stats.oneway_sent += 1
+        if float(self._loss.random()) < self.config.loss:
+            self.stats.oneway_lost += 1
+            self.stats.copies_lost += 1
+            return False
+        return True
+
+    def send_reliable(self, deliver, kind, node=-1, on_dead_letter=None,
+                      unlimited=False):
+        msg = _ScalarMessage(self._seq, kind, deliver, on_dead_letter,
+                             unlimited)
+        self._seq += 1
+        self._messages[msg.msg_id] = msg
+        self.stats.sent += 1
+        self._transmit(msg)
+        self._arm(msg)
+
+    def _transmit(self, msg):
+        config = self.config
+        if float(self._loss.random()) < config.loss:
+            self.stats.copies_lost += 1
+        else:
+            self._schedule_copy(msg)
+        if config.duplicate > 0 and float(self._dup.random()) < config.duplicate:
+            self.stats.duplicates += 1
+            self._schedule_copy(msg)
+
+    def _copy_delay(self):
+        config = self.config
+        delay = 0.0
+        if config.delay_mean > 0:
+            delay += float(self._delay.exponential(config.delay_mean))
+        if config.reorder > 0 and float(self._reorder.random()) < config.reorder:
+            self.stats.reordered += 1
+            delay += config.reorder_window * (1.0 + float(self._reorder.random()))
+        return delay
+
+    def _schedule_copy(self, msg):
+        self.engine.call_after(self._copy_delay(), self._deliver_copy, msg,
+                               priority=EventPriority.MESSAGE,
+                               label=f"net:{msg.kind}")
+
+    def _deliver_copy(self, msg):
+        if msg.delivered:
+            self.stats.duplicates_dropped += 1
+            self._send_ack(msg)
+            return
+        msg.delivered = True
+        self.stats.delivered += 1
+        self._send_ack(msg)
+        msg.deliver()
+
+    def _send_ack(self, msg):
+        if msg.done:
+            return
+        config = self.config
+        if float(self._loss.random()) < config.loss:
+            self.stats.copies_lost += 1
+            return
+        delay = 0.0
+        if config.delay_mean > 0:
+            delay = float(self._delay.exponential(config.delay_mean))
+        self.engine.call_after(delay, self._on_ack, msg,
+                               priority=EventPriority.MESSAGE,
+                               label=f"net.ack:{msg.kind}")
+
+    def _on_ack(self, msg):
+        if not msg.done:
+            self._retire(msg)
+
+    def _retire(self, msg):
+        msg.done = True
+        if msg.retransmit_event is not None:
+            self.engine.cancel(msg.retransmit_event)
+            msg.retransmit_event = None
+        del self._messages[msg.msg_id]
+
+    def _arm(self, msg):
+        config = self.config
+        timeout = exponential_backoff(msg.attempt, config.ack_timeout,
+                                      config.ack_backoff_factor,
+                                      config.ack_timeout_max)
+        msg.retransmit_event = self.engine.call_after(
+            timeout, self._on_timeout, msg, priority=EventPriority.TIMER,
+            label=f"net.rto:{msg.kind}")
+
+    def _on_timeout(self, msg):
+        if msg.done:
+            return
+        msg.retransmit_event = None
+        self.stats.timeouts += 1
+        if not msg.unlimited and msg.attempt > self.config.retransmit_budget:
+            self._give_up(msg)
+            return
+        msg.attempt += 1
+        self.stats.retransmits += 1
+        self._transmit(msg)
+        self._arm(msg)
+
+    def _give_up(self, msg):
+        if msg.delivered:
+            self._retire(msg)
+            return
+        self.stats.dead_letters += 1
+        callback = msg.on_dead_letter
+        self._retire(msg)
+        if callback is not None:
+            callback()
+
+
+@st.composite
+def net_configs(draw):
+    """Random lossy configs: zero and non-zero delay, reordering, tiny
+    budgets and flat or steep backoff."""
+    probability = st.sampled_from([0.0, 0.05, 0.3, 0.6])
+    config = NetFaultConfig(
+        loss=draw(probability),
+        duplicate=draw(probability),
+        delay_mean=draw(st.sampled_from([0.0, 0.01, 0.5, 3.0])),
+        reorder=draw(probability),
+        reorder_window=draw(st.sampled_from([0.0, 0.25, 2.0])),
+        ack_timeout=draw(st.sampled_from([0.5, 1.0, 2.0])),
+        ack_backoff_factor=draw(st.sampled_from([1.0, 1.5, 2.0])),
+        ack_timeout_max=draw(st.sampled_from([2.0, 30.0])),
+        retransmit_budget=draw(st.integers(1, 4)),
+    )
+    if not config.enabled:
+        config = dataclasses.replace(config, loss=0.3)
+    return config
+
+
+#: One scripted action: ``(at, kind, unlimited, oneway)``.
+_ACTIONS = st.lists(
+    st.tuples(
+        st.floats(0.0, 20.0, allow_nan=False),
+        st.sampled_from(["dispatch", "report", "grant"]),
+        st.booleans(),
+        st.booleans(),
+    ),
+    max_size=40,
+)
+
+
+def _drive(channel_factory, config, seed, actions):
+    """Run ``actions`` through a channel on a bare engine; returns the
+    delivery/dead-letter log, the channel stats and the engine counters."""
+    engine = Engine()
+    channel = channel_factory(engine, config, RandomStreams(seed))
+    log = []
+
+    def act(index, kind, unlimited, oneway):
+        if oneway:
+            log.append(("post", index, engine.now, channel.attempt(kind)))
+            return
+        channel.send_reliable(
+            lambda: log.append(("deliver", index, engine.now)),
+            kind=kind,
+            on_dead_letter=lambda: log.append(("dead", index, engine.now)),
+            unlimited=unlimited,
+        )
+
+    for index, (at, kind, unlimited, oneway) in enumerate(actions):
+        engine.call_at(at, act, index, kind, unlimited, oneway)
+    engine.run()
+    stats = engine.stats
+    return (log, channel.stats, channel.in_flight,
+            (stats.scheduled, stats.dispatched, stats.cancelled))
+
+
+class TestAgainstScalarDraws:
+    @settings(max_examples=250, deadline=None)
+    @given(net_configs(), st.integers(0, 2**16), _ACTIONS)
+    def test_same_deliveries_stats_and_calendar(self, config, seed, actions):
+        block = _drive(ControlChannel, config, seed, actions)
+        scalar = _drive(_ScalarChannel, config, seed, actions)
+        assert block == scalar
+        assert block[2] == 0
+
+    def test_unlimited_reports_retry_past_the_budget(self):
+        # Past retransmit_budget + 1 attempts an unlimited message keeps
+        # retrying on the capped backoff, as the scalar channel does.
+        config = NetFaultConfig(loss=0.6, ack_timeout=0.5,
+                                ack_timeout_max=4.0, retransmit_budget=1)
+        actions = [(0.0, "report", True, False)] * 30
+        block = _drive(ControlChannel, config, 5, actions)
+        assert block == _drive(_ScalarChannel, config, 5, actions)
+        assert block[1].retransmits > 2 * len(actions)

@@ -17,13 +17,22 @@ Policies differ only in the planner they install:
 * the §4.2 replication variant uses :class:`RemoteReadPlanner`, which
   serves misses from a peer's disk when possible and replicates a segment
   on its 3rd remote access.
+
+"On its 3rd access" is counted by :class:`RemoteAccessCounter`, one per
+owner: per peer node here, and per topmost cache tier of a node's path
+for the topology layer's ``proactive-site`` promotion.  Each counter is
+one count map (sorted runs of equal access count, capped at the
+threshold), so recording an access costs a binary search and a walk over
+the runs it overlaps, not a pass over every extent the owner has served.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
+from ..core.errors import InvariantViolation
 from ..data.intervals import Interval, IntervalSet
 from ..data.tertiary import TertiaryStorage
 from ..obs.hooks import kinds
@@ -156,6 +165,10 @@ class DataAccessPlanner:
     def _on_remote_read(self, node: "Node", owner: "Node", processed: Interval) -> None:
         """Hook: called after a remote read (replication planners)."""
 
+    def access_counters(self) -> Iterable["RemoteAccessCounter"]:
+        """The access counters this planner keeps (for the sanitizer)."""
+        return ()
+
 
 class NoCachePlanner(DataAccessPlanner):
     """All data always streams from tertiary storage (§3.1/§3.2: "No disk
@@ -172,56 +185,134 @@ class CachingPlanner(DataAccessPlanner):
 
 
 class RemoteAccessCounter:
-    """Counts remote accesses per data extent of one owner node.
+    """Counts accesses per data extent of one owner (a peer node or a
+    tier cache) as one count map.
 
-    ``register`` moves the accessed extent one level up (1st, 2nd, ...
-    access) and returns the sub-extents that have just reached the
-    replication threshold — §4.2: "data replication is carried out only on
-    data items that are accessed for the third time".
+    ``register`` raises the count of every accessed point by one and
+    returns the sub-extents that have just reached the replication
+    threshold — §4.2: "data replication is carried out only on data items
+    that are accessed for the third time".
+
+    The map is three parallel sorted lists holding the maximal runs of
+    equal count: run ``i`` covers ``[starts[i], ends[i])`` with count
+    ``counts[i]`` in ``1..threshold``.  Counts stop at ``threshold``
+    (a saturated extent is never promoted again), points never accessed
+    hold no run, and two abutting runs never share a count — so the map
+    is canonical, and one call touches only the runs it overlaps or abuts.
     """
+
+    __slots__ = ("threshold", "_starts", "_ends", "_counts")
 
     def __init__(self, threshold: int = 3) -> None:
         if threshold < 1:
             raise ValueError(f"threshold must be >= 1, got {threshold}")
         self.threshold = threshold
-        # levels[i] = extents accessed exactly (i+1) times so far
-        self._levels: List[IntervalSet] = [IntervalSet() for _ in range(threshold)]
+        self._starts: List[int] = []
+        self._ends: List[int] = []
+        self._counts: List[int] = []
 
     def register(self, interval: Interval) -> IntervalSet:
-        """Record one access to ``interval``; return newly-threshold
-        extents."""
-        if interval.empty:
-            return IntervalSet()
-        remaining = IntervalSet([interval])
+        """Record one access to ``interval``; return, as a canonical set,
+        the points whose count reached exactly ``threshold`` in this call
+        (with threshold 1, the points never accessed before)."""
         promoted = IntervalSet()
-        # Highest level first so a piece only moves up one level per call.
-        for level in range(self.threshold - 1, -1, -1):
-            at_level = self._levels[level].intersection(remaining)
-            if not at_level:
-                continue
-            self._levels[level] = self._levels[level].difference(at_level)
-            new_level = min(level + 1, self.threshold - 1)
-            self._levels[new_level] = self._levels[new_level].union(at_level)
-            if new_level == self.threshold - 1 and level == self.threshold - 2:
-                # The piece reached exactly its threshold-th access.
-                # Saturated pieces (level == threshold-1 already) are NOT
-                # re-promoted: §4.2 replicates a data item once, on its
-                # third access — not on every access thereafter.
-                promoted = promoted.union(at_level)
-            remaining = remaining.difference(at_level)
-        # Never-seen parts enter level 0 (their 1st access).
-        if remaining:
-            if self.threshold == 1:
-                promoted = promoted.union(remaining)
-            self._levels[0] = self._levels[0].union(remaining)
+        start = interval.start
+        end = interval.end
+        if end <= start:
+            return promoted
+        cap = self.threshold
+        starts, ends, counts = self._starts, self._ends, self._counts
+        # Runs lo..hi-1 overlap ``interval`` or abut it on either side.
+        lo = bisect_left(ends, start)
+        hi = bisect_right(starts, end)
+        if lo == hi:
+            # First access, and no run to merge with: one new run.
+            starts.insert(lo, start)
+            ends.insert(lo, end)
+            counts.insert(lo, 1)
+            if cap == 1:
+                promoted.add(interval)
+            return promoted
+        new_starts: List[int] = []
+        new_ends: List[int] = []
+        new_counts: List[int] = []
+
+        def emit(a: int, b: int, count: int) -> None:
+            if new_ends and new_ends[-1] == a and new_counts[-1] == count:
+                new_ends[-1] = b
+            else:
+                new_starts.append(a)
+                new_ends.append(b)
+                new_counts.append(count)
+
+        def bump(a: int, b: int, count: int) -> None:
+            if count < cap:
+                count += 1
+                if count == cap:
+                    promoted.add(Interval(a, b))
+            emit(a, b, count)
+
+        # ``cursor``: the first point of ``interval`` not yet emitted.
+        cursor = start
+        for index in range(lo, hi):
+            run_start = starts[index]
+            run_end = ends[index]
+            count = counts[index]
+            if run_start < start:
+                emit(run_start, start if run_end > start else run_end, count)
+            elif cursor < run_start:
+                gap_end = run_start if run_start < end else end
+                bump(cursor, gap_end, 0)
+                cursor = gap_end
+            a = run_start if run_start > start else start
+            b = run_end if run_end < end else end
+            if a < b:
+                bump(a, b, count)
+                cursor = b
+            if run_end > end:
+                emit(end if run_start < end else run_start, run_end, count)
+        if cursor < end:
+            bump(cursor, end, 0)
+        starts[lo:hi] = new_starts
+        ends[lo:hi] = new_ends
+        counts[lo:hi] = new_counts
         return promoted
 
     def access_count_at(self, point: int) -> int:
         """Current access count for a single event (0 if never seen)."""
-        for level in range(self.threshold - 1, -1, -1):
-            if self._levels[level].contains_point(point):
-                return level + 1
+        index = bisect_right(self._starts, point) - 1
+        if index >= 0 and point < self._ends[index]:
+            return self._counts[index]
         return 0
+
+    def check_invariants(self) -> None:
+        """The map is canonical: runs non-empty, sorted and disjoint,
+        counts in ``1..threshold``, and no two abutting runs of equal
+        count."""
+        previous_end: Optional[int] = None
+        previous_count = 0
+        for start, end, count in zip(self._starts, self._ends, self._counts):
+            if end <= start:
+                raise InvariantViolation(
+                    f"access counter stores empty run [{start},{end})"
+                )
+            if not 1 <= count <= self.threshold:
+                raise InvariantViolation(
+                    f"access counter run [{start},{end}) has count {count} "
+                    f"outside 1..{self.threshold}"
+                )
+            if previous_end is not None:
+                if start < previous_end:
+                    raise InvariantViolation(
+                        f"access counter runs overlap or are unsorted at {start}"
+                    )
+                if start == previous_end and count == previous_count:
+                    raise InvariantViolation(
+                        f"access counter runs abut at {start} with equal "
+                        f"count {count}"
+                    )
+            previous_end = end
+            previous_count = count
 
 
 @dataclass
@@ -261,6 +352,9 @@ class RemoteReadPlanner(CachingPlanner):
     def set_peers(self, nodes: List["Node"]) -> None:
         """Install the cluster's node list (called once by the simulator)."""
         self._peers = list(nodes)
+
+    def access_counters(self) -> Iterable["RemoteAccessCounter"]:
+        return self._counters.values()
 
     def _plan_miss(self, node: "Node", miss: Interval) -> ChunkPlan:
         view = self.topology_view

@@ -11,16 +11,19 @@ back into the metrics path).  The points (:func:`bench_points`):
 * ``sim.scale.n10`` / ``n100`` / ``n1000`` — farm at 10, 100 and 1000
   nodes with the load scaled to the cluster (``n1000`` in full mode
   only);
+* ``sim.scale.ooo.n10`` / ``n100`` / ``n1000`` — out-of-order on the same
+  configurations, over shorter horizons (``n1000`` in full mode only);
 * ``sim.quick.<policy>`` — every stock policy on ``quick_config()``;
 * ``sim.tier.d1`` / ``d2`` / ``d3`` — out-of-order on an 8-node grid at
   topology depth 1, 2 and 3, pricing the tiered data path per level.
 
 Design notes, documented in docs/SCALING.md:
 
-* **The cluster-size points run farm.**  At 100 nodes out-of-order runs
-  about 10x slower per engine event than farm (its cache split and
-  donor search visit every node per arrival), so it would measure the
-  policy's scan, not the scaling of the kernel every policy shares.
+* **The cluster-size points run farm; the ``ooo`` series beside them
+  runs out-of-order.**  Out-of-order's cache split still asks every
+  node for its cached parts of each arriving segment, so its points
+  measure the policy as well as the kernel every policy shares; the
+  farm points measure the kernel alone.
 * **Each point runs in a fresh spawned child process.**  A peak RSS
   is monotone over a process lifetime, so measuring two points in one
   process would report the larger peak for both.  A ``spawn`` (not
@@ -68,6 +71,12 @@ SCALE_DURATION_DAYS: Dict[int, float] = {10: 2.0, 100: 2.0, 1000: 0.5}
 
 #: Scheduling policy of the cluster-size points (see the module docstring).
 SCALE_POLICY = "farm"
+
+#: Simulated days of the out-of-order points per cluster size: the same
+#: per-node load as the farm points, over horizons that keep each point
+#: to seconds of wall time (out-of-order has several times the engine
+#: events per job).
+OOO_SCALE_DURATION_DAYS: Dict[int, float] = {10: 2.0, 100: 0.3, 1000: 0.02}
 
 #: Offered load per node per hour.  2.5 jobs/node/hour on the quick
 #: cost model puts utilization near (but below) saturation, so the
@@ -132,15 +141,23 @@ def scale_point(
     return BenchPoint(f"sim.scale.n{n_nodes}", config, SCALE_POLICY)
 
 
+def ooo_scale_point(n_nodes: int) -> BenchPoint:
+    """The ``sim.scale.ooo.n<nodes>`` point: out-of-order on
+    :func:`scale_config` over :data:`OOO_SCALE_DURATION_DAYS`."""
+    config = scale_config(n_nodes, OOO_SCALE_DURATION_DAYS[n_nodes])
+    return BenchPoint(f"sim.scale.ooo.n{n_nodes}", config, "out-of-order")
+
+
 def bench_points(quick: bool = False) -> Tuple[BenchPoint, ...]:
     """Every point of the ``scale`` report, in report order.
 
-    Quick mode drops only the 1000-node point, so each quick record has
+    Quick mode drops only the 1000-node points, so each quick record has
     a full-mode record of the same name in the committed baseline.
     """
     sizes = QUICK_SCALE_SIZES if quick else SCALE_SIZES
     return (
         *(scale_point(n_nodes) for n_nodes in sizes),
+        *(ooo_scale_point(n_nodes) for n_nodes in sizes),
         *(
             BenchPoint(f"sim.quick.{policy}", quick_config(), policy)
             for policy in available_policies()

@@ -17,11 +17,20 @@ thief reads from tertiary storage while the donor reads from its disk
 (Table 3: "the subjobs are split so as to ensure that the two subjobs
 terminate around the same time").  Stolen subjobs carry a flag allowing a
 later cached subjob to preempt them.
+
+The donor search reads a :class:`DonorIndex`: a max-heap of per-node
+upper bounds on load, raised only where a load can rise (a queue append
+and a dispatch) and tightened to the exact load whenever a search pops a
+node.  A search pops entries in bound order and stops once the next bound
+falls below the best exact load found, so it visits the few most loaded
+nodes instead of the whole cluster, and returns exactly the donor a full
+scan would.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from heapq import heapify, heappop, heappush
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from ..core import units
@@ -40,25 +49,81 @@ from .base import (
 _NOCACHE = ("nocache",)
 
 
+class DonorIndex:
+    """Per-node upper bounds on load and a max-heap over them.
+
+    A node's load is its queue's ``events`` plus its running subjob's
+    ``remaining_events``.  ``bound[node_id]`` is at least that load for
+    every node that is not idle (0: no live entry), and ``heap`` holds
+    ``(-bound, node_id)`` for each positive bound, plus stale entries
+    whose value no longer matches ``bound``.  Bounds rise only through
+    :meth:`raise_to`; a donor search lowers them to exact loads.
+    """
+
+    __slots__ = ("bound", "heap", "_limit")
+
+    def __init__(self, n_nodes: int) -> None:
+        self.bound: List[int] = [0] * n_nodes
+        self.heap: List[Tuple[int, int]] = []
+        # Stale entries are dropped wholesale once they outnumber the
+        # nodes, so the heap never holds more than twice the node count.
+        self._limit = 2 * n_nodes
+
+    def raise_to(self, node_id: int, load: int) -> None:
+        """Record that ``node_id``'s load may now reach ``load``."""
+        if load > self.bound[node_id]:
+            self.bound[node_id] = load
+            heappush(self.heap, (-load, node_id))
+            if len(self.heap) > self._limit:
+                self.rebuild()
+
+    def put_back(self, visited: List[Tuple[int, int]]) -> None:
+        """Give each ``(bound, node_id)`` a search took out its new bound
+        and, when positive, a live heap entry."""
+        bound = self.bound
+        heap = self.heap
+        for load, node_id in visited:
+            bound[node_id] = load
+            if load:
+                heappush(heap, (-load, node_id))
+        if len(heap) > self._limit:
+            self.rebuild()
+
+    def rebuild(self) -> None:
+        """Replace the heap by one live entry per positive bound."""
+        heap = self.heap
+        heap[:] = [(-load, node_id) for node_id, load in enumerate(self.bound) if load]
+        heapify(heap)
+
+
 class NodeQueue(deque[Subjob]):
     """A node's private subjob queue that keeps ``events``, the sum of
     its subjobs' ``remaining_events``, exact through every add and
     removal.  Queued subjobs do not progress, so only a split of a queued
-    subjob changes the sum otherwise; its caller adjusts ``events``."""
+    subjob changes the sum otherwise; its caller adjusts ``events``.
 
-    __slots__ = ("events",)
+    Adding a subjob is one of the two ways a node's load rises, so both
+    ``append`` and ``appendleft`` raise the node's bound in ``donors``.
+    While a dispatch to the node is in flight its events are not visible
+    here but are already in the bound, so the bound grows by the added
+    events instead.
+    """
 
-    def __init__(self) -> None:
+    __slots__ = ("events", "node", "donors")
+
+    def __init__(self, node: Node, donors: DonorIndex) -> None:
         super().__init__()
         self.events = 0
+        self.node = node
+        self.donors = donors
 
     def append(self, subjob: Subjob) -> None:
         super().append(subjob)
-        self.events += subjob.remaining_events
+        self._added(subjob.remaining_events)
 
     def appendleft(self, subjob: Subjob) -> None:
         super().appendleft(subjob)
-        self.events += subjob.remaining_events
+        self._added(subjob.remaining_events)
 
     def pop(self) -> Subjob:
         subjob = super().pop()
@@ -69,6 +134,20 @@ class NodeQueue(deque[Subjob]):
         subjob = super().popleft()
         self.events -= subjob.remaining_events
         return subjob
+
+    def _added(self, events: int) -> None:
+        """Count ``events`` more in the total and raise the node's bound
+        to cover them."""
+        self.events += events
+        node = self.node
+        current = node.current
+        if current is not None:
+            load = self.events + current.remaining_events
+        elif node.reserved:
+            load = self.donors.bound[node.node_id] + events
+        else:
+            load = self.events
+        self.donors.raise_to(node.node_id, load)
 
 
 @register_policy
@@ -81,6 +160,9 @@ class OutOfOrderPolicy(SchedulerPolicy):
         super().__init__()
         self.fairness_timeout = fairness_timeout
         self.node_queues: Dict[int, NodeQueue] = {}
+        self.donors = DonorIndex(0)
+        #: Rotates the thief of the sanitizer's donor-search cross-check.
+        self._check_thief = 0
         self.nocache_queue: Deque[Subjob] = deque()
         #: Jobs promoted by the fairness valve, in promotion order.
         self.priority_jobs: Deque[Job] = deque()
@@ -92,7 +174,10 @@ class OutOfOrderPolicy(SchedulerPolicy):
 
     def bind(self, ctx: SchedulerContext) -> None:
         super().bind(ctx)
-        self.node_queues = {node.node_id: NodeQueue() for node in ctx.cluster}
+        self.donors = DonorIndex(len(ctx.cluster))
+        self.node_queues = {
+            node.node_id: NodeQueue(node, self.donors) for node in ctx.cluster
+        }
 
     # -- arrival (Table 3, "Upon job arrival") -----------------------------------
 
@@ -185,6 +270,15 @@ class OutOfOrderPolicy(SchedulerPolicy):
 
     # -- node feeding (Table 3, "Whenever nodes become available") ---------------------
 
+    def start_on(self, node: Node, subjob: Subjob) -> None:
+        # A dispatch is the other way a node's load rises; on a lossy
+        # control plane the bound covers the subjob while it is in flight.
+        node_id = node.node_id
+        self.donors.raise_to(
+            node_id, self.node_queues[node_id].events + subjob.remaining_events
+        )
+        SchedulerPolicy.start_on(self, node, subjob)
+
     def _feed_node(self, node: Node) -> None:
         if not node.idle:
             return
@@ -267,38 +361,74 @@ class OutOfOrderPolicy(SchedulerPolicy):
         On hierarchical topologies equal loads go to the donor closest to
         the thief in the tier tree — stolen work streams its data from
         the donor's cache, so proximity keeps the transfer off the WAN.
-        Flat clusters have all-zero distances, preserving the historical
-        first-node-wins rule byte for byte.
+        Remaining ties, and every tie on flat clusters, go to the lowest
+        node id.
+
+        Pops :class:`DonorIndex` entries in bound order: stale entries
+        are skipped, idle nodes dropped and the thief set aside; every
+        other node's exact load is computed.  The search stops once the
+        next bound is below the best load found (or below the two minimum
+        subjobs a steal needs), so no unvisited node can beat or tie it.
+        Each visited node goes back with its exact load as a tighter
+        bound; a node awaiting an in-flight dispatch keeps its bound,
+        which still covers the dispatched events.
         """
         ctx = self.ctx
         topo = ctx.topo if ctx is not None else None
+        donors = self.donors
+        bound = donors.bound
+        heap = donors.heap
+        nodes = self.cluster.nodes
+        queues = self.node_queues
+        floor = 2 * self.min_subjob_events
         best: Optional[Node] = None
         best_load = 0
-        best_distance = 0
-        queues = self.node_queues
-        for node in self.cluster:
-            if node is exclude or node.idle:
+        best_distance = -1
+        visited: List[Tuple[int, int]] = []
+        while heap:
+            entry_bound = -heap[0][0]
+            if entry_bound < best_load or entry_bound < floor:
+                break
+            node_id = heappop(heap)[1]
+            if bound[node_id] != entry_bound:
+                continue  # stale, or a duplicate of a node in hand
+            node = nodes[node_id]
+            if node.idle:
+                bound[node_id] = 0
+                continue
+            # In hand: a duplicate entry of this node now reads as stale.
+            bound[node_id] = -1
+            if node is exclude:
+                visited.append((entry_bound, node_id))
                 continue
             current = node.current
-            load = queues[node.node_id].events
+            load = queues[node_id].events
             if current is not None:
                 load += current.remaining_events
+                visited.append((load, node_id))
+            elif node.reserved:
+                visited.append((entry_bound, node_id))
+            else:
+                visited.append((load, node_id))
             if load > best_load:
+                best = node
                 best_load = load
-                best = node
-                if topo is not None:
-                    best_distance = topo.distance(
-                        exclude.node_id, node.node_id
-                    )
-            elif (
-                topo is not None
-                and best is not None
-                and load == best_load
-                and topo.distance(exclude.node_id, node.node_id) < best_distance
-            ):
-                best = node
-                best_distance = topo.distance(exclude.node_id, node.node_id)
-        if best_load < 2 * self.min_subjob_events:
+                best_distance = -1
+            elif load == best_load and best is not None:
+                if topo is None:
+                    if node_id < best.node_id:
+                        best = node
+                    continue
+                if best_distance < 0:
+                    best_distance = topo.distance(exclude.node_id, best.node_id)
+                distance = topo.distance(exclude.node_id, node_id)
+                if distance < best_distance or (
+                    distance == best_distance and node_id < best.node_id
+                ):
+                    best = node
+                    best_distance = distance
+        donors.put_back(visited)
+        if best_load < floor:
             return None
         return best
 
@@ -396,7 +526,11 @@ class OutOfOrderPolicy(SchedulerPolicy):
         return pieces
 
     def check_invariants(self) -> None:
-        """Every node queue's ``events`` total equals a full re-sum."""
+        """Every node queue's ``events`` total equals a full re-sum; the
+        donor index bounds every busy node's load, holds a live heap entry
+        per bound, and picks the donor a full scan picks for one thief
+        (rotating per call).  The index is restored afterwards, so a
+        checked run makes exactly the searches an unchecked one makes."""
         for node_id, queue in self.node_queues.items():
             recount = sum(s.remaining_events for s in queue)
             if queue.events != recount:
@@ -404,6 +538,38 @@ class OutOfOrderPolicy(SchedulerPolicy):
                     f"node {node_id} queue events total ({queue.events}) "
                     f"!= sum of its subjobs' remaining events ({recount})"
                 )
+        donors = self.donors
+        live = set(donors.heap)
+        for node in self.cluster:
+            node_id = node.node_id
+            bound = donors.bound[node_id]
+            load = self.node_queues[node_id].events
+            if node.current is not None:
+                load += node.current.remaining_events
+            if not node.idle and load > bound:
+                raise InvariantViolation(
+                    f"node {node_id} load {load} exceeds its donor-index "
+                    f"bound {bound}"
+                )
+            if bound and (-bound, node_id) not in live:
+                raise InvariantViolation(
+                    f"node {node_id} donor-index bound {bound} has no live "
+                    "heap entry"
+                )
+        nodes = self.cluster.nodes
+        thief = nodes[self._check_thief % len(nodes)]
+        self._check_thief += 1
+        saved_bound, saved_heap = list(donors.bound), list(donors.heap)
+        indexed = self._most_loaded_node(exclude=thief)
+        donors.bound[:], donors.heap[:] = saved_bound, saved_heap
+        scanned = _scan_most_loaded(self, thief)
+        if indexed is not scanned:
+            raise InvariantViolation(
+                f"donor index picks node "
+                f"{indexed.node_id if indexed is not None else None} for "
+                f"thief {thief.node_id} but a full scan picks "
+                f"{scanned.node_id if scanned is not None else None}"
+            )
 
     def describe(self) -> Dict[str, object]:
         return {
@@ -421,3 +587,35 @@ class OutOfOrderPolicy(SchedulerPolicy):
                 sum(len(q) for q in self.node_queues.values())
             ),
         }
+
+
+def _scan_most_loaded(policy: OutOfOrderPolicy, exclude: Node) -> Optional[Node]:
+    """The donor a full scan of the cluster picks: the reference the
+    sanitizer holds :meth:`OutOfOrderPolicy._most_loaded_node` to."""
+    ctx = policy.ctx
+    topo = ctx.topo if ctx is not None else None
+    best: Optional[Node] = None
+    best_load = 0
+    best_distance = 0
+    for node in policy.cluster:
+        if node is exclude or node.idle:
+            continue
+        load = policy.node_queues[node.node_id].events
+        if node.current is not None:
+            load += node.current.remaining_events
+        if load > best_load:
+            best_load = load
+            best = node
+            if topo is not None:
+                best_distance = topo.distance(exclude.node_id, node.node_id)
+        elif (
+            topo is not None
+            and best is not None
+            and load == best_load
+            and topo.distance(exclude.node_id, node.node_id) < best_distance
+        ):
+            best = node
+            best_distance = topo.distance(exclude.node_id, node.node_id)
+    if best_load < 2 * policy.min_subjob_events:
+        return None
+    return best

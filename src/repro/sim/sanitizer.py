@@ -18,7 +18,11 @@ module checks properties of a *running* simulation:
   (:meth:`repro.data.tertiary.TertiaryStorage.validate`);
 * the policy's own bookkeeping agrees with a full recount
   (:meth:`repro.sched.base.SchedulerPolicy.check_invariants`; e.g. each
-  out-of-order node queue's running ``events`` total);
+  out-of-order node queue's running ``events`` total, and its donor
+  index against a full scan);
+* every access counter the planner keeps (tier promotion, §4.2
+  replication) is a canonical count map
+  (:meth:`repro.cluster.access.RemoteAccessCounter.check_invariants`);
 * the control channel's reliable messages balance and each in-flight
   message has exactly one live retransmit timer
   (:meth:`repro.faults.net.ControlChannel.validate`);
@@ -186,11 +190,13 @@ class InvariantChecker:
     ) -> None:
         """Validate the calendar heap, every node and tier cache, the
         idle-node index, the node and tertiary event balances, the
-        control channel and job/subjob bookkeeping; piggybacked on the
-        simulator's metric probe."""
+        planner's access counters, the control channel and job/subjob
+        bookkeeping; piggybacked on the simulator's metric probe."""
         self.checks_run += 1
         engine.validate_heap()
         tertiary.validate()
+        for counter in cluster.planner.access_counters():
+            counter.check_invariants()
         if channel is not None and channel.enabled:
             channel.validate()
         for tier in tiers:

@@ -31,7 +31,7 @@ placement policy (``none`` / ``root-only`` / ``lru-rack`` /
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Tuple
 
 from ..cluster.access import ChunkPlan, DataAccessPlanner, RemoteAccessCounter
 from ..cluster.costmodel import DataSource
@@ -67,6 +67,9 @@ class TieredPlanner(DataAccessPlanner):
         self._root_via: Dict[int, Tuple[Tier, ...]] = {}
         #: proactive-site promotion counters, one per topmost path tier.
         self._promoters: Dict[str, RemoteAccessCounter] = {}
+
+    def access_counters(self) -> Iterable[RemoteAccessCounter]:
+        return (*self._promoters.values(), *self.base.access_counters())
 
     # -- routing tables ------------------------------------------------------
 

@@ -13,9 +13,10 @@ from repro.cluster.costmodel import CostModel, DataSource
 from repro.cluster.node import Node
 from repro.core.engine import Engine
 from repro.core import units
+from repro.core.errors import InvariantViolation
 from repro.data.cache import LRUSegmentCache
 from repro.data.dataspace import DataSpace
-from repro.data.intervals import Interval
+from repro.data.intervals import Interval, IntervalSet
 from repro.data.tertiary import TertiaryStorage
 
 from .helpers import make_subjob
@@ -138,6 +139,141 @@ class TestRemoteAccessCounter:
                 seen[point] = seen.get(point, 0) + 1
         for point, count in seen.items():
             assert counter.access_count_at(point) == min(count, threshold)
+
+
+class _LevelSetCounter:
+    """The level-set counter the count map replaced: ``levels[i]`` holds
+    the extents accessed exactly ``i + 1`` times (the top level: at least
+    ``threshold`` times)."""
+
+    def __init__(self, threshold):
+        self.threshold = threshold
+        self._levels = [IntervalSet() for _ in range(threshold)]
+
+    def register(self, interval):
+        if interval.empty:
+            return IntervalSet()
+        remaining = IntervalSet([interval])
+        promoted = IntervalSet()
+        for level in range(self.threshold - 1, -1, -1):
+            at_level = self._levels[level].intersection(remaining)
+            if not at_level:
+                continue
+            self._levels[level] = self._levels[level].difference(at_level)
+            new_level = min(level + 1, self.threshold - 1)
+            self._levels[new_level] = self._levels[new_level].union(at_level)
+            if new_level == self.threshold - 1 and level == self.threshold - 2:
+                promoted = promoted.union(at_level)
+            remaining = remaining.difference(at_level)
+        if remaining:
+            if self.threshold == 1:
+                promoted = promoted.union(remaining)
+            self._levels[0] = self._levels[0].union(remaining)
+        return promoted
+
+    def access_count_at(self, point):
+        for level in range(self.threshold - 1, -1, -1):
+            if self._levels[level].contains_point(point):
+                return level + 1
+        return 0
+
+
+def _assert_canonical(counter):
+    """Runs sorted and disjoint, counts in 1..threshold, no two abutting
+    runs with equal count — checked independently of
+    ``check_invariants``."""
+    runs = list(zip(counter._starts, counter._ends, counter._counts))
+    for start, end, count in runs:
+        assert start < end
+        assert 1 <= count <= counter.threshold
+    for (_, end, count), (start, _, next_count) in zip(runs, runs[1:]):
+        assert end <= start
+        assert not (end == start and count == next_count)
+    counter.check_invariants()
+
+
+#: Interval sequences rich in the shapes that split and merge runs: empty
+#: intervals, repeats of the previous one, and pieces nested inside,
+#: abutting or overlapping it.
+@st.composite
+def access_sequences(draw):
+    accesses = []
+    for _ in range(draw(st.integers(0, 14))):
+        shape = draw(
+            st.sampled_from(
+                ["fresh", "empty", "repeat", "nested", "abut", "overlap"]
+            )
+        )
+        if not accesses or shape == "fresh":
+            start = draw(st.integers(0, 60))
+            accesses.append(Interval(start, start + draw(st.integers(1, 20))))
+            continue
+        last = accesses[-1]
+        if shape == "empty":
+            point = draw(st.integers(0, 60))
+            accesses.append(Interval(point, point))
+        elif shape == "repeat":
+            accesses.append(last)
+        elif shape == "nested" and last.length > 0:
+            start = draw(st.integers(last.start, last.end - 1))
+            accesses.append(Interval(start, draw(st.integers(start + 1, last.end))))
+        elif shape == "abut":
+            if draw(st.booleans()):
+                accesses.append(Interval(last.end, last.end + draw(st.integers(1, 10))))
+            else:
+                start = max(0, last.start - draw(st.integers(1, 10)))
+                accesses.append(Interval(start, last.start))
+        else:
+            start = draw(st.integers(max(0, last.start - 10), last.end))
+            accesses.append(Interval(start, max(start, last.end) + draw(st.integers(1, 10))))
+    return accesses
+
+
+class TestCountMapAgainstLevelSets:
+    """The count map answers every call exactly as the level sets did."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(access_sequences(), st.integers(1, 4))
+    def test_same_promotions_and_counts(self, accesses, threshold):
+        counter = RemoteAccessCounter(threshold=threshold)
+        oracle = _LevelSetCounter(threshold)
+        for interval in accesses:
+            promoted = counter.register(interval)
+            expected = oracle.register(interval)
+            assert promoted.pairs() == expected.pairs()
+            promoted.check_invariants()
+            _assert_canonical(counter)
+            for point in range(-1, 92):
+                assert counter.access_count_at(point) == oracle.access_count_at(point)
+
+    def test_abutting_equal_runs_merge(self):
+        counter = RemoteAccessCounter(threshold=3)
+        counter.register(Interval(0, 10))
+        counter.register(Interval(10, 20))
+        assert list(zip(counter._starts, counter._ends, counter._counts)) == [
+            (0, 20, 1)
+        ]
+        counter.register(Interval(0, 20))
+        counter.register(Interval(5, 15))
+        assert list(zip(counter._starts, counter._ends, counter._counts)) == [
+            (0, 5, 2), (5, 15, 3), (15, 20, 2)
+        ]
+
+    def test_check_invariants_flags_unmerged_runs(self):
+        counter = RemoteAccessCounter(threshold=3)
+        counter._starts[:] = [0, 10]
+        counter._ends[:] = [10, 20]
+        counter._counts[:] = [1, 1]
+        with pytest.raises(InvariantViolation):
+            counter.check_invariants()
+
+    def test_check_invariants_flags_count_above_threshold(self):
+        counter = RemoteAccessCounter(threshold=2)
+        counter._starts[:] = [0]
+        counter._ends[:] = [10]
+        counter._counts[:] = [3]
+        with pytest.raises(InvariantViolation):
+            counter.check_invariants()
 
 
 class TestRemoteReadPlanner:

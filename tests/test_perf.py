@@ -304,11 +304,16 @@ class TestHarness:
         assert len(policies) == 10
         assert quick == (
             ["sim.scale.n10", "sim.scale.n100"]
+            + ["sim.scale.ooo.n10", "sim.scale.ooo.n100"]
             + [f"sim.quick.{policy}" for policy in policies]
             + ["sim.tier.d1", "sim.tier.d2", "sim.tier.d3"]
         )
         full = [point.name for point in points_of()]
-        assert full == quick[:2] + ["sim.scale.n1000"] + quick[2:]
+        assert full == (
+            quick[:2] + ["sim.scale.n1000"]
+            + quick[2:4] + ["sim.scale.ooo.n1000"]
+            + quick[4:]
+        )
 
     def test_points_pickle_for_the_spawned_child(self):
         for point in points_of(quick=True):

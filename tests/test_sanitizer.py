@@ -234,6 +234,56 @@ class TestPolicyBookkeepingCorruption:
             sim.engine.run(until=sim.config.duration)
 
 
+    @staticmethod
+    def _busy_out_of_order() -> Simulation:
+        """An out-of-order run stopped while some node is busy."""
+        sim = _checked_simulation("out-of-order")
+        sim.prime()
+        sim.engine.run(until=units.DAY)
+        while not any(node.current is not None for node in sim.cluster):
+            assert sim.engine.step()
+        sim.policy.check_invariants()
+        return sim
+
+    def test_donor_bound_below_a_load_is_caught(self):
+        sim = self._busy_out_of_order()
+        # A load rise that forgot to raise the node's donor bound.
+        busy = next(node for node in sim.cluster if node.current is not None)
+        sim.policy.donors.bound[busy.node_id] = busy.current.remaining_events - 1
+        with pytest.raises(InvariantViolation, match="exceeds its donor-index bound"):
+            sim.policy.check_invariants()
+
+    def test_donor_bound_without_heap_entry_is_caught(self):
+        sim = self._busy_out_of_order()
+        sim.policy.donors.heap.clear()
+        with pytest.raises(InvariantViolation, match="has no live heap entry"):
+            sim.policy.check_invariants()
+
+    @pytest.mark.parametrize(
+        "policy, topology",
+        [("replication", None), ("out-of-order", "proactive-site")],
+    )
+    def test_access_counter_corruption_is_caught(self, policy, topology):
+        config = quick_config(
+            duration=4 * units.DAY, seed=11, n_nodes=8, arrival_rate_per_hour=4.0,
+            topology=(
+                topology_preset("depth2", topology) if topology is not None else None
+            ),
+        )
+        sim = Simulation(config, create_policy(policy), check_invariants=True)
+        sim.prime()
+
+        def corrupt() -> None:
+            counters = list(sim.cluster.planner.access_counters())
+            assert counters, "no access counter in use yet"
+            counter = counters[0]
+            counter._counts[0] = counter.threshold + 1
+
+        sim.engine.call_at(2 * units.DAY, corrupt)
+        with pytest.raises(InvariantViolation, match="access counter"):
+            sim.engine.run(until=sim.config.duration)
+
+
 class TestEventOrderingCorruption:
     def test_non_monotone_dispatch_is_caught(self):
         engine = Engine(check_invariants=True)

@@ -21,19 +21,19 @@ Policies differ only in the planner they install:
 "On its 3rd access" is counted by :class:`RemoteAccessCounter`, one per
 owner: per peer node here, and per topmost cache tier of a node's path
 for the topology layer's ``proactive-site`` promotion.  Each counter is
-one count map (sorted runs of equal access count, capped at the
-threshold), so recording an access costs a binary search and a walk over
-the runs it overlaps, not a pass over every extent the owner has served.
+a :class:`~repro.data.intervals.RunMap` of access counts (maximal runs of
+equal count, capped at the threshold) that adds only the bump-and-cap
+rule, so recording an access costs a binary search and a walk over the
+runs it overlaps, not a pass over every extent the owner has served.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from ..core.errors import InvariantViolation
-from ..data.intervals import Interval, IntervalSet
+from ..data.intervals import Interval, IntervalSet, RunMap
 from ..data.tertiary import TertiaryStorage
 from ..obs.hooks import kinds
 from .costmodel import DataSource
@@ -184,7 +184,7 @@ class CachingPlanner(DataAccessPlanner):
     "always caching data arriving from tertiary storage on node disks")."""
 
 
-class RemoteAccessCounter:
+class RemoteAccessCounter(RunMap[int]):
     """Counts accesses per data extent of one owner (a peer node or a
     tier cache) as one count map.
 
@@ -193,23 +193,20 @@ class RemoteAccessCounter:
     threshold — §4.2: "data replication is carried out only on data items
     that are accessed for the third time".
 
-    The map is three parallel sorted lists holding the maximal runs of
-    equal count: run ``i`` covers ``[starts[i], ends[i])`` with count
-    ``counts[i]`` in ``1..threshold``.  Counts stop at ``threshold``
-    (a saturated extent is never promoted again), points never accessed
-    hold no run, and two abutting runs never share a count — so the map
-    is canonical, and one call touches only the runs it overlaps or abuts.
+    The map is a :class:`RunMap` whose payload is the access count, in
+    ``1..threshold``: counts stop at ``threshold`` (a saturated extent is
+    never promoted again), and points never accessed hold no run.  The
+    map's own splice keeps it canonical, so one call touches only the
+    runs it overlaps and their two neighbours.
     """
 
-    __slots__ = ("threshold", "_starts", "_ends", "_counts")
+    __slots__ = ("threshold",)
 
     def __init__(self, threshold: int = 3) -> None:
         if threshold < 1:
             raise ValueError(f"threshold must be >= 1, got {threshold}")
+        super().__init__()
         self.threshold = threshold
-        self._starts: List[int] = []
-        self._ends: List[int] = []
-        self._counts: List[int] = []
 
     def register(self, interval: Interval) -> IntervalSet:
         """Record one access to ``interval``; return, as a canonical set,
@@ -221,98 +218,53 @@ class RemoteAccessCounter:
         if end <= start:
             return promoted
         cap = self.threshold
-        starts, ends, counts = self._starts, self._ends, self._counts
-        # Runs lo..hi-1 overlap ``interval`` or abut it on either side.
-        lo = bisect_left(ends, start)
-        hi = bisect_right(starts, end)
-        if lo == hi:
-            # First access, and no run to merge with: one new run.
-            starts.insert(lo, start)
-            ends.insert(lo, end)
-            counts.insert(lo, 1)
-            if cap == 1:
-                promoted.add(interval)
-            return promoted
-        new_starts: List[int] = []
-        new_ends: List[int] = []
-        new_counts: List[int] = []
-
-        def emit(a: int, b: int, count: int) -> None:
-            if new_ends and new_ends[-1] == a and new_counts[-1] == count:
-                new_ends[-1] = b
-            else:
-                new_starts.append(a)
-                new_ends.append(b)
-                new_counts.append(count)
-
-        def bump(a: int, b: int, count: int) -> None:
-            if count < cap:
-                count += 1
-                if count == cap:
-                    promoted.add(Interval(a, b))
-            emit(a, b, count)
-
-        # ``cursor``: the first point of ``interval`` not yet emitted.
+        starts, ends, counts = self._starts, self._ends, self._values
+        lo, hi = self.span(start, end)
+        # ``(a, b, count before this call)`` tiling ``interval``; gaps
+        # between the runs it overlaps hold count 0.
+        pieces: List[Tuple[int, int, int]] = []
         cursor = start
         for index in range(lo, hi):
-            run_start = starts[index]
-            run_end = ends[index]
-            count = counts[index]
-            if run_start < start:
-                emit(run_start, start if run_end > start else run_end, count)
-            elif cursor < run_start:
-                gap_end = run_start if run_start < end else end
-                bump(cursor, gap_end, 0)
-                cursor = gap_end
-            a = run_start if run_start > start else start
-            b = run_end if run_end < end else end
-            if a < b:
-                bump(a, b, count)
-                cursor = b
-            if run_end > end:
-                emit(end if run_start < end else run_start, run_end, count)
+            a = starts[index] if starts[index] > start else start
+            b = ends[index] if ends[index] < end else end
+            if cursor < a:
+                pieces.append((cursor, a, 0))
+            pieces.append((a, b, counts[index]))
+            cursor = b
         if cursor < end:
-            bump(cursor, end, 0)
-        starts[lo:hi] = new_starts
-        ends[lo:hi] = new_ends
-        counts[lo:hi] = new_counts
+            pieces.append((cursor, end, 0))
+        for a, b, count in pieces:
+            if count == cap - 1:
+                promoted.add(Interval(a, b))
+        new_starts = [a for a, _, _ in pieces]
+        new_ends = [b for _, b, _ in pieces]
+        new_counts = [count + 1 if count < cap else count for _, _, count in pieces]
+        # The overlapped runs' parts outside ``interval`` keep their counts.
+        if lo < hi:
+            if starts[lo] < start:
+                new_starts.insert(0, starts[lo])
+                new_ends.insert(0, start)
+                new_counts.insert(0, counts[lo])
+            if ends[hi - 1] > end:
+                new_starts.append(end)
+                new_ends.append(ends[hi - 1])
+                new_counts.append(counts[hi - 1])
+        self.splice(lo, hi, new_starts, new_ends, new_counts)
         return promoted
 
     def access_count_at(self, point: int) -> int:
         """Current access count for a single event (0 if never seen)."""
-        index = bisect_right(self._starts, point) - 1
-        if index >= 0 and point < self._ends[index]:
-            return self._counts[index]
-        return 0
+        return self.value_at(point) or 0
 
     def check_invariants(self) -> None:
-        """The map is canonical: runs non-empty, sorted and disjoint,
-        counts in ``1..threshold``, and no two abutting runs of equal
-        count."""
-        previous_end: Optional[int] = None
-        previous_count = 0
-        for start, end, count in zip(self._starts, self._ends, self._counts):
-            if end <= start:
-                raise InvariantViolation(
-                    f"access counter stores empty run [{start},{end})"
-                )
+        """The map is canonical, with counts in ``1..threshold``."""
+        self.check("access counter")
+        for start, end, count in zip(self._starts, self._ends, self._values):
             if not 1 <= count <= self.threshold:
                 raise InvariantViolation(
                     f"access counter run [{start},{end}) has count {count} "
                     f"outside 1..{self.threshold}"
                 )
-            if previous_end is not None:
-                if start < previous_end:
-                    raise InvariantViolation(
-                        f"access counter runs overlap or are unsorted at {start}"
-                    )
-                if start == previous_end and count == previous_count:
-                    raise InvariantViolation(
-                        f"access counter runs abut at {start} with equal "
-                        f"count {count}"
-                    )
-            previous_end = end
-            previous_count = count
 
 
 @dataclass

@@ -7,18 +7,24 @@ least-recently-used eviction over variable-length extents, as prescribed in
 Table 2 of the paper ("when needing new disk cache space, it deallocates
 the least recently used cached segments").
 
-Extents are half-open event ranges.  Touching or inserting a sub-range of
-an existing extent splits it, so LRU timestamps stay exact at arbitrary
-granularity.  Abutting extents never share a timestamp: a re-stamped range
-is coalesced with an identically-stamped neighbour, which bounds
-fragmentation (chunked streaming would otherwise grow the extent count
-linearly with simulated time).
+Extents are half-open event ranges, held as the runs of one
+:class:`~repro.data.intervals.RunMap` whose payloads are the extents' LRU
+records; the map answers every query, and the cache adds only its LRU
+policy.  Touching or inserting a sub-range of an existing extent splits
+it, so LRU timestamps stay exact at arbitrary granularity.  Abutting
+extents never share a timestamp (the map's canonical form, since extents
+compare by stamp): a re-stamped range is coalesced with an
+identically-stamped neighbour, which bounds fragmentation (chunked
+streaming would otherwise grow the extent count linearly with simulated
+time).
 
 ``touch``, ``insert`` and ``invalidate`` share one walk (``_restamp``):
 each maximal abutting run of overlapping extents becomes the left leftover
 of its first extent, the right leftover of its last (old stamps kept) and
-the re-stamped part, spliced back by one slice assignment.  Each gets a
-fresh LRU heap entry in that order, which fixes how equal stamps evict.
+the re-stamped part, spliced back by one map splice.  Each gets a fresh
+LRU heap entry in that order, which fixes how equal stamps evict.  The
+heap deletes lazily, and is rebuilt from its live entries once stale ones
+outnumber them, so a cache that never fills stays bounded.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..core.errors import CacheError, InvariantViolation
 from ..obs.hooks import NULL_BUS, HookBus, kinds
-from .intervals import Interval, IntervalSet
+from .intervals import Interval, IntervalSet, RunMap
 
 
 @dataclass
@@ -52,6 +58,15 @@ class CacheStats:
 
 
 class _Extent:
+    """One cached extent: the payload of its run in the cache's
+    :class:`RunMap`, and the record its LRU heap entry points at.
+
+    The map merges abutting runs of equal payload, and the cache's rule
+    is that abutting extents never share a stamp, so extents compare
+    (and print) by stamp; stamps are copied, never computed, so they
+    compare exactly.  Liveness and heap entries go by identity.
+    """
+
     __slots__ = ("interval", "last_access", "alive")
 
     def __init__(self, interval: Interval, last_access: float) -> None:
@@ -59,14 +74,18 @@ class _Extent:
         self.last_access = last_access
         self.alive = True
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _Extent):
+            return NotImplemented
+        return self.last_access == other.last_access  # simlint: disable=SIM003
 
-def _uncoalesced(left: _Extent, right: _Extent) -> bool:
-    """True if ``left`` abuts ``right`` with the same stamp, which the
-    cache never leaves behind (stamps are copied, so compare exactly)."""
-    return (
-        left.interval.end == right.interval.start
-        and left.last_access == right.last_access  # simlint: disable=SIM003
-    )
+    def __repr__(self) -> str:
+        return f"stamp {self.last_access}"
+
+
+#: Stale LRU heap entries tolerated beyond one per live extent before the
+#: heap is rebuilt from its live entries.
+_HEAP_SLACK = 64
 
 
 class LRUSegmentCache:
@@ -92,8 +111,8 @@ class LRUSegmentCache:
         self.capacity_events = int(capacity_events)
         self.obs = obs
         self.owner_id = owner_id
-        self._starts: List[int] = []  # sorted extent start points
-        self._by_start: Dict[int, _Extent] = {}  # start -> extent
+        #: One run per cached extent, carrying its :class:`_Extent`.
+        self._runs: RunMap[_Extent] = RunMap()
         #: Lazy-deletion LRU heap of ``(last_access, tiebreak, extent)``;
         #: ``tiebreak`` is unique, so the extent itself is never compared.
         self._lru_heap: List[Tuple[float, int, _Extent]] = []
@@ -115,56 +134,25 @@ class LRUSegmentCache:
     @property
     def coverage(self) -> IntervalSet:
         """The cached point set (merged extents, timestamps ignored)."""
-        merged = IntervalSet()
-        for start in self._starts:
-            merged.add(self._by_start[start].interval)
-        return merged
+        runs = self._runs
+        if not runs:
+            return IntervalSet()
+        return IntervalSet.covered(runs, runs._starts[0], runs._ends[-1])
 
     def cached_parts(self, interval: Interval) -> IntervalSet:
         """Sub-ranges of ``interval`` present in the cache."""
-        result = IntervalSet()
-        query_start = interval.start
-        query_end = interval.end
-        starts = result._starts
-        ends = result._ends
-        # Overlapping extents arrive start-sorted and disjoint, so the
-        # clipped pieces can be appended directly, merging abutting runs
-        # (extents may touch when their LRU stamps differ) to keep the
-        # set canonical.
-        by_start = self._by_start
-        lo, hi = self._span(query_start, query_end)
-        for key in self._starts[lo:hi]:
-            piece = by_start[key].interval
-            start = piece.start if piece.start > query_start else query_start
-            end = piece.end if piece.end < query_end else query_end
-            if start >= end:
-                continue
-            if ends and start <= ends[-1]:
-                if end > ends[-1]:
-                    ends[-1] = end
-            else:
-                starts.append(start)
-                ends.append(end)
-        return result
+        return IntervalSet.covered(self._runs, interval.start, interval.end)
 
     def cached_events(self, interval: Interval) -> int:
         """Number of events of ``interval`` present in the cache."""
-        total = 0
-        by_start = self._by_start
-        lo, hi = self._span(interval.start, interval.end)
-        for start in self._starts[lo:hi]:
-            total += by_start[start].interval.intersection(interval).length
-        return total
+        return self._runs.overlap(interval.start, interval.end)
 
     def covers(self, interval: Interval) -> bool:
         """True if every event of ``interval`` is cached."""
         return self.cached_events(interval) == interval.length
 
     def contains_point(self, point: int) -> bool:
-        index = bisect_right(self._starts, point) - 1
-        if index < 0:
-            return False
-        return self._by_start[self._starts[index]].interval.contains(point)
+        return self._runs.value_at(point) is not None
 
     def cached_prefix(self, interval: Interval) -> Interval:
         """The longest cached run starting exactly at ``interval.start``.
@@ -174,10 +162,11 @@ class LRUSegmentCache:
         right asks "how far can I read from disk before hitting a miss?".
         """
         start = interval.start
-        starts = self._starts
-        by_start = self._by_start
+        runs = self._runs
+        starts = runs._starts
+        ends = runs._ends
         index = bisect_right(starts, start) - 1
-        end = by_start[starts[index]].interval.end if index >= 0 else start
+        end = ends[index] if index >= 0 else start
         if end <= start or interval.end <= start:
             return Interval(start, start)
         # Walk right over contiguous extents (they may abut without merging
@@ -185,7 +174,7 @@ class LRUSegmentCache:
         index += 1
         n = len(starts)
         while end < interval.end and index < n and starts[index] == end:
-            end = by_start[end].interval.end
+            end = ends[index]
             index += 1
         return interval if end >= interval.end else Interval(start, end)
 
@@ -195,12 +184,13 @@ class LRUSegmentCache:
         start = interval.start
         if interval.empty:
             return Interval(start, start)
-        starts = self._starts
+        runs = self._runs
+        starts = runs._starts
         # Only the first overlapping extent bounds the prefix: either an
         # extent covering ``start`` (empty prefix) or the first extent
         # beginning inside the interval.
         index = bisect_right(starts, start) - 1
-        if index >= 0 and self._by_start[starts[index]].interval.end > start:
+        if index >= 0 and runs._ends[index] > start:
             return Interval(start, start)
         index += 1
         if index < len(starts) and starts[index] < interval.end:
@@ -208,11 +198,10 @@ class LRUSegmentCache:
         return Interval(start, interval.end)
 
     def extent_count(self) -> int:
-        return len(self._by_start)
+        return len(self._runs)
 
     def __iter__(self) -> Iterator[Tuple[Interval, float]]:
-        for start in self._starts:
-            extent = self._by_start[start]
+        for extent in self._runs._values:
             yield extent.interval, extent.last_access
 
     # -- mutation ----------------------------------------------------------------
@@ -256,23 +245,11 @@ class LRUSegmentCache:
         return dropped
 
     def clear(self) -> None:
-        self._starts.clear()
-        self._by_start.clear()
+        self._runs = RunMap()
         self._lru_heap.clear()
         self._used = 0
 
     # -- internals ---------------------------------------------------------------
-
-    def _span(self, start: int, end: int) -> Tuple[int, int]:
-        """Index range ``[lo, hi)`` of the extents intersecting
-        ``[start, end)``."""
-        if end <= start:
-            return 0, 0
-        starts = self._starts
-        lo = bisect_right(starts, start) - 1
-        if lo < 0 or self._by_start[starts[lo]].interval.end <= start:
-            lo += 1
-        return lo, bisect_left(starts, end, lo)
 
     def _restamp(self, interval: Interval, now: Optional[float], fill: bool) -> int:
         """Stamp ``interval`` with ``now`` in one walk over its extents:
@@ -281,29 +258,30 @@ class LRUSegmentCache:
         events stamped before coalescing."""
         query_start = interval.start
         query_end = interval.end
-        starts = self._starts
-        by_start = self._by_start
-        lo, hi = self._span(query_start, query_end)
+        runs = self._runs
+        starts = runs._starts
+        ends = runs._ends
+        extents = runs._values
+        lo, hi = runs.span(query_start, query_end)
         if lo == hi and (not fill or now is None):
             return 0
         bounds = [lo, hi]  # one run for a fill, else the maximal abutting runs
         if not fill and hi - lo > 1:
-            ends = [by_start[start].interval.end for start in starts[lo:hi - 1]]
-            bounds[1:1] = [i for i, end in enumerate(ends, lo + 1) if starts[i] != end]
+            bounds[1:1] = [i for i in range(lo + 1, hi) if starts[i] != ends[i - 1]]
         splice_lo = lo
         splice_hi = hi
-        pieces: List[_Extent] = []  # the replacement extents, in start order
+        # The replacement runs, in start order.
+        new_starts: List[int] = []
+        new_ends: List[int] = []
+        new_extents: List[_Extent] = []
         stamped = 0
         for run_lo, run_hi in zip(bounds, bounds[1:]):
             part_start = query_start
             part_end = query_end
-            left: Optional[_Extent] = None
             right: Optional[_Extent] = None
             if run_lo < run_hi:
-                head = by_start[starts[run_lo]]
-                tail = by_start[starts[run_hi - 1]]
-                head_start = head.interval.start
-                tail_end = tail.interval.end
+                head_start = starts[run_lo]
+                tail_end = ends[run_hi - 1]
                 if not fill:
                     part_start = head_start if head_start > query_start else query_start
                     part_end = tail_end if tail_end < query_end else query_end
@@ -311,47 +289,47 @@ class LRUSegmentCache:
                 # Leftovers keep their (copied, so exactly compared) stamps;
                 # one stamped ``now`` is absorbed by the part.
                 if head_start < query_start:
-                    if head.last_access == now:  # simlint: disable=SIM003
+                    stamp = extents[run_lo].last_access
+                    if stamp == now:  # simlint: disable=SIM003
                         part_start = head_start
                     else:
-                        left = self._push(Interval(head_start, query_start), head.last_access)
+                        new_starts.append(head_start)
+                        new_ends.append(query_start)
+                        new_extents.append(self._push(Interval(head_start, query_start), stamp))
                 if tail_end > query_end:
-                    if tail.last_access == now:  # simlint: disable=SIM003
+                    stamp = extents[run_hi - 1].last_access
+                    if stamp == now:  # simlint: disable=SIM003
                         part_end = tail_end
                     else:
-                        right = self._push(Interval(query_end, tail_end), tail.last_access)
-            if left is not None:
-                pieces.append(left)
+                        right = self._push(Interval(query_end, tail_end), stamp)
             if now is not None:
                 # The part coalesces with an outer neighbour stamped ``now``.
-                if run_lo == lo and lo > 0:
-                    neighbour = by_start[starts[lo - 1]]
-                    if neighbour.interval.end == part_start:
-                        if neighbour.last_access == now:  # simlint: disable=SIM003
-                            part_start = neighbour.interval.start
-                            splice_lo = lo - 1
-                if run_hi == hi and hi < len(starts):
-                    neighbour = by_start[starts[hi]]
-                    if neighbour.interval.start == part_end:
-                        if neighbour.last_access == now:  # simlint: disable=SIM003
-                            part_end = neighbour.interval.end
-                            splice_hi = hi + 1
+                if run_lo == lo and lo > 0 and ends[lo - 1] == part_start:
+                    if extents[lo - 1].last_access == now:  # simlint: disable=SIM003
+                        part_start = starts[lo - 1]
+                        splice_lo = lo - 1
+                if run_hi == hi and hi < len(starts) and starts[hi] == part_end:
+                    if extents[hi].last_access == now:  # simlint: disable=SIM003
+                        part_end = ends[hi]
+                        splice_hi = hi + 1
                 part = interval
                 if part_start != query_start or part_end != query_end:
                     part = Interval(part_start, part_end)
-                pieces.append(self._push(part, now))
+                new_starts.append(part_start)
+                new_ends.append(part_end)
+                new_extents.append(self._push(part, now))
             if right is not None:
-                pieces.append(right)
-        used = self._used
-        for start in starts[splice_lo:splice_hi]:
-            extent = by_start.pop(start)
-            extent.alive = False
-            used -= extent.interval.end - start
-        for extent in pieces:
-            by_start[extent.interval.start] = extent
-            used += extent.interval.end - extent.interval.start
+                new_starts.append(query_end)
+                new_ends.append(tail_end)
+                new_extents.append(right)
+        used = self._used + sum(new_ends) - sum(new_starts)
+        for index in range(splice_lo, splice_hi):
+            extents[index].alive = False
+            used -= ends[index] - starts[index]
         self._used = used
-        starts[splice_lo:splice_hi] = [extent.interval.start for extent in pieces]
+        runs.splice(splice_lo, splice_hi, new_starts, new_ends, new_extents)
+        if len(self._lru_heap) > 2 * len(starts) + _HEAP_SLACK:
+            self._compact_heap()
         return stamped
 
     def _push(self, interval: Interval, last_access: float) -> _Extent:
@@ -362,20 +340,20 @@ class LRUSegmentCache:
         heapq.heappush(self._lru_heap, (last_access, tiebreak, extent))
         return extent
 
-    def _drop_extent(self, extent: _Extent) -> None:
-        start = extent.interval.start
-        del self._by_start[start]
-        index = bisect_left(self._starts, start)
-        assert self._starts[index] == start
-        del self._starts[index]
-        extent.alive = False
-        interval = extent.interval
-        self._used -= interval.end - interval.start
+    def _compact_heap(self) -> None:
+        """Rebuild the LRU heap from its live entries; called once stale
+        entries outnumber live ones by ``_HEAP_SLACK``, because a cache
+        that never fills never pops them.  ``(stamp, tiebreak)`` keys are
+        unique, so the pop order is unchanged."""
+        heap = self._lru_heap
+        heap[:] = [entry for entry in heap if entry[2].alive]
+        heapq.heapify(heap)
 
     def _evict_to_fit(self, protect: Interval) -> None:
         """Evict LRU extents until within capacity, never touching the
         freshly inserted ``protect`` range."""
         stash: List[Tuple[float, int, _Extent]] = []
+        runs = self._runs
         while self._used > self.capacity_events:
             if not self._lru_heap:
                 raise CacheError("cache accounting corrupt: over capacity with empty LRU")
@@ -386,49 +364,32 @@ class LRUSegmentCache:
             if extent.interval.overlaps(protect):
                 stash.append(entry)
                 continue
+            start = extent.interval.start
+            end = extent.interval.end
+            index = bisect_left(runs._starts, start)
+            extent.alive = False
             excess = self._used - self.capacity_events
-            if extent.interval.length > excess:
+            if end - start > excess:
                 # Partial eviction: keep the rightmost part (the part a
                 # sequential reader touched last) under a fresh heap entry.
-                start = extent.interval.start
-                extent.alive = False
-                keep = Interval(start + excess, extent.interval.end)
-                self._starts[bisect_left(self._starts, start)] = start + excess
-                del self._by_start[start]
-                self._by_start[start + excess] = self._push(keep, extent.last_access)
+                keep = self._push(Interval(start + excess, end), extent.last_access)
+                runs.splice(index, index + 1, [start + excess], [end], [keep])
                 self._used -= excess
                 self.stats.evicted_events += excess
             else:
-                self.stats.evicted_events += extent.interval.length
-                self._drop_extent(extent)
+                runs.splice(index, index + 1, [], [], [])
+                self._used -= end - start
+                self.stats.evicted_events += end - start
         for entry in stash:
             heapq.heappush(self._lru_heap, entry)
+        if len(self._lru_heap) > 2 * len(runs._starts) + _HEAP_SLACK:
+            self._compact_heap()
 
     # -- validation ---------------------------------------------------------------
 
-    def check_invariants(self) -> None:
-        """Assert internal consistency (tests / debug builds)."""
-        if self._used > self.capacity_events:
-            raise CacheError(f"used {self._used} > capacity {self.capacity_events}")
-        total = 0
-        previous: Optional[_Extent] = None
-        for start in self._starts:
-            extent = self._by_start[start]
-            if extent.interval.start != start:
-                raise CacheError("start index out of sync")
-            if previous is not None:
-                if start < previous.interval.end:
-                    raise CacheError("extents overlap")
-                if _uncoalesced(previous, extent):
-                    raise CacheError("abutting extents share a stamp")
-            previous = extent
-            total += extent.interval.length
-        if total != self._used:
-            raise CacheError(f"used counter {self._used} != measured {total}")
-
     def validate(self) -> None:
         """Deep sim-sanitizer check: event accounting conservation, extent
-        index consistency and LRU structure validity.
+        map consistency and LRU structure validity.
 
         Raises :class:`InvariantViolation` with a descriptive message.
         O(extents + heap) — called from the simulator's periodic probe in
@@ -442,41 +403,20 @@ class LRUSegmentCache:
             )
         if self._used < 0:
             raise InvariantViolation(f"{who}: negative used counter {self._used}")
-        if len(self._starts) != len(self._by_start):
-            raise InvariantViolation(
-                f"{who}: extent indexes out of sync "
-                f"(starts={len(self._starts)}, extents={len(self._by_start)})"
-            )
-        total = 0
-        previous: Optional[_Extent] = None
-        for start in self._starts:
-            extent = self._by_start.get(start)
-            if extent is None:
+        runs = self._runs
+        # Canonical form: runs sorted, disjoint, and no two abutting
+        # extents sharing a stamp (extents compare by stamp).
+        runs.check(who)
+        for start, end, extent in zip(runs._starts, runs._ends, runs._values):
+            if extent.interval.start != start or extent.interval.end != end:
                 raise InvariantViolation(
-                    f"{who}: start index {start} has no backing extent"
-                )
-            if extent.interval.start != start:
-                raise InvariantViolation(
-                    f"{who}: extent {extent.interval} filed under start {start}"
+                    f"{who}: extent {extent.interval} filed under run [{start},{end})"
                 )
             if not extent.alive:
                 raise InvariantViolation(
                     f"{who}: dead extent {extent.interval} still indexed"
                 )
-            if previous is not None:
-                if start < previous.interval.end:
-                    raise InvariantViolation(
-                        f"{who}: extents overlap at {start} "
-                        f"(previous extent ends at {previous.interval.end})"
-                    )
-                if _uncoalesced(previous, extent):
-                    raise InvariantViolation(
-                        f"{who}: abutting extents {previous.interval} and "
-                        f"{extent.interval} share stamp {extent.last_access} "
-                        "(not coalesced)"
-                    )
-            previous = extent
-            total += extent.interval.length
+        total = sum(runs._ends) - sum(runs._starts)
         if total != self._used:
             raise InvariantViolation(
                 f"{who}: event accounting not conserved — used counter says "
@@ -484,19 +424,23 @@ class LRUSegmentCache:
             )
         # LRU validity: every live extent must be reachable by eviction,
         # with the heap stamp matching its access time, and the lazy heap
-        # must still satisfy the binary-heap ordering property.
+        # must still satisfy the binary-heap ordering property and hold
+        # at most ``_HEAP_SLACK`` more stale entries than live ones.
+        heap = self._lru_heap
+        if len(heap) > 2 * len(runs) + _HEAP_SLACK:
+            raise InvariantViolation(
+                f"{who}: LRU heap holds {len(heap)} entries for "
+                f"{len(runs)} extents (stale entries not compacted)"
+            )
         stamped: Dict[int, float] = {}
-        for entry_index, entry in enumerate(self._lru_heap):
+        for entry_index, entry in enumerate(heap):
             for child_index in (2 * entry_index + 1, 2 * entry_index + 2):
-                if (
-                    child_index < len(self._lru_heap)
-                    and self._lru_heap[child_index][:2] < entry[:2]
-                ):
+                if child_index < len(heap) and heap[child_index][:2] < entry[:2]:
                     raise InvariantViolation(
                         f"{who}: LRU heap order violated at index {entry_index}"
                     )
             stamped.setdefault(id(entry[2]), entry[0])
-        for extent in self._by_start.values():
+        for extent in runs._values:
             stamp = stamped.get(id(extent))
             if stamp is None:
                 raise InvariantViolation(
@@ -514,5 +458,5 @@ class LRUSegmentCache:
     def __repr__(self) -> str:
         return (
             f"LRUSegmentCache(used={self._used}/{self.capacity_events} events, "
-            f"extents={len(self._by_start)})"
+            f"extents={len(self._runs)})"
         )

@@ -7,23 +7,27 @@ those components are built on:
 
 * :class:`Interval` — an immutable half-open range ``[start, end)`` of
   event indices;
-* :class:`IntervalSet` — a canonical (sorted, disjoint, merged) set of
-  intervals with union / intersection / difference / measure.
+* :class:`RunMap` — sorted, disjoint runs of event indices, each with a
+  payload, edited by one span-and-splice primitive; the disk caches and
+  the access counters are built on it;
+* :class:`IntervalSet` — the run map with a unit payload: a canonical
+  (sorted, disjoint, merged) set of intervals with union / intersection /
+  difference / measure.
 
-The representation is canonical: an :class:`IntervalSet` never contains
-empty, overlapping or adjacent intervals, so two sets covering the same
-points always compare equal.
+The representation is canonical: a :class:`RunMap` never holds empty or
+overlapping runs, nor abutting runs of equal payload, so two sets
+covering the same points always compare equal.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Sequence, Tuple, Union
+from typing import Any, Generic, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar, Union
 
 import numpy as np
 
-from ..core.errors import IntervalError
+from ..core.errors import IntervalError, InvariantViolation
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -65,10 +69,6 @@ class Interval:
         """True if the two intervals share at least one point."""
         return self.start < other.end and other.start < self.end
 
-    def adjacent(self, other: "Interval") -> bool:
-        """True if the intervals touch without overlapping."""
-        return self.end == other.start or other.end == self.start
-
     # -- algebra -------------------------------------------------------------
 
     def intersection(self, other: "Interval") -> "Interval":
@@ -98,17 +98,6 @@ class Interval:
         if inter.end < self.end:
             pieces.append(Interval(inter.end, self.end))
         return tuple(pieces)
-
-    def split_at(self, point: int) -> Tuple["Interval", "Interval"]:
-        """Split into ``[start, point)`` and ``[point, end)``.
-
-        ``point`` must lie within ``[start, end]``.
-        """
-        if not (self.start <= point <= self.end):
-            raise IntervalError(
-                f"split point {point} outside [{self.start}, {self.end}]"
-            )
-        return Interval(self.start, point), Interval(point, self.end)
 
     def split_even(self, parts: int, min_length: int = 1) -> Tuple["Interval", ...]:
         """Split into at most ``parts`` near-equal contiguous pieces.
@@ -145,11 +134,6 @@ class Interval:
             count = 0
         return Interval(self.start, self.start + count)
 
-    def drop_left(self, count: int) -> "Interval":
-        """Everything but the leftmost ``count`` events (clamped)."""
-        count = max(0, min(count, self.length))
-        return Interval(self.start + count, self.end)
-
     def __iter__(self) -> Iterator[int]:
         return iter(range(self.start, self.end))
 
@@ -159,9 +143,139 @@ class Interval:
 
 IntervalLike = Union[Interval, "IntervalSet"]
 
+V = TypeVar("V")
 
-class IntervalSet:
-    """A canonical set of disjoint, non-adjacent, sorted intervals.
+
+class RunMap(Generic[V]):
+    """Sorted, disjoint runs of event indices, each carrying a payload.
+
+    Run ``i`` covers ``[_starts[i], _ends[i])`` and carries ``_values[i]``.
+    The data layer keeps every "what holds at event *i*?" answer in one of
+    these maps, and each user adds only its own rule:
+
+    * :class:`IntervalSet` — the unit payload ``True``, plus set algebra;
+    * :class:`~repro.data.cache.LRUSegmentCache` — one run per cached
+      extent, carrying its LRU record, plus stamps and eviction;
+    * :class:`~repro.cluster.access.RemoteAccessCounter` — the access
+      count, plus the bump-and-cap rule.
+
+    The form is canonical: runs are non-empty, sorted and disjoint, and no
+    two abutting runs carry equal payloads (:meth:`check`).  Writers go
+    through :meth:`splice`, which keeps that form by merging abutting runs
+    of equal payload at every seam it makes (only
+    :meth:`IntervalSet.add_measure` edits the lists in place); the data
+    layer's hot paths read the three lists directly.
+
+    >>> counts = RunMap()
+    >>> counts.splice(0, 0, [0, 10, 30], [10, 20, 40], [1, 1, 2])
+    >>> len(counts), counts.value_at(15), counts.value_at(25)
+    (2, 1, None)
+    >>> counts.span(5, 35)
+    (0, 2)
+    """
+
+    __slots__ = ("_starts", "_ends", "_values")
+
+    def __init__(self) -> None:
+        self._starts: List[int] = []
+        self._ends: List[int] = []
+        self._values: List[V] = []
+
+    def __len__(self) -> int:
+        """Number of runs (not the number of points)."""
+        return len(self._starts)
+
+    # -- queries ---------------------------------------------------------------
+
+    def span(self, start: int, end: int) -> Tuple[int, int]:
+        """Index range ``[lo, hi)`` of the runs overlapping ``[start, end)``
+        (empty for an empty query)."""
+        lo = bisect_right(self._ends, start)
+        if end <= start:
+            return lo, lo
+        return lo, bisect_left(self._starts, end, lo)
+
+    def value_at(self, point: int) -> Optional[V]:
+        """Payload of the run holding ``point`` (``None`` if no run does)."""
+        index = bisect_right(self._starts, point) - 1
+        if index >= 0 and point < self._ends[index]:
+            return self._values[index]
+        return None
+
+    def overlap(self, start: int, end: int) -> int:
+        """Number of points of ``[start, end)`` inside some run."""
+        lo, hi = self.span(start, end)
+        if lo == hi:
+            return 0
+        starts, ends = self._starts, self._ends
+        total = sum(ends[lo:hi]) - sum(starts[lo:hi])
+        if starts[lo] < start:
+            total -= start - starts[lo]
+        if ends[hi - 1] > end:
+            total -= ends[hi - 1] - end
+        return total
+
+    # -- mutation ----------------------------------------------------------------
+
+    def splice(
+        self, lo: int, hi: int, starts: List[int], ends: List[int], values: List[V]
+    ) -> None:
+        """Replace runs ``lo..hi-1`` by the runs given as three parallel
+        lists (taken over, not copied): non-empty, sorted and disjoint,
+        lying between run ``lo - 1`` and run ``hi``.
+
+        Abutting runs of equal payload merge at every seam: between two
+        given runs, and between the first and last of them and runs
+        ``lo - 1`` and ``hi``.  A merged run keeps the payload given.
+        """
+        if starts:
+            for index in range(len(starts) - 1, 0, -1):
+                if ends[index - 1] == starts[index] and values[index - 1] == values[index]:
+                    ends[index - 1] = ends[index]
+                    del starts[index], ends[index], values[index]
+            if lo > 0 and self._ends[lo - 1] == starts[0] and self._values[lo - 1] == values[0]:
+                lo -= 1
+                starts[0] = self._starts[lo]
+            if hi < len(self._starts) and self._starts[hi] == ends[-1] and self._values[hi] == values[-1]:
+                ends[-1] = self._ends[hi]
+                hi += 1
+        self._starts[lo:hi] = starts
+        self._ends[lo:hi] = ends
+        self._values[lo:hi] = values
+
+    # -- validation ---------------------------------------------------------------
+
+    def check(self, who: str = "run map") -> None:
+        """Raise :class:`InvariantViolation`, naming ``who``, unless the
+        map is canonical: parallel lists of one length, runs non-empty,
+        sorted and disjoint, and abutting runs of different payloads."""
+        starts, ends, values = self._starts, self._ends, self._values
+        if not len(starts) == len(ends) == len(values):
+            raise InvariantViolation(
+                f"{who}: run lists out of sync (starts={len(starts)}, "
+                f"ends={len(ends)}, values={len(values)})"
+            )
+        previous_end: Optional[int] = None
+        for index, (start, end) in enumerate(zip(starts, ends)):
+            if end <= start:
+                raise InvariantViolation(f"{who}: empty run [{start},{end}) stored")
+            if previous_end is not None:
+                if start < previous_end:
+                    raise InvariantViolation(
+                        f"{who}: runs overlap or are unsorted at {start} "
+                        f"(previous run ends at {previous_end})"
+                    )
+                if start == previous_end and values[index - 1] == values[index]:
+                    raise InvariantViolation(
+                        f"{who}: abutting runs [{starts[index - 1]},{start}) and "
+                        f"[{start},{end}) share {values[index]!r} (not coalesced)"
+                    )
+            previous_end = end
+
+
+class IntervalSet(RunMap[bool]):
+    """A canonical set of disjoint, non-adjacent, sorted intervals: the
+    :class:`RunMap` whose every run carries the unit payload ``True``.
 
     Supports the set algebra the schedulers rely on::
 
@@ -169,16 +283,12 @@ class IntervalSet:
         hit      = cached & job.segment            # intersection
         miss     = IntervalSet([job.segment]) - hit
         coverage = hit.measure() / job.segment.length
-
-    Internally two parallel lists of starts and ends allow binary-searched
-    point and range queries.
     """
 
-    __slots__ = ("_starts", "_ends")
+    __slots__ = ()
 
     def __init__(self, intervals: Iterable[Interval] = ()) -> None:
-        self._starts: List[int] = []
-        self._ends: List[int] = []
+        super().__init__()
         for interval in intervals:
             self.add(interval)
 
@@ -188,38 +298,44 @@ class IntervalSet:
     def from_pairs(cls, pairs: Iterable[Tuple[int, int]]) -> "IntervalSet":
         return cls(Interval(a, b) for a, b in pairs)
 
+    @classmethod
+    def covered(cls, runs: RunMap[Any], start: int, end: int) -> "IntervalSet":
+        """The points of ``runs`` inside ``[start, end)``, payloads dropped
+        and abutting runs merged."""
+        result = cls()
+        lo, hi = runs.span(start, end)
+        if lo < hi:
+            starts = runs._starts[lo:hi]
+            ends = runs._ends[lo:hi]
+            if starts[0] < start:
+                starts[0] = start
+            if ends[-1] > end:
+                ends[-1] = end
+            result.splice(0, 0, starts, ends, [True] * len(starts))
+        return result
+
     def copy(self) -> "IntervalSet":
         clone = IntervalSet.__new__(IntervalSet)
         clone._starts = list(self._starts)
         clone._ends = list(self._ends)
+        clone._values = list(self._values)
         return clone
 
     # -- queries ---------------------------------------------------------------
 
-    def __len__(self) -> int:
-        """Number of disjoint intervals (not the number of points)."""
-        return len(self._starts)
-
-    def __bool__(self) -> bool:
-        return bool(self._starts)
-
     def __iter__(self) -> Iterator[Interval]:
         for start, end in zip(self._starts, self._ends):
             yield Interval(start, end)
-
-    def intervals(self) -> Tuple[Interval, ...]:
-        return tuple(self)
 
     def pairs(self) -> List[Tuple[int, int]]:
         return list(zip(self._starts, self._ends))
 
     def measure(self) -> int:
         """Total number of points covered."""
-        return sum(e - s for s, e in zip(self._starts, self._ends))
+        return sum(self._ends) - sum(self._starts)
 
     def contains_point(self, point: int) -> bool:
-        index = bisect_right(self._starts, point) - 1
-        return index >= 0 and point < self._ends[index]
+        return self.value_at(point) is not None
 
     def covers(self, interval: Interval) -> bool:
         """True if every point of ``interval`` is in the set."""
@@ -228,62 +344,14 @@ class IntervalSet:
         index = bisect_right(self._starts, interval.start) - 1
         return index >= 0 and interval.end <= self._ends[index]
 
-    def intersects(self, interval: Interval) -> bool:
-        """True if the set shares at least one point with ``interval``."""
-        if interval.empty or not self._starts:
-            return False
-        index = bisect_right(self._starts, interval.start) - 1
-        if index >= 0 and interval.start < self._ends[index]:
-            return True
-        nxt = index + 1
-        return nxt < len(self._starts) and self._starts[nxt] < interval.end
-
     def intersection_with(self, interval: Interval) -> "IntervalSet":
         """The sub-set of points also inside ``interval``."""
-        result = IntervalSet()
-        if interval.empty or not self._starts:
-            return result
-        lo = bisect_right(self._ends, interval.start)
-        hi = bisect_left(self._starts, interval.end)
-        for i in range(lo, hi):
-            start = max(self._starts[i], interval.start)
-            end = min(self._ends[i], interval.end)
-            if start < end:
-                result._starts.append(start)
-                result._ends.append(end)
-        return result
+        return IntervalSet.covered(self, interval.start, interval.end)
 
     def overlap_measure(self, interval: Interval) -> int:
         """Number of points of ``interval`` covered by the set (no alloc of
         a result set; this is the hot query of cache-aware policies)."""
-        if interval.empty or not self._starts:
-            return 0
-        lo = bisect_right(self._ends, interval.start)
-        hi = bisect_left(self._starts, interval.end)
-        total = 0
-        for i in range(lo, hi):
-            start = self._starts[i] if self._starts[i] > interval.start else interval.start
-            end = self._ends[i] if self._ends[i] < interval.end else interval.end
-            if start < end:
-                total += end - start
-        return total
-
-    def boundary_points(self, interval: Interval) -> List[int]:
-        """Interior boundaries of the set clipped to ``interval``.
-
-        These are the natural split points turning ``interval`` into pieces
-        that are each fully-cached or fully-uncached.
-        """
-        points: List[int] = []
-        if interval.empty or not self._starts:
-            return points
-        lo = bisect_right(self._ends, interval.start)
-        hi = bisect_left(self._starts, interval.end)
-        for i in range(lo, hi):
-            for point in (self._starts[i], self._ends[i]):
-                if interval.start < point < interval.end:
-                    points.append(point)
-        return points
+        return self.overlap(interval.start, interval.end)
 
     # -- mutation ----------------------------------------------------------------
 
@@ -297,20 +365,23 @@ class IntervalSet:
 
         One binary-searched pass does both: the result equals
         ``interval.length - overlap_measure(interval)`` taken before the
-        insert, without walking the covered runs twice.
+        insert, without walking the covered runs twice.  This runs on
+        every tertiary read, so it edits the lists in place (the one-run
+        case of :meth:`splice`) with no call or allocation per run.
         """
         start = interval.start
         end = interval.end
         if end <= start:
             return 0
         starts, ends = self._starts, self._ends
-        # All runs with end < start stay untouched on the left.
+        # All runs with end < start stay untouched on the left, all runs
+        # with start > end on the right.
         lo = bisect_left(ends, start)
-        # All runs with start > end stay untouched on the right.
-        hi = bisect_right(starts, end)
+        hi = bisect_right(starts, end, lo)
         if lo == hi:
             starts.insert(lo, start)
             ends.insert(lo, end)
+            self._values.insert(lo, True)
             return end - start
         # Runs lo..hi-1 overlap or touch ``interval``: they merge with it
         # into one run, and their own points were already covered.
@@ -321,31 +392,27 @@ class IntervalSet:
             end = ends[hi - 1]
         starts[lo:hi] = [start]
         ends[lo:hi] = [end]
+        if hi - lo > 1:
+            del self._values[lo + 1:hi]
         return end - start - covered
 
     def remove(self, interval: Interval) -> None:
         """Delete every point of ``interval`` from the set."""
-        if interval.empty or not self._starts:
+        lo, hi = self.span(interval.start, interval.end)
+        if lo == hi:
             return
-        starts, ends = self._starts, self._ends
-        lo = bisect_right(ends, interval.start)
-        hi = bisect_left(starts, interval.end)
-        if lo >= hi:
-            return
-        replacement_starts: List[int] = []
-        replacement_ends: List[int] = []
-        if starts[lo] < interval.start:
-            replacement_starts.append(starts[lo])
-            replacement_ends.append(interval.start)
-        if ends[hi - 1] > interval.end:
-            replacement_starts.append(interval.end)
-            replacement_ends.append(ends[hi - 1])
-        starts[lo:hi] = replacement_starts
-        ends[lo:hi] = replacement_ends
+        starts: List[int] = []
+        ends: List[int] = []
+        if self._starts[lo] < interval.start:
+            starts.append(self._starts[lo])
+            ends.append(interval.start)
+        if self._ends[hi - 1] > interval.end:
+            starts.append(interval.end)
+            ends.append(self._ends[hi - 1])
+        self.splice(lo, hi, starts, ends, [True] * len(starts))
 
     def clear(self) -> None:
-        self._starts.clear()
-        self._ends.clear()
+        self.splice(0, len(self), [], [], [])
 
     # -- operators ----------------------------------------------------------------
 
@@ -373,9 +440,10 @@ class IntervalSet:
             return self.intersection_with(other)
         result = IntervalSet()
         for interval in other:
+            # Pieces of disjoint, non-adjacent intervals never abut.
             piece = self.intersection_with(interval)
-            result._starts.extend(piece._starts)
-            result._ends.extend(piece._ends)
+            tail = len(result)
+            result.splice(tail, tail, piece._starts, piece._ends, piece._values)
         return result
 
     __or__ = union
@@ -394,19 +462,9 @@ class IntervalSet:
         inner = ", ".join(f"[{s},{e})" for s, e in zip(self._starts, self._ends))
         return f"IntervalSet({inner})"
 
-    # -- validation ---------------------------------------------------------------
-
     def check_invariants(self) -> None:
         """Assert canonical form; used by tests and debug builds."""
-        previous_end = None
-        for start, end in zip(self._starts, self._ends):
-            if end <= start:
-                raise IntervalError(f"empty run [{start},{end}) stored")
-            if previous_end is not None and start <= previous_end:
-                raise IntervalError(
-                    f"runs not disjoint/merged: ...,{previous_end}) then [{start},..."
-                )
-            previous_end = end
+        self.check("interval set")
 
 
 class PositionIndex:

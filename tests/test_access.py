@@ -182,7 +182,7 @@ def _assert_canonical(counter):
     """Runs sorted and disjoint, counts in 1..threshold, no two abutting
     runs with equal count — checked independently of
     ``check_invariants``."""
-    runs = list(zip(counter._starts, counter._ends, counter._counts))
+    runs = list(zip(counter._starts, counter._ends, counter._values))
     for start, end, count in runs:
         assert start < end
         assert 1 <= count <= counter.threshold
@@ -250,12 +250,12 @@ class TestCountMapAgainstLevelSets:
         counter = RemoteAccessCounter(threshold=3)
         counter.register(Interval(0, 10))
         counter.register(Interval(10, 20))
-        assert list(zip(counter._starts, counter._ends, counter._counts)) == [
+        assert list(zip(counter._starts, counter._ends, counter._values)) == [
             (0, 20, 1)
         ]
         counter.register(Interval(0, 20))
         counter.register(Interval(5, 15))
-        assert list(zip(counter._starts, counter._ends, counter._counts)) == [
+        assert list(zip(counter._starts, counter._ends, counter._values)) == [
             (0, 5, 2), (5, 15, 3), (15, 20, 2)
         ]
 
@@ -263,7 +263,7 @@ class TestCountMapAgainstLevelSets:
         counter = RemoteAccessCounter(threshold=3)
         counter._starts[:] = [0, 10]
         counter._ends[:] = [10, 20]
-        counter._counts[:] = [1, 1]
+        counter._values[:] = [1, 1]
         with pytest.raises(InvariantViolation):
             counter.check_invariants()
 
@@ -271,7 +271,7 @@ class TestCountMapAgainstLevelSets:
         counter = RemoteAccessCounter(threshold=2)
         counter._starts[:] = [0]
         counter._ends[:] = [10]
-        counter._counts[:] = [3]
+        counter._values[:] = [3]
         with pytest.raises(InvariantViolation):
             counter.check_invariants()
 

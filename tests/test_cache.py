@@ -14,8 +14,8 @@ from bisect import bisect_left, bisect_right, insort
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.errors import CacheError
-from repro.data.cache import CacheStats, LRUSegmentCache, _Extent
+from repro.core.errors import CacheError, InvariantViolation
+from repro.data.cache import _HEAP_SLACK, CacheStats, LRUSegmentCache, _Extent
 from repro.data.intervals import Interval, IntervalSet
 
 
@@ -55,7 +55,7 @@ class TestBasics:
         cache.insert(Interval(0, 50), now=1.0)
         cache.insert(Interval(0, 50), now=2.0)
         assert cache.used_events == 50
-        cache.check_invariants()
+        cache.validate()
 
     def test_oversized_insert_keeps_rightmost(self):
         cache = LRUSegmentCache(10)
@@ -173,7 +173,7 @@ class TestCoalescing:
         assert cache.used_events == 90
         # Now three extents with stamps 1.0 / 5.0 / 1.0.
         assert cache.extent_count() == 3
-        cache.check_invariants()
+        cache.validate()
 
     def test_stats(self):
         cache = LRUSegmentCache(50)
@@ -243,7 +243,7 @@ class TestAgainstReferenceModel:
                 cache.insert(interval, now)
             else:
                 cache.touch(interval, now)
-            cache.check_invariants()
+            cache.validate()
         # Exact pointwise-LRU equivalence is not required (the extent cache
         # evicts at sub-extent granularity with its own tie-breaks), but the
         # occupancy accounting must be exact and coverage must be a subset
@@ -564,3 +564,56 @@ class TestAgainstCarveAndMerge:
             target.touch(Interval(10, 40), now=2.0)
         assert list(cache) == [(Interval(0, 10), 1.0), (Interval(10, 60), 2.0)]
         _assert_same_state(cache, oracle)
+
+
+# -- the LRU heap bound ---------------------------------------------------------------
+
+
+class TestHeapBound:
+    """Only eviction pops stale heap entries, so a cache that never fills
+    must compact its heap itself."""
+
+    def test_touches_of_a_cache_that_never_fills_keep_the_heap_bounded(self):
+        cache = LRUSegmentCache(1_000_000)
+        cache.insert(Interval(0, 1000), now=0.0)
+        rng = random.Random(5)
+        for step in range(1, 10_001):
+            start = rng.randrange(0, 1000)
+            cache.touch(Interval(start, start + rng.randrange(1, 20)), now=float(step))
+        assert cache.free_events > 0
+        assert len(cache._lru_heap) <= 2 * cache.extent_count() + _HEAP_SLACK
+        cache.validate()
+
+    def test_validate_flags_an_uncompacted_heap(self):
+        cache = LRUSegmentCache(1000)
+        cache.insert(Interval(0, 10), now=1.0)
+        dead = _Extent(Interval(20, 30), 2.0)
+        dead.alive = False
+        cache._lru_heap.extend((2.0, 100 + i, dead) for i in range(_HEAP_SLACK + 2))
+        with pytest.raises(InvariantViolation, match="not compacted"):
+            cache.validate()
+
+    def test_compaction_keeps_the_eviction_order(self):
+        """Touch a cache that never fills until its heap has been
+        compacted many times, then fill it: it evicts exactly as the
+        carve-and-merge oracle, whose heap is never compacted."""
+        cache = LRUSegmentCache(2000)
+        oracle = _CarveAndMergeCache(2000)
+        rng = random.Random(11)
+        now = 0.0
+        for target in (cache, oracle):
+            target.insert(Interval(0, 1000), now=now)
+        for _ in range(3000):
+            now += rng.choice([0.0, 1.0])
+            start = rng.randrange(0, 1000)
+            interval = Interval(start, start + rng.randrange(1, 30))
+            for target in (cache, oracle):
+                target.touch(interval, now)
+        assert len(cache._lru_heap) < len(oracle._lru_heap) // 2
+        _assert_same_state(cache, oracle)
+        for step in range(20):
+            now += 1.0
+            interval = Interval(2000 + 100 * step, 2100 + 100 * step)
+            for target in (cache, oracle):
+                target.insert(interval, now)
+            _assert_same_state(cache, oracle)

@@ -10,10 +10,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.errors import IntervalError
+from repro.core.errors import IntervalError, InvariantViolation
 from repro.data.intervals import (
     Interval,
     IntervalSet,
+    RunMap,
     complement,
     partition_by,
 )
@@ -73,8 +74,6 @@ class TestInterval:
     def test_overlaps_and_adjacent(self):
         assert Interval(0, 5).overlaps(Interval(4, 8))
         assert not Interval(0, 5).overlaps(Interval(5, 8))
-        assert Interval(0, 5).adjacent(Interval(5, 8))
-        assert not Interval(0, 5).adjacent(Interval(6, 8))
 
     def test_intersection(self):
         assert Interval(0, 5).intersection(Interval(3, 9)) == Interval(3, 5)
@@ -94,21 +93,10 @@ class TestInterval:
     def test_subtract_all(self):
         assert Interval(2, 4).subtract(Interval(0, 10)) == ()
 
-    def test_split_at(self):
-        left, right = Interval(0, 10).split_at(4)
-        assert left == Interval(0, 4)
-        assert right == Interval(4, 10)
-
-    def test_split_at_out_of_range_raises(self):
-        with pytest.raises(IntervalError):
-            Interval(0, 10).split_at(11)
-
     def test_take_drop_left(self):
         interval = Interval(10, 20)
         assert interval.take_left(3) == Interval(10, 13)
-        assert interval.drop_left(3) == Interval(13, 20)
         assert interval.take_left(100) == interval
-        assert interval.drop_left(100).empty
 
     def test_iter(self):
         assert list(Interval(3, 6)) == [3, 4, 5]
@@ -207,11 +195,6 @@ class TestIntervalSetBasics:
         b.add(Interval(10, 12))
         assert a.pairs() == [(0, 5)]
 
-    def test_boundary_points(self):
-        iset = IntervalSet([Interval(2, 5), Interval(8, 12)])
-        assert iset.boundary_points(Interval(0, 20)) == [2, 5, 8, 12]
-        assert iset.boundary_points(Interval(3, 9)) == [5, 8]
-
     def test_overlap_measure(self):
         iset = IntervalSet([Interval(0, 4), Interval(10, 14)])
         assert iset.overlap_measure(Interval(2, 12)) == 2 + 2
@@ -308,7 +291,6 @@ class TestIntervalSetProperties:
         pts = points_of_set(iset)
         probe_pts = points_of(probe)
         assert iset.overlap_measure(probe) == len(pts & probe_pts)
-        assert iset.intersects(probe) == bool(pts & probe_pts)
         assert iset.covers(probe) == (probe_pts <= pts)
         assert points_of_set(iset.intersection_with(probe)) == pts & probe_pts
 
@@ -355,3 +337,84 @@ class TestHelpers:
         for left, right in zip(pieces, pieces[1:]):
             assert left.end == right.start
             assert not left.empty and not right.empty
+
+
+# -- RunMap: the span-and-splice primitive under the data layer ---------------------
+
+#: Payloads of the generated runs: few, so abutting equal payloads (which
+#: must merge) are common; ``None`` leaves a gap.
+PAYLOADS = st.sampled_from([None, 0, 1, 2])
+
+
+@st.composite
+def splices(draw):
+    """A query range, the index range to replace (the runs it overlaps,
+    optionally widened to the abutting ones), and the new runs tiling
+    parts of the range."""
+    start = draw(st.integers(0, 60))
+    end = start + draw(st.integers(0, 25))
+    cuts = sorted(set(draw(st.lists(st.integers(start, end), max_size=5))) | {start, end})
+    runs = [
+        (a, b, value)
+        for (a, b), value in zip(zip(cuts, cuts[1:]), draw(st.lists(PAYLOADS, min_size=len(cuts))))
+        if value is not None
+    ]
+    return start, end, draw(st.booleans()), runs
+
+
+class TestRunMap:
+    """Random splices against a per-point model: the map holds the same
+    payload at every point and stays canonical after every call."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(splices(), max_size=15))
+    def test_splices_match_pointwise_model(self, operations):
+        runs = RunMap()
+        model = {}
+        for start, end, widen, new_runs in operations:
+            lo, hi = runs.span(start, end)
+            if widen and lo > 0 and runs._ends[lo - 1] == start:
+                lo -= 1
+            if widen and hi < len(runs) and runs._starts[hi] == end:
+                hi += 1
+            for a, b in zip(runs._starts[lo:hi], runs._ends[lo:hi]):
+                for point in range(a, b):
+                    del model[point]
+            for a, b, value in new_runs:
+                for point in range(a, b):
+                    model[point] = value
+            runs.splice(
+                lo,
+                hi,
+                [a for a, _, _ in new_runs],
+                [b for _, b, _ in new_runs],
+                [value for _, _, value in new_runs],
+            )
+            runs.check()
+            for point in range(-1, 90):
+                assert runs.value_at(point) == model.get(point)
+            assert runs.overlap(start, end) == sum(1 for p in range(start, end) if p in model)
+
+    def test_span(self):
+        runs = RunMap()
+        runs.splice(0, 0, [0, 20], [10, 30], [1, 2])
+        assert runs.span(10, 20) == (1, 1)
+        assert runs.span(5, 25) == (0, 2)
+        lo, hi = runs.span(5, 5)
+        assert lo == hi
+
+    @pytest.mark.parametrize(
+        "starts, ends, values, message",
+        [
+            ([0, 10], [10, 10], [1, 2], "empty run"),
+            ([0, 5], [10, 20], [1, 2], "overlap"),
+            ([0, 10], [10, 20], [1, 1], "share 1"),
+        ],
+    )
+    def test_check_rejects(self, starts, ends, values, message):
+        runs = RunMap()
+        runs._starts[:] = starts
+        runs._ends[:] = ends
+        runs._values[:] = values
+        with pytest.raises(InvariantViolation, match=message):
+            runs.check()

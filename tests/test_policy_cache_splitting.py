@@ -103,7 +103,7 @@ class TestConservation:
         for job in sim.jobs.values():
             job.check_invariants()
         for node in sim.cluster:
-            node.cache.check_invariants()
+            node.cache.validate()
 
     def test_cache_bounded_by_capacity(self):
         entries = [(i * 300.0, (i * 9001) % 70_000, 1500) for i in range(60)]

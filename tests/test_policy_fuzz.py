@@ -82,6 +82,6 @@ class TestPolicyInvariantsUnderFuzz:
 
         for node in sim.cluster:
             # 5. Caches consistent and within capacity.
-            node.cache.check_invariants()
+            node.cache.validate()
             # 6. Nodes idle at the end (no phantom work).
             assert node.idle

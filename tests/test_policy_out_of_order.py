@@ -163,7 +163,7 @@ class TestConservation:
         for job in sim.jobs.values():
             job.check_invariants()
         for node in sim.cluster:
-            node.cache.check_invariants()
+            node.cache.validate()
 
     def test_queues_drain_at_low_load(self):
         entries = [(i * 2000.0, (i * 7907) % 70_000, 800) for i in range(30)]

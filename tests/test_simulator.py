@@ -66,7 +66,7 @@ class TestEveryPolicy:
         sim = self._run(policy, params)
         sim.run()
         for node in sim.cluster:
-            node.cache.check_invariants()
+            node.cache.validate()
 
     def test_deterministic(self, policy, params):
         first = self._run(policy, params).run()

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from ..core.errors import InvariantViolation
-from ..data.intervals import Interval, IntervalSet, RunMap
+from ..data.intervals import IntervalSet, RunMap
 from ..data.tertiary import TertiaryStorage
 from ..obs.hooks import kinds
 from .costmodel import DataSource
@@ -44,8 +44,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class ChunkPlan:
-    """One uniform-rate chunk: events, source, and (for remote reads)
-    which node owns the cached copy.
+    """One uniform-rate chunk: its events ``[start, end)``, source, and
+    (for remote reads) which node owns the cached copy.
 
     ``rate_factor`` scales the chunk's per-event time (>= 1.0); planners
     modelling shared-resource contention (e.g. a congested network link)
@@ -59,21 +59,23 @@ class ChunkPlan:
     topologies, keeping the plan byte-compatible with the paper's model.
 
     A plan is built once per chunk, so it is a plain ``__slots__`` record
-    with a direct ``__init__``; treat it as read-only.
+    with a direct ``__init__`` and plain int bounds; treat it as read-only.
     """
 
-    __slots__ = ("interval", "source", "owner", "rate_factor", "via", "tier")
+    __slots__ = ("start", "end", "source", "owner", "rate_factor", "via", "tier")
 
     def __init__(
         self,
-        interval: Interval,
+        start: int,
+        end: int,
         source: DataSource,
         owner: Optional["Node"] = None,
         rate_factor: float = 1.0,
         via: Tuple["Tier", ...] = (),
         tier: Optional["Tier"] = None,
     ) -> None:
-        self.interval = interval
+        self.start = start
+        self.end = end
         self.source = source
         self.owner = owner
         self.rate_factor = rate_factor
@@ -94,20 +96,26 @@ class DataAccessPlanner:
 
     # -- planning ------------------------------------------------------------
 
-    def plan_chunk(self, node: "Node", remaining: Interval, max_events: int) -> ChunkPlan:
-        """Choose the next uniform chunk of ``remaining`` (left-aligned,
-        at most ``max_events`` long)."""
+    def plan_chunk(
+        self, node: "Node", start: int, end: int, max_events: int
+    ) -> ChunkPlan:
+        """Choose the next uniform chunk of the remaining events
+        ``[start, end)``: left-aligned, at most ``max_events`` long."""
+        cap = start + max_events
+        if cap < end:
+            end = cap
         if self.use_cache:
-            prefix = node.cache.cached_prefix(remaining)
-            if not prefix.empty:
-                return ChunkPlan(prefix.take_left(max_events), DataSource.CACHE)
-            miss = node.cache.uncached_prefix(remaining)
-            return self._plan_miss(node, miss.take_left(max_events))
-        return ChunkPlan(remaining.take_left(max_events), DataSource.TERTIARY)
+            cache = node.cache
+            reach = cache.cached_prefix(start, end)
+            if reach > start:
+                return ChunkPlan(start, reach, DataSource.CACHE)
+            return self._plan_miss(node, start, cache.uncached_prefix(start, end))
+        return ChunkPlan(start, end, DataSource.TERTIARY)
 
-    def _plan_miss(self, node: "Node", miss: Interval) -> ChunkPlan:
-        """Resolve a local cache miss (hook for remote-read planners)."""
-        return ChunkPlan(miss, DataSource.TERTIARY)
+    def _plan_miss(self, node: "Node", start: int, end: int) -> ChunkPlan:
+        """Resolve the local cache miss ``[start, end)`` (hook for
+        remote-read planners)."""
+        return ChunkPlan(start, end, DataSource.TERTIARY)
 
     # -- accounting -----------------------------------------------------------
 
@@ -118,52 +126,54 @@ class DataAccessPlanner:
         """Hook: the chunk ended (completed or preempted); called exactly
         once per started chunk, after :meth:`on_chunk_processed`."""
 
-    def on_chunk_processed(self, node: "Node", plan: ChunkPlan, processed: Interval) -> None:
-        """Record the side effects of having processed ``processed``
-        (a left prefix of ``plan.interval``; may be empty after an
-        immediate preemption)."""
-        if processed.end <= processed.start:
+    def on_chunk_processed(self, node: "Node", plan: ChunkPlan, end: int) -> None:
+        """Record the side effects of having processed ``[plan.start,
+        end)``, a left prefix of the plan; it is empty (``end ==
+        plan.start``) after an abort or an immediate preemption."""
+        start = plan.start
+        if end <= start:
             return
         now = node.engine.now
         obs = node.obs
         if plan.source is DataSource.CACHE:
-            node.cache.touch(processed, now)
+            node.cache.touch(start, end, now)
             if obs.enabled:
                 obs.emit(
                     now,
                     kinds.CACHE_HIT,
                     "planner",
                     node=node.node_id,
-                    events=processed.length,
+                    events=end - start,
                 )
         elif plan.source is DataSource.TERTIARY:
-            self.tertiary.read(node.node_id, processed, now=now)
+            self.tertiary.read(node.node_id, start, end, now=now)
             if obs.enabled and self.use_cache:
                 obs.emit(
                     now,
                     kinds.CACHE_MISS,
                     "planner",
                     node=node.node_id,
-                    events=processed.length,
+                    events=end - start,
                 )
             if self.populate_cache:
-                node.cache.insert(processed, now)
+                node.cache.insert(start, end, now)
         elif plan.source is DataSource.REMOTE:
             assert plan.owner is not None
-            plan.owner.cache.touch(processed, now)
+            plan.owner.cache.touch(start, end, now)
             if obs.enabled:
                 obs.emit(
                     now,
                     kinds.REMOTE_READ,
                     "planner",
                     node=node.node_id,
-                    events=processed.length,
+                    events=end - start,
                     owner=plan.owner.node_id,
                 )
-            self._on_remote_read(node, plan.owner, processed)
+            self._on_remote_read(node, plan.owner, start, end)
 
-    def _on_remote_read(self, node: "Node", owner: "Node", processed: Interval) -> None:
-        """Hook: called after a remote read (replication planners)."""
+    def _on_remote_read(self, node: "Node", owner: "Node", start: int, end: int) -> None:
+        """Hook: called after a remote read of ``[start, end)``
+        (replication planners)."""
 
     def access_counters(self) -> Iterable["RemoteAccessCounter"]:
         """The access counters this planner keeps (for the sanitizer)."""
@@ -208,19 +218,17 @@ class RemoteAccessCounter(RunMap[int]):
         super().__init__()
         self.threshold = threshold
 
-    def register(self, interval: Interval) -> IntervalSet:
-        """Record one access to ``interval``; return, as a canonical set,
-        the points whose count reached exactly ``threshold`` in this call
-        (with threshold 1, the points never accessed before)."""
+    def register(self, start: int, end: int) -> IntervalSet:
+        """Record one access to ``[start, end)``; return, as a canonical
+        set, the points whose count reached exactly ``threshold`` in this
+        call (with threshold 1, the points never accessed before)."""
         promoted = IntervalSet()
-        start = interval.start
-        end = interval.end
         if end <= start:
             return promoted
         cap = self.threshold
         starts, ends, counts = self._starts, self._ends, self._values
         lo, hi = self.span(start, end)
-        # ``(a, b, count before this call)`` tiling ``interval``; gaps
+        # ``(a, b, count before this call)`` tiling ``[start, end)``; gaps
         # between the runs it overlaps hold count 0.
         pieces: List[Tuple[int, int, int]] = []
         cursor = start
@@ -235,11 +243,11 @@ class RemoteAccessCounter(RunMap[int]):
             pieces.append((cursor, end, 0))
         for a, b, count in pieces:
             if count == cap - 1:
-                promoted.add(Interval(a, b))
+                promoted.add_measure(a, b)
         new_starts = [a for a, _, _ in pieces]
         new_ends = [b for _, b, _ in pieces]
         new_counts = [count + 1 if count < cap else count for _, _, count in pieces]
-        # The overlapped runs' parts outside ``interval`` keep their counts.
+        # The overlapped runs' parts outside ``[start, end)`` keep their counts.
         if lo < hi:
             if starts[lo] < start:
                 new_starts.insert(0, starts[lo])
@@ -308,15 +316,16 @@ class RemoteReadPlanner(CachingPlanner):
     def access_counters(self) -> Iterable["RemoteAccessCounter"]:
         return self._counters.values()
 
-    def _plan_miss(self, node: "Node", miss: Interval) -> ChunkPlan:
+    def _plan_miss(self, node: "Node", start: int, end: int) -> ChunkPlan:
         view = self.topology_view
         best_owner: Optional["Node"] = None
         best_key = (0, 0)
+        best_reach = start
         for peer in self._peers:
             if peer is node:
                 continue
-            prefix = peer.cache.cached_prefix(miss)
-            if prefix.empty:
+            reach = peer.cache.cached_prefix(start, end)
+            if reach == start:
                 continue
             # Longest prefix first; among equals, the tier-closest peer
             # (distance 0 everywhere on flat clusters, where this reduces
@@ -326,34 +335,35 @@ class RemoteReadPlanner(CachingPlanner):
                 if view is not None
                 else 0
             )
-            key = (prefix.length, -distance)
+            key = (reach - start, -distance)
             if key > best_key:
                 best_key = key
                 best_owner = peer
-                best_prefix = prefix
+                best_reach = reach
         if best_owner is None:
-            return ChunkPlan(miss, DataSource.TERTIARY)
-        return ChunkPlan(best_prefix, DataSource.REMOTE, owner=best_owner)
+            return ChunkPlan(start, end, DataSource.TERTIARY)
+        return ChunkPlan(start, best_reach, DataSource.REMOTE, best_owner)
 
-    def _on_remote_read(self, node: "Node", owner: "Node", processed: Interval) -> None:
-        self.stats.remote_events += processed.length
+    def _on_remote_read(self, node: "Node", owner: "Node", start: int, end: int) -> None:
+        events = end - start
+        self.stats.remote_events += events
         self.stats.remote_chunks += 1
         per_owner = self.stats.per_owner_remote
-        per_owner[owner.node_id] = per_owner.get(owner.node_id, 0) + processed.length
+        per_owner[owner.node_id] = per_owner.get(owner.node_id, 0) + events
         if not self.replication_enabled:
             return
         counter = self._counters.get(owner.node_id)
         if counter is None:
             counter = RemoteAccessCounter(self.replication_threshold)
             self._counters[owner.node_id] = counter
-        promoted = counter.register(processed)
+        promoted = counter.register(start, end)
         if promoted:
             # Replicate: copy the hot extents into the reader's cache.
             now = node.engine.now
             self.stats.replication_events += 1
-            for extent in promoted:
-                self.stats.replicated_events += extent.length
-                node.cache.insert(extent, now)
+            for a, b in promoted.pairs():
+                self.stats.replicated_events += b - a
+                node.cache.insert(a, b, now)
 
 
 class ContentionRemoteReadPlanner(RemoteReadPlanner):
@@ -395,8 +405,8 @@ class ContentionRemoteReadPlanner(RemoteReadPlanner):
         self._active_remote_streams = 0
         self.peak_remote_streams = 0
 
-    def _plan_miss(self, node: "Node", miss: Interval) -> ChunkPlan:
-        plan = super()._plan_miss(node, miss)
+    def _plan_miss(self, node: "Node", start: int, end: int) -> ChunkPlan:
+        plan = super()._plan_miss(node, start, end)
         if plan.source is not DataSource.REMOTE:
             return plan
         assert plan.owner is not None
@@ -411,10 +421,7 @@ class ContentionRemoteReadPlanner(RemoteReadPlanner):
         base = disk + wire + cpu
         effective = disk * disk_multiplier + wire * wire_multiplier + cpu
         return ChunkPlan(
-            interval=plan.interval,
-            source=plan.source,
-            owner=plan.owner,
-            rate_factor=effective / base,
+            plan.start, plan.end, plan.source, plan.owner, effective / base
         )
 
     def on_chunk_started(self, node: "Node", plan: ChunkPlan) -> None:

@@ -24,7 +24,6 @@ from ..core.engine import Engine
 from ..core.errors import SchedulingError
 from ..core.events import EventPriority, ScheduledEvent
 from ..data.cache import LRUSegmentCache
-from ..data.intervals import Interval
 from ..obs.hooks import NULL_BUS, HookBus, kinds
 from ..workload.jobs import Subjob, SubjobState
 from .access import ChunkPlan, DataAccessPlanner
@@ -234,11 +233,11 @@ class Node:
         elapsed = self.engine.now - self._started_at
         productive = max(0.0, elapsed - self._setup)
         events_done = int(productive / self._per_event + _EVENT_EPSILON)
-        events_done = min(events_done, plan.interval.length)
+        events_done = min(events_done, plan.end - plan.start)
         self._account_chunk(
             subjob,
             plan,
-            plan.interval.take_left(events_done),
+            plan.start + events_done,
             events_done,
             events_done * self._per_event + min(elapsed, self._setup),
         )
@@ -293,10 +292,10 @@ class Node:
             elapsed = self.engine.now - self._started_at
             productive = max(0.0, elapsed - self._setup)
             lost = int(productive / self._per_event + _EVENT_EPSILON)
-            lost = min(lost, plan.interval.length)
+            lost = min(lost, plan.end - plan.start)
             # Keep the planner's started/finished pairing, crediting no
             # events (contention trackers must see the stream end).
-            self.planner.on_chunk_processed(self, plan, plan.interval.take_left(0))
+            self.planner.on_chunk_processed(self, plan, plan.start)
             self.planner.on_chunk_finished(self, plan)
             self._plan = None
             self._completion = None
@@ -384,20 +383,21 @@ class Node:
         assert subjob is not None
         segment = subjob.segment
         start = segment.start + subjob.processed
-        remaining = Interval(start, segment.end)
-        assert start < segment.end
-        plan = self.planner.plan_chunk(self, remaining, self.chunk_events)
-        interval = plan.interval
-        if interval.end <= start or interval.start != start:
+        end = segment.end
+        assert start < end
+        plan = self.planner.plan_chunk(self, start, end, self.chunk_events)
+        chunk_end = plan.end
+        if plan.start != start or not start < chunk_end <= end:
             raise SchedulingError(
-                f"planner returned bad chunk {interval} for {remaining}"
+                f"planner returned bad chunk [{plan.start}, {chunk_end}) "
+                f"for the remaining events [{start}, {end})"
             )
         source = plan.source
         per_event, setup = self._costs[source]
         per_event = per_event * plan.rate_factor
         if source is DataSource.TERTIARY and self.tertiary_slowdown != 1.0:
             per_event *= self.tertiary_slowdown
-        duration = setup + (interval.end - start) * per_event
+        duration = setup + (chunk_end - start) * per_event
         self.planner.on_chunk_started(self, plan)
         now = self.engine.now
         self._completion = self.engine.call_at(
@@ -413,19 +413,19 @@ class Node:
         self.stats.chunks_started += 1
 
     def _on_chunk_complete(self) -> None:
-        """Credit the whole planned interval of the finished chunk, then
+        """Credit the whole planned range of the finished chunk, then
         plan the next one or finish the subjob."""
         subjob = self.current
         plan = self._plan
         assert subjob is not None and plan is not None
-        interval = plan.interval
-        events = interval.end - interval.start
+        end = plan.end
+        events = end - plan.start
         self._account_chunk(
-            subjob, plan, interval, events, events * self._per_event + self._setup
+            subjob, plan, end, events, events * self._per_event + self._setup
         )
         self._plan = None
         self._completion = None
-        if interval.end == subjob.segment.end:
+        if end == subjob.segment.end:
             self.current = None
             self._sync_idle()
             self._finish_subjob(subjob, deferred=False)
@@ -436,16 +436,16 @@ class Node:
         self,
         subjob: Subjob,
         plan: ChunkPlan,
-        processed: Interval,
+        end: int,
         events: int,
         seconds: float,
     ) -> None:
-        """Credit ``processed`` — the first ``events`` whole events of the
-        chunk — and the ``seconds`` of node time spent on it (setup
-        latency included).  A completed chunk passes its whole planned
-        interval; a preempted one its ``take_left`` prefix."""
+        """Credit ``[plan.start, end)`` — the first ``events`` whole events
+        of the chunk — and the ``seconds`` of node time spent on it (setup
+        latency included).  A completed chunk passes its planned end; a
+        preempted one ``plan.start + events``."""
         planner = self.planner
-        planner.on_chunk_processed(self, plan, processed)
+        planner.on_chunk_processed(self, plan, end)
         planner.on_chunk_finished(self, plan)
         subjob.advance(events)
         stats = self.stats

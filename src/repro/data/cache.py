@@ -21,7 +21,8 @@ time).
 ``touch``, ``insert`` and ``invalidate`` share one walk (``_restamp``):
 each maximal abutting run of overlapping extents becomes the left leftover
 of its first extent, the right leftover of its last (old stamps kept) and
-the re-stamped part, spliced back by one map splice.  Each gets a fresh
+the re-stamped part, written back by one map replace (the walk coalesces
+them itself, so the map's seam merge has nothing to do).  Each gets a fresh
 LRU heap entry in that order, which fixes how equal stamps evict.  The
 heap deletes lazily, and is rebuilt from its live entries once stale ones
 outnumber them, so a cache that never fills stays bounded.
@@ -61,16 +62,19 @@ class _Extent:
     """One cached extent: the payload of its run in the cache's
     :class:`RunMap`, and the record its LRU heap entry points at.
 
-    The map merges abutting runs of equal payload, and the cache's rule
-    is that abutting extents never share a stamp, so extents compare
-    (and print) by stamp; stamps are copied, never computed, so they
-    compare exactly.  Liveness and heap entries go by identity.
+    It repeats its run's bounds, so eviction, which reaches an extent
+    through the heap, can find the run.  The map merges abutting runs of
+    equal payload, and the cache's rule is that abutting extents never
+    share a stamp, so extents compare (and print) by stamp; stamps are
+    copied, never computed, so they compare exactly.  Liveness and heap
+    entries go by identity.
     """
 
-    __slots__ = ("interval", "last_access", "alive")
+    __slots__ = ("start", "end", "last_access", "alive")
 
-    def __init__(self, interval: Interval, last_access: float) -> None:
-        self.interval = interval
+    def __init__(self, start: int, end: int, last_access: float) -> None:
+        self.start = start
+        self.end = end
         self.last_access = last_access
         self.alive = True
 
@@ -92,8 +96,8 @@ class LRUSegmentCache:
     """An LRU cache over event extents with a fixed capacity in events.
 
     >>> cache = LRUSegmentCache(capacity_events=100)
-    >>> cache.insert(Interval(0, 60), now=1.0)
-    >>> cache.insert(Interval(200, 260), now=2.0)
+    >>> cache.insert(0, 60, now=1.0)
+    >>> cache.insert(200, 260, now=2.0)
     >>> cache.used_events
     100
     >>> cache.coverage.pairs()  # 20 LRU events of [0,60) were evicted
@@ -154,73 +158,74 @@ class LRUSegmentCache:
     def contains_point(self, point: int) -> bool:
         return self._runs.value_at(point) is not None
 
-    def cached_prefix(self, interval: Interval) -> Interval:
-        """The longest cached run starting exactly at ``interval.start``.
+    def cached_prefix(self, start: int, end: int) -> int:
+        """End of the longest cached run of ``[start, end)`` starting
+        exactly at ``start`` (``start`` itself when that event is not
+        cached).
 
-        Returns an empty interval when the first event is not cached.  This
-        is the hot query of chunked execution: a node processing left to
-        right asks "how far can I read from disk before hitting a miss?".
+        This is the hot query of chunked execution: a node processing left
+        to right asks "how far can I read from disk before hitting a miss?".
         """
-        start = interval.start
         runs = self._runs
         starts = runs._starts
         ends = runs._ends
         index = bisect_right(starts, start) - 1
-        end = ends[index] if index >= 0 else start
-        if end <= start or interval.end <= start:
-            return Interval(start, start)
+        reach = ends[index] if index >= 0 else start
+        if reach <= start or end <= start:
+            return start
         # Walk right over contiguous extents (they may abut without merging
         # when their timestamps differ).
         index += 1
         n = len(starts)
-        while end < interval.end and index < n and starts[index] == end:
-            end = ends[index]
+        while reach < end and index < n and starts[index] == reach:
+            reach = ends[index]
             index += 1
-        return interval if end >= interval.end else Interval(start, end)
+        return reach if reach < end else end
 
-    def uncached_prefix(self, interval: Interval) -> Interval:
-        """The longest run starting at ``interval.start`` with no cached
-        event."""
-        start = interval.start
-        if interval.empty:
-            return Interval(start, start)
+    def uncached_prefix(self, start: int, end: int) -> int:
+        """End of the longest run of ``[start, end)`` starting at
+        ``start`` with no cached event (``start`` when that event is
+        cached)."""
+        if end <= start:
+            return start
         runs = self._runs
         starts = runs._starts
         # Only the first overlapping extent bounds the prefix: either an
         # extent covering ``start`` (empty prefix) or the first extent
-        # beginning inside the interval.
+        # beginning inside the range.
         index = bisect_right(starts, start) - 1
         if index >= 0 and runs._ends[index] > start:
-            return Interval(start, start)
+            return start
         index += 1
-        if index < len(starts) and starts[index] < interval.end:
-            return Interval(start, starts[index])
-        return Interval(start, interval.end)
+        if index < len(starts) and starts[index] < end:
+            return starts[index]
+        return end
 
     def extent_count(self) -> int:
         return len(self._runs)
 
     def __iter__(self) -> Iterator[Tuple[Interval, float]]:
         for extent in self._runs._values:
-            yield extent.interval, extent.last_access
+            yield Interval(extent.start, extent.end), extent.last_access
 
     # -- mutation ----------------------------------------------------------------
 
-    def insert(self, interval: Interval, now: float) -> None:
-        """Cache ``interval`` with access time ``now``, evicting LRU data.
+    def insert(self, start: int, end: int, now: float) -> None:
+        """Cache ``[start, end)`` with access time ``now``, evicting LRU
+        data.
 
-        Intervals longer than the capacity keep only their rightmost
+        Ranges longer than the capacity keep only their rightmost
         ``capacity`` events — exactly what sequential streaming through a
         full cache leaves behind.
         """
-        if interval.empty or self.capacity_events == 0:
+        if end <= start or self.capacity_events == 0:
             return
-        if interval.end - interval.start > self.capacity_events:
-            interval = Interval(interval.end - self.capacity_events, interval.end)
-        self.stats.inserted_events += interval.end - interval.start
-        self._restamp(interval, now, fill=True)
+        if end - start > self.capacity_events:
+            start = end - self.capacity_events
+        self.stats.inserted_events += end - start
+        self._restamp(start, end, now, fill=True)
         evicted_before = self.stats.evicted_events
-        self._evict_to_fit(protect=interval)
+        self._evict_to_fit(start, end)
         if self.obs.enabled:
             evicted = self.stats.evicted_events - evicted_before
             if evicted:
@@ -232,14 +237,14 @@ class LRUSegmentCache:
                     events=evicted,
                 )
 
-    def touch(self, interval: Interval, now: float) -> None:
-        """Refresh the LRU timestamp of the cached parts of ``interval``."""
-        self.stats.touched_events += self._restamp(interval, now, fill=False)
+    def touch(self, start: int, end: int, now: float) -> None:
+        """Refresh the LRU timestamp of the cached parts of ``[start, end)``."""
+        self.stats.touched_events += self._restamp(start, end, now, fill=False)
 
-    def invalidate(self, interval: Interval) -> int:
-        """Drop any cached events inside ``interval``; returns count."""
+    def invalidate(self, start: int, end: int) -> int:
+        """Drop any cached events inside ``[start, end)``; returns count."""
         before = self._used
-        self._restamp(interval, None, fill=True)
+        self._restamp(start, end, None, fill=True)
         dropped = before - self._used
         self.stats.dropped_events += dropped
         return dropped
@@ -251,13 +256,19 @@ class LRUSegmentCache:
 
     # -- internals ---------------------------------------------------------------
 
-    def _restamp(self, interval: Interval, now: Optional[float], fill: bool) -> int:
-        """Stamp ``interval`` with ``now`` in one walk over its extents:
-        all of it with ``fill`` (insert), else its cached runs (touch);
-        ``now=None`` drops the range instead (invalidate).  Returns the
-        events stamped before coalescing."""
-        query_start = interval.start
-        query_end = interval.end
+    def _restamp(
+        self, query_start: int, query_end: int, now: Optional[float], fill: bool
+    ) -> int:
+        """Stamp ``[query_start, query_end)`` with ``now`` in one walk over
+        its extents: all of it with ``fill`` (insert), else its cached runs
+        (touch); ``now=None`` drops the range instead (invalidate).
+        Returns the events stamped before coalescing.
+
+        The replacement runs come out coalesced, against each other and
+        against the runs around them, so they go into the map by a plain
+        :meth:`RunMap.replace`: a leftover keeps the stamp its extent had,
+        which differed from any abutting neighbour's, and the part absorbs
+        every leftover or neighbour stamped ``now``."""
         runs = self._runs
         starts = runs._starts
         ends = runs._ends
@@ -295,13 +306,13 @@ class LRUSegmentCache:
                     else:
                         new_starts.append(head_start)
                         new_ends.append(query_start)
-                        new_extents.append(self._push(Interval(head_start, query_start), stamp))
+                        new_extents.append(self._push(head_start, query_start, stamp))
                 if tail_end > query_end:
                     stamp = extents[run_hi - 1].last_access
                     if stamp == now:  # simlint: disable=SIM003
                         part_end = tail_end
                     else:
-                        right = self._push(Interval(query_end, tail_end), stamp)
+                        right = self._push(query_end, tail_end, stamp)
             if now is not None:
                 # The part coalesces with an outer neighbour stamped ``now``.
                 if run_lo == lo and lo > 0 and ends[lo - 1] == part_start:
@@ -312,12 +323,9 @@ class LRUSegmentCache:
                     if extents[hi].last_access == now:  # simlint: disable=SIM003
                         part_end = ends[hi]
                         splice_hi = hi + 1
-                part = interval
-                if part_start != query_start or part_end != query_end:
-                    part = Interval(part_start, part_end)
                 new_starts.append(part_start)
                 new_ends.append(part_end)
-                new_extents.append(self._push(part, now))
+                new_extents.append(self._push(part_start, part_end, now))
             if right is not None:
                 new_starts.append(query_end)
                 new_ends.append(tail_end)
@@ -327,14 +335,14 @@ class LRUSegmentCache:
             extents[index].alive = False
             used -= ends[index] - starts[index]
         self._used = used
-        runs.splice(splice_lo, splice_hi, new_starts, new_ends, new_extents)
+        runs.replace(splice_lo, splice_hi, new_starts, new_ends, new_extents)
         if len(self._lru_heap) > 2 * len(starts) + _HEAP_SLACK:
             self._compact_heap()
         return stamped
 
-    def _push(self, interval: Interval, last_access: float) -> _Extent:
+    def _push(self, start: int, end: int, last_access: float) -> _Extent:
         """A new extent with a fresh LRU heap entry (the next tiebreak)."""
-        extent = _Extent(interval, last_access)
+        extent = _Extent(start, end, last_access)
         tiebreak = self._tiebreak + 1
         self._tiebreak = tiebreak
         heapq.heappush(self._lru_heap, (last_access, tiebreak, extent))
@@ -349,9 +357,12 @@ class LRUSegmentCache:
         heap[:] = [entry for entry in heap if entry[2].alive]
         heapq.heapify(heap)
 
-    def _evict_to_fit(self, protect: Interval) -> None:
+    def _evict_to_fit(self, protect_start: int, protect_end: int) -> None:
         """Evict LRU extents until within capacity, never touching the
-        freshly inserted ``protect`` range."""
+        freshly inserted range ``[protect_start, protect_end)``.
+
+        Evicting shrinks or removes one run and leaves a gap at its left,
+        so the map stays canonical under a plain :meth:`RunMap.replace`."""
         stash: List[Tuple[float, int, _Extent]] = []
         runs = self._runs
         while self._used > self.capacity_events:
@@ -361,23 +372,23 @@ class LRUSegmentCache:
             extent = entry[2]
             if not extent.alive:
                 continue  # stale heap entry (lazy deletion)
-            if extent.interval.overlaps(protect):
+            start = extent.start
+            end = extent.end
+            if start < protect_end and protect_start < end:
                 stash.append(entry)
                 continue
-            start = extent.interval.start
-            end = extent.interval.end
             index = bisect_left(runs._starts, start)
             extent.alive = False
             excess = self._used - self.capacity_events
             if end - start > excess:
                 # Partial eviction: keep the rightmost part (the part a
                 # sequential reader touched last) under a fresh heap entry.
-                keep = self._push(Interval(start + excess, end), extent.last_access)
-                runs.splice(index, index + 1, [start + excess], [end], [keep])
+                keep = self._push(start + excess, end, extent.last_access)
+                runs.replace(index, index + 1, [start + excess], [end], [keep])
                 self._used -= excess
                 self.stats.evicted_events += excess
             else:
-                runs.splice(index, index + 1, [], [], [])
+                runs.replace(index, index + 1, [], [], [])
                 self._used -= end - start
                 self.stats.evicted_events += end - start
         for entry in stash:
@@ -408,13 +419,14 @@ class LRUSegmentCache:
         # extents sharing a stamp (extents compare by stamp).
         runs.check(who)
         for start, end, extent in zip(runs._starts, runs._ends, runs._values):
-            if extent.interval.start != start or extent.interval.end != end:
+            if extent.start != start or extent.end != end:
                 raise InvariantViolation(
-                    f"{who}: extent {extent.interval} filed under run [{start},{end})"
+                    f"{who}: extent [{extent.start},{extent.end}) filed under "
+                    f"run [{start},{end})"
                 )
             if not extent.alive:
                 raise InvariantViolation(
-                    f"{who}: dead extent {extent.interval} still indexed"
+                    f"{who}: dead extent [{start},{end}) still indexed"
                 )
         total = sum(runs._ends) - sum(runs._starts)
         if total != self._used:
@@ -444,7 +456,7 @@ class LRUSegmentCache:
             stamp = stamped.get(id(extent))
             if stamp is None:
                 raise InvariantViolation(
-                    f"{who}: live extent {extent.interval} missing from the "
+                    f"{who}: live extent [{extent.start},{extent.end}) missing from the "
                     "LRU heap (unreachable by eviction)"
                 )
             if not (stamp == extent.last_access):  # simlint: disable=SIM003
@@ -452,7 +464,7 @@ class LRUSegmentCache:
                 # extent's stamp, never the result of arithmetic.
                 raise InvariantViolation(
                     f"{who}: LRU stamp {stamp} != extent access time "
-                    f"{extent.last_access} for {extent.interval}"
+                    f"{extent.last_access} for [{extent.start},{extent.end})"
                 )
 
     def __repr__(self) -> str:

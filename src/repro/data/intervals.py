@@ -162,7 +162,8 @@ class RunMap(Generic[V]):
     The form is canonical: runs are non-empty, sorted and disjoint, and no
     two abutting runs carry equal payloads (:meth:`check`).  Writers go
     through :meth:`splice`, which keeps that form by merging abutting runs
-    of equal payload at every seam it makes (only
+    of equal payload at every seam it makes, or through :meth:`replace`
+    when their runs are canonical already (only
     :meth:`IntervalSet.add_measure` edits the lists in place); the data
     layer's hot paths read the three lists directly.
 
@@ -239,6 +240,15 @@ class RunMap(Generic[V]):
             if hi < len(self._starts) and self._starts[hi] == ends[-1] and self._values[hi] == values[-1]:
                 ends[-1] = self._ends[hi]
                 hi += 1
+        self.replace(lo, hi, starts, ends, values)
+
+    def replace(
+        self, lo: int, hi: int, starts: List[int], ends: List[int], values: List[V]
+    ) -> None:
+        """Replace runs ``lo..hi-1`` by the given runs as they are: the
+        plain slice replacement :meth:`splice` ends with, for writers whose
+        runs are already canonical against each other and their neighbours
+        (the cache's re-stamp and eviction)."""
         self._starts[lo:hi] = starts
         self._ends[lo:hi] = ends
         self._values[lo:hi] = values
@@ -357,20 +367,18 @@ class IntervalSet(RunMap[bool]):
 
     def add(self, interval: Interval) -> None:
         """Insert ``interval``, merging with any overlapping/adjacent runs."""
-        self.add_measure(interval)
+        self.add_measure(interval.start, interval.end)
 
-    def add_measure(self, interval: Interval) -> int:
-        """Insert ``interval`` like :meth:`add` and return the number of
-        its points that were not in the set before.
+    def add_measure(self, start: int, end: int) -> int:
+        """Insert ``[start, end)`` like :meth:`add` and return the number
+        of its points that were not in the set before.
 
         One binary-searched pass does both: the result equals
-        ``interval.length - overlap_measure(interval)`` taken before the
-        insert, without walking the covered runs twice.  This runs on
-        every tertiary read, so it edits the lists in place (the one-run
-        case of :meth:`splice`) with no call or allocation per run.
+        ``end - start - overlap(start, end)`` taken before the insert,
+        without walking the covered runs twice.  This runs on every
+        tertiary read, so it edits the lists in place (the one-run case
+        of :meth:`splice`) with no call or allocation per run.
         """
-        start = interval.start
-        end = interval.end
         if end <= start:
             return 0
         starts, ends = self._starts, self._ends

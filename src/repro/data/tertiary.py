@@ -55,20 +55,22 @@ class TertiaryStorage:
         self._distinct = IntervalSet()
 
     def read(
-        self, node_id: int, interval: Interval, now: Optional[float] = None
+        self, node_id: int, start: int, end: int, now: Optional[float] = None
     ) -> None:
-        """Record that ``node_id`` streamed ``interval`` from tertiary
+        """Record that ``node_id`` streamed ``[start, end)`` from tertiary
         storage (``now`` timestamps the trace event when tracing)."""
-        if interval.end <= interval.start:
+        if end <= start:
             return
-        self.dataspace.validate_segment(interval)
-        events = interval.end - interval.start
+        if start < 0 or end > self.dataspace.total_events:
+            # Raises, naming the segment and the space's bounds.
+            self.dataspace.validate_segment(Interval(start, end))
+        events = end - start
         stats = self.stats
         stats.events_read += events
         stats.read_requests += 1
         per_node = stats.events_read_per_node
         per_node[node_id] = per_node.get(node_id, 0) + events
-        stats.distinct_events_read += self._distinct.add_measure(interval)
+        stats.distinct_events_read += self._distinct.add_measure(start, end)
         if self.obs.enabled and now is not None:
             self.obs.emit(
                 now,
@@ -76,8 +78,8 @@ class TertiaryStorage:
                 "tertiary",
                 node=node_id,
                 events=events,
-                start=interval.start,
-                end=interval.end,
+                start=start,
+                end=end,
             )
 
     def validate(self) -> None:

@@ -263,22 +263,22 @@ def bench_cache_lru(n_ops: int = 30_000, repeats: int = KERNEL_REPEATS) -> Bench
 
     def setup() -> Callable[[], None]:
         rng = _Lcg(seed=5)
-        ops: List[Tuple[int, Interval]] = []
+        ops: List[Tuple[int, int, int]] = []
         for index in range(n_ops):
             start = rng.below(1_000_000)
-            ops.append((index % 3, Interval(start, start + 1 + rng.below(3_000))))
+            ops.append((index % 3, start, start + 1 + rng.below(3_000)))
 
         def run() -> None:
             cache = LRUSegmentCache(capacity_events=100_000)
             clock = 0.0
-            for kind, interval in ops:
+            for kind, start, end in ops:
                 clock += 1.0
                 if kind == 0:
-                    cache.insert(interval, now=clock)
+                    cache.insert(start, end, now=clock)
                 elif kind == 1:
-                    cache.touch(interval, now=clock)
+                    cache.touch(start, end, now=clock)
                 else:
-                    cache.cached_prefix(interval)
+                    cache.cached_prefix(start, end)
 
         return run
 
@@ -371,7 +371,7 @@ def bench_sched_bidding(
             for _ in range(40):
                 clock += 1.0
                 start = rng.below(1_000_000)
-                cache.insert(Interval(start, start + 1 + rng.below(4_000)), now=clock)
+                cache.insert(start, start + 1 + rng.below(4_000), now=clock)
             caches.append(cache)
         segments = []
         for _ in range(n_rounds):
@@ -489,11 +489,11 @@ def bench_topo_route(
             (rng.below(n_nodes), rng.below(n_nodes)) for _ in range(n_lookups)
         ]
         extents = [
-            Interval(start, start + 200)
+            (start, start + 200)
             for start in (rng.below(1_000_000) for _ in range(512))
         ]
-        for index, extent in enumerate(extents[::4]):
-            topo.tiers["site0.rack0"].cache.admit(extent, now=float(index))
+        for index, (start, end) in enumerate(extents[::4]):
+            topo.tiers["site0.rack0"].cache.admit(start, end, now=float(index))
 
         def run() -> None:
             clock = 0.0
@@ -506,7 +506,7 @@ def bench_topo_route(
                     tier.acquire()
                 cache = path[0].cache
                 if cache is not None:
-                    cache.cached_prefix(extents[index & 511])
+                    cache.cached_prefix(*extents[index & 511])
                 for tier in path[:-1]:
                     tier.release()
 

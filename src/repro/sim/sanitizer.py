@@ -12,10 +12,11 @@ module checks properties of a *running* simulation:
   finds free (no subjob, not failed, not reserved), in id order, and
   every node's ``idle`` flag agrees with that scan;
 * event accounting balances across the chunk loop: each node's
-  ``events_processed`` equals the sum of its ``events_by_source``, and
-  the tertiary store's total reads equal the sum of its per-node reads
-  and its distinct count equals the measure of its distinct-event set
-  (:meth:`repro.data.tertiary.TertiaryStorage.validate`);
+  ``events_processed`` equals the sum of its ``events_by_source``, the
+  tertiary events the nodes credited sum to the tape's ``events_read``,
+  and the tertiary store's total reads equal the sum of its per-node
+  reads and its distinct count equals the measure of its distinct-event
+  set (:meth:`repro.data.tertiary.TertiaryStorage.validate`);
 * the policy's own bookkeeping agrees with a full recount
   (:meth:`repro.sched.base.SchedulerPolicy.check_invariants`; e.g. each
   out-of-order node queue's running ``events`` total, and its donor
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set
 
+from ..cluster.costmodel import DataSource
 from ..core.errors import InvariantViolation, SchedulingError
 from ..workload.jobs import Job, Subjob, SubjobState
 
@@ -189,9 +191,10 @@ class InvariantChecker:
         channel: Optional["ControlChannel"],
     ) -> None:
         """Validate the calendar heap, every node and tier cache, the
-        idle-node index, the node and tertiary event balances, the
-        planner's access counters, the control channel and job/subjob
-        bookkeeping; piggybacked on the simulator's metric probe."""
+        idle-node index, the node, node-to-tape and tertiary event
+        balances, the planner's access counters, the control channel and
+        job/subjob bookkeeping; piggybacked on the simulator's metric
+        probe."""
         self.checks_run += 1
         engine.validate_heap()
         tertiary.validate()
@@ -203,6 +206,7 @@ class InvariantChecker:
             if tier.cache is not None:
                 tier.cache.validate()
         scanned_idle: List[int] = []
+        from_tape = 0
         for node in cluster:
             node.cache.validate()
             stats = node.stats
@@ -213,6 +217,7 @@ class InvariantChecker:
                     f"({stats.events_processed}) != sum of events_by_source "
                     f"({by_source}) at t={engine.now:.6f}"
                 )
+            from_tape += stats.events_by_source[DataSource.TERTIARY]
             current = node.current
             free = current is None and not node.failed and not node.reserved
             if node.idle != free:
@@ -236,6 +241,11 @@ class InvariantChecker:
                 raise InvariantViolation(
                     f"failed node {node.node_id} is executing {current.sid}"
                 )
+        if from_tape != tertiary.stats.events_read:
+            raise InvariantViolation(
+                f"nodes credited {from_tape} tertiary events but the tape "
+                f"read {tertiary.stats.events_read} at t={engine.now:.6f}"
+            )
         indexed_idle = [node.node_id for node in cluster.idle_nodes()]
         if indexed_idle != scanned_idle:
             raise InvariantViolation(

@@ -35,7 +35,6 @@ from typing import TYPE_CHECKING, Dict, Iterable, Tuple
 
 from ..cluster.access import ChunkPlan, DataAccessPlanner, RemoteAccessCounter
 from ..cluster.costmodel import DataSource
-from ..data.intervals import Interval
 from ..obs.hooks import kinds
 from .tree import Tier, Topology
 
@@ -95,9 +94,9 @@ class TieredPlanner(DataAccessPlanner):
     # -- planning ------------------------------------------------------------
 
     def plan_chunk(
-        self, node: "Node", remaining: Interval, max_events: int
+        self, node: "Node", start: int, end: int, max_events: int
     ) -> ChunkPlan:
-        plan = self.base.plan_chunk(node, remaining, max_events)
+        plan = self.base.plan_chunk(node, start, end, max_events)
         if plan.source is DataSource.TERTIARY:
             return self._route_tertiary(node, plan)
         if plan.source is DataSource.REMOTE:
@@ -110,12 +109,13 @@ class TieredPlanner(DataAccessPlanner):
         now = node.engine.now
         model = node.cost_model
         path = self.topology.path_of(node.node_id)
+        start = plan.start
         for index, tier in enumerate(path):
             cache = tier.cache
             if cache is None:
                 continue
-            prefix = cache.cached_prefix(plan.interval)
-            if prefix.empty:
+            reach = cache.cached_prefix(start, plan.end)
+            if reach == start:
                 continue
             # Reading tier ``index`` traverses the uplinks of every tier
             # below it on the path (leaf attachment itself is free).
@@ -125,8 +125,9 @@ class TieredPlanner(DataAccessPlanner):
             for hop in via:
                 extra += hop.planned_link_time(now)
             return ChunkPlan(
-                interval=prefix,
-                source=DataSource.TIER,
+                start,
+                reach,
+                DataSource.TIER,
                 rate_factor=1.0 + extra / base_time,
                 via=via,
                 tier=tier,
@@ -139,8 +140,9 @@ class TieredPlanner(DataAccessPlanner):
             return plan
         base_time = model.event_time(DataSource.TERTIARY)
         return ChunkPlan(
-            interval=plan.interval,
-            source=plan.source,
+            start,
+            plan.end,
+            plan.source,
             rate_factor=plan.rate_factor + extra / base_time,
             via=via,
         )
@@ -156,11 +158,12 @@ class TieredPlanner(DataAccessPlanner):
             extra += hop.planned_link_time(now)
         base_time = node.cost_model.event_time(DataSource.REMOTE)
         return ChunkPlan(
-            interval=plan.interval,
-            source=plan.source,
-            owner=plan.owner,
-            rate_factor=plan.rate_factor + extra / base_time,
-            via=via,
+            plan.start,
+            plan.end,
+            plan.source,
+            plan.owner,
+            plan.rate_factor + extra / base_time,
+            via,
         )
 
     # -- lifetime hooks ------------------------------------------------------
@@ -177,36 +180,34 @@ class TieredPlanner(DataAccessPlanner):
 
     # -- accounting ----------------------------------------------------------
 
-    def on_chunk_processed(
-        self, node: "Node", plan: ChunkPlan, processed: Interval
-    ) -> None:
+    def on_chunk_processed(self, node: "Node", plan: ChunkPlan, end: int) -> None:
         if plan.source is DataSource.TIER:
-            self._account_tier_read(node, plan, processed)
+            self._account_tier_read(node, plan, end)
             return
-        self.base.on_chunk_processed(node, plan, processed)
-        if processed.empty:
+        self.base.on_chunk_processed(node, plan, end)
+        start = plan.start
+        if end <= start:
             return
         for tier in plan.via:
-            tier.link_events += processed.length
+            tier.link_events += end - start
         if plan.source is DataSource.TERTIARY:
-            self._account_tertiary_read(node, processed)
+            self._account_tertiary_read(node, start, end)
 
-    def _account_tier_read(
-        self, node: "Node", plan: ChunkPlan, processed: Interval
-    ) -> None:
-        if processed.empty:
+    def _account_tier_read(self, node: "Node", plan: ChunkPlan, end: int) -> None:
+        start = plan.start
+        if end <= start:
             return
         assert plan.tier is not None and plan.tier.cache is not None
         now = node.engine.now
-        plan.tier.cache.serve(processed, now)
+        plan.tier.cache.serve(start, end, now)
         for tier in plan.via:
-            tier.link_events += processed.length
+            tier.link_events += end - start
             # Caches below the serving tier were consulted and missed.
             if tier.cache is not None:
-                tier.cache.record_miss(processed, now)
+                tier.cache.record_miss(start, end, now)
                 if self.topology.placement == "lru-rack":
                     # Pull-through: data migrates down toward the node.
-                    tier.cache.admit(processed, now)
+                    tier.cache.admit(start, end, now)
         obs = node.obs
         if obs.enabled and self.use_cache:
             # A tier hit is still a *node-cache* miss — keep the local
@@ -216,12 +217,12 @@ class TieredPlanner(DataAccessPlanner):
                 kinds.CACHE_MISS,
                 "planner",
                 node=node.node_id,
-                events=processed.length,
+                events=end - start,
             )
         if self.populate_cache:
-            node.cache.insert(processed, now)
+            node.cache.insert(start, end, now)
 
-    def _account_tertiary_read(self, node: "Node", processed: Interval) -> None:
+    def _account_tertiary_read(self, node: "Node", start: int, end: int) -> None:
         """Offer a root-tertiary read to the path caches per placement."""
         caches = self._cache_tiers(node.node_id)
         if not caches:
@@ -229,26 +230,27 @@ class TieredPlanner(DataAccessPlanner):
         now = node.engine.now
         for tier in caches:
             assert tier.cache is not None
-            tier.cache.record_miss(processed, now)
+            tier.cache.record_miss(start, end, now)
         placement = self.topology.placement
         if placement == "none":
             return
         if placement == "root-only":
             top = caches[-1].cache
             assert top is not None
-            top.admit(processed, now)
+            top.admit(start, end, now)
         elif placement == "lru-rack":
             for tier in caches:
                 assert tier.cache is not None
-                tier.cache.admit(processed, now)
+                tier.cache.admit(start, end, now)
         elif placement == "proactive-site":
-            self._promote(node, caches, processed, now)
+            self._promote(node, caches, start, end, now)
 
     def _promote(
         self,
         node: "Node",
         caches: Tuple[Tier, ...],
-        processed: Interval,
+        start: int,
+        end: int,
         now: float,
     ) -> None:
         """proactive-site: promote an extent into every path cache once
@@ -258,20 +260,20 @@ class TieredPlanner(DataAccessPlanner):
         if promoter is None:
             promoter = RemoteAccessCounter(self.topology.spec.promote_threshold)
             self._promoters[top.name] = promoter
-        promoted = promoter.register(processed)
+        promoted = promoter.register(start, end)
         if not promoted:
             return
         obs = node.obs
-        for extent in promoted:
-            self.topology.replicated_events += extent.length
+        for a, b in promoted.pairs():
+            self.topology.replicated_events += b - a
             for tier in caches:
                 assert tier.cache is not None
-                tier.cache.admit(extent, now)
+                tier.cache.admit(a, b, now)
             if obs.enabled:
                 obs.emit(
                     now,
                     kinds.TIER_REPLICATE,
                     "topo",
                     tier=top.name,
-                    events=extent.length,
+                    events=b - a,
                 )

@@ -29,7 +29,6 @@ from typing import Dict, List, Optional, Protocol, Tuple
 
 from ..core.errors import ConfigurationError, InvariantViolation
 from ..data.cache import LRUSegmentCache
-from ..data.intervals import Interval
 from ..obs.hooks import NULL_BUS, HookBus, kinds
 from .spec import TierSpec, TopologySpec
 
@@ -73,32 +72,33 @@ class TierCache:
 
     # -- cache operations --------------------------------------------------
 
-    def cached_prefix(self, interval: Interval) -> Interval:
-        return self.cache.cached_prefix(interval)
+    def cached_prefix(self, start: int, end: int) -> int:
+        return self.cache.cached_prefix(start, end)
 
-    def serve(self, interval: Interval, now: float) -> None:
-        """Account a hit: ``interval`` was read from this tier cache."""
+    def serve(self, start: int, end: int, now: float) -> None:
+        """Account a hit: ``[start, end)`` was read from this tier cache."""
         self._advance(now)
-        self.cache.touch(interval, now)
-        self.hit_events += interval.length
+        self.cache.touch(start, end, now)
+        self.hit_events += end - start
         if self.obs.enabled:
             self.obs.emit(
                 now,
                 kinds.TIER_HIT,
                 "topo",
-                events=interval.length,
+                events=end - start,
                 tier=self.tier_name,
             )
 
-    def record_miss(self, interval: Interval, now: float) -> None:
-        """Account a lookup that walked past this tier empty-handed."""
-        self.miss_events += interval.length
+    def record_miss(self, start: int, end: int, now: float) -> None:
+        """Account a lookup of ``[start, end)`` that walked past this tier
+        empty-handed."""
+        self.miss_events += end - start
         if self.obs.enabled:
             self.obs.emit(
                 now,
                 kinds.TIER_MISS,
                 "topo",
-                events=interval.length,
+                events=end - start,
                 tier=self.tier_name,
             )
 
@@ -109,11 +109,11 @@ class TierCache:
         except InvariantViolation as error:
             raise InvariantViolation(f"tier {self.tier_name}: {error}") from error
 
-    def admit(self, interval: Interval, now: float) -> None:
-        """Insert ``interval`` (replica placement), emitting evictions."""
+    def admit(self, start: int, end: int, now: float) -> None:
+        """Insert ``[start, end)`` (replica placement), emitting evictions."""
         self._advance(now)
         evicted_before = self.cache.stats.evicted_events
-        self.cache.insert(interval, now)
+        self.cache.insert(start, end, now)
         if self.obs.enabled:
             evicted = self.cache.stats.evicted_events - evicted_before
             if evicted:

@@ -54,61 +54,61 @@ class TestCachingPlanner:
     def test_plans_cached_prefix(self, space):
         engine, nodes, _, tertiary = build_pair(space, planner_cls=CachingPlanner)
         node = nodes[0]
-        node.cache.insert(Interval(0, 50), now=0.0)
-        plan = node.planner.plan_chunk(node, Interval(0, 200), 100)
+        node.cache.insert(0, 50, now=0.0)
+        plan = node.planner.plan_chunk(node, 0, 200, 100)
         assert plan.source is DataSource.CACHE
-        assert plan.interval == Interval(0, 50)
+        assert (plan.start, plan.end) == (0, 50)
 
     def test_plans_miss_up_to_next_hit(self, space):
         engine, nodes, _, _ = build_pair(space, planner_cls=CachingPlanner)
         node = nodes[0]
-        node.cache.insert(Interval(50, 80), now=0.0)
-        plan = node.planner.plan_chunk(node, Interval(0, 200), 100)
+        node.cache.insert(50, 80, now=0.0)
+        plan = node.planner.plan_chunk(node, 0, 200, 100)
         assert plan.source is DataSource.TERTIARY
-        assert plan.interval == Interval(0, 50)
+        assert (plan.start, plan.end) == (0, 50)
 
     def test_chunk_cap_respected(self, space):
         engine, nodes, _, _ = build_pair(space, planner_cls=CachingPlanner)
         node = nodes[0]
-        plan = node.planner.plan_chunk(node, Interval(0, 10_000), 100)
-        assert plan.interval.length == 100
+        plan = node.planner.plan_chunk(node, 0, 10_000, 100)
+        assert plan.end - plan.start == 100
 
 
 class TestNoCachePlanner:
     def test_always_tertiary(self, space):
         engine, nodes, _, _ = build_pair(space, planner_cls=NoCachePlanner)
         node = nodes[0]
-        node.cache.insert(Interval(0, 500), now=0.0)  # ignored
-        plan = node.planner.plan_chunk(node, Interval(0, 500), 1000)
+        node.cache.insert(0, 500, now=0.0)  # ignored
+        plan = node.planner.plan_chunk(node, 0, 500, 1000)
         assert plan.source is DataSource.TERTIARY
-        assert plan.interval == Interval(0, 500)
+        assert (plan.start, plan.end) == (0, 500)
 
 
 class TestRemoteAccessCounter:
     def test_promotes_on_third_access(self):
         counter = RemoteAccessCounter(threshold=3)
-        assert counter.register(Interval(0, 10)).measure() == 0
-        assert counter.register(Interval(0, 10)).measure() == 0
-        promoted = counter.register(Interval(0, 10))
+        assert counter.register(0, 10).measure() == 0
+        assert counter.register(0, 10).measure() == 0
+        promoted = counter.register(0, 10)
         assert promoted.pairs() == [(0, 10)]
 
     def test_partial_overlap_promotes_only_hot_part(self):
         counter = RemoteAccessCounter(threshold=2)
-        counter.register(Interval(0, 10))
-        promoted = counter.register(Interval(5, 15))
+        counter.register(0, 10)
+        promoted = counter.register(5, 15)
         assert promoted.pairs() == [(5, 10)]
 
     def test_access_count_at(self):
         counter = RemoteAccessCounter(threshold=3)
-        counter.register(Interval(0, 10))
-        counter.register(Interval(0, 5))
+        counter.register(0, 10)
+        counter.register(0, 5)
         assert counter.access_count_at(2) == 2
         assert counter.access_count_at(7) == 1
         assert counter.access_count_at(50) == 0
 
     def test_threshold_one_promotes_immediately(self):
         counter = RemoteAccessCounter(threshold=1)
-        assert counter.register(Interval(3, 7)).pairs() == [(3, 7)]
+        assert counter.register(3, 7).pairs() == [(3, 7)]
 
     def test_invalid_threshold(self):
         with pytest.raises(ValueError):
@@ -116,11 +116,11 @@ class TestRemoteAccessCounter:
 
     def test_saturated_extents_promote_only_once(self):
         counter = RemoteAccessCounter(threshold=2)
-        counter.register(Interval(0, 10))
-        assert counter.register(Interval(0, 10)).measure() == 10
+        counter.register(0, 10)
+        assert counter.register(0, 10).measure() == 10
         # Further accesses stay at the top level without re-promoting:
         # §4.2 replicates a data item once, on its threshold-th access.
-        assert counter.register(Interval(0, 10)).measure() == 0
+        assert counter.register(0, 10).measure() == 0
         assert counter.access_count_at(5) == 2
 
     @settings(max_examples=60)
@@ -134,7 +134,7 @@ class TestRemoteAccessCounter:
         counter = RemoteAccessCounter(threshold=threshold)
         seen = {}
         for start, length in accesses:
-            counter.register(Interval(start, start + length))
+            counter.register(start, start + length)
             for point in range(start, start + length):
                 seen[point] = seen.get(point, 0) + 1
         for point, count in seen.items():
@@ -238,7 +238,7 @@ class TestCountMapAgainstLevelSets:
         counter = RemoteAccessCounter(threshold=threshold)
         oracle = _LevelSetCounter(threshold)
         for interval in accesses:
-            promoted = counter.register(interval)
+            promoted = counter.register(interval.start, interval.end)
             expected = oracle.register(interval)
             assert promoted.pairs() == expected.pairs()
             promoted.check_invariants()
@@ -248,13 +248,13 @@ class TestCountMapAgainstLevelSets:
 
     def test_abutting_equal_runs_merge(self):
         counter = RemoteAccessCounter(threshold=3)
-        counter.register(Interval(0, 10))
-        counter.register(Interval(10, 20))
+        counter.register(0, 10)
+        counter.register(10, 20)
         assert list(zip(counter._starts, counter._ends, counter._values)) == [
             (0, 20, 1)
         ]
-        counter.register(Interval(0, 20))
-        counter.register(Interval(5, 15))
+        counter.register(0, 20)
+        counter.register(5, 15)
         assert list(zip(counter._starts, counter._ends, counter._values)) == [
             (0, 5, 2), (5, 15, 3), (15, 20, 2)
         ]
@@ -276,31 +276,122 @@ class TestCountMapAgainstLevelSets:
             counter.check_invariants()
 
 
+# -- oracle: the Interval formulation the int planners replaced ----------------------
+
+
+def _cached_prefix(cache, remaining):
+    """The cached run of ``remaining`` starting at its first event, as an
+    :class:`Interval` (empty when that event is not cached)."""
+    parts = list(cache.cached_parts(remaining))
+    if parts and parts[0].start == remaining.start:
+        return parts[0]
+    return Interval(remaining.start, remaining.start)
+
+
+def _uncached_prefix(cache, remaining):
+    """The uncached run of ``remaining`` starting at its first event."""
+    parts = list(cache.cached_parts(remaining))
+    return Interval(remaining.start, parts[0].start if parts else remaining.end)
+
+
+def _interval_plan(planner, node, peers, remaining, max_events):
+    """``(start, end, source, owner)`` as the planners computed it on
+    :class:`Interval`: ``cached_prefix(remaining).take_left(max)``, else
+    ``uncached_prefix(remaining).take_left(max)`` resolved by the longest
+    peer prefix, lowest id first, for remote reads."""
+    if not planner.use_cache:
+        chunk = remaining.take_left(max_events)
+        return chunk.start, chunk.end, DataSource.TERTIARY, None
+    prefix = _cached_prefix(node.cache, remaining)
+    if not prefix.empty:
+        chunk = prefix.take_left(max_events)
+        return chunk.start, chunk.end, DataSource.CACHE, None
+    miss = _uncached_prefix(node.cache, remaining).take_left(max_events)
+    if isinstance(planner, RemoteReadPlanner):
+        best, owner = Interval(miss.start, miss.start), None
+        for peer in peers:
+            if peer is not node:
+                prefix = _cached_prefix(peer.cache, miss)
+                if prefix.length > best.length:
+                    best, owner = prefix, peer
+        if owner is not None:
+            return best.start, best.end, DataSource.REMOTE, owner
+    return miss.start, miss.end, DataSource.TERTIARY, None
+
+
+@st.composite
+def cache_fills(draw):
+    """Per node, ``(start, length)`` inserts into a small cache, so later
+    inserts evict earlier ones.  Each insert gets its own stamp, so
+    abutting extents stay apart and no insert coalesces into a protected
+    neighbour (the over-capacity case pinned in ``tests/test_cache.py``)."""
+    return [
+        draw(st.lists(st.tuples(st.integers(0, 120), st.integers(1, 40)), max_size=6))
+        for _ in range(3)
+    ]
+
+
+class TestIntPlannersAgainstIntervalFormulation:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([CachingPlanner, NoCachePlanner, RemoteReadPlanner]),
+        cache_fills(),
+        st.integers(0, 3),
+        st.integers(0, 150),
+        st.integers(1, 60),
+        st.integers(1, 80),
+    )
+    def test_same_chunk_plan(self, planner_cls, fills, reader, start, length, max_events):
+        space = DataSpace(total_events=1_000, event_bytes=600 * units.KB)
+        planner = planner_cls(TertiaryStorage(space))
+        engine = Engine()
+        nodes = [
+            Node(
+                node_id=i,
+                engine=engine,
+                cache=LRUSegmentCache(60),
+                cost_model=CostModel.from_hardware(600 * units.KB),
+                planner=planner,
+            )
+            for i in range(4)
+        ]
+        if isinstance(planner, RemoteReadPlanner):
+            planner.set_peers(nodes)
+        for node, inserts in zip(nodes, fills):
+            for stamp, (a, n) in enumerate(inserts):
+                node.cache.insert(a, a + n, now=float(stamp))
+        node = nodes[reader]
+        plan = planner.plan_chunk(node, start, start + length, max_events)
+        assert (plan.start, plan.end, plan.source, plan.owner) == _interval_plan(
+            planner, node, nodes, Interval(start, start + length), max_events
+        )
+
+
 class TestRemoteReadPlanner:
     def test_miss_served_remotely_when_peer_caches(self, space):
         engine, nodes, planner, tertiary = build_pair(space)
-        nodes[1].cache.insert(Interval(0, 300), now=0.0)
-        plan = planner.plan_chunk(nodes[0], Interval(0, 200), 1000)
+        nodes[1].cache.insert(0, 300, now=0.0)
+        plan = planner.plan_chunk(nodes[0], 0, 200, 1000)
         assert plan.source is DataSource.REMOTE
         assert plan.owner is nodes[1]
-        assert plan.interval == Interval(0, 200)
+        assert (plan.start, plan.end) == (0, 200)
 
     def test_miss_falls_back_to_tertiary(self, space):
         engine, nodes, planner, _ = build_pair(space)
-        plan = planner.plan_chunk(nodes[0], Interval(0, 200), 1000)
+        plan = planner.plan_chunk(nodes[0], 0, 200, 1000)
         assert plan.source is DataSource.TERTIARY
 
     def test_local_cache_preferred_over_remote(self, space):
         engine, nodes, planner, _ = build_pair(space)
-        nodes[0].cache.insert(Interval(0, 100), now=0.0)
-        nodes[1].cache.insert(Interval(0, 300), now=0.0)
-        plan = planner.plan_chunk(nodes[0], Interval(0, 200), 1000)
+        nodes[0].cache.insert(0, 100, now=0.0)
+        nodes[1].cache.insert(0, 300, now=0.0)
+        plan = planner.plan_chunk(nodes[0], 0, 200, 1000)
         assert plan.source is DataSource.CACHE
-        assert plan.interval == Interval(0, 100)
+        assert (plan.start, plan.end) == (0, 100)
 
     def test_remote_read_runs_at_remote_rate_and_counts(self, space):
         engine, nodes, planner, tertiary = build_pair(space)
-        nodes[1].cache.insert(Interval(0, 100), now=0.0)
+        nodes[1].cache.insert(0, 100, now=0.0)
         subjob = make_subjob(0, 100)
         nodes[0].start(subjob)
         engine.run()
@@ -312,7 +403,7 @@ class TestRemoteReadPlanner:
 
     def test_replication_on_third_access(self, space):
         engine, nodes, planner, _ = build_pair(space)
-        nodes[1].cache.insert(Interval(0, 100), now=0.0)
+        nodes[1].cache.insert(0, 100, now=0.0)
         for _ in range(3):
             subjob = make_subjob(0, 100)
             nodes[0].start(subjob)
@@ -325,7 +416,7 @@ class TestRemoteReadPlanner:
         engine, nodes, planner, _ = build_pair(
             space, replication_enabled=False
         )
-        nodes[1].cache.insert(Interval(0, 100), now=0.0)
+        nodes[1].cache.insert(0, 100, now=0.0)
         for _ in range(4):
             subjob = make_subjob(0, 100)
             nodes[0].start(subjob)
@@ -336,7 +427,7 @@ class TestRemoteReadPlanner:
 
     def test_remote_reads_touch_owner_lru(self, space):
         engine, nodes, planner, _ = build_pair(space)
-        nodes[1].cache.insert(Interval(0, 100), now=0.0)
+        nodes[1].cache.insert(0, 100, now=0.0)
         subjob = make_subjob(0, 100)
         nodes[0].start(subjob)
         engine.run()

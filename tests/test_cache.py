@@ -22,7 +22,7 @@ from repro.data.intervals import Interval, IntervalSet
 class TestBasics:
     def test_insert_and_query(self):
         cache = LRUSegmentCache(100)
-        cache.insert(Interval(10, 30), now=1.0)
+        cache.insert(10, 30, now=1.0)
         assert cache.used_events == 20
         assert cache.covers(Interval(10, 30))
         assert cache.covers(Interval(15, 25))
@@ -31,14 +31,14 @@ class TestBasics:
 
     def test_cached_parts(self):
         cache = LRUSegmentCache(100)
-        cache.insert(Interval(0, 10), now=1.0)
-        cache.insert(Interval(20, 30), now=2.0)
+        cache.insert(0, 10, now=1.0)
+        cache.insert(20, 30, now=2.0)
         parts = cache.cached_parts(Interval(5, 25))
         assert parts.pairs() == [(5, 10), (20, 25)]
 
     def test_zero_capacity_accepts_nothing(self):
         cache = LRUSegmentCache(0)
-        cache.insert(Interval(0, 10), now=1.0)
+        cache.insert(0, 10, now=1.0)
         assert cache.used_events == 0
 
     def test_negative_capacity_raises(self):
@@ -47,32 +47,32 @@ class TestBasics:
 
     def test_empty_insert_is_noop(self):
         cache = LRUSegmentCache(10)
-        cache.insert(Interval(5, 5), now=1.0)
+        cache.insert(5, 5, now=1.0)
         assert cache.used_events == 0
 
     def test_overwrite_same_range_keeps_size(self):
         cache = LRUSegmentCache(100)
-        cache.insert(Interval(0, 50), now=1.0)
-        cache.insert(Interval(0, 50), now=2.0)
+        cache.insert(0, 50, now=1.0)
+        cache.insert(0, 50, now=2.0)
         assert cache.used_events == 50
         cache.validate()
 
     def test_oversized_insert_keeps_rightmost(self):
         cache = LRUSegmentCache(10)
-        cache.insert(Interval(0, 100), now=1.0)
+        cache.insert(0, 100, now=1.0)
         assert cache.coverage.pairs() == [(90, 100)]
 
     def test_free_events(self):
         cache = LRUSegmentCache(100)
-        cache.insert(Interval(0, 30), now=1.0)
+        cache.insert(0, 30, now=1.0)
         assert cache.free_events == 70
 
 
 class TestLRUEviction:
     def test_oldest_evicted_first(self):
         cache = LRUSegmentCache(100)
-        cache.insert(Interval(0, 60), now=1.0)
-        cache.insert(Interval(100, 160), now=2.0)
+        cache.insert(0, 60, now=1.0)
+        cache.insert(100, 160, now=2.0)
         # 20 events over capacity: the leftmost 20 of the older extent go.
         assert cache.used_events == 100
         assert not cache.contains_point(0)
@@ -81,37 +81,37 @@ class TestLRUEviction:
 
     def test_touch_protects_from_eviction(self):
         cache = LRUSegmentCache(100)
-        cache.insert(Interval(0, 50), now=1.0)
-        cache.insert(Interval(100, 150), now=2.0)
-        cache.touch(Interval(0, 50), now=3.0)  # refresh the older extent
-        cache.insert(Interval(200, 250), now=4.0)
+        cache.insert(0, 50, now=1.0)
+        cache.insert(100, 150, now=2.0)
+        cache.touch(0, 50, now=3.0)  # refresh the older extent
+        cache.insert(200, 250, now=4.0)
         assert cache.covers(Interval(0, 50))  # survived
         assert not cache.covers(Interval(100, 150))  # evicted instead
 
     def test_partial_eviction_keeps_rightmost_of_lru(self):
         cache = LRUSegmentCache(100)
-        cache.insert(Interval(0, 80), now=1.0)
-        cache.insert(Interval(100, 140), now=2.0)
+        cache.insert(0, 80, now=1.0)
+        cache.insert(100, 140, now=2.0)
         # 20 over: LRU extent loses its *left* 20 events.
         assert cache.coverage.pairs() == [(20, 80), (100, 140)]
 
     def test_freshly_inserted_never_self_evicts(self):
         cache = LRUSegmentCache(100)
-        cache.insert(Interval(0, 100), now=1.0)
-        cache.insert(Interval(200, 260), now=1.0)  # same timestamp tie
+        cache.insert(0, 100, now=1.0)
+        cache.insert(200, 260, now=1.0)  # same timestamp tie
         assert cache.covers(Interval(200, 260))
         assert cache.used_events == 100
 
     def test_invalidate(self):
         cache = LRUSegmentCache(100)
-        cache.insert(Interval(0, 50), now=1.0)
-        dropped = cache.invalidate(Interval(10, 20))
+        cache.insert(0, 50, now=1.0)
+        dropped = cache.invalidate(10, 20)
         assert dropped == 10
         assert cache.coverage.pairs() == [(0, 10), (20, 50)]
 
     def test_clear(self):
         cache = LRUSegmentCache(100)
-        cache.insert(Interval(0, 50), now=1.0)
+        cache.insert(0, 50, now=1.0)
         cache.clear()
         assert cache.used_events == 0
         assert not cache.coverage
@@ -120,56 +120,56 @@ class TestLRUEviction:
 class TestPrefixQueries:
     def test_cached_prefix_hit(self):
         cache = LRUSegmentCache(1000)
-        cache.insert(Interval(0, 50), now=1.0)
-        assert cache.cached_prefix(Interval(10, 100)) == Interval(10, 50)
+        cache.insert(0, 50, now=1.0)
+        assert cache.cached_prefix(10, 100) == 50
 
     def test_cached_prefix_miss(self):
         cache = LRUSegmentCache(1000)
-        cache.insert(Interval(20, 50), now=1.0)
-        assert cache.cached_prefix(Interval(0, 100)).empty
+        cache.insert(20, 50, now=1.0)
+        assert cache.cached_prefix(0, 100) == 0
 
     def test_cached_prefix_spans_abutting_extents(self):
         cache = LRUSegmentCache(1000)
-        cache.insert(Interval(0, 50), now=1.0)
-        cache.insert(Interval(50, 90), now=2.0)  # different stamp: no merge
+        cache.insert(0, 50, now=1.0)
+        cache.insert(50, 90, now=2.0)  # different stamp: no merge
         assert cache.extent_count() == 2
-        assert cache.cached_prefix(Interval(0, 100)) == Interval(0, 90)
+        assert cache.cached_prefix(0, 100) == 90
 
     def test_cached_prefix_clipped_to_interval(self):
         cache = LRUSegmentCache(1000)
-        cache.insert(Interval(0, 100), now=1.0)
-        assert cache.cached_prefix(Interval(10, 40)) == Interval(10, 40)
+        cache.insert(0, 100, now=1.0)
+        assert cache.cached_prefix(10, 40) == 40
 
     def test_uncached_prefix(self):
         cache = LRUSegmentCache(1000)
-        cache.insert(Interval(30, 60), now=1.0)
-        assert cache.uncached_prefix(Interval(0, 100)) == Interval(0, 30)
-        assert cache.uncached_prefix(Interval(30, 100)).empty
-        assert cache.uncached_prefix(Interval(60, 100)) == Interval(60, 100)
+        cache.insert(30, 60, now=1.0)
+        assert cache.uncached_prefix(0, 100) == 30
+        assert cache.uncached_prefix(30, 100) == 30
+        assert cache.uncached_prefix(60, 100) == 100
 
     def test_empty_interval_prefixes(self):
         cache = LRUSegmentCache(1000)
-        assert cache.cached_prefix(Interval(5, 5)).empty
-        assert cache.uncached_prefix(Interval(5, 5)).empty
+        assert cache.cached_prefix(5, 5) == 5
+        assert cache.uncached_prefix(5, 5) == 5
 
 
 class TestCoalescing:
     def test_same_timestamp_neighbours_merge(self):
         cache = LRUSegmentCache(1000)
-        cache.insert(Interval(0, 50), now=1.0)
-        cache.insert(Interval(50, 90), now=1.0)
+        cache.insert(0, 50, now=1.0)
+        cache.insert(50, 90, now=1.0)
         assert cache.extent_count() == 1
 
     def test_different_timestamp_neighbours_stay_split(self):
         cache = LRUSegmentCache(1000)
-        cache.insert(Interval(0, 50), now=1.0)
-        cache.insert(Interval(50, 90), now=2.0)
+        cache.insert(0, 50, now=1.0)
+        cache.insert(50, 90, now=2.0)
         assert cache.extent_count() == 2
 
     def test_touch_splits_extent(self):
         cache = LRUSegmentCache(1000)
-        cache.insert(Interval(0, 90), now=1.0)
-        cache.touch(Interval(30, 60), now=5.0)
+        cache.insert(0, 90, now=1.0)
+        cache.touch(30, 60, now=5.0)
         assert cache.used_events == 90
         # Now three extents with stamps 1.0 / 5.0 / 1.0.
         assert cache.extent_count() == 3
@@ -177,9 +177,9 @@ class TestCoalescing:
 
     def test_stats(self):
         cache = LRUSegmentCache(50)
-        cache.insert(Interval(0, 40), now=1.0)
-        cache.insert(Interval(100, 140), now=2.0)
-        cache.touch(Interval(100, 120), now=3.0)
+        cache.insert(0, 40, now=1.0)
+        cache.insert(100, 140, now=2.0)
+        cache.touch(100, 120, now=3.0)
         assert cache.stats.inserted_events == 80
         assert cache.stats.evicted_events == 30
         assert cache.stats.touched_events == 20
@@ -196,17 +196,17 @@ class _ReferenceCache:
         self.stamps = {}
         self.counter = 0  # insertion order tiebreak
 
-    def insert(self, interval: Interval, now: float) -> None:
-        if self.capacity == 0 or interval.empty:
+    def insert(self, start: int, end: int, now: float) -> None:
+        if self.capacity == 0 or end <= start:
             return
-        points = list(interval)[-self.capacity:]
+        points = list(range(start, end))[-self.capacity:]
         for point in points:
             self.counter += 1
             self.stamps[point] = (now, self.counter)
         self._evict(protect=set(points))
 
-    def touch(self, interval: Interval, now: float) -> None:
-        for point in interval:
+    def touch(self, start: int, end: int, now: float) -> None:
+        for point in range(start, end):
             if point in self.stamps:
                 self.counter += 1
                 self.stamps[point] = (now, self.counter)
@@ -240,9 +240,9 @@ class TestAgainstReferenceModel:
         for op, interval in operations:
             now += 1.0
             if op == "insert":
-                cache.insert(interval, now)
+                cache.insert(interval.start, interval.end, now)
             else:
-                cache.touch(interval, now)
+                cache.touch(interval.start, interval.end, now)
             cache.validate()
         # Exact pointwise-LRU equivalence is not required (the extent cache
         # evicts at sub-extent granularity with its own tie-breaks), but the
@@ -261,8 +261,8 @@ class TestAgainstReferenceModel:
         now = 0.0
         for op, interval in operations:
             now += 1.0
-            getattr(cache, op)(interval, now)
-            getattr(reference, op)(interval, now)
+            getattr(cache, op)(interval.start, interval.end, now)
+            getattr(reference, op)(interval.start, interval.end, now)
         points = set()
         for extent, _stamp in cache:
             points |= set(extent)
@@ -276,7 +276,7 @@ class TestAgainstReferenceModel:
         last_insert = None
         for op, interval in operations:
             now += 1.0
-            getattr(cache, op)(interval, now)
+            getattr(cache, op)(interval.start, interval.end, now)
             if op == "insert":
                 last_insert = (interval, now)
         if last_insert is None:
@@ -291,12 +291,34 @@ class TestAgainstReferenceModel:
 # -- oracle: the carve-and-merge cache the one-walk re-stamping replaced ------------
 
 
+class _OracleExtent:
+    """The oracle's extent record: the cache's old ``_Extent``, which held
+    a frozen :class:`Interval`."""
+
+    __slots__ = ("interval", "last_access", "alive")
+
+    def __init__(self, interval: Interval, last_access: float) -> None:
+        self.interval = interval
+        self.last_access = last_access
+        self.alive = True
+
+    @property
+    def start(self) -> int:
+        return self.interval.start
+
+    @property
+    def end(self) -> int:
+        return self.interval.end
+
+
 class _CarveAndMergeCache:
     """The historical mutation side of :class:`LRUSegmentCache`, kept
     verbatim as a test oracle: every touched, inserted or invalidated
     range is carved out extent by extent (each leftover re-added through
     a bisect merge loop, an ``insort`` and a heap push), then the range
-    itself is added and merged with identically-stamped neighbours."""
+    itself is added and merged with identically-stamped neighbours.  Its
+    public methods take the cache's ``(start, end)`` bounds and run on
+    :class:`Interval` inside, as the cache once did."""
 
     def __init__(self, capacity_events: int) -> None:
         self.capacity_events = capacity_events
@@ -322,7 +344,8 @@ class _CarveAndMergeCache:
             result.add(extent.interval.intersection(interval))
         return result
 
-    def insert(self, interval: Interval, now: float) -> None:
+    def insert(self, start: int, end: int, now: float) -> None:
+        interval = Interval(start, end)
         if interval.empty or self.capacity_events == 0:
             return
         if interval.end - interval.start > self.capacity_events:
@@ -332,16 +355,16 @@ class _CarveAndMergeCache:
         self._add_extent(interval, now)
         self._evict_to_fit(protect=interval)
 
-    def touch(self, interval: Interval, now: float) -> None:
-        parts = self.cached_parts(interval)
+    def touch(self, start: int, end: int, now: float) -> None:
+        parts = self.cached_parts(Interval(start, end))
         for part in parts:
             self.stats.touched_events += part.length
             self._carve(part)
             self._add_extent(part, now)
 
-    def invalidate(self, interval: Interval) -> int:
+    def invalidate(self, start: int, end: int) -> int:
         before = self._used
-        self._carve(interval)
+        self._carve(Interval(start, end))
         dropped = before - self._used
         self.stats.dropped_events += dropped
         return dropped
@@ -371,7 +394,7 @@ class _CarveAndMergeCache:
         if interval.empty:
             return
         interval = self._try_merge(interval, last_access)
-        extent = _Extent(interval, last_access)
+        extent = _OracleExtent(interval, last_access)
         insort(self._starts, interval.start)
         self._by_start[interval.start] = extent
         self._tiebreak += 1
@@ -434,7 +457,7 @@ def _drain_order(cache):
     """Live extents in the order eviction would take them: live heap
     entries sorted by ``(stamp, tiebreak)``."""
     live = sorted(
-        (stamp, tiebreak, extent.interval)
+        (stamp, tiebreak, Interval(extent.start, extent.end))
         for stamp, tiebreak, extent in cache._lru_heap
         if extent.alive
     )
@@ -457,8 +480,8 @@ def _apply(cache, op, interval, now):
     else can be evicted, both caches raise alike."""
     try:
         if op == "invalidate":
-            return cache.invalidate(interval)
-        return getattr(cache, op)(interval, now)
+            return cache.invalidate(interval.start, interval.end)
+        return getattr(cache, op)(interval.start, interval.end, now)
     except CacheError:
         return CacheError
 
@@ -493,9 +516,9 @@ class TestAgainstCarveAndMerge:
         cache = LRUSegmentCache(1)
         oracle = _CarveAndMergeCache(1)
         for target in (cache, oracle):
-            target.insert(Interval(0, 1), now=0.0)
+            target.insert(0, 1, now=0.0)
             with pytest.raises(CacheError, match="over capacity"):
-                target.insert(Interval(0, 2), now=0.0)
+                target.insert(0, 2, now=0.0)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -513,10 +536,10 @@ class TestAgainstCarveAndMerge:
         for start, length in queries:
             query = Interval(start, start + length)
             end = next((e for s, e in coverage if s <= start < e), start)
-            assert cache.cached_prefix(query) == Interval(start, max(start, min(end, query.end)))
+            assert cache.cached_prefix(start, query.end) == max(start, min(end, query.end))
             first = next((s for s, e in coverage if e > start), query.end)
             uncached_end = start if first <= start else min(first, query.end)
-            assert cache.uncached_prefix(query) == Interval(start, uncached_end)
+            assert cache.uncached_prefix(start, query.end) == uncached_end
 
     @pytest.mark.parametrize("seed", range(4))
     def test_long_random_walk_matches(self, seed):
@@ -541,9 +564,9 @@ class TestAgainstCarveAndMerge:
         cache = LRUSegmentCache(100)
         oracle = _CarveAndMergeCache(100)
         for target in (cache, oracle):
-            target.insert(Interval(0, 100), now=1.0)
-            target.touch(Interval(40, 60), now=2.0)
-            target.touch(Interval(10, 20), now=3.0)
+            target.insert(0, 100, now=1.0)
+            target.touch(40, 60, now=2.0)
+            target.touch(10, 20, now=3.0)
         assert _drain_order(cache)[:3] == [
             (Interval(60, 100), 1.0),
             (Interval(0, 10), 1.0),
@@ -551,7 +574,7 @@ class TestAgainstCarveAndMerge:
         ]
         _assert_same_state(cache, oracle)
         for target in (cache, oracle):
-            target.insert(Interval(200, 240), now=4.0)
+            target.insert(200, 240, now=4.0)
         assert cache.coverage.pairs() == [(0, 60), (200, 240)]
         _assert_same_state(cache, oracle)
 
@@ -559,9 +582,9 @@ class TestAgainstCarveAndMerge:
         cache = LRUSegmentCache(100)
         oracle = _CarveAndMergeCache(100)
         for target in (cache, oracle):
-            target.insert(Interval(0, 30), now=1.0)
-            target.insert(Interval(30, 60), now=2.0)
-            target.touch(Interval(10, 40), now=2.0)
+            target.insert(0, 30, now=1.0)
+            target.insert(30, 60, now=2.0)
+            target.touch(10, 40, now=2.0)
         assert list(cache) == [(Interval(0, 10), 1.0), (Interval(10, 60), 2.0)]
         _assert_same_state(cache, oracle)
 
@@ -575,19 +598,19 @@ class TestHeapBound:
 
     def test_touches_of_a_cache_that_never_fills_keep_the_heap_bounded(self):
         cache = LRUSegmentCache(1_000_000)
-        cache.insert(Interval(0, 1000), now=0.0)
+        cache.insert(0, 1000, now=0.0)
         rng = random.Random(5)
         for step in range(1, 10_001):
             start = rng.randrange(0, 1000)
-            cache.touch(Interval(start, start + rng.randrange(1, 20)), now=float(step))
+            cache.touch(start, start + rng.randrange(1, 20), now=float(step))
         assert cache.free_events > 0
         assert len(cache._lru_heap) <= 2 * cache.extent_count() + _HEAP_SLACK
         cache.validate()
 
     def test_validate_flags_an_uncompacted_heap(self):
         cache = LRUSegmentCache(1000)
-        cache.insert(Interval(0, 10), now=1.0)
-        dead = _Extent(Interval(20, 30), 2.0)
+        cache.insert(0, 10, now=1.0)
+        dead = _Extent(20, 30, 2.0)
         dead.alive = False
         cache._lru_heap.extend((2.0, 100 + i, dead) for i in range(_HEAP_SLACK + 2))
         with pytest.raises(InvariantViolation, match="not compacted"):
@@ -602,18 +625,18 @@ class TestHeapBound:
         rng = random.Random(11)
         now = 0.0
         for target in (cache, oracle):
-            target.insert(Interval(0, 1000), now=now)
+            target.insert(0, 1000, now=now)
         for _ in range(3000):
             now += rng.choice([0.0, 1.0])
             start = rng.randrange(0, 1000)
             interval = Interval(start, start + rng.randrange(1, 30))
             for target in (cache, oracle):
-                target.touch(interval, now)
+                target.touch(interval.start, interval.end, now)
         assert len(cache._lru_heap) < len(oracle._lru_heap) // 2
         _assert_same_state(cache, oracle)
         for step in range(20):
             now += 1.0
             interval = Interval(2000 + 100 * step, 2100 + 100 * step)
             for target in (cache, oracle):
-                target.insert(interval, now)
+                target.insert(interval.start, interval.end, now)
             _assert_same_state(cache, oracle)

@@ -23,7 +23,7 @@ class TestStartJobAssignment:
     def test_cached_piece_lands_on_owning_node(self):
         sim, policy = primed_sim([(0.0, 0, 1000)], n_nodes=2)
         # Pre-warm node 1 with the right half of an upcoming job.
-        sim.cluster[1].cache.insert(Interval(500, 1000), now=0.0)
+        sim.cluster[1].cache.insert(500, 1000, now=0.0)
         sim.engine.run(until=1.0)
         node1 = sim.cluster[1]
         assert node1.busy
@@ -38,7 +38,7 @@ class TestStartJobAssignment:
 
     def test_oversubscribed_pieces_stay_pending(self):
         sim, policy = primed_sim([(0.0, 0, 2000)], n_nodes=1)
-        sim.cluster[0].cache.insert(Interval(500, 700), now=0.0)
+        sim.cluster[0].cache.insert(500, 700, now=0.0)
         sim.engine.run(until=1.0)
         job = sim.jobs[0]
         pending = job.pending_subjobs()
@@ -73,7 +73,7 @@ class TestSplitForCacheBenefit:
     def test_freed_node_takes_its_cached_tail(self):
         sim, policy = primed_sim([(0.0, 0, 4000), (1.0, 20_000, 400)], n_nodes=2)
         # Node 1 caches the tail of job 0's segment.
-        sim.cluster[1].cache.insert(Interval(3000, 4000), now=0.0)
+        sim.cluster[1].cache.insert(3000, 4000, now=0.0)
         result = sim.run()
         # Job 0's tail should have been processed from node 1's cache.
         cached_events = result.events_by_source["cache"]

@@ -47,16 +47,16 @@ class TestDataSpace:
 class TestTertiaryStorage:
     def test_read_accounting(self, dataspace):
         storage = TertiaryStorage(dataspace)
-        storage.read(0, Interval(0, 100))
-        storage.read(1, Interval(50, 150))
+        storage.read(0, 0, 100)
+        storage.read(1, 50, 150)
         assert storage.stats.events_read == 200
         assert storage.stats.read_requests == 2
         assert storage.stats.events_read_per_node == {0: 100, 1: 100}
 
     def test_distinct_and_redundancy(self, dataspace):
         storage = TertiaryStorage(dataspace)
-        storage.read(0, Interval(0, 100))
-        storage.read(1, Interval(0, 100))
+        storage.read(0, 0, 100)
+        storage.read(1, 0, 100)
         assert storage.distinct_events_read == 100
         assert storage.redundancy_factor == pytest.approx(2.0)
 
@@ -65,12 +65,12 @@ class TestTertiaryStorage:
         # instead of distinct/total.
         storage = TertiaryStorage(dataspace)
         assert storage.stats.unique_fraction == 0.0
-        storage.read(0, Interval(0, 100))
+        storage.read(0, 0, 100)
         assert storage.stats.unique_fraction == pytest.approx(1.0)
-        storage.read(1, Interval(0, 100))  # full re-read: nothing fresh
+        storage.read(1, 0, 100)  # full re-read: nothing fresh
         assert storage.stats.distinct_events_read == 100
         assert storage.stats.unique_fraction == pytest.approx(0.5)
-        storage.read(0, Interval(50, 150))  # half fresh, half re-read
+        storage.read(0, 50, 150)  # half fresh, half re-read
         assert storage.stats.distinct_events_read == 150
         assert storage.stats.unique_fraction == pytest.approx(150 / 300)
         # The incremental counter matches the interval-set ground truth
@@ -82,11 +82,11 @@ class TestTertiaryStorage:
 
     def test_empty_read_ignored(self, dataspace):
         storage = TertiaryStorage(dataspace)
-        storage.read(0, Interval(5, 5))
+        storage.read(0, 5, 5)
         assert storage.stats.events_read == 0
         assert storage.redundancy_factor == 1.0
 
     def test_out_of_space_read_raises(self, dataspace):
         storage = TertiaryStorage(dataspace)
         with pytest.raises(ConfigurationError):
-            storage.read(0, Interval(0, dataspace.total_events + 1))
+            storage.read(0, 0, dataspace.total_events + 1)

@@ -227,7 +227,7 @@ class TestAddMeasure:
     )
     def test_cases(self, pairs, interval, fresh, after):
         iset = IntervalSet.from_pairs(pairs)
-        assert iset.add_measure(interval) == fresh
+        assert iset.add_measure(interval.start, interval.end) == fresh
         assert iset.pairs() == after
         iset.check_invariants()
 
@@ -238,7 +238,9 @@ class TestAddMeasure:
         for _ in range(400):
             start = rng.randrange(0, 500)
             interval = Interval(start, start + rng.randrange(0, 30))
-            assert fused.add_measure(interval) == self.two_pass(reference, interval)
+            assert fused.add_measure(interval.start, interval.end) == self.two_pass(
+                reference, interval
+            )
             fused.check_invariants()
             assert fused == reference
 
@@ -247,7 +249,7 @@ class TestAddMeasure:
     def test_matches_pointwise(self, items, probe):
         iset = IntervalSet(items)
         before = points_of_set(iset)
-        assert iset.add_measure(probe) == len(points_of(probe) - before)
+        assert iset.add_measure(probe.start, probe.end) == len(points_of(probe) - before)
         iset.check_invariants()
         assert points_of_set(iset) == before | points_of(probe)
 

@@ -9,7 +9,6 @@ from repro.core.engine import Engine
 from repro.core import units
 from repro.data.cache import LRUSegmentCache
 from repro.data.dataspace import DataSpace
-from repro.data.intervals import Interval
 from repro.data.tertiary import TertiaryStorage
 
 from .helpers import make_subjob
@@ -47,19 +46,19 @@ def build_cluster(space, n_nodes=3, link_capacity_streams=1):
 class TestRateFactor:
     def test_uncontended_remote_read_full_speed(self, space):
         engine, nodes, planner = build_cluster(space)
-        nodes[1].cache.insert(Interval(0, 100), now=0.0)
-        plan = planner.plan_chunk(nodes[0], Interval(0, 100), 1000)
+        nodes[1].cache.insert(0, 100, now=0.0)
+        plan = planner.plan_chunk(nodes[0], 0, 100, 1000)
         assert plan.source is DataSource.REMOTE
         assert plan.rate_factor == pytest.approx(1.0)
 
     def test_second_stream_pays_wire_contention(self, space):
         engine, nodes, planner = build_cluster(space, link_capacity_streams=1)
-        nodes[2].cache.insert(Interval(0, 200), now=0.0)
+        nodes[2].cache.insert(0, 200, now=0.0)
         # First remote reader occupies the link...
         nodes[0].start(make_subjob(0, 100))
         assert planner._active_remote_streams == 1
         # ...the second one's plan sees 2 streams on a 1-stream link.
-        plan = planner.plan_chunk(nodes[1], Interval(100, 200), 1000)
+        plan = planner.plan_chunk(nodes[1], 100, 200, 1000)
         assert plan.source is DataSource.REMOTE
         model = nodes[1].cost_model
         base = model.disk_time + model.network_time + model.cpu_time
@@ -68,11 +67,11 @@ class TestRateFactor:
 
     def test_owner_disk_contention(self, space):
         engine, nodes, planner = build_cluster(space)
-        nodes[1].cache.insert(Interval(0, 500), now=0.0)
+        nodes[1].cache.insert(0, 500, now=0.0)
         # Owner busy reading its own disk (cache-source chunk).
         nodes[1].start(make_subjob(0, 200))
         assert nodes[1].current_source() is DataSource.CACHE
-        plan = planner.plan_chunk(nodes[0], Interval(200, 400), 1000)
+        plan = planner.plan_chunk(nodes[0], 200, 400, 1000)
         assert plan.source is DataSource.REMOTE
         model = nodes[0].cost_model
         base = model.disk_time + model.network_time + model.cpu_time
@@ -81,7 +80,7 @@ class TestRateFactor:
 
     def test_stream_counter_balanced(self, space):
         engine, nodes, planner = build_cluster(space)
-        nodes[1].cache.insert(Interval(0, 100), now=0.0)
+        nodes[1].cache.insert(0, 100, now=0.0)
         nodes[0].start(make_subjob(0, 100))
         engine.run()
         assert planner._active_remote_streams == 0
@@ -89,7 +88,7 @@ class TestRateFactor:
 
     def test_preemption_releases_stream(self, space):
         engine, nodes, planner = build_cluster(space)
-        nodes[1].cache.insert(Interval(0, 1000), now=0.0)
+        nodes[1].cache.insert(0, 1000, now=0.0)
         nodes[0].start(make_subjob(0, 1000))
         assert planner._active_remote_streams == 1
         engine.run(until=5.0)
@@ -98,7 +97,7 @@ class TestRateFactor:
 
     def test_contended_chunk_runs_slower(self, space):
         engine, nodes, planner = build_cluster(space, link_capacity_streams=1)
-        nodes[2].cache.insert(Interval(0, 200), now=0.0)
+        nodes[2].cache.insert(0, 200, now=0.0)
         done = {}
         nodes[0].on_subjob_complete = lambda n, s: done.setdefault("first", engine.now)
         nodes[1].on_subjob_complete = lambda n, s: done.setdefault("second", engine.now)

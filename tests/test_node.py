@@ -61,7 +61,7 @@ class TestExecutionTiming:
 
     def test_cached_subjob_runs_faster(self, space):
         engine, node, _ = build_node(space)
-        node.cache.insert(Interval(0, 250), now=0.0)
+        node.cache.insert(0, 250, now=0.0)
         subjob = make_subjob(0, 250)
         done = []
         node.on_subjob_complete = lambda n, s: done.append(engine.now)
@@ -71,7 +71,7 @@ class TestExecutionTiming:
 
     def test_mixed_cached_uncached_chunks(self, space):
         engine, node, tertiary = build_node(space)
-        node.cache.insert(Interval(100, 200), now=0.0)
+        node.cache.insert(100, 200, now=0.0)
         subjob = make_subjob(0, 300)
         node.on_subjob_complete = lambda n, s: None
         node.start(subjob)
@@ -103,7 +103,7 @@ class TestExecutionTiming:
 
     def test_cache_hits_refresh_lru(self, space):
         engine, node, _ = build_node(space, cache_events=300)
-        node.cache.insert(Interval(0, 200), now=0.0)
+        node.cache.insert(0, 200, now=0.0)
         node.on_subjob_complete = lambda n, s: None
         node.start(make_subjob(0, 200))  # all hits, touches [0,200)
         engine.run()
@@ -123,7 +123,7 @@ class TestChunking:
 
     def test_events_by_source(self, space):
         engine, node, _ = build_node(space)
-        node.cache.insert(Interval(0, 150), now=0.0)
+        node.cache.insert(0, 150, now=0.0)
         node.on_subjob_complete = lambda n, s: None
         node.start(make_subjob(0, 400))
         engine.run()
@@ -356,7 +356,7 @@ class TestTertiaryLatency:
             planner=CachingPlanner(tertiary),
             chunk_events=100,
         )
-        node.cache.insert(Interval(0, 100), now=0.0)
+        node.cache.insert(0, 100, now=0.0)
         node.on_subjob_complete = lambda n, s: None
         node.start(make_subjob(0, 100))
         engine.run()
@@ -455,23 +455,54 @@ class TestChunkLoopContract:
             EventPriority.COMPLETION
         ] * 3
 
-    @pytest.mark.parametrize("bad", [Interval(0, 0), Interval(5, 50)])
+    # Empty, misaligned, and running past the subjob's 100-event segment.
+    @pytest.mark.parametrize("bad", [(0, 0), (5, 50), (0, 150)])
     def test_empty_or_misaligned_plan_is_rejected(self, space, bad):
-        _, node, _ = build_node(space, caching=False)
-        node.planner.plan_chunk = lambda n, remaining, cap: ChunkPlan(
-            bad, DataSource.TERTIARY
+        _, node, tertiary = build_node(space, caching=False)
+        node.planner.plan_chunk = lambda n, start, end, cap: ChunkPlan(
+            *bad, DataSource.TERTIARY
         )
         with pytest.raises(SchedulingError, match="bad chunk"):
             node.start(make_subjob(0, 100))
+        # Rejected at plan time: nothing reached the tape.
+        assert tertiary.stats.events_read == 0
+
+    def test_chunk_path_builds_no_intervals(self, space, monkeypatch):
+        # A partly cached segment through a cache too small to hold it:
+        # cache hits, tertiary misses, evictions and one preemption, with
+        # chunk bounds passed as plain ints from node to planner, cache
+        # and tape.
+        engine, node, _ = build_node(space, cache_events=250, chunk_events=100)
+        node.cache.insert(100, 200, now=0.0)
+        node.cache.insert(400, 450, now=0.0)
+        subjob = make_subjob(0, 1000)
+        node.on_subjob_complete = lambda n, s: None
+        built = []
+        validate = Interval.__post_init__
+
+        def counting(interval):
+            built.append(interval)
+            validate(interval)
+
+        monkeypatch.setattr(Interval, "__post_init__", counting)
+        node.start(subjob)
+        engine.run(until=150.0)
+        assert node.preempt() is subjob
+        node.start(subjob)
+        engine.run()
+        monkeypatch.undo()
+        assert subjob.state is SubjobState.DONE
+        assert node.stats.preemptions == 1
+        assert node.stats.events_by_source[DataSource.CACHE] > 0
+        assert node.cache.stats.evicted_events > 0
+        assert built == []
 
     def test_keyword_chunk_plan_keeps_path_defaults(self):
         # The tiered planner builds plans with keywords only.
-        plan = ChunkPlan(
-            interval=Interval(0, 10), source=DataSource.TERTIARY, rate_factor=1.5
-        )
+        plan = ChunkPlan(start=0, end=10, source=DataSource.TERTIARY, rate_factor=1.5)
         assert (plan.owner, plan.via, plan.tier) == (None, (), None)
         assert plan.rate_factor == 1.5
-        plain = ChunkPlan(Interval(0, 10), DataSource.CACHE)
+        plain = ChunkPlan(0, 10, DataSource.CACHE)
         assert (plain.owner, plain.rate_factor, plain.via, plain.tier) == (
             None,
             1.0,

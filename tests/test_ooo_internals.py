@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import units
-from repro.data.intervals import Interval
 from repro.sched.base import create_policy
 from repro.sim.config import quick_config
 from repro.sim.simulator import Simulation
@@ -140,7 +139,7 @@ class TestQueueEventTotals:
 
     def test_cached_arrival_queued(self):
         sim, policy = primed_sim([(0.0, 0, 2000), (1.0, 2000, 1000)], n_nodes=1)
-        sim.cluster[0].cache.insert(Interval(0, 5000), now=0.0)
+        sim.cluster[0].cache.insert(0, 5000, now=0.0)
         sim.engine.run(until=2.0)
         queue = policy.node_queues[0]
         assert len(queue) == 1

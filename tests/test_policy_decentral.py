@@ -81,7 +81,7 @@ class TestScoreCandidate:
 
     def test_cached_task_outscores_cold(self):
         cache = LRUSegmentCache(capacity_events=10_000)
-        cache.insert(Interval(0, 1000), now=0.0)
+        cache.insert(0, 1000, now=0.0)
         cold = LRUSegmentCache(capacity_events=10_000)
         kwargs = dict(locality_weight=1.0, aging_tau=units.HOUR, queue_depth=0)
         warm_score = score_candidate(
@@ -94,7 +94,7 @@ class TestScoreCandidate:
 
     def test_zero_locality_weight_is_cache_blind(self):
         cache = LRUSegmentCache(capacity_events=10_000)
-        cache.insert(Interval(0, 1000), now=0.0)
+        cache.insert(0, 1000, now=0.0)
         cold = LRUSegmentCache(capacity_events=10_000)
         kwargs = dict(locality_weight=0.0, aging_tau=units.HOUR, queue_depth=0)
         assert score_candidate(
@@ -115,7 +115,7 @@ class TestScoreCandidate:
         assert old > young
         # An old-enough cold task outbids a freshly published cached one.
         warm = LRUSegmentCache(capacity_events=10_000)
-        warm.insert(Interval(0, 1000), now=0.0)
+        warm.insert(0, 1000, now=0.0)
         fresh_cached = score_candidate(
             warm, self._cost_model(), Interval(0, 1000), 0.0, **kwargs
         )

@@ -213,8 +213,8 @@ class TestJobWindow:
             stripe_events=8000,
             **({"job_window": job_window} if job_window else {}),
         )
-        sim.cluster[0].cache.insert(Interval(0, 6000), now=0.0)
-        sim.cluster[1].cache.insert(Interval(6000, 8000), now=0.0)
+        sim.cluster[0].cache.insert(0, 6000, now=0.0)
+        sim.cluster[1].cache.insert(6000, 8000, now=0.0)
         return sim.run()
 
     def test_burst_drain_shortens_processing(self):

@@ -15,7 +15,7 @@ import pytest
 
 from repro.cli import main
 from repro.cluster.access import CachingPlanner
-from repro.cluster.costmodel import CostModel
+from repro.cluster.costmodel import CostModel, DataSource
 from repro.cluster.node import Node
 from repro.core import units
 from repro.core.engine import Engine
@@ -23,7 +23,6 @@ from repro.core.errors import InvariantViolation
 from repro.core.events import EventPriority, ScheduledEvent
 from repro.data.cache import LRUSegmentCache
 from repro.data.dataspace import DataSpace
-from repro.data.intervals import Interval
 from repro.data.tertiary import TertiaryStorage
 from repro.sched.base import create_policy
 from repro.sim.config import quick_config
@@ -103,9 +102,9 @@ class TestCacheCorruption:
 
     def test_validate_directly_on_healthy_cache(self):
         cache = LRUSegmentCache(1000)
-        cache.insert(Interval(0, 400), now=1.0)
-        cache.insert(Interval(600, 900), now=2.0)
-        cache.touch(Interval(0, 100), now=3.0)
+        cache.insert(0, 400, now=1.0)
+        cache.insert(600, 900, now=2.0)
+        cache.touch(0, 100, now=3.0)
         cache.validate()
         cache._used -= 1
         with pytest.raises(InvariantViolation, match="accounting"):
@@ -113,8 +112,8 @@ class TestCacheCorruption:
 
     def test_uncoalesced_abutting_extents_are_caught(self):
         cache = LRUSegmentCache(1000)
-        cache.insert(Interval(0, 100), now=1.0)
-        cache.insert(Interval(100, 200), now=2.0)
+        cache.insert(0, 100, now=1.0)
+        cache.insert(100, 200, now=2.0)
         cache.validate()
         # Test-only hook: restamp the right extent (heap entry included)
         # so two abutting extents share a stamp, as a re-stamp that forgot
@@ -214,6 +213,16 @@ class TestAccountingBalanceCorruption:
             sim.tertiary.stats.distinct_events_read += 1
 
         self._run_with(corrupt, "distinct-event set")
+
+    def test_node_to_tape_imbalance_is_caught(self):
+        def corrupt(sim) -> None:
+            # One node credits a tertiary event the tape never served; its
+            # own total moves with it, so only the cross-layer law breaks.
+            stats = sim.cluster[0].stats
+            stats.events_by_source[DataSource.TERTIARY] += 1
+            stats.events_processed += 1
+
+        self._run_with(corrupt, "tape read")
 
 
 class TestPolicyBookkeepingCorruption:

@@ -146,7 +146,7 @@ class TestSplitByCaches:
 
     def test_cached_parts_tagged_with_node(self, engine, tertiary):
         cluster = make_cluster(engine, tertiary)
-        cluster[1].cache.insert(Interval(200, 500), now=0.0)
+        cluster[1].cache.insert(200, 500, now=0.0)
         pieces = split_interval_by_caches(Interval(0, 1000), cluster, 10)
         assert pieces == [
             (Interval(0, 200), None),
@@ -156,8 +156,8 @@ class TestSplitByCaches:
 
     def test_pieces_tile_segment(self, engine, tertiary):
         cluster = make_cluster(engine, tertiary)
-        cluster[0].cache.insert(Interval(100, 300), now=0.0)
-        cluster[2].cache.insert(Interval(600, 650), now=0.0)
+        cluster[0].cache.insert(100, 300, now=0.0)
+        cluster[2].cache.insert(600, 650, now=0.0)
         pieces = split_interval_by_caches(Interval(0, 1000), cluster, 10)
         cursor = 0
         for interval, _ in pieces:
@@ -167,14 +167,14 @@ class TestSplitByCaches:
 
     def test_duplicate_claims_go_to_lowest_node_id(self, engine, tertiary):
         cluster = make_cluster(engine, tertiary)
-        cluster[2].cache.insert(Interval(0, 500), now=0.0)
-        cluster[0].cache.insert(Interval(0, 500), now=0.0)
+        cluster[2].cache.insert(0, 500, now=0.0)
+        cluster[0].cache.insert(0, 500, now=0.0)
         pieces = split_interval_by_caches(Interval(0, 500), cluster, 10)
         assert pieces == [(Interval(0, 500), cluster[0])]
 
     def test_small_fragments_merged(self, engine, tertiary):
         cluster = make_cluster(engine, tertiary)
-        cluster[0].cache.insert(Interval(100, 105), now=0.0)  # 5 < min 10
+        cluster[0].cache.insert(100, 105, now=0.0)  # 5 < min 10
         pieces = split_interval_by_caches(Interval(0, 1000), cluster, 10)
         assert len(pieces) == 2  # tiny cached sliver merged away
         total = sum(i.length for i, _ in pieces)
@@ -182,7 +182,7 @@ class TestSplitByCaches:
 
     def test_segment_fully_cached_one_node(self, engine, tertiary):
         cluster = make_cluster(engine, tertiary)
-        cluster[1].cache.insert(Interval(0, 2000), now=0.0)
+        cluster[1].cache.insert(0, 2000, now=0.0)
         pieces = split_interval_by_caches(Interval(500, 1500), cluster, 10)
         assert pieces == [(Interval(500, 1500), cluster[1])]
 
@@ -262,9 +262,7 @@ class TestSplitByCachesOracle:
         cluster = make_cluster(Engine(), tertiary, n_nodes=n_nodes, cache_events=150)
         for stamp, (node_ids, start, length) in enumerate(inserts):
             for node_id in node_ids:
-                cluster[node_id].cache.insert(
-                    Interval(start, start + length), now=float(stamp)
-                )
+                cluster[node_id].cache.insert(start, start + length, now=float(stamp))
         for node_id in failed:
             cluster[node_id].fail()
         for start, length, min_events in queries:
@@ -280,7 +278,7 @@ class TestBestSubjobForNode:
         node = cluster[0]
         a = make_subjob(0, 100)
         b = make_subjob(200, 100)
-        node.cache.insert(Interval(200, 260), now=0.0)
+        node.cache.insert(200, 260, now=0.0)
         assert best_subjob_for_node(node, [a, b]) is b
 
     def test_ties_broken_by_size(self, engine, tertiary):

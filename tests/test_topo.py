@@ -28,7 +28,6 @@ import pytest
 
 from repro.core import units
 from repro.core.errors import ConfigurationError
-from repro.data.intervals import Interval
 from repro.exec import Executor, make_cache
 from repro.obs.hooks import NULL_BUS
 from repro.sim.config import quick_config
@@ -316,8 +315,8 @@ class TestRouting:
 class TestTierCache:
     def test_storage_integral_is_piecewise_constant(self):
         cache = TierCache("rack", capacity_events=100, obs=NULL_BUS)
-        cache.admit(Interval(0, 10), now=5.0)      # 10 events from t=5
-        cache.admit(Interval(10, 30), now=10.0)    # 30 events from t=10
+        cache.admit(0, 10, now=5.0)      # 10 events from t=5
+        cache.admit(10, 30, now=10.0)    # 30 events from t=10
         cache.finalize(until=20.0)
         # 10 events * 5 s + 30 events * 10 s.
         assert cache.storage_event_seconds == 10 * 5 + 30 * 10
@@ -326,18 +325,18 @@ class TestTierCache:
 
     def test_hits_and_misses_count_events(self):
         cache = TierCache("rack", capacity_events=100, obs=NULL_BUS)
-        cache.admit(Interval(0, 10), now=0.0)
-        cache.serve(Interval(0, 10), now=1.0)
-        cache.record_miss(Interval(10, 40), now=1.0)
+        cache.admit(0, 10, now=0.0)
+        cache.serve(0, 10, now=1.0)
+        cache.record_miss(10, 40, now=1.0)
         assert cache.hit_events == 10
         assert cache.miss_events == 30
 
     def test_admission_evicts_lru_at_capacity(self):
         cache = TierCache("rack", capacity_events=20, obs=NULL_BUS)
-        cache.admit(Interval(0, 20), now=0.0)
-        cache.admit(Interval(50, 60), now=1.0)
+        cache.admit(0, 20, now=0.0)
+        cache.admit(50, 60, now=1.0)
         assert cache.cache.stats.evicted_events >= 10
-        assert cache.cached_prefix(Interval(50, 60)).length == 10
+        assert cache.cached_prefix(50, 60) == 60
 
 
 class TestLinkContention:

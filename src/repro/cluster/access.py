@@ -1,12 +1,18 @@
 """Data-access planning: where each chunk's events come from.
 
 A :class:`DataAccessPlanner` answers, for the node about to execute the
-next chunk of a subjob, two questions:
+next chunk of a subjob, two questions, one call each:
 
-1. *plan*: how far can we read at a uniform rate, and from which source
-   (local cache / tertiary storage / a remote node's disk)?
-2. *account*: once (part of) the chunk has actually been processed, update
-   the caches, LRU timestamps, tertiary counters and replication state.
+1. *plan* (:meth:`~DataAccessPlanner.plan_chunk`): how far can we read at
+   a uniform rate, and from which source (local cache / tertiary storage
+   / a remote node's disk)?  A planner that tracks shared streams (link
+   or backbone contention) counts the chunk's stream here.
+2. *account* (:meth:`~DataAccessPlanner.on_chunk_processed`): once (part
+   of) the chunk has actually been processed, update the caches, LRU
+   timestamps, tertiary counters and replication state, and release
+   whatever the plan counted.  The node makes this call exactly once per
+   planned chunk: on completion, on preemption, and with an empty prefix
+   after a crash.
 
 Policies differ only in the planner they install:
 
@@ -41,6 +47,12 @@ from .costmodel import DataSource
 if TYPE_CHECKING:  # pragma: no cover
     from ..topo.tree import Tier, TopologyView
     from .node import Node
+
+#: The chunk path's sources as module constants: a global load is cheaper
+#: than an enum class attribute load, and these are read on every chunk.
+_CACHE = DataSource.CACHE
+_TERTIARY = DataSource.TERTIARY
+_REMOTE = DataSource.REMOTE
 
 
 class ChunkPlan:
@@ -84,7 +96,14 @@ class ChunkPlan:
 
 
 class DataAccessPlanner:
-    """Base planner: resolves chunks against the local cache."""
+    """Base planner: resolves chunks against the local cache and writes
+    tertiary reads through to it.
+
+    The two flags describe that behaviour to wrappers (the topology
+    layer's :class:`~repro.topo.planner.TieredPlanner` accounts its own
+    tier reads by them); :class:`NoCachePlanner` clears both and
+    overrides the two calls.
+    """
 
     #: Whether tertiary reads are written through to the local disk cache.
     populate_cache = True
@@ -104,38 +123,34 @@ class DataAccessPlanner:
         cap = start + max_events
         if cap < end:
             end = cap
-        if self.use_cache:
-            cache = node.cache
-            reach = cache.cached_prefix(start, end)
-            if reach > start:
-                return ChunkPlan(start, reach, DataSource.CACHE)
-            return self._plan_miss(node, start, cache.uncached_prefix(start, end))
-        return ChunkPlan(start, end, DataSource.TERTIARY)
+        cache = node.cache
+        reach = cache.cached_prefix(start, end)
+        if reach > start:
+            return ChunkPlan(start, reach, _CACHE)
+        return self._plan_miss(node, start, cache.uncached_prefix(start, end))
 
     def _plan_miss(self, node: "Node", start: int, end: int) -> ChunkPlan:
         """Resolve the local cache miss ``[start, end)`` (hook for
         remote-read planners)."""
-        return ChunkPlan(start, end, DataSource.TERTIARY)
+        return ChunkPlan(start, end, _TERTIARY)
 
     # -- accounting -----------------------------------------------------------
-
-    def on_chunk_started(self, node: "Node", plan: ChunkPlan) -> None:
-        """Hook: a node began executing ``plan`` (contention trackers)."""
-
-    def on_chunk_finished(self, node: "Node", plan: ChunkPlan) -> None:
-        """Hook: the chunk ended (completed or preempted); called exactly
-        once per started chunk, after :meth:`on_chunk_processed`."""
 
     def on_chunk_processed(self, node: "Node", plan: ChunkPlan, end: int) -> None:
         """Record the side effects of having processed ``[plan.start,
         end)``, a left prefix of the plan; it is empty (``end ==
-        plan.start``) after an abort or an immediate preemption."""
+        plan.start``) after an abort or an immediate preemption.
+
+        Called exactly once per chunk the node started from a plan of
+        this planner, so overrides release here any stream their
+        :meth:`plan_chunk` counted, whether or not the prefix is empty.
+        """
         start = plan.start
         if end <= start:
             return
         now = node.engine.now
         obs = node.obs
-        if plan.source is DataSource.CACHE:
+        if plan.source is _CACHE:
             node.cache.touch(start, end, now)
             if obs.enabled:
                 obs.emit(
@@ -145,9 +160,9 @@ class DataAccessPlanner:
                     node=node.node_id,
                     events=end - start,
                 )
-        elif plan.source is DataSource.TERTIARY:
+        elif plan.source is _TERTIARY:
             self.tertiary.read(node.node_id, start, end, now=now)
-            if obs.enabled and self.use_cache:
+            if obs.enabled:
                 obs.emit(
                     now,
                     kinds.CACHE_MISS,
@@ -155,9 +170,8 @@ class DataAccessPlanner:
                     node=node.node_id,
                     events=end - start,
                 )
-            if self.populate_cache:
-                node.cache.insert(start, end, now)
-        elif plan.source is DataSource.REMOTE:
+            node.cache.insert(start, end, now)
+        elif plan.source is _REMOTE:
             assert plan.owner is not None
             plan.owner.cache.touch(start, end, now)
             if obs.enabled:
@@ -179,14 +193,33 @@ class DataAccessPlanner:
         """The access counters this planner keeps (for the sanitizer)."""
         return ()
 
+    def check_stream_counts(self, running: List[ChunkPlan]) -> None:
+        """Sanitizer check: the streams this planner counts equal those of
+        the ``running`` chunks' plans (nothing to count here)."""
+
 
 class NoCachePlanner(DataAccessPlanner):
     """All data always streams from tertiary storage (§3.1/§3.2: "No disk
     caching is performed. All data segments are always transferred from
-    tertiary storage when needed.")."""
+    tertiary storage when needed.").
+
+    With no cache to consult or fill, planning is a clip to
+    ``max_events`` and accounting is one tape read.
+    """
 
     populate_cache = False
     use_cache = False
+
+    def plan_chunk(
+        self, node: "Node", start: int, end: int, max_events: int
+    ) -> ChunkPlan:
+        cap = start + max_events
+        return ChunkPlan(start, cap if cap < end else end, _TERTIARY)
+
+    def on_chunk_processed(self, node: "Node", plan: ChunkPlan, end: int) -> None:
+        start = plan.start
+        if end > start:
+            self.tertiary.read(node.node_id, start, end, node.engine.now)
 
 
 class CachingPlanner(DataAccessPlanner):
@@ -341,8 +374,8 @@ class RemoteReadPlanner(CachingPlanner):
                 best_owner = peer
                 best_reach = reach
         if best_owner is None:
-            return ChunkPlan(start, end, DataSource.TERTIARY)
-        return ChunkPlan(start, best_reach, DataSource.REMOTE, best_owner)
+            return ChunkPlan(start, end, _TERTIARY)
+        return ChunkPlan(start, best_reach, _REMOTE, best_owner)
 
     def _on_remote_read(self, node: "Node", owner: "Node", start: int, end: int) -> None:
         events = end - start
@@ -382,7 +415,10 @@ class ContentionRemoteReadPlanner(RemoteReadPlanner):
 
     Chunk durations are fixed when the chunk starts, so contention is
     sampled at plan time — a snapshot approximation that is exact for
-    constant load and conservative for bursts.
+    constant load and conservative for bursts.  A REMOTE plan counts its
+    stream on the backbone as it is made, and
+    :meth:`on_chunk_processed` releases it: the node starts every chunk
+    it plans, and accounts for each exactly once.
     """
 
     def __init__(
@@ -407,7 +443,7 @@ class ContentionRemoteReadPlanner(RemoteReadPlanner):
 
     def _plan_miss(self, node: "Node", start: int, end: int) -> ChunkPlan:
         plan = super()._plan_miss(node, start, end)
-        if plan.source is not DataSource.REMOTE:
+        if plan.source is not _REMOTE:
             return plan
         assert plan.owner is not None
         model = node.cost_model
@@ -420,18 +456,23 @@ class ContentionRemoteReadPlanner(RemoteReadPlanner):
         disk_multiplier = 2.0 if owner_reading_disk else 1.0
         base = disk + wire + cpu
         effective = disk * disk_multiplier + wire * wire_multiplier + cpu
+        self._active_remote_streams = streams
+        if streams > self.peak_remote_streams:
+            self.peak_remote_streams = streams
         return ChunkPlan(
             plan.start, plan.end, plan.source, plan.owner, effective / base
         )
 
-    def on_chunk_started(self, node: "Node", plan: ChunkPlan) -> None:
-        if plan.source is DataSource.REMOTE:
-            self._active_remote_streams += 1
-            self.peak_remote_streams = max(
-                self.peak_remote_streams, self._active_remote_streams
-            )
-
-    def on_chunk_finished(self, node: "Node", plan: ChunkPlan) -> None:
-        if plan.source is DataSource.REMOTE:
+    def on_chunk_processed(self, node: "Node", plan: ChunkPlan, end: int) -> None:
+        super().on_chunk_processed(node, plan, end)
+        if plan.source is _REMOTE:
             self._active_remote_streams -= 1
             assert self._active_remote_streams >= 0
+
+    def check_stream_counts(self, running: List[ChunkPlan]) -> None:
+        remote = sum(1 for plan in running if plan.source is _REMOTE)
+        if self._active_remote_streams != remote:
+            raise InvariantViolation(
+                f"contention planner counts {self._active_remote_streams} "
+                f"active remote streams but {remote} remote chunks are running"
+            )

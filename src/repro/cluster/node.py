@@ -5,10 +5,12 @@ A node runs at most one subjob at a time (§2.4: "we only run a single job
 or subjob per processor at any given time").  Execution is *chunked*: the
 node asks its :class:`~repro.cluster.access.DataAccessPlanner` for the next
 uniform-rate run of events, schedules one engine event at the chunk's
-completion time, and repeats.  Preemption between events is exact: an
-interrupted chunk credits the whole events finished so far and re-queues
-the rest (the in-flight fractional event is re-processed later, matching
-the paper's event-atomic processing).
+completion time, and repeats, re-arming that same event for every further
+chunk of the subjob.  Each chunk costs the planner two calls: one to plan
+it and one to account for what of it was processed.  Preemption between
+events is exact: an interrupted chunk credits the whole events finished
+so far and re-queues the rest (the in-flight fractional event is
+re-processed later, matching the paper's event-atomic processing).
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ _EVENT_EPSILON = 1e-9
 #: Calendar priority of chunk completions, as the plain int the engine
 #: keys its heap on.
 _COMPLETION = int(EventPriority.COMPLETION)
+
+_TERTIARY = DataSource.TERTIARY
 
 
 @dataclass
@@ -114,7 +118,9 @@ class Node:
         self.current: Optional[Subjob] = None
         #: The in-flight chunk, kept in plain attributes rather than a
         #: record per chunk: its plan (``None`` when idle), per-event time,
-        #: setup latency, start time and completion event.
+        #: setup latency, start time and completion event.  The event is
+        #: built by :meth:`start` and re-armed for each further chunk of
+        #: the subjob; preemption, a crash or the subjob's end drop it.
         self._plan: Optional[ChunkPlan] = None
         self._per_event = 0.0
         self._setup = 0.0
@@ -171,6 +177,10 @@ class Node:
     def current_source(self) -> Optional[DataSource]:
         """Data source of the in-flight chunk (None when idle)."""
         return self._plan.source if self._plan is not None else None
+
+    def current_plan(self) -> Optional[ChunkPlan]:
+        """Plan of the in-flight chunk (None when idle)."""
+        return self._plan
 
     # -- control ----------------------------------------------------------------
 
@@ -293,10 +303,9 @@ class Node:
             productive = max(0.0, elapsed - self._setup)
             lost = int(productive / self._per_event + _EVENT_EPSILON)
             lost = min(lost, plan.end - plan.start)
-            # Keep the planner's started/finished pairing, crediting no
-            # events (contention trackers must see the stream end).
+            # Account the chunk with an empty prefix: nothing is credited,
+            # but the planner releases the streams its plan counted.
             self.planner.on_chunk_processed(self, plan, plan.start)
-            self.planner.on_chunk_finished(self, plan)
             self._plan = None
             self._completion = None
             self.current = None
@@ -378,7 +387,8 @@ class Node:
 
     def _begin_next_chunk(self) -> None:
         """Plan the next chunk of the running subjob and schedule its
-        completion: one planner call and one calendar push."""
+        completion: one planner call and one calendar push, re-arming the
+        subjob's fired completion event when it has one."""
         subjob = self.current
         assert subjob is not None
         segment = subjob.segment
@@ -395,17 +405,21 @@ class Node:
         source = plan.source
         per_event, setup = self._costs[source]
         per_event = per_event * plan.rate_factor
-        if source is DataSource.TERTIARY and self.tertiary_slowdown != 1.0:
+        if source is _TERTIARY and self.tertiary_slowdown != 1.0:
             per_event *= self.tertiary_slowdown
         duration = setup + (chunk_end - start) * per_event
-        self.planner.on_chunk_started(self, plan)
-        now = self.engine.now
-        self._completion = self.engine.call_at(
-            now + duration,
-            self._on_chunk_complete,
-            priority=_COMPLETION,
-            label=self._label,
-        )
+        engine = self.engine
+        now = engine.now
+        event = self._completion
+        if event is None:
+            self._completion = engine.call_at(
+                now + duration,
+                self._on_chunk_complete,
+                priority=_COMPLETION,
+                label=self._label,
+            )
+        else:
+            engine.rearm(event, now + duration)
         self._plan = plan
         self._per_event = per_event
         self._setup = setup
@@ -414,18 +428,32 @@ class Node:
 
     def _on_chunk_complete(self) -> None:
         """Credit the whole planned range of the finished chunk, then
-        plan the next one or finish the subjob."""
+        plan the next one (re-arming this event) or finish the subjob.
+
+        The crediting is :meth:`_account_chunk` and
+        :meth:`Subjob.advance` written out: this runs once per chunk."""
         subjob = self.current
         plan = self._plan
         assert subjob is not None and plan is not None
         end = plan.end
         events = end - plan.start
-        self._account_chunk(
-            subjob, plan, end, events, events * self._per_event + self._setup
-        )
+        seconds = events * self._per_event + self._setup
+        self.planner.on_chunk_processed(self, plan, end)
+        segment = subjob.segment
+        processed = subjob.processed + events
+        if processed > segment.end - segment.start:
+            raise SchedulingError(f"subjob {subjob.sid} progressed past its segment")
+        subjob.processed = processed
+        subjob.job.note_progress(events)
+        stats = self.stats
+        stats.busy_seconds += seconds
+        stats.events_processed += events
+        stats.events_by_source[plan.source] += events
+        if self.obs.enabled:
+            self._emit_chunk_done(subjob, plan, events, seconds)
         self._plan = None
-        self._completion = None
-        if end == subjob.segment.end:
+        if end == segment.end:
+            self._completion = None
             self.current = None
             self._sync_idle()
             self._finish_subjob(subjob, deferred=False)
@@ -444,26 +472,31 @@ class Node:
         of the chunk — and the ``seconds`` of node time spent on it (setup
         latency included).  A completed chunk passes its planned end; a
         preempted one ``plan.start + events``."""
-        planner = self.planner
-        planner.on_chunk_processed(self, plan, end)
-        planner.on_chunk_finished(self, plan)
+        self.planner.on_chunk_processed(self, plan, end)
         subjob.advance(events)
         stats = self.stats
         stats.busy_seconds += seconds
         stats.events_processed += events
         stats.events_by_source[plan.source] += events
         if self.obs.enabled and events > 0:
-            self.obs.emit(
-                self.engine.now,
-                kinds.CHUNK_DONE,
-                "node",
-                node=self.node_id,
-                job=subjob.job.job_id,
-                sid=subjob.sid,
-                src=plan.source.value,
-                events=events,
-                duration=seconds,
-            )
+            self._emit_chunk_done(subjob, plan, events, seconds)
+
+    def _emit_chunk_done(
+        self, subjob: Subjob, plan: ChunkPlan, events: int, seconds: float
+    ) -> None:
+        # Guarded at both call sites with `if self.obs.enabled`, so the
+        # untraced chunk path makes no call here.
+        self.obs.emit(  # simlint: disable=SIM004
+            self.engine.now,
+            kinds.CHUNK_DONE,
+            "node",
+            node=self.node_id,
+            job=subjob.job.job_id,
+            sid=subjob.sid,
+            src=plan.source.value,
+            events=events,
+            duration=seconds,
+        )
 
     def _finish_subjob(self, subjob: Subjob, deferred: bool) -> None:
         if self.checker is not None:

@@ -21,7 +21,7 @@ profiling runs on this workload.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..obs.hooks import NULL_BUS, HookBus, kinds
 from .errors import EngineError, InvariantViolation
@@ -110,6 +110,36 @@ class Engine:
         self.stats.scheduled += 1
         if len(self._heap) > self.stats.max_queue:
             self.stats.max_queue = len(self._heap)
+        return event
+
+    def rearm(self, event: ScheduledEvent, time: float) -> ScheduledEvent:
+        """Push ``event``, which has already fired, back into the calendar
+        at absolute time ``time`` with its callback, arguments, priority
+        and label unchanged.
+
+        The event takes the next sequence number, exactly as a fresh
+        :meth:`call_at` at this point would, so the calendar order and
+        the scheduling counters are the same as with a new event; only
+        the record is reused.  A cancelled event is never re-armed (raises
+        :class:`EngineError`), and an event still pending must not be
+        passed (:meth:`validate_heap` reports an event queued twice).
+        """
+        if event.cancelled:
+            raise EngineError(f"cannot re-arm cancelled event {event.label!r}")
+        if time < self._now:
+            raise EngineError(
+                f"cannot schedule at t={time:.6f} < now={self._now:.6f}"
+            )
+        seq = self._seq
+        event.time = time
+        event.seq = seq
+        self._seq = seq + 1
+        heap = self._heap
+        heapq.heappush(heap, (time, event.priority, seq, event))
+        stats = self.stats
+        stats.scheduled += 1
+        if len(heap) > stats.max_queue:
+            stats.max_queue = len(heap)
         return event
 
     def call_after(
@@ -285,13 +315,21 @@ class Engine:
     def validate_heap(self) -> None:
         """Deep calendar consistency check (sim-sanitizer mode).
 
-        Verifies the binary-heap ordering property and that no *active*
-        event lies in the past.  O(n) — called from the simulator's
-        periodic probe, never from the dispatch loop.
+        Verifies the binary-heap ordering property, that no event record
+        is queued twice (a :meth:`rearm` of a pending event) and that no
+        *active* event lies in the past.  O(n) — called from the
+        simulator's periodic probe, never from the dispatch loop.
         """
         heap = self._heap
+        seen: Set[int] = set()
         for index, entry in enumerate(heap):
             event = entry[3]
+            if id(event) in seen:
+                raise InvariantViolation(
+                    f"event {event.label!r} is queued twice in the calendar "
+                    f"(second entry at index {index}, t={entry[0]:.6f})"
+                )
+            seen.add(id(event))
             for child_index in (2 * index + 1, 2 * index + 2):
                 if child_index < len(heap) and heap[child_index][:3] < entry[:3]:
                     raise InvariantViolation(

@@ -391,6 +391,17 @@ class IntervalSet(RunMap[bool]):
             ends.insert(lo, end)
             self._values.insert(lo, True)
             return end - start
+        if hi == lo + 1:
+            # One run overlaps or touches: widen it in place (a node
+            # extending its own run of reads lands here).
+            added = 0
+            if start < starts[lo]:
+                added = starts[lo] - start
+                starts[lo] = start
+            if end > ends[lo]:
+                added += end - ends[lo]
+                ends[lo] = end
+            return added
         # Runs lo..hi-1 overlap or touch ``interval``: they merge with it
         # into one run, and their own points were already covered.
         covered = sum(ends[lo:hi]) - sum(starts[lo:hi])

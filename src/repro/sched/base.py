@@ -277,8 +277,8 @@ class SchedulerPolicy(ABC):
         suspended = node.preempt()
         if suspended is None:
             return None  # finished exactly now
-        remaining = suspended.remaining
-        if not (remaining.start < point < remaining.end):
+        segment = suspended.segment
+        if not (segment.start + suspended.processed < point < segment.end):
             node.start(suspended)
             return None
         right = suspended.split_remaining_at(point)

@@ -332,7 +332,7 @@ class OutOfOrderPolicy(SchedulerPolicy):
                 return
             if victim.remaining_events - share < self.min_subjob_events:
                 return
-            point = victim.remaining.end - share
+            point = victim.segment.end - share
             right = victim.split_remaining_at(point)
             queue.events -= right.remaining_events
             self._mark_stolen(right, donor)
@@ -347,7 +347,7 @@ class OutOfOrderPolicy(SchedulerPolicy):
             or victim.remaining_events - share < self.min_subjob_events
         ):
             return
-        point = victim.remaining.end - share
+        point = victim.segment.end - share
         right = self.split_running_subjob(victim, point)
         if right is not None:
             self._mark_stolen(right, donor)

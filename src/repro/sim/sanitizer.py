@@ -11,6 +11,11 @@ module checks properties of a *running* simulation:
 * the cluster's idle-node index lists exactly the nodes a full scan
   finds free (no subjob, not failed, not reserved), in id order, and
   every node's ``idle`` flag agrees with that scan;
+* the stream counts the planners hold for running chunks balance: each
+  tier's ``active_streams`` equals the number of running chunks whose
+  plan routes via its uplink, and a contention planner's active remote
+  streams equal its running REMOTE chunks
+  (:meth:`repro.cluster.access.DataAccessPlanner.check_stream_counts`);
 * event accounting balances across the chunk loop: each node's
   ``events_processed`` equals the sum of its ``events_by_source``, the
   tertiary events the nodes credited sum to the tape's ``events_read``,
@@ -55,6 +60,7 @@ from ..core.errors import InvariantViolation, SchedulingError
 from ..workload.jobs import Job, Subjob, SubjobState
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..cluster.access import ChunkPlan
     from ..cluster.cluster import Cluster
     from ..cluster.node import Node
     from ..core.engine import Engine
@@ -191,10 +197,10 @@ class InvariantChecker:
         channel: Optional["ControlChannel"],
     ) -> None:
         """Validate the calendar heap, every node and tier cache, the
-        idle-node index, the node, node-to-tape and tertiary event
-        balances, the planner's access counters, the control channel and
-        job/subjob bookkeeping; piggybacked on the simulator's metric
-        probe."""
+        idle-node index, the planners' stream counts, the node,
+        node-to-tape and tertiary event balances, the planner's access
+        counters, the control channel and job/subjob bookkeeping;
+        piggybacked on the simulator's metric probe."""
         self.checks_run += 1
         engine.validate_heap()
         tertiary.validate()
@@ -205,9 +211,13 @@ class InvariantChecker:
         for tier in tiers:
             if tier.cache is not None:
                 tier.cache.validate()
+        running: List["ChunkPlan"] = []
         scanned_idle: List[int] = []
         from_tape = 0
         for node in cluster:
+            plan = node.current_plan()
+            if plan is not None:
+                running.append(plan)
             node.cache.validate()
             stats = node.stats
             by_source = sum(stats.events_by_source.values())
@@ -241,6 +251,7 @@ class InvariantChecker:
                 raise InvariantViolation(
                     f"failed node {node.node_id} is executing {current.sid}"
                 )
+        cluster.planner.check_stream_counts(running)
         if from_tape != tertiary.stats.events_read:
             raise InvariantViolation(
                 f"nodes credited {from_tape} tertiary events but the tape "

@@ -21,7 +21,9 @@ Link costs use the same snapshot-at-plan-time queueing model as
 :class:`~repro.cluster.access.ContentionRemoteReadPlanner`: the per-event
 link time scales with the oversubscription ratio observed when the chunk
 is planned, and the links' stream counters are held for exactly the
-chunk's lifetime via the started/finished hooks.
+chunk's lifetime: :meth:`TieredPlanner.plan_chunk` acquires every uplink
+the plan routes via, and :meth:`TieredPlanner.on_chunk_processed`, which
+the node calls exactly once per started chunk, releases them.
 
 Replica placement runs at accounting time: each tertiary read is offered
 to the tier caches on the reading node's path according to the spec's
@@ -31,15 +33,20 @@ placement policy (``none`` / ``root-only`` / ``lru-rack`` /
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Tuple
 
 from ..cluster.access import ChunkPlan, DataAccessPlanner, RemoteAccessCounter
 from ..cluster.costmodel import DataSource
+from ..core.errors import InvariantViolation
 from ..obs.hooks import kinds
 from .tree import Tier, Topology
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.node import Node
+
+_TERTIARY = DataSource.TERTIARY
+_REMOTE = DataSource.REMOTE
+_TIER = DataSource.TIER
 
 
 class TieredPlanner(DataAccessPlanner):
@@ -97,10 +104,12 @@ class TieredPlanner(DataAccessPlanner):
         self, node: "Node", start: int, end: int, max_events: int
     ) -> ChunkPlan:
         plan = self.base.plan_chunk(node, start, end, max_events)
-        if plan.source is DataSource.TERTIARY:
-            return self._route_tertiary(node, plan)
-        if plan.source is DataSource.REMOTE:
-            return self._route_remote(node, plan)
+        if plan.source is _TERTIARY:
+            plan = self._route_tertiary(node, plan)
+        elif plan.source is _REMOTE:
+            plan = self._route_remote(node, plan)
+        for tier in plan.via:
+            tier.acquire()
         return plan
 
     def _route_tertiary(self, node: "Node", plan: ChunkPlan) -> ChunkPlan:
@@ -166,32 +175,35 @@ class TieredPlanner(DataAccessPlanner):
             via,
         )
 
-    # -- lifetime hooks ------------------------------------------------------
-
-    def on_chunk_started(self, node: "Node", plan: ChunkPlan) -> None:
-        self.base.on_chunk_started(node, plan)
-        for tier in plan.via:
-            tier.acquire()
-
-    def on_chunk_finished(self, node: "Node", plan: ChunkPlan) -> None:
-        self.base.on_chunk_finished(node, plan)
-        for tier in plan.via:
-            tier.release()
+    def check_stream_counts(self, running: List[ChunkPlan]) -> None:
+        """Each tier holds one stream per running chunk routed via its
+        uplink (and the base planner's own counts balance)."""
+        self.base.check_stream_counts(running)
+        for tier in self.topology.tiers.values():
+            routed = sum(1 for plan in running for hop in plan.via if hop is tier)
+            if tier.active_streams != routed:
+                raise InvariantViolation(
+                    f"tier {tier.name} holds {tier.active_streams} active "
+                    f"streams but {routed} running chunks route via it"
+                )
 
     # -- accounting ----------------------------------------------------------
 
     def on_chunk_processed(self, node: "Node", plan: ChunkPlan, end: int) -> None:
-        if plan.source is DataSource.TIER:
+        """Account the processed prefix, then release the uplinks
+        :meth:`plan_chunk` acquired."""
+        if plan.source is _TIER:
             self._account_tier_read(node, plan, end)
-            return
-        self.base.on_chunk_processed(node, plan, end)
-        start = plan.start
-        if end <= start:
-            return
+        else:
+            self.base.on_chunk_processed(node, plan, end)
+            start = plan.start
+            if end > start:
+                for tier in plan.via:
+                    tier.link_events += end - start
+                if plan.source is _TERTIARY:
+                    self._account_tertiary_read(node, start, end)
         for tier in plan.via:
-            tier.link_events += end - start
-        if plan.source is DataSource.TERTIARY:
-            self._account_tertiary_read(node, start, end)
+            tier.release()
 
     def _account_tier_read(self, node: "Node", plan: ChunkPlan, end: int) -> None:
         start = plan.start

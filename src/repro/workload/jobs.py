@@ -306,13 +306,13 @@ class Subjob:
             raise SchedulingError(f"cannot split running subjob {self.sid}")
         if self.state is SubjobState.DONE:
             raise SchedulingError(f"cannot split finished subjob {self.sid}")
-        remaining = self.remaining
-        if not (remaining.start < point < remaining.end):
+        segment = self.segment
+        if not (segment.start + self.processed < point < segment.end):
             raise SchedulingError(
-                f"split point {point} not inside remaining {remaining}"
+                f"split point {point} not inside remaining {self.remaining}"
             )
-        right = Subjob(self.job, Interval(point, self.segment.end))
-        self.segment = Interval(self.segment.start, point)
+        right = Subjob(self.job, Interval(point, segment.end))
+        self.segment = Interval(segment.start, point)
         self.job.subjobs.append(right)
         return right
 

@@ -202,6 +202,79 @@ class TestErrors:
         assert out == ["now"]
 
 
+def _chunk_loop(rearm: bool):
+    """Two self-rescheduling "chunk" loops plus a competing push at the
+    same ``(time, priority)`` before and after every reschedule; each loop
+    reschedules through :meth:`Engine.rearm` or a fresh ``call_at``."""
+    eng = Engine()
+    log = []
+    left = {"a": 4, "b": 3}
+    handles = {}
+
+    def other(tag):
+        log.append((eng.now, tag))
+
+    def chunk(name):
+        log.append((eng.now, name, handles[name].seq))
+        if left[name] == 0:
+            return
+        left[name] -= 1
+        due = eng.now + 1.0
+        eng.call_at(due, other, f"before-{name}", priority=EventPriority.COMPLETION)
+        if rearm:
+            assert eng.rearm(handles[name], due) is handles[name]
+        else:
+            handles[name] = eng.call_at(
+                due, chunk, name, priority=EventPriority.COMPLETION
+            )
+        eng.call_at(due, other, f"after-{name}", priority=EventPriority.COMPLETION)
+
+    for name in ("a", "b"):
+        handles[name] = eng.call_at(
+            0.0, chunk, name, priority=EventPriority.COMPLETION
+        )
+    eng.run()
+    return log, eng.stats
+
+
+class TestRearm:
+    def test_orders_exactly_like_call_at(self):
+        rearmed, rearmed_stats = _chunk_loop(rearm=True)
+        fresh, fresh_stats = _chunk_loop(rearm=False)
+        assert rearmed == fresh
+        assert len(rearmed) == 9 + 2 * 7
+        assert rearmed_stats == fresh_stats
+
+    def test_rearmed_event_keeps_callback_priority_and_label(self):
+        eng = Engine()
+        out = []
+        event = eng.call_at(1.0, out.append, "x", priority=EventPriority.PERIOD, label="p")
+        eng.run()
+        eng.call_at(2.0, out.append, "timer")
+        eng.rearm(event, 2.0)
+        eng.run()
+        # Same time, lower priority value first: the re-armed PERIOD event
+        # runs before the TIMER pushed ahead of it.
+        assert out == ["x", "x", "timer"]
+        assert (event.time, event.priority, event.label) == (2.0, EventPriority.PERIOD, "p")
+
+    def test_cancelled_event_raises(self):
+        eng = Engine()
+        event = eng.call_at(1.0, lambda: None)
+        eng.run()
+        eng.cancel(event)
+        with pytest.raises(EngineError, match="cancelled"):
+            eng.rearm(event, 2.0)
+        assert len(eng) == 0
+
+    def test_past_time_raises(self):
+        eng = Engine()
+        event = eng.call_at(1.0, lambda: None)
+        eng.run()
+        with pytest.raises(EngineError, match="cannot schedule"):
+            eng.rearm(event, 0.5)
+
+
 class TestStats:
     def test_counters(self):
         eng = Engine()

@@ -95,6 +95,41 @@ class TestRateFactor:
         nodes[0].preempt()
         assert planner._active_remote_streams == 0
 
+    def test_immediate_preemption_releases_stream(self, space):
+        # Preempted at its start instant: an empty prefix is accounted,
+        # and the stream its plan counted is released all the same.
+        engine, nodes, planner = build_cluster(space)
+        nodes[1].cache.insert(0, 1000, now=0.0)
+        subjob = make_subjob(0, 1000)
+        nodes[0].start(subjob)
+        assert nodes[0].preempt() is subjob
+        assert subjob.processed == 0
+        assert planner._active_remote_streams == 0
+
+    def test_crash_releases_stream(self, space):
+        engine, nodes, planner = build_cluster(space)
+        nodes[1].cache.insert(0, 1000, now=0.0)
+        nodes[0].start(make_subjob(0, 1000))
+        engine.run(until=5.0)
+        assert nodes[0].fail() is not None
+        assert planner._active_remote_streams == 0
+        assert planner.peak_remote_streams == 1
+        assert planner.stats.remote_events == 0
+
+    def test_each_chunk_counts_and_releases_its_stream_once(self, space):
+        engine, nodes, planner = build_cluster(space)
+        nodes[1].cache.insert(0, 1000, now=0.0)
+        nodes[0].start(make_subjob(0, 1000))
+        counts = []
+        while engine.step():
+            counts.append(planner._active_remote_streams)
+            planner.check_stream_counts(
+                [plan for plan in (n.current_plan() for n in nodes) if plan is not None]
+            )
+        assert nodes[0].stats.chunks_started == 10
+        assert counts == [1] * 9 + [0]
+        assert planner.peak_remote_streams == 1
+
     def test_contended_chunk_runs_slower(self, space):
         engine, nodes, planner = build_cluster(space, link_capacity_streams=1)
         nodes[2].cache.insert(0, 200, now=0.0)

@@ -497,6 +497,42 @@ class TestChunkLoopContract:
         assert node.cache.stats.evicted_events > 0
         assert built == []
 
+    def test_uninterrupted_subjob_builds_one_completion_event(self, space, monkeypatch):
+        # Every chunk after the first re-arms the fired completion event;
+        # a preemption drops it, so the resumed subjob builds one more.
+        import repro.core.engine as engine_module
+
+        built = []
+
+        class CountingEvent(engine_module.ScheduledEvent):
+            __slots__ = ()
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(engine_module, "ScheduledEvent", CountingEvent)
+        engine, node, _ = build_node(space, chunk_events=100)
+        node.cache.insert(200, 300, now=0.0)
+        subjob = make_subjob(0, 1000)
+        node.on_subjob_complete = lambda n, s: None
+        node.start(subjob)
+        engine.run()
+        assert subjob.state is SubjobState.DONE
+        assert node.stats.chunks_started == 10
+        assert len(built) == 1
+        assert engine.stats.scheduled == engine.stats.dispatched == 10
+
+        other = make_subjob(1000, 300)
+        node.start(other)
+        engine.run(until=engine.now + 100.0)
+        assert node.preempt() is other
+        assert built[-1].cancelled
+        node.start(other)
+        engine.run()
+        assert other.state is SubjobState.DONE
+        assert len(built) == 3
+
     def test_keyword_chunk_plan_keeps_path_defaults(self):
         # The tiered planner builds plans with keywords only.
         plan = ChunkPlan(start=0, end=10, source=DataSource.TERTIARY, rate_factor=1.5)

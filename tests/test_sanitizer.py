@@ -10,6 +10,7 @@ event ordering, LRU structure or subjob assignment raises
 from __future__ import annotations
 
 import heapq
+from dataclasses import replace
 
 import pytest
 
@@ -25,7 +26,7 @@ from repro.data.cache import LRUSegmentCache
 from repro.data.dataspace import DataSpace
 from repro.data.tertiary import TertiaryStorage
 from repro.sched.base import create_policy
-from repro.sim.config import quick_config
+from repro.sim.config import FaultConfig, quick_config
 from repro.sim.sanitizer import InvariantChecker
 from repro.sim.simulator import Simulation, run_simulation
 from repro.topo import topology_preset
@@ -291,6 +292,73 @@ class TestPolicyBookkeepingCorruption:
             sim.engine.run(until=sim.config.duration)
 
 
+class TestStreamCountCorruption:
+    """The stream counts planners hold for running chunks balance
+    against the chunks actually running, at every probe."""
+
+    def test_tier_stream_drift_is_caught(self):
+        config = quick_config(
+            duration=4 * units.DAY,
+            seed=11,
+            topology=topology_preset("depth3", "lru-rack"),
+        )
+        sim = Simulation(config, create_policy("farm"), check_invariants=True)
+        sim.prime()
+        assert sim.topo is not None
+
+        def corrupt() -> None:
+            # A stream acquired for a chunk that never ran.
+            sim.topo.tiers["site1.rack0"].active_streams += 1
+
+        sim.engine.call_at(units.DAY, corrupt)
+        with pytest.raises(
+            InvariantViolation,
+            match=r"tier site1\.rack0 holds \d+ active streams but \d+ running",
+        ):
+            sim.engine.run(until=sim.config.duration)
+
+    @pytest.mark.parametrize("topology", [None, "root-only"])
+    def test_contention_stream_drift_is_caught(self, topology):
+        config = quick_config(
+            duration=4 * units.DAY, seed=11, n_nodes=8, arrival_rate_per_hour=4.0,
+            topology=(
+                topology_preset("depth2", topology) if topology is not None else None
+            ),
+        )
+        policy = create_policy(
+            "replication", network_contention=True, link_capacity_streams=2
+        )
+        sim = Simulation(config, policy, check_invariants=True)
+        sim.prime()
+        planner = policy._planner
+
+        def corrupt() -> None:
+            # A remote stream counted by a plan whose release went missing.
+            planner._active_remote_streams += 1
+
+        sim.engine.call_at(2 * units.DAY, corrupt)
+        with pytest.raises(
+            InvariantViolation, match=r"counts \d+ active remote streams but \d+"
+        ):
+            sim.engine.run(until=sim.config.duration)
+        assert planner.peak_remote_streams > 0
+
+    def test_contention_streams_balance_on_a_faulted_run(self):
+        config = quick_config(
+            duration=4 * units.DAY, seed=11, n_nodes=8, arrival_rate_per_hour=4.0,
+            topology=topology_preset("depth2", "lru-rack"),
+        )
+        config = replace(
+            config, faults=FaultConfig(node_mtbf=12 * units.HOUR, node_mttr=units.HOUR)
+        )
+        policy = create_policy(
+            "replication", network_contention=True, link_capacity_streams=2
+        )
+        result = Simulation(config, policy, check_invariants=True).run()
+        assert result.events_by_source["remote"] > 0
+        assert result.faults is not None and result.faults.failures > 0
+
+
 class TestEventOrderingCorruption:
     def test_non_monotone_dispatch_is_caught(self):
         engine = Engine(check_invariants=True)
@@ -319,6 +387,16 @@ class TestEventOrderingCorruption:
         engine.validate_heap()
         engine._heap[0], engine._heap[-1] = engine._heap[-1], engine._heap[0]
         with pytest.raises(InvariantViolation, match="heap property"):
+            engine.validate_heap()
+
+    def test_event_queued_twice_is_caught(self):
+        engine = Engine(check_invariants=True)
+        engine.call_at(1.0, lambda: None)
+        pending = engine.call_at(5.0, lambda: None, label="chunk:1.0@3")
+        engine.validate_heap()
+        # Re-arming an event that has not fired yet queues it twice.
+        engine.rearm(pending, 6.0)
+        with pytest.raises(InvariantViolation, match="'chunk:1.0@3' is queued twice"):
             engine.validate_heap()
 
     def test_unchecked_engine_does_not_pay_for_checks(self):

@@ -26,8 +26,15 @@ import random
 
 import pytest
 
+from repro.cluster.access import CachingPlanner, ContentionRemoteReadPlanner
+from repro.cluster.costmodel import CostModel, DataSource
+from repro.cluster.node import Node
 from repro.core import units
+from repro.core.engine import Engine
 from repro.core.errors import ConfigurationError
+from repro.data.cache import LRUSegmentCache
+from repro.data.dataspace import DataSpace
+from repro.data.tertiary import TertiaryStorage
 from repro.exec import Executor, make_cache
 from repro.obs.hooks import NULL_BUS
 from repro.sim.config import quick_config
@@ -40,7 +47,11 @@ from repro.topo.spec import (
     TopologySpec,
     topology_preset,
 )
+from repro.topo.planner import TieredPlanner
 from repro.topo.tree import TierCache, Topology
+from repro.workload.jobs import SubjobState
+
+from .helpers import make_subjob
 
 GOLDENS = os.path.join(os.path.dirname(__file__), "goldens", "seed_metrics.json")
 
@@ -363,6 +374,96 @@ class TestLinkContention:
         assert rack.planned_link_time(0.0) == base * (5 / 4)
         assert rack.saturated_plans == 1
         assert rack.peak_streams == 4
+
+
+class TestLinkStreamLifetime:
+    """A chunk holds its uplinks from :meth:`TieredPlanner.plan_chunk`
+    to the one :meth:`TieredPlanner.on_chunk_processed` the node makes
+    for it: on completion, on preemption, or empty after a crash."""
+
+    @staticmethod
+    def _grid(base_planner=None):
+        space = DataSpace(total_events=1_000_000, event_bytes=600 * units.KB)
+        engine = Engine()
+        tertiary = TertiaryStorage(space)
+        topo = Topology(topology_preset("depth3"), n_nodes=4, event_bytes=space.event_bytes)
+        base = base_planner(tertiary) if base_planner else CachingPlanner(tertiary)
+        planner = TieredPlanner(base, topo)
+        nodes = [
+            Node(
+                node_id=i,
+                engine=engine,
+                cache=LRUSegmentCache(10_000),
+                cost_model=CostModel.from_hardware(space.event_bytes),
+                planner=planner,
+                chunk_events=100,
+            )
+            for i in range(4)
+        ]
+        for node in nodes:
+            node.on_subjob_complete = lambda n, s: None
+        return engine, nodes, topo, planner
+
+    @staticmethod
+    def _streams(topo):
+        return {name: tier.active_streams for name, tier in topo.tiers.items()}
+
+    @staticmethod
+    def _check(planner, nodes):
+        # The sanitizer's law: every tier (and the contention planner)
+        # counts exactly the running chunks' streams.
+        planner.check_stream_counts(
+            [n.current_plan() for n in nodes if n.current_plan() is not None]
+        )
+
+    def test_tertiary_chunks_hold_the_path_uplinks(self):
+        engine, nodes, topo, planner = self._grid()
+        nodes[0].start(make_subjob(0, 300))
+        assert nodes[0].current_source() is DataSource.TERTIARY
+        streams = self._streams(topo)
+        assert streams["site0.rack0"] == streams["site0"] == 1
+        assert sum(streams.values()) == 2
+        self._check(planner, nodes)
+        engine.run()
+        assert sum(self._streams(topo).values()) == 0
+        assert topo.tiers["site0"].peak_streams == 1
+        assert topo.tiers["site0"].link_events == 300
+
+    def test_tier_hit_holds_only_the_links_below_and_preempt_releases(self):
+        engine, nodes, topo, planner = self._grid()
+        topo.tiers["site0"].cache.admit(0, 300, 0.0)
+        subjob = make_subjob(0, 300)
+        nodes[0].start(subjob)
+        plan = nodes[0].current_plan()
+        assert plan.source is DataSource.TIER and plan.tier is topo.tiers["site0"]
+        assert self._streams(topo)["site0.rack0"] == 1
+        assert sum(self._streams(topo).values()) == 1
+        self._check(planner, nodes)
+        engine.run(until=10.0)
+        assert nodes[0].preempt() is subjob
+        assert sum(self._streams(topo).values()) == 0
+        nodes[0].start(subjob)
+        engine.run()
+        assert subjob.state is SubjobState.DONE
+        assert sum(self._streams(topo).values()) == 0
+        assert nodes[0].stats.events_by_source[DataSource.TIER] == 300
+
+    def test_crash_releases_uplinks_and_remote_stream(self):
+        engine, nodes, topo, planner = self._grid(ContentionRemoteReadPlanner)
+        planner.base.set_peers(nodes)
+        nodes[3].cache.insert(0, 300, now=0.0)
+        nodes[0].start(make_subjob(0, 300))
+        plan = nodes[0].current_plan()
+        assert plan.source is DataSource.REMOTE and plan.owner is nodes[3]
+        assert planner.base._active_remote_streams == 1
+        # Both sides of the grid root: rack and site uplinks on each.
+        assert sum(self._streams(topo).values()) == 4
+        self._check(planner, nodes)
+        engine.run(until=10.0)
+        assert nodes[0].fail() is not None
+        assert planner.base._active_remote_streams == 0
+        assert sum(self._streams(topo).values()) == 0
+        self._check(planner, nodes)
 
 
 # ---------------------------------------------------------------------------

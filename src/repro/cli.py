@@ -285,12 +285,12 @@ def _build_parser() -> argparse.ArgumentParser:
             "--mttr DUR [--stall-interval DUR] [--wipe-cache], plus "
             "--net-loss/--net-dup/--net-delay/--net-reorder for "
             "control-plane message faults (repro.faults.net).  "
-            "performance: `repro bench` times the kernel hot paths and, "
-            "each in a fresh child with its peak RSS, every policy "
-            "end-to-end, the tiered grid and the 10/100/1000-node scale "
-            "tier; it writes BENCH_kernel.json / BENCH_scale.json, and "
-            "with --baseline-dir fails on throughput or memory "
-            "regressions (see docs/PERFORMANCE.md and docs/SCALING.md)."
+            "performance: `repro bench` times, each in a fresh child "
+            "with its peak RSS, every policy end-to-end, the tiered grid "
+            "and the 10/100/1000-node scale tier; it writes "
+            "BENCH_scale.json, and with --baseline-dir fails on "
+            "throughput or memory regressions (see docs/PERFORMANCE.md "
+            "and docs/SCALING.md)."
         ),
     )
     parser.add_argument(
@@ -522,36 +522,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench_parser = sub.add_parser(
         "bench",
-        help="benchmark the simulation kernel and whole runs; "
-        "write BENCH_*.json and optionally compare against a committed "
+        help="benchmark whole runs (every policy, the tiered grid and "
+        "10/100/1000 nodes) with peak-RSS tracking; write "
+        "BENCH_scale.json and optionally compare against a committed "
         "baseline",
     )
     bench_parser.add_argument(
         "--quick",
         action="store_true",
-        help="reduced kernel sizes and repeats (seconds instead of "
-        "minutes; skips the 1000-node scale point)",
-    )
-    bench_parser.add_argument(
-        "--kind",
-        choices=["kernel", "scale", "all"],
-        default="all",
-        help="which report(s) to produce: kernel micro-benchmarks, or "
-        "whole runs (every policy, the tiered grid and 10/100/1000 "
-        "nodes) with peak-RSS tracking (default: all)",
+        help="skip the 1000-node points (the CI smoke run)",
     )
     bench_parser.add_argument(
         "--out-dir",
         default=".",
         metavar="DIR",
-        help="directory receiving the BENCH_<kind>.json report(s) "
-        "(default: current directory)",
+        help="directory receiving BENCH_scale.json (default: current "
+        "directory)",
     )
     bench_parser.add_argument(
         "--baseline-dir",
         default=None,
         metavar="DIR",
-        help="compare against the committed BENCH_*.json in DIR; exit 1 "
+        help="compare against the committed BENCH_scale.json in DIR; exit 1 "
         "when any record's slowdown exceeds the threshold",
     )
     bench_parser.add_argument(
@@ -1045,11 +1037,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     from .perf import (
         DEFAULT_THRESHOLD,
+        REPORT_FILENAME,
         compare_reports,
         load_baseline,
         render_report,
-        report_filename,
-        run_kernel_bench,
         run_scale_bench,
     )
 
@@ -1063,35 +1054,28 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    runners = {"kernel": run_kernel_bench, "scale": run_scale_bench}
-    kinds = list(runners) if args.kind == "all" else [args.kind]
-    regressed = False
-    for kind in kinds:
-        report = runners[kind](quick=args.quick)
-        print(render_report(report))
-        # Load the baseline BEFORE writing: with --out-dir and
-        # --baseline-dir both pointing at the repo root, writing first
-        # would overwrite the committed baseline and trivially pass.
-        baseline = (
-            load_baseline(args.baseline_dir, kind)
-            if args.baseline_dir is not None
-            else None
+    report = run_scale_bench(quick=args.quick)
+    print(render_report(report))
+    # Load the baseline BEFORE writing: with --out-dir and --baseline-dir
+    # both pointing at the repo root, writing first would overwrite the
+    # committed baseline and trivially pass.
+    baseline = (
+        load_baseline(args.baseline_dir) if args.baseline_dir is not None else None
+    )
+    path = os.path.join(args.out_dir, REPORT_FILENAME)
+    report.write(path)
+    print(f"report written to {path}")
+    if args.baseline_dir is None:
+        return 0
+    if baseline is None:
+        print(
+            f"no committed baseline {REPORT_FILENAME} in "
+            f"{args.baseline_dir}; skipping comparison"
         )
-        path = os.path.join(args.out_dir, report_filename(kind))
-        report.write(path)
-        print(f"report written to {path}")
-        if args.baseline_dir is not None:
-            if baseline is None:
-                print(
-                    f"no committed baseline {report_filename(kind)} in "
-                    f"{args.baseline_dir}; skipping comparison"
-                )
-            else:
-                comparison = compare_reports(report, baseline, threshold)
-                print(comparison.describe())
-                regressed = regressed or comparison.regressed
-        print()
-    if regressed:
+        return 0
+    comparison = compare_reports(report, baseline, threshold)
+    print(comparison.describe())
+    if comparison.regressed:
         print("repro bench: throughput regression detected", file=sys.stderr)
         return 1
     return 0

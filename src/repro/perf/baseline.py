@@ -1,8 +1,8 @@
 """Committed-baseline comparison: fail CI on throughput regressions.
 
-The repository commits ``BENCH_kernel.json`` and ``BENCH_scale.json``
-at its root.  A fresh benchmark run is compared record-by-record
-(matched by name) against those files: a record **regresses** when
+The repository commits ``BENCH_scale.json`` at its root.  A fresh
+benchmark run is compared record-by-record (matched by name) against
+that file: a record **regresses** when
 
     baseline_throughput / current_throughput > threshold
 
@@ -12,16 +12,16 @@ additionally gated on memory: ``current_rss / baseline_rss >
 rss_threshold`` regresses too.  Records present on only one side are
 reported but never fail the comparison — quick CI runs deliberately
 execute a subset of the committed full baseline, and
-``tests/test_perf.py`` checks that every record a quick run emits has a
-committed entry, so none runs ungated.
+``tests/test_perf.py`` checks that the committed record names are
+exactly the full-mode points, so none runs ungated.
 
 >>> from .report import BenchRecord, BenchReport
->>> base = BenchReport(kind="kernel", records=(
-...     BenchRecord("a", wall_seconds=1.0, work=100, unit="ops", repeats=1),))
->>> fast = BenchReport(kind="kernel", records=(
-...     BenchRecord("a", wall_seconds=0.5, work=100, unit="ops", repeats=1),))
->>> slow = BenchReport(kind="kernel", records=(
-...     BenchRecord("a", wall_seconds=9.0, work=100, unit="ops", repeats=1),))
+>>> base = BenchReport(kind="scale", records=(
+...     BenchRecord("a", wall_seconds=1.0, work=100, unit="events", repeats=1),))
+>>> fast = BenchReport(kind="scale", records=(
+...     BenchRecord("a", wall_seconds=0.5, work=100, unit="events", repeats=1),))
+>>> slow = BenchReport(kind="scale", records=(
+...     BenchRecord("a", wall_seconds=9.0, work=100, unit="events", repeats=1),))
 >>> compare_reports(fast, base, threshold=2.0).regressed
 False
 >>> compare_reports(slow, base, threshold=2.0).regressed
@@ -34,7 +34,7 @@ import os
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .report import BenchReport, report_filename
+from .report import REPORT_FILENAME, BenchReport
 
 #: Default tolerated slowdown factor: generous enough for machine-to-
 #: machine variance (CI runners vs developer laptops), tight enough to
@@ -108,7 +108,6 @@ class RecordComparison:
 class ComparisonResult:
     """The full comparison of one report against its baseline."""
 
-    kind: str
     threshold: float
     compared: Tuple[RecordComparison, ...]
     only_current: Tuple[str, ...]
@@ -120,8 +119,8 @@ class ComparisonResult:
 
     def describe(self) -> str:
         lines: List[str] = [
-            f"comparison vs committed baseline ({self.kind}, "
-            f"threshold {self.threshold:.2f}x):"
+            f"comparison vs committed baseline "
+            f"(threshold {self.threshold:.2f}x):"
         ]
         for entry in self.compared:
             lines.append("  " + entry.describe())
@@ -167,7 +166,6 @@ def compare_reports(
         if base is not None
     )
     return ComparisonResult(
-        kind=current.kind,
         threshold=threshold,
         compared=compared,
         only_current=tuple(sorted(current_names - baseline_names)),
@@ -175,10 +173,10 @@ def compare_reports(
     )
 
 
-def load_baseline(directory: str, kind: str) -> Optional[BenchReport]:
-    """The committed baseline report of ``kind`` in ``directory``, or
-    ``None`` when the file does not exist."""
-    path = os.path.join(directory, report_filename(kind))
+def load_baseline(directory: str) -> Optional[BenchReport]:
+    """The committed baseline report in ``directory``, or ``None`` when
+    the file does not exist."""
+    path = os.path.join(directory, REPORT_FILENAME)
     if not os.path.exists(path):
         return None
     return BenchReport.read(path)

@@ -1,18 +1,18 @@
-"""Machine-readable benchmark reports (``BENCH_*.json``).
+"""Machine-readable benchmark reports (``BENCH_scale.json``).
 
 A benchmark run produces a :class:`BenchReport`: provenance (schema
 version, git SHA, python version, peak RSS) plus one :class:`BenchRecord`
-per benchmark — its best wall time, the amount of work done, and the
-derived throughput.  Reports serialise to a stable JSON schema so CI can
+per benchmark — its wall time, the amount of work done, the derived
+throughput and the run's peak RSS.  Reports serialise to a stable JSON schema so CI can
 diff them against a committed baseline (see :mod:`repro.perf.baseline`).
 
->>> record = BenchRecord(name="engine.dispatch", wall_seconds=0.5,
-...                      work=1_000_000, unit="events", repeats=3)
+>>> record = BenchRecord(name="sim.scale.n10", wall_seconds=0.5,
+...                      work=1_000_000, unit="events", repeats=1)
 >>> record.throughput
 2000000.0
->>> report = BenchReport(kind="kernel", records=(record,))
+>>> report = BenchReport(kind="scale", records=(record,))
 >>> BenchReport.from_json(report.to_json()).records[0].name
-'engine.dispatch'
+'sim.scale.n10'
 """
 
 from __future__ import annotations
@@ -28,6 +28,10 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 #: Bump when the JSON layout changes incompatibly; readers reject
 #: reports with a different major schema.
 SCHEMA_VERSION = 1
+
+#: File name of the report, written by ``repro bench`` and committed at
+#: the repository root as the baseline.
+REPORT_FILENAME = "BENCH_scale.json"
 
 
 def git_sha(short: bool = False) -> str:
@@ -183,11 +187,6 @@ class BenchReport:
     def read(cls, path: str) -> "BenchReport":
         with open(path, "r", encoding="utf-8") as handle:
             return cls.from_json(handle.read())
-
-
-def report_filename(kind: str) -> str:
-    """Canonical file name for a report kind (``BENCH_kernel.json``)."""
-    return f"BENCH_{kind}.json"
 
 
 _SUMMARY_ROW = "{name:<28} {wall:>10} {throughput:>16} {unit}"

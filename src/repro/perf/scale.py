@@ -1,7 +1,6 @@
 """End-to-end benchmarks: whole simulation runs, each in a fresh child.
 
-The ``kernel`` report times the simulator's hot paths one at a time.
-This ``scale`` report times whole ``run_simulation`` calls.  Every point
+The ``scale`` report times whole ``run_simulation`` calls.  Every point
 is a :class:`BenchPoint` — a record name, a
 :class:`~repro.sim.config.SimulationConfig` and a policy — and reports
 wall time, engine-event throughput **and peak RSS**, so CI catches both
@@ -22,8 +21,8 @@ Design notes, documented in docs/SCALING.md:
 * **The cluster-size points run farm; the ``ooo`` series beside them
   runs out-of-order.**  Out-of-order's cache split still asks every
   node for its cached parts of each arriving segment, so its points
-  measure the policy as well as the kernel every policy shares; the
-  farm points measure the kernel alone.
+  measure the policy as well as the engine, cluster and data path every
+  policy shares; the farm points measure that shared path alone.
 * **Each point runs in a fresh spawned child process.**  A peak RSS
   is monotone over a process lifetime, so measuring two points in one
   process would report the larger peak for both.  A ``spawn`` (not
@@ -58,7 +57,7 @@ from ..sim.config import SimulationConfig, quick_config
 from ..sim.simulator import run_simulation
 from .report import BenchRecord, BenchReport, peak_rss_kb
 
-#: Cluster sizes of the full scale tier (``repro bench --kind scale``).
+#: Cluster sizes of the full scale tier (``repro bench``).
 SCALE_SIZES: Tuple[int, ...] = (10, 100, 1000)
 
 #: Subset run in ``--quick`` mode (CI smoke: seconds, not half a minute).

@@ -163,10 +163,12 @@ class TestBenchArguments:
         assert list(tmp_path.iterdir()) == []
 
     def test_policies_kind_rejected(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["bench", "--kind", "policies"])
-        assert excinfo.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
+        # There is one report, so ``--kind`` is not an option at all.
+        for kind in ("policies", "kernel", "scale"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["bench", "--kind", kind])
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments: --kind" in capsys.readouterr().err
 
     def test_profile_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -18,7 +18,6 @@ import repro.data.cache
 import repro.data.dataspace
 import repro.data.intervals
 import repro.perf.baseline
-import repro.perf.bench
 import repro.perf.report
 import repro.perf.scale
 import repro.sim.simulator
@@ -39,7 +38,6 @@ MODULES = [
     repro.sim.streaming,
     repro.perf.report,
     repro.perf.baseline,
-    repro.perf.bench,
     repro.perf.scale,
 ]
 

@@ -2,7 +2,7 @@
 
 Three concerns:
 
-* the ``BENCH_*.json`` schema round-trips exactly (and rejects foreign
+* the ``BENCH_scale.json`` schema round-trips exactly (and rejects foreign
   schema versions),
 * the committed-baseline comparison flags real slowdowns and nothing
   else,
@@ -22,13 +22,12 @@ import pytest
 from repro.core import units
 from repro.perf import (
     DEFAULT_THRESHOLD,
+    REPORT_FILENAME,
     BenchRecord,
     BenchReport,
     compare_reports,
     load_baseline,
     render_report,
-    report_filename,
-    run_kernel_bench,
     scale_config,
     scale_point,
 )
@@ -38,31 +37,31 @@ from repro.perf.report import peak_rss_kb
 # directory convention), so the plain names would be mistaken for tests.
 from repro.perf import bench_point as time_point
 from repro.perf import bench_points as points_of
-from repro.perf.bench import KERNEL_BENCHES
 from repro.sched import available_policies
 from repro.sim.config import paper_config, quick_config
 from repro.sim.simulator import run_simulation
 
 GOLDENS = os.path.join(os.path.dirname(__file__), "goldens", "seed_metrics.json")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _report(**overrides) -> BenchReport:
     defaults = dict(
-        kind="kernel",
+        kind="scale",
         records=(
             BenchRecord(
-                name="engine.dispatch",
+                name="sim.scale.n10",
                 wall_seconds=0.5,
                 work=100_000,
                 unit="events",
-                repeats=3,
+                repeats=1,
             ),
             BenchRecord(
-                name="cache.lru_ops",
+                name="sim.quick.farm",
                 wall_seconds=0.25,
                 work=50_000,
-                unit="ops",
-                repeats=3,
+                unit="events",
+                repeats=1,
             ),
         ),
     )
@@ -80,13 +79,13 @@ class TestSchema:
 
     def test_file_round_trip(self, tmp_path):
         report = _report()
-        path = tmp_path / report_filename(report.kind)
+        path = tmp_path / REPORT_FILENAME
         report.write(str(path))
         assert BenchReport.read(str(path)) == report
 
     def test_write_creates_parent_directories(self, tmp_path):
         report = _report()
-        path = tmp_path / "nested" / "dir" / "BENCH_kernel.json"
+        path = tmp_path / "nested" / "dir" / REPORT_FILENAME
         report.write(str(path))
         assert path.exists()
 
@@ -112,8 +111,8 @@ class TestSchema:
 
     def test_render_report_mentions_every_record(self):
         text = render_report(_report())
-        assert "engine.dispatch" in text
-        assert "cache.lru_ops" in text
+        assert "sim.scale.n10" in text
+        assert "sim.quick.farm" in text
 
     def test_rss_kb_round_trips_and_is_omitted_when_absent(self):
         with_rss = BenchRecord(
@@ -131,9 +130,9 @@ class TestSchema:
 # -- baseline comparison ------------------------------------------------------
 
 
-def _single(kind: str, name: str, wall_seconds: float) -> BenchReport:
+def _single(name: str, wall_seconds: float) -> BenchReport:
     return BenchReport(
-        kind=kind,
+        kind="scale",
         records=(
             BenchRecord(
                 name=name, wall_seconds=wall_seconds, work=1000, unit="ops", repeats=1
@@ -145,34 +144,34 @@ def _single(kind: str, name: str, wall_seconds: float) -> BenchReport:
 class TestBaseline:
     def test_equal_speed_passes(self):
         result = compare_reports(
-            _single("kernel", "a", 1.0), _single("kernel", "a", 1.0)
+            _single("a", 1.0), _single("a", 1.0)
         )
         assert not result.regressed
         assert result.compared[0].slowdown == pytest.approx(1.0)
 
     def test_slowdown_beyond_threshold_fails(self):
         result = compare_reports(
-            _single("kernel", "a", 3.0), _single("kernel", "a", 1.0), threshold=2.0
+            _single("a", 3.0), _single("a", 1.0), threshold=2.0
         )
         assert result.regressed
         assert "REGRESSED" in result.describe()
 
     def test_slowdown_within_threshold_passes(self):
         result = compare_reports(
-            _single("kernel", "a", 1.5), _single("kernel", "a", 1.0), threshold=2.0
+            _single("a", 1.5), _single("a", 1.0), threshold=2.0
         )
         assert not result.regressed
 
     def test_speedup_never_fails(self):
         result = compare_reports(
-            _single("kernel", "a", 0.1), _single("kernel", "a", 1.0), threshold=2.0
+            _single("a", 0.1), _single("a", 1.0), threshold=2.0
         )
         assert not result.regressed
         assert result.compared[0].slowdown < 1.0
 
     def test_unmatched_records_reported_but_not_failing(self):
-        current = _single("scale", "sim.quick.farm", 1.0)
-        baseline = _single("scale", "sim.scale.n1000", 1.0)
+        current = _single("sim.quick.farm", 1.0)
+        baseline = _single("sim.scale.n1000", 1.0)
         result = compare_reports(current, baseline, threshold=DEFAULT_THRESHOLD)
         assert not result.regressed
         assert result.compared == ()
@@ -219,34 +218,31 @@ class TestBaseline:
         assert result.compared[0].rss_growth is None
 
     def test_zero_current_throughput_is_infinite_slowdown(self):
-        broken = _single("kernel", "a", 0.0)  # wall 0 -> throughput 0
-        result = compare_reports(broken, _single("kernel", "a", 1.0))
+        broken = _single("a", 0.0)  # wall 0 -> throughput 0
+        result = compare_reports(broken, _single("a", 1.0))
         assert result.compared[0].slowdown == float("inf")
         assert result.regressed
 
     def test_load_baseline_missing_returns_none(self, tmp_path):
-        assert load_baseline(str(tmp_path), "kernel") is None
+        assert load_baseline(str(tmp_path)) is None
 
     def test_load_baseline_round_trip(self, tmp_path):
         report = _report()
-        report.write(str(tmp_path / report_filename("kernel")))
-        loaded = load_baseline(str(tmp_path), "kernel")
+        report.write(str(tmp_path / REPORT_FILENAME))
+        loaded = load_baseline(str(tmp_path))
         assert loaded == report
 
     def test_committed_baselines_exist_at_repo_root(self):
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        for kind in ("kernel", "scale"):
-            baseline = load_baseline(root, kind)
-            assert baseline is not None, f"missing committed BENCH_{kind}.json"
-            assert baseline.kind == kind
-            assert all(r.throughput > 0 for r in baseline.records)
+        baseline = load_baseline(ROOT)
+        assert baseline is not None, f"missing committed {REPORT_FILENAME}"
+        assert baseline.kind == "scale"
+        assert all(r.throughput > 0 for r in baseline.records)
 
     def test_committed_scale_baseline_carries_rss(self):
         # compare_reports passes a record missing from the baseline, so
         # every record the quick CI run emits must have a committed
         # entry with a memory figure, or its gate would be silently off.
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        baseline = load_baseline(root, "scale")
+        baseline = load_baseline(ROOT)
         assert baseline is not None
         for point in points_of(quick=True):
             record = baseline.record(point.name)
@@ -254,21 +250,20 @@ class TestBaseline:
             assert record.unit == "events"
             assert record.rss_kb is not None and record.rss_kb > 0, point.name
 
+    def test_committed_scale_baseline_names_the_full_mode_points(self):
+        # compare_reports only lists a baseline-only record, so a stale
+        # record would sit there unnoticed, and a full-mode point with no
+        # committed record would run ungated.
+        baseline = load_baseline(ROOT)
+        assert baseline is not None
+        committed = sorted(record.name for record in baseline.records)
+        assert committed == sorted(point.name for point in points_of())
+
 
 # -- harness smoke ------------------------------------------------------------
 
 
 class TestHarness:
-    def test_quick_kernel_bench_produces_all_records(self):
-        report = run_kernel_bench(quick=True)
-        names = [record.name for record in report.records]
-        assert names == [name for name, _, _ in KERNEL_BENCHES]
-        assert len(names) == 11
-        for record in report.records:
-            assert record.work > 0
-            assert record.wall_seconds > 0
-            assert record.throughput > 0
-
     def test_scale_point_in_process(self):
         record = time_point(scale_point(3, duration_days=0.1), in_process=True)
         assert record.name == "sim.scale.n3"

@@ -119,7 +119,7 @@ class ComparisonResult:
 
     def describe(self) -> str:
         lines: List[str] = [
-            f"comparison vs committed baseline "
+            "comparison vs committed baseline "
             f"(threshold {self.threshold:.2f}x):"
         ]
         for entry in self.compared:

@@ -3,8 +3,9 @@
 A benchmark run produces a :class:`BenchReport`: provenance (schema
 version, git SHA, python version, peak RSS) plus one :class:`BenchRecord`
 per benchmark — its wall time, the amount of work done, the derived
-throughput and the run's peak RSS.  Reports serialise to a stable JSON schema so CI can
-diff them against a committed baseline (see :mod:`repro.perf.baseline`).
+throughput and the run's peak RSS.  Reports serialise to a stable JSON
+schema so CI can diff them against a committed baseline (see
+:mod:`repro.perf.baseline`).
 
 >>> record = BenchRecord(name="sim.scale.n10", wall_seconds=0.5,
 ...                      work=1_000_000, unit="events", repeats=1)

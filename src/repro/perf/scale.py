@@ -60,7 +60,8 @@ from .report import BenchRecord, BenchReport, peak_rss_kb
 #: Cluster sizes of the full scale tier (``repro bench``).
 SCALE_SIZES: Tuple[int, ...] = (10, 100, 1000)
 
-#: Subset run in ``--quick`` mode (CI smoke: seconds, not half a minute).
+#: Subset run in ``--quick`` mode (CI smoke: without the 1000-node
+#: points, about half the time of a full run).
 QUICK_SCALE_SIZES: Tuple[int, ...] = (10, 100)
 
 #: Simulated days per cluster size.  Large clusters drain proportionally

@@ -239,25 +239,22 @@ class TestBaseline:
         assert all(r.throughput > 0 for r in baseline.records)
 
     def test_committed_scale_baseline_carries_rss(self):
-        # compare_reports passes a record missing from the baseline, so
-        # every record the quick CI run emits must have a committed
-        # entry with a memory figure, or its gate would be silently off.
-        baseline = load_baseline(ROOT)
-        assert baseline is not None
-        for point in points_of(quick=True):
-            record = baseline.record(point.name)
-            assert record is not None, f"{point.name} runs ungated"
-            assert record.unit == "events"
-            assert record.rss_kb is not None and record.rss_kb > 0, point.name
-
-    def test_committed_scale_baseline_names_the_full_mode_points(self):
-        # compare_reports only lists a baseline-only record, so a stale
-        # record would sit there unnoticed, and a full-mode point with no
+        # compare_reports only lists a record missing from either side, so
+        # the committed records must be exactly the full-mode points (the
+        # quick ones among them), each with a memory figure: a stale
+        # record would sit there unnoticed, and a point without a
         # committed record would run ungated.
         baseline = load_baseline(ROOT)
         assert baseline is not None
-        committed = sorted(record.name for record in baseline.records)
-        assert committed == sorted(point.name for point in points_of())
+        points = points_of()
+        assert sorted(record.name for record in baseline.records) == sorted(
+            point.name for point in points
+        )
+        for point in points:
+            record = baseline.record(point.name)
+            assert record is not None
+            assert record.unit == "events"
+            assert record.rss_kb is not None and record.rss_kb > 0, point.name
 
 
 # -- harness smoke ------------------------------------------------------------

@@ -147,13 +147,18 @@ class LRUSegmentCache:
         """Sub-ranges of ``interval`` present in the cache."""
         return IntervalSet.covered(self._runs, interval.start, interval.end)
 
-    def cached_events(self, interval: Interval) -> int:
-        """Number of events of ``interval`` present in the cache."""
-        return self._runs.overlap(interval.start, interval.end)
+    def cached_events(self, start: int, end: int) -> int:
+        """Number of events of ``[start, end)`` present in the cache.
+
+        The hot query of cache-aware placement: schedulers ask it once
+        per (node, candidate) pair, passing a subjob's remaining bounds
+        as plain ints rather than building an :class:`Interval`.
+        """
+        return self._runs.overlap(start, end)
 
     def covers(self, interval: Interval) -> bool:
         """True if every event of ``interval`` is cached."""
-        return self.cached_events(interval) == interval.length
+        return self.cached_events(interval.start, interval.end) == interval.length
 
     def contains_point(self, point: int) -> bool:
         return self._runs.value_at(point) is not None

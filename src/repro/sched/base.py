@@ -160,10 +160,13 @@ class SchedulerPolicy(ABC):
         (their node caches never hold anything).  ``None`` = no idle node;
         the recovery manager re-offers the subjob on the next drain point.
         """
+        segment = subjob.segment
+        start = segment.start + subjob.processed
+        end = segment.end
         best: Optional[Node] = None
         best_key: Tuple[int, int] = (-1, 1)
         for node in self.cluster.idle_nodes():
-            key = (node.cache.cached_events(subjob.remaining), -node.node_id)
+            key = (node.cache.cached_events(start, end), -node.node_id)
             if key > best_key:
                 best_key = key
                 best = node
@@ -470,11 +473,14 @@ def best_subjob_for_node(
 ) -> Optional[Subjob]:
     """The candidate with the most remaining data cached on ``node``
     (ties → largest remaining, then arrival order)."""
+    cached_events = node.cache.cached_events
     best: Optional[Subjob] = None
     best_key: Tuple[int, int] = (-1, -1)
     for subjob in candidates:
-        cached = node.cache.cached_events(subjob.remaining)
-        key = (cached, subjob.remaining_events)
+        segment = subjob.segment
+        start = segment.start + subjob.processed
+        end = segment.end
+        key = (cached_events(start, end), end - start)
         if key > best_key:
             best_key = key
             best = subjob

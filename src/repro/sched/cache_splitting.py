@@ -111,7 +111,10 @@ class CacheOrientedSplittingPolicy(SchedulerPolicy):
             best_cached = 0
             for subjob in pending:
                 if owner_of.get(subjob.seq) is node:
-                    cached = node.cache.cached_events(subjob.remaining)
+                    segment = subjob.segment
+                    cached = node.cache.cached_events(
+                        segment.start + subjob.processed, segment.end
+                    )
                     if cached > best_cached:
                         best_cached = cached
                         best = subjob
@@ -162,7 +165,7 @@ class CacheOrientedSplittingPolicy(SchedulerPolicy):
             assert victim is not None
             if victim.job.nodes_held() < 2:
                 continue  # never release a job's last node
-            gain = node.cache.cached_events(job.segment)
+            gain = node.cache.cached_events(job.segment.start, job.segment.end)
             victim_uncached = 1 if node.current_source() is not DataSource.CACHE else 0
             ratio = victim.job.nodes_held() / max(victim.job.remaining_events, 1)
             key = (victim_uncached, gain, ratio)
@@ -203,11 +206,12 @@ class CacheOrientedSplittingPolicy(SchedulerPolicy):
         """Split the running subjob whose remaining data is most cached on
         ``node``, cutting so the freed node receives the cached run;
         fall back to halving the largest running subjob."""
+        min_events = self.min_subjob_events
         running = [
             s
             for other in self.running_jobs
             for s in other.running_subjobs()
-            if s.remaining_events >= 2 * self.min_subjob_events
+            if s.remaining_events >= 2 * min_events
         ]
         if not running:
             return
@@ -224,8 +228,8 @@ class CacheOrientedSplittingPolicy(SchedulerPolicy):
             best = max(running, key=lambda s: s.remaining_events)
             remaining = best.remaining
             point = remaining.start + remaining.length // 2
-        lower = remaining.start + self.min_subjob_events
-        upper = remaining.end - self.min_subjob_events
+        lower = remaining.start + min_events
+        upper = remaining.end - min_events
         if lower > upper:
             return
         point = min(max(point, lower), upper)

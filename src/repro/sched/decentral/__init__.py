@@ -13,19 +13,19 @@ Registered policies: ``decentral`` (locality-aware bidding) and the
 cache-blind ablation ``decentral-nolocal``.
 """
 
-from .arbiter import Bid, arbitrate
-from .bidding import score_candidate
+from .arbiter import arbitrate
+from .bidding import score_window, window_rows
 from .costs import ControlCostModel
 from .policy import DecentralNoLocalPolicy, DecentralPolicy
 from .rules import Rule, plan_tasks
 
 __all__ = [
-    "Bid",
     "ControlCostModel",
     "DecentralNoLocalPolicy",
     "DecentralPolicy",
     "Rule",
     "arbitrate",
     "plan_tasks",
-    "score_candidate",
+    "score_window",
+    "window_rows",
 ]

@@ -48,8 +48,8 @@ from ...obs.hooks import kinds
 from ...workload.jobs import Job, Subjob
 from ..base import SchedulerContext, SchedulerPolicy, register_policy
 from ..stats import SchedulerStats
-from .arbiter import Bid, arbitrate
-from .bidding import score_candidate
+from .arbiter import arbitrate
+from .bidding import score_window, window_rows
 from .costs import ControlCostModel
 from .rules import Rule, expand_rule
 
@@ -237,30 +237,21 @@ class DecentralPolicy(SchedulerPolicy):
         candidates = self._candidate_window()
         if not bidders or not candidates:
             return
-        now = self.engine.now
-        bids: List[Bid] = []
+        cost_model = self.cluster.cost_model
+        cached_event_time = cost_model.cached_event_time
+        uncached_event_time = cost_model.uncached_event_time
+        window = window_rows(candidates, self.engine.now, self.aging_tau)
+        task_range = range(len(window))
+        # The round's bids as three parallel lists: bidder, task, score.
+        bid_nodes: List[int] = []
+        bid_tasks: List[int] = []
+        bid_scores: List[float] = []
         round_bytes = 0
         round_messages = 0
         channel = self._channel
         for node in bidders:
-            depth = len(self.node_queues[node.node_id])
-            node_bids = [
-                Bid(
-                    node_id=node.node_id,
-                    task_index=index,
-                    score=score_candidate(
-                        node.cache,
-                        self.cluster.cost_model,
-                        task.remaining,
-                        now - task.job.arrival_time,
-                        locality_weight=self.locality_weight,
-                        aging_tau=self.aging_tau,
-                        queue_depth=depth,
-                    ),
-                )
-                for index, task in enumerate(candidates)
-            ]
-            if node.node_id not in self._standing:
+            node_id = node.node_id
+            if node_id not in self._standing:
                 # First round since this node went hungry: it posts its
                 # standing offer.  While idle its cache is frozen, so
                 # the posted digest stays exact and later rounds match
@@ -269,7 +260,7 @@ class DecentralPolicy(SchedulerPolicy):
                 round_bytes += self.costs.bid_bytes(len(candidates))
                 round_messages += 1
                 if channel is not None and not channel.attempt(
-                    kind="bid", node=node.node_id
+                    kind="bid", node=node_id
                 ):
                     # Lost post: this round never saw the node's offer.
                     # The node re-advertises after its bid timeout — a
@@ -282,10 +273,23 @@ class DecentralPolicy(SchedulerPolicy):
                         label="sched.rebid",
                     )
                     continue
-                self._standing.add(node.node_id)
-            bids.extend(node_bids)
+                self._standing.add(node_id)
+            bid_scores.extend(
+                score_window(
+                    node.cache,
+                    window,
+                    cached_event_time,
+                    uncached_event_time,
+                    locality_weight=self.locality_weight,
+                    queue_depth=len(self.node_queues[node_id]),
+                )
+            )
+            bid_nodes.extend([node_id] * len(window))
+            bid_tasks.extend(task_range)
         assert self._rng is not None, "policy used before bind()"
-        granted = arbitrate(bids, self.grant_batch, self._rng)
+        granted = arbitrate(
+            bid_nodes, bid_tasks, bid_scores, self.grant_batch, self._rng
+        )
         grants: List[Tuple[int, List[Subjob]]] = []
         for node_id in sorted(granted):
             tasks = [candidates[index] for index in granted[node_id]]
@@ -295,7 +299,7 @@ class DecentralPolicy(SchedulerPolicy):
             round_bytes += self.costs.grant_bytes(len(tasks))
             round_messages += 1
         self.stat_rounds += 1
-        self.stat_bids += len(bids)
+        self.stat_bids += len(bid_scores)
         self.stat_grants += sum(len(tasks) for _, tasks in grants)
         delay = self._charge(round_bytes, round_messages)
         if self.obs.enabled:
@@ -303,7 +307,7 @@ class DecentralPolicy(SchedulerPolicy):
                 kinds.BID_ROUND,
                 bidders=len(bidders),
                 candidates=len(candidates),
-                bids=len(bids),
+                bids=len(bid_scores),
                 granted=sum(len(tasks) for _, tasks in grants),
             )
         if grants:

@@ -159,6 +159,9 @@ class DelayedPolicy(SchedulerPolicy):
             return
         displaced, own[:] = list(own), []
         for subjob in displaced:
+            segment = subjob.segment
+            start = segment.start + subjob.processed
+            end = segment.end
             target: Optional[Node] = None
             best_cached = 0
             for other in self.cluster:
@@ -166,7 +169,7 @@ class DelayedPolicy(SchedulerPolicy):
                     continue
                 if target is None:
                     target = other  # lowest-id fallback
-                cached = other.cache.cached_events(subjob.remaining)
+                cached = other.cache.cached_events(start, end)
                 if cached > best_cached:
                     best_cached = cached
                     target = other

@@ -27,7 +27,7 @@ class TestBasics:
         assert cache.covers(Interval(10, 30))
         assert cache.covers(Interval(15, 25))
         assert not cache.covers(Interval(5, 15))
-        assert cache.cached_events(Interval(0, 100)) == 20
+        assert cache.cached_events(0, 100) == 20
 
     def test_cached_parts(self):
         cache = LRUSegmentCache(100)

@@ -4,7 +4,10 @@ import pytest
 
 from repro.core import units
 from repro.data.intervals import Interval
+from repro.sched.base import create_policy
 from repro.sched.delayed import DelayedPolicy, compute_stripe_points
+from repro.sim.config import FaultConfig, quick_config
+from repro.sim.simulator import Simulation
 
 from .policy_helpers import build_sim, micro_config, trace
 
@@ -139,3 +142,54 @@ class TestMetaQueueOrdering:
         records = {r.job_id: r for r in result.records}
         assert records[0].first_start < records[2].first_start
         assert records[1].first_start < records[2].first_start
+
+
+class TestCrashRehomeOracle:
+    """A crashed node's queue moves, subjob by subjob, to the surviving
+    node caching the most of the subjob's remaining data (the lowest id
+    when none caches any).  Checked at every crash of a faulted run
+    against the ``Interval`` lookup the int bounds replaced."""
+
+    @staticmethod
+    def _interval_pick(cluster, dead, subjob):
+        """``(target, cached events of the subjob on it)``."""
+        target = None
+        best_cached = 0
+        for other in cluster:
+            if other.failed or other is dead:
+                continue
+            if target is None:
+                target = other
+            cached = other.cache.cached_parts(subjob.remaining).measure()
+            if cached > best_cached:
+                best_cached = cached
+                target = other
+        return target, best_cached
+
+    def test_rehome_matches_interval_pick(self):
+        config = quick_config(
+            duration=6 * units.DAY,
+            seed=7,
+            arrival_rate_per_hour=3.0,
+            faults=FaultConfig(node_mtbf=6 * units.HOUR, node_mttr=30 * units.MINUTE),
+        )
+        sim = Simulation(config, create_policy("delayed"))
+        policy = sim.policy
+        rehome = policy.on_node_failed
+        cached_moves = []
+
+        def checked(node, aborted):
+            queue = list(policy.node_queues[node.node_id])
+            expected = [self._interval_pick(policy.cluster, node, s) for s in queue]
+            rehome(node, aborted)
+            for subjob, (target, cached) in zip(queue, expected):
+                assert target is not None
+                assert subjob.origin == ("node", target.node_id)
+                cached_moves.append(cached)
+
+        policy.on_node_failed = checked
+        sim.run()
+        # Queues were displaced, and the cached data, not the lowest-id
+        # fallback, chose the target of some.
+        assert cached_moves
+        assert max(cached_moves) > 0

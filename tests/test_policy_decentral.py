@@ -4,21 +4,26 @@ control-plane accounting, fault composition, and determinism."""
 
 import json
 import math
+from dataclasses import dataclass
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.cluster.costmodel import CostModel
 from repro.core import units
 from repro.core.errors import ConfigurationError
 from repro.core.rng import RandomStreams
 from repro.data.cache import LRUSegmentCache
 from repro.data.intervals import Interval
 from repro.sched.decentral import (
-    Bid,
     ControlCostModel,
     arbitrate,
     plan_tasks,
-    score_candidate,
+    score_window,
+    window_rows,
 )
+from repro.sched.decentral.bidding import LOAD_PENALTY
 from repro.sched.stats import CENTRAL_MESSAGE_BYTES, SchedulerStats
 from repro.sim.config import FaultConfig, ScriptedFault, quick_config
 from repro.sim.export import (
@@ -72,6 +77,91 @@ class TestPlanTasks:
 
 
 # ---------------------------------------------------------------------------
+# oracles: the per-(node, task) scorer and the Bid-list arbiter that the
+# per-round scorer and the parallel-list arbiter replaced
+
+
+def score_candidate(
+    cache, cost_model, remaining, age_seconds, *, locality_weight, aging_tau,
+    queue_depth=0,
+):
+    """Bid score of one candidate task for one node (higher wins), from
+    the task's remaining ``Interval``."""
+    cached = cache.coverage.overlap_measure(remaining)
+    fraction = cached / remaining.length
+    per_event = (
+        fraction * cost_model.cached_event_time
+        + (1.0 - fraction) * cost_model.uncached_event_time
+    )
+    gain = cost_model.uncached_event_time / per_event - 1.0
+    aging = age_seconds / aging_tau if aging_tau > 0 else 0.0
+    return locality_weight * gain + aging - LOAD_PENALTY * queue_depth
+
+
+@dataclass(frozen=True)
+class Bid:
+    """One node's score for one task of the round's candidate window."""
+
+    node_id: int
+    task_index: int
+    score: float
+
+
+def arbitrate_bids(bids, grant_batch, rng):
+    """Progressive highest-score-first matching over a ``Bid`` list."""
+    if not bids:
+        return {}
+    ties = rng.random(len(bids))
+    order = sorted(range(len(bids)), key=lambda i: (-bids[i].score, ties[i]))
+    grants = {}
+    taken = set()
+    for cap in range(1, grant_batch + 1):
+        for index in order:
+            bid = bids[index]
+            if bid.task_index in taken:
+                continue
+            node_grants = grants.setdefault(bid.node_id, [])
+            if len(node_grants) >= cap:
+                continue
+            node_grants.append(bid.task_index)
+            taken.add(bid.task_index)
+    return {node_id: tasks for node_id, tasks in grants.items() if tasks}
+
+
+def _score(cache, cost_model, remaining, age_seconds, *, locality_weight,
+           aging_tau, queue_depth=0):
+    """One task's score through the round's scorer: a one-task window of
+    a fresh subjob covering ``remaining``, ``age_seconds`` after its
+    job arrived."""
+    job = Job(
+        JobRequest(
+            job_id=0, arrival_time=0.0, start_event=remaining.start,
+            n_events=remaining.length,
+        )
+    )
+    window = window_rows([job.make_root_subjob()], age_seconds, aging_tau)
+    return score_window(
+        cache,
+        window,
+        cost_model.cached_event_time,
+        cost_model.uncached_event_time,
+        locality_weight=locality_weight,
+        queue_depth=queue_depth,
+    )[0]
+
+
+def _arbitrate(bids, grant_batch, rng):
+    """Arbitrate a ``Bid`` list through the parallel-list arbiter."""
+    return arbitrate(
+        [bid.node_id for bid in bids],
+        [bid.task_index for bid in bids],
+        [bid.score for bid in bids],
+        grant_batch,
+        rng,
+    )
+
+
+# ---------------------------------------------------------------------------
 # bidding: local scores
 
 
@@ -84,10 +174,10 @@ class TestScoreCandidate:
         cache.insert(0, 1000, now=0.0)
         cold = LRUSegmentCache(capacity_events=10_000)
         kwargs = dict(locality_weight=1.0, aging_tau=units.HOUR, queue_depth=0)
-        warm_score = score_candidate(
+        warm_score = _score(
             cache, self._cost_model(), Interval(0, 1000), 0.0, **kwargs
         )
-        cold_score = score_candidate(
+        cold_score = _score(
             cold, self._cost_model(), Interval(0, 1000), 0.0, **kwargs
         )
         assert warm_score > cold_score == 0.0
@@ -97,26 +187,26 @@ class TestScoreCandidate:
         cache.insert(0, 1000, now=0.0)
         cold = LRUSegmentCache(capacity_events=10_000)
         kwargs = dict(locality_weight=0.0, aging_tau=units.HOUR, queue_depth=0)
-        assert score_candidate(
+        assert _score(
             cache, self._cost_model(), Interval(0, 1000), 300.0, **kwargs
-        ) == score_candidate(
+        ) == _score(
             cold, self._cost_model(), Interval(0, 1000), 300.0, **kwargs
         )
 
     def test_aging_lifts_cold_tasks(self):
         cold = LRUSegmentCache(capacity_events=10_000)
         kwargs = dict(locality_weight=1.0, aging_tau=units.HOUR, queue_depth=0)
-        young = score_candidate(
+        young = _score(
             cold, self._cost_model(), Interval(0, 1000), 0.0, **kwargs
         )
-        old = score_candidate(
+        old = _score(
             cold, self._cost_model(), Interval(0, 1000), 10 * units.HOUR, **kwargs
         )
         assert old > young
         # An old-enough cold task outbids a freshly published cached one.
         warm = LRUSegmentCache(capacity_events=10_000)
         warm.insert(0, 1000, now=0.0)
-        fresh_cached = score_candidate(
+        fresh_cached = _score(
             warm, self._cost_model(), Interval(0, 1000), 0.0, **kwargs
         )
         assert old > fresh_cached
@@ -124,10 +214,10 @@ class TestScoreCandidate:
     def test_queue_depth_penalised(self):
         cold = LRUSegmentCache(capacity_events=10_000)
         kwargs = dict(locality_weight=1.0, aging_tau=units.HOUR)
-        free = score_candidate(
+        free = _score(
             cold, self._cost_model(), Interval(0, 1000), 0.0, queue_depth=0, **kwargs
         )
-        loaded = score_candidate(
+        loaded = _score(
             cold, self._cost_model(), Interval(0, 1000), 0.0, queue_depth=3, **kwargs
         )
         assert free > loaded
@@ -147,13 +237,13 @@ class TestArbitrate:
             for n in range(3)
             for t in range(4)
         ]
-        grants = arbitrate(bids, grant_batch=4, rng=self._rng())
+        grants = _arbitrate(bids, grant_batch=4, rng=self._rng())
         granted = [t for tasks in grants.values() for t in tasks]
         assert sorted(granted) == [0, 1, 2, 3]
 
     def test_per_node_cap(self):
         bids = [Bid(node_id=0, task_index=t, score=1.0) for t in range(10)]
-        grants = arbitrate(bids, grant_batch=4, rng=self._rng())
+        grants = _arbitrate(bids, grant_batch=4, rng=self._rng())
         assert len(grants[0]) == 4
 
     def test_progressive_fill_spreads_before_batching(self):
@@ -164,7 +254,7 @@ class TestArbitrate:
             for n in range(3)
             for t in range(3)
         ]
-        grants = arbitrate(bids, grant_batch=4, rng=self._rng())
+        grants = _arbitrate(bids, grant_batch=4, rng=self._rng())
         assert sorted(len(tasks) for tasks in grants.values()) == [1, 1, 1]
 
     def test_highest_score_wins(self):
@@ -172,7 +262,7 @@ class TestArbitrate:
             Bid(node_id=0, task_index=0, score=2.0),
             Bid(node_id=1, task_index=0, score=0.1),
         ]
-        grants = arbitrate(bids, grant_batch=1, rng=self._rng())
+        grants = _arbitrate(bids, grant_batch=1, rng=self._rng())
         assert grants == {0: [0]}
 
     def test_deterministic_tie_breaks(self):
@@ -181,12 +271,137 @@ class TestArbitrate:
             for n in range(4)
             for t in range(8)
         ]
-        first = arbitrate(bids, grant_batch=2, rng=self._rng())
-        second = arbitrate(bids, grant_batch=2, rng=self._rng())
+        first = _arbitrate(bids, grant_batch=2, rng=self._rng())
+        second = _arbitrate(bids, grant_batch=2, rng=self._rng())
         assert first == second
 
     def test_empty_bids(self):
-        assert arbitrate([], grant_batch=4, rng=self._rng()) == {}
+        assert _arbitrate([], grant_batch=4, rng=self._rng()) == {}
+
+
+@st.composite
+def bid_rounds(draw):
+    """One arbitration round: 1–5 nodes with small LRU caches filled by
+    inserts that evict, a window of partly processed subjobs, and the
+    round's scoring parameters."""
+    n_nodes = draw(st.integers(1, 5))
+    caches = []
+    for _ in range(n_nodes):
+        cache = LRUSegmentCache(capacity_events=draw(st.integers(20, 300)))
+        inserts = draw(
+            st.lists(
+                st.tuples(st.integers(0, 500), st.integers(1, 120)), max_size=12
+            )
+        )
+        for stamp, (start, length) in enumerate(inserts):
+            cache.insert(start, start + length, now=float(stamp))
+        caches.append(cache)
+    tasks = []
+    for job_id in range(draw(st.integers(1, 16))):
+        length = draw(st.integers(1, 150))
+        job = Job(
+            JobRequest(
+                job_id=job_id,
+                arrival_time=draw(st.floats(0.0, 2 * units.DAY)),
+                start_event=draw(st.integers(0, 500)),
+                n_events=length,
+            )
+        )
+        task = job.make_root_subjob()
+        task.advance(draw(st.integers(0, length - 1)))
+        tasks.append(task)
+    now = max(task.job.arrival_time for task in tasks) + draw(
+        st.floats(0.0, units.DAY)
+    )
+    cost_model = CostModel(
+        cpu_time=draw(st.floats(0.001, 2.0)),
+        disk_time=draw(st.floats(0.001, 2.0)),
+        tertiary_time=draw(st.floats(0.001, 2.0)),
+        pipelined=draw(st.booleans()),
+    )
+    params = dict(
+        locality_weight=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        aging_tau=draw(st.sampled_from([6 * units.HOUR, units.HOUR, 0.0])),
+    )
+    depths = [draw(st.integers(0, 3)) for _ in range(n_nodes)]
+    return caches, tasks, now, cost_model, params, depths
+
+
+class TestRoundAgainstOracle:
+    """The per-round scorer and the parallel-list arbiter against the
+    per-(node, task) ``Interval`` scorer and the ``Bid``-list arbiter.
+    ``locality_weight`` 0 is drawn too: it proves that skipping the
+    cache lookup there leaves every score bit-identical."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(bid_rounds(), st.integers(0, 5), st.integers(0, 2**32 - 1))
+    def test_scores_and_grants_match(self, round_, grant_batch, seed):
+        caches, tasks, now, cost_model, params, depths = round_
+        window = window_rows(tasks, now, params["aging_tau"])
+        node_ids, task_indices, scores, bids = [], [], [], []
+        for node_id, (cache, depth) in enumerate(zip(caches, depths)):
+            node_scores = score_window(
+                cache,
+                window,
+                cost_model.cached_event_time,
+                cost_model.uncached_event_time,
+                locality_weight=params["locality_weight"],
+                queue_depth=depth,
+            )
+            expected = [
+                score_candidate(
+                    cache,
+                    cost_model,
+                    task.remaining,
+                    now - task.job.arrival_time,
+                    queue_depth=depth,
+                    **params,
+                )
+                for task in tasks
+            ]
+            # Bit for bit, the sign of zero included.
+            assert [score.hex() for score in node_scores] == [
+                score.hex() for score in expected
+            ]
+            node_ids.extend([node_id] * len(window))
+            task_indices.extend(range(len(window)))
+            scores.extend(node_scores)
+            bids.extend(
+                Bid(node_id=node_id, task_index=index, score=score)
+                for index, score in enumerate(expected)
+            )
+        rng = np.random.default_rng(seed)
+        oracle_rng = np.random.default_rng(seed)
+        granted = arbitrate(node_ids, task_indices, scores, grant_batch, rng)
+        expected_grants = arbitrate_bids(bids, grant_batch, oracle_rng)
+        assert list(granted.items()) == list(expected_grants.items())
+        # One draw per bid: both streams stand at the same place.
+        assert rng.random() == oracle_rng.random()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 6),
+                st.integers(0, 12),
+                st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]),
+            ),
+            max_size=60,
+        ),
+        st.integers(0, 5),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_arbitrary_bids_match(self, triples, grant_batch, seed):
+        # Bids on any subset of (node, task) pairs, duplicates and many
+        # equal scores included, so the seeded tie-break decides often.
+        bids = [Bid(node_id=n, task_index=t, score=x) for n, t, x in triples]
+        rng = np.random.default_rng(seed)
+        oracle_rng = np.random.default_rng(seed)
+        granted = _arbitrate(bids, grant_batch, rng)
+        assert list(granted.items()) == list(
+            arbitrate_bids(bids, grant_batch, oracle_rng).items()
+        )
+        assert rng.random() == oracle_rng.random()
 
 
 # ---------------------------------------------------------------------------

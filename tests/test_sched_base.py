@@ -293,6 +293,72 @@ class TestBestSubjobForNode:
         assert best_subjob_for_node(cluster[0], []) is None
 
 
+def reference_best_subjob_for_node(node, candidates):
+    """The ``Interval``-based pick ``best_subjob_for_node`` replaced: most
+    of ``subjob.remaining`` cached, then largest remaining, then first."""
+    best = None
+    best_key = (-1, -1)
+    for subjob in candidates:
+        key = (node.cache.cached_parts(subjob.remaining).measure(),
+               subjob.remaining_events)
+        if key > best_key:
+            best_key = key
+            best = subjob
+    return best
+
+
+def reference_pick_retry_node(cluster, subjob):
+    """The ``Interval``-based default retry pick: the idle node with most
+    of ``subjob.remaining`` cached, then the lowest id."""
+    best = None
+    best_key = (-1, 1)
+    for node in cluster.idle_nodes():
+        key = (node.cache.cached_parts(subjob.remaining).measure(), -node.node_id)
+        if key > best_key:
+            best_key = key
+            best = node
+    return best
+
+
+class TestCachedPicksOracle:
+    """The placement picks read a subjob's remaining bounds as ints; they
+    must pick exactly what the ``Interval`` lookups picked."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        cached_clusters(),
+        st.lists(
+            st.tuples(st.integers(0, 400), st.integers(1, 120), st.integers(0, 119)),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_int_picks_match_interval_picks(self, description, subjobs):
+        n_nodes, inserts, failed = description
+        tertiary = TertiaryStorage(
+            DataSpace(total_events=100_000, event_bytes=600 * units.KB)
+        )
+        cluster = make_cluster(Engine(), tertiary, n_nodes=n_nodes, cache_events=150)
+        for stamp, (node_ids, start, length) in enumerate(inserts):
+            for node_id in node_ids:
+                cluster[node_id].cache.insert(start, start + length, now=float(stamp))
+        for node_id in failed:
+            cluster[node_id].fail()
+        candidates = []
+        for start, length, processed in subjobs:
+            subjob = make_subjob(start, length)
+            subjob.advance(min(processed, length - 1))
+            candidates.append(subjob)
+        retry = SchedulerPolicy.pick_retry_node
+        stub = type("Stub", (), {"cluster": cluster})()
+        for node in cluster:
+            assert best_subjob_for_node(
+                node, candidates
+            ) is reference_best_subjob_for_node(node, candidates)
+        for subjob in candidates:
+            assert retry(stub, subjob) is reference_pick_retry_node(cluster, subjob)
+
+
 class TestSplitRunningSubjob:
     def test_splits_and_resumes(self):
         sim = build_sim("out-of-order", trace((0.0, 0, 2000)), micro_config(n_nodes=1))

@@ -44,9 +44,15 @@ from .experiments import (
     run_experiment,
     summarize_table,
 )
-from .sched import available_policies, policy_parameters, unknown_policy_message
+from .sched import (
+    DelayedPolicy,
+    available_policies,
+    create_policy,
+    policy_parameters,
+    unknown_policy_message,
+)
 from .sim.config import FaultConfig, NetFaultConfig, paper_config
-from .sim.simulator import run_simulation
+from .sim.simulator import Simulation, run_simulation
 
 
 def _add_scale(parser: argparse.ArgumentParser) -> None:
@@ -688,20 +694,40 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         params["grant_batch"] = args.grant_batch
     if args.task_events is not None:
         params["task_events"] = args.task_events
-    result = run_simulation(
+    policy_instance = create_policy(policy, **params)
+    # A delayed scheduler schedules nothing before its first period
+    # boundary; read it before the run moves it on.
+    first_boundary = (
+        policy_instance.period if isinstance(policy_instance, DelayedPolicy) else None
+    )
+    result = Simulation(
         config,
-        policy,
+        policy_instance,
         check_invariants=args.check_invariants,
         # --dump-records needs every record; truncated CSV would silently
         # misrepresent the run.
         retain_records=args.retain_records or bool(args.dump_records),
-        **params,
-    )
-    print(result.brief())
+    ).run()
     summary = result.measured
+    empty = summary.n_jobs == 0
+    if empty:
+        # The speedup is nan and the backlog only grows, so the brief
+        # line's verdict would read as a broken policy: say why instead.
+        reason = "no job completed in the measured window"
+        if first_boundary is not None and config.duration <= first_boundary:
+            reason += (
+                f"; no period boundary fell inside the {units.fmt_duration(config.duration)}"
+                f" horizon (the first is at {units.fmt_duration(first_boundary)})"
+            )
+        print(
+            f"{result.policy_name:>15s} load={result.load_per_hour:5.2f}/h "
+            f"jobs=   0 [EMPTY WINDOW: {reason}]"
+        )
+    else:
+        print(result.brief())
     rows = [
         ["jobs measured", summary.n_jobs],
-        ["mean speedup", f"{summary.mean_speedup:.2f}"],
+        ["mean speedup", "n/a" if empty else f"{summary.mean_speedup:.2f}"],
         ["mean waiting", units.fmt_duration(summary.mean_waiting)],
         ["mean waiting (excl. delay)", units.fmt_duration(summary.mean_waiting_excl_delay)],
         ["mean processing", units.fmt_duration(summary.mean_processing)],
@@ -709,7 +735,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         ["node utilization", f"{result.node_utilization:.2f}"],
         ["tertiary redundancy", f"{result.tertiary_redundancy:.2f}"],
         ["cache hit fraction", f"{result.cache_hit_fraction():.2f}"],
-        ["overloaded", result.overload.overloaded],
+        ["overloaded", "n/a (no job completed)" if empty else result.overload.overloaded],
     ]
     print(format_table(["metric", "value"], rows))
     if result.faults is not None:

@@ -6,8 +6,9 @@ or subjob per processor at any given time").  Execution is *chunked*: the
 node asks its :class:`~repro.cluster.access.DataAccessPlanner` for the next
 uniform-rate run of events, schedules one engine event at the chunk's
 completion time, and repeats, re-arming that same event for every further
-chunk of the subjob.  Each chunk costs the planner two calls: one to plan
-it and one to account for what of it was processed.  Preemption between
+chunk, across subjobs, until a preemption or a crash cancels it.  Each
+chunk costs the planner two calls: one to plan it and one to account for
+what of it was processed.  Preemption between
 events is exact: an interrupted chunk credits the whole events finished
 so far and re-queues the rest (the in-flight fractional event is
 re-processed later, matching the paper's event-atomic processing).
@@ -119,15 +120,18 @@ class Node:
         #: The in-flight chunk, kept in plain attributes rather than a
         #: record per chunk: its plan (``None`` when idle), per-event time,
         #: setup latency, start time and completion event.  The event is
-        #: built by :meth:`start` and re-armed for each further chunk of
-        #: the subjob; preemption, a crash or the subjob's end drop it.
+        #: built by the first chunk after construction, a preemption or a
+        #: crash, and re-armed for every further chunk: of the subjob, and
+        #: of the subjobs started after it ends.  While the node is idle
+        #: it holds the fired event, neither queued nor cancelled;
+        #: preemption and a crash cancel and drop it.
         self._plan: Optional[ChunkPlan] = None
         self._per_event = 0.0
         self._setup = 0.0
         self._started_at = 0.0
         self._completion: Optional[ScheduledEvent] = None
         #: Calendar label of the running subjob's chunk completions, built
-        #: once per :meth:`start`.
+        #: once per :meth:`start` (and written onto the kept event).
         self._label = ""
         #: Crash state (repro.faults): a failed node accepts no work and
         #: its cache is invisible to placement decisions until recovery.
@@ -182,11 +186,17 @@ class Node:
         """Plan of the in-flight chunk (None when idle)."""
         return self._plan
 
+    def completion_event(self) -> Optional[ScheduledEvent]:
+        """The node's chunk-completion event: queued while a subjob runs,
+        kept fired while idle, ``None`` before the first chunk and after
+        a preemption or crash (sanitizer checks)."""
+        return self._completion
+
     # -- control ----------------------------------------------------------------
 
     def start(self, subjob: Subjob) -> None:
         """Begin or resume ``subjob`` on this node."""
-        if self.busy:
+        if self.current is not None:
             raise SchedulingError(
                 f"node {self.node_id} is busy with {self.current!r}"
             )
@@ -194,19 +204,22 @@ class Node:
             raise SchedulingError(
                 f"node {self.node_id} is failed; cannot start {subjob.sid}"
             )
-        if subjob.state not in (SubjobState.PENDING, SubjobState.SUSPENDED):
+        state = subjob.state
+        if state is not SubjobState.PENDING and state is not SubjobState.SUSPENDED:
             raise SchedulingError(
-                f"cannot start subjob {subjob.sid} in state {subjob.state}"
+                f"cannot start subjob {subjob.sid} in state {state}"
             )
-        if subjob.remaining_events == 0:
+        segment = subjob.segment
+        remaining = segment.end - segment.start - subjob.processed
+        if remaining == 0:
             raise SchedulingError(f"subjob {subjob.sid} has no remaining work")
         if self.checker is not None:
             self.checker.on_subjob_start(self, subjob)
+        now = self.engine.now
         if self.obs.enabled:
-            now = self.engine.now
             kind = (
                 kinds.SUBJOB_RESUME
-                if subjob.state is SubjobState.SUSPENDED
+                if state is SubjobState.SUSPENDED
                 else kinds.SUBJOB_START
             )
             self.obs.emit(
@@ -216,15 +229,19 @@ class Node:
                 node=self.node_id,
                 job=subjob.job.job_id,
                 sid=subjob.sid,
-                events=subjob.remaining_events,
+                events=remaining,
             )
             self.obs.emit(now, kinds.NODE_BUSY, "node", node=self.node_id, sid=subjob.sid)
         subjob.state = SubjobState.RUNNING
         subjob.node = self
         self.current = subjob
-        self._label = f"chunk:{subjob.sid}@{self.node_id}"
+        label = self._label = f"chunk:{subjob.sid}@{self.node_id}"
+        if self._completion is not None:
+            # The event kept from the previous subjob: re-armed for this
+            # subjob's first chunk, under this subjob's label.
+            self._completion.label = label
         self._sync_idle()
-        subjob.job.mark_started(self.engine.now)
+        subjob.job.mark_started(now)
         self._begin_next_chunk()
 
     def preempt(self) -> Optional[Subjob]:
@@ -388,7 +405,7 @@ class Node:
     def _begin_next_chunk(self) -> None:
         """Plan the next chunk of the running subjob and schedule its
         completion: one planner call and one calendar push, re-arming the
-        subjob's fired completion event when it has one."""
+        node's fired completion event when it has one."""
         subjob = self.current
         assert subjob is not None
         segment = subjob.segment
@@ -453,7 +470,6 @@ class Node:
             self._emit_chunk_done(subjob, plan, events, seconds)
         self._plan = None
         if end == segment.end:
-            self._completion = None
             self.current = None
             self._sync_idle()
             self._finish_subjob(subjob, deferred=False)

@@ -51,7 +51,11 @@ class Engine:
         obs: HookBus = NULL_BUS,
         check_invariants: bool = False,
     ) -> None:
-        self._now = float(start_time)
+        #: Current simulation time in seconds: a plain attribute, written
+        #: only by the dispatch loop (the flow lint flags any store to a
+        #: ``.now`` outside the kernel), so the hot paths that read the
+        #: clock pay an attribute load rather than a property call.
+        self.now = float(start_time)
         #: Calendar entries: ``(time, priority, seq, event)`` — ``seq`` is
         #: unique, so tuple comparisons never reach the event payload.
         self._heap: List[_HeapEntry] = []
@@ -68,11 +72,6 @@ class Engine:
         self.check_invariants = bool(check_invariants)
 
     # -- clock ---------------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
 
     def __len__(self) -> int:
         """Number of events still in the calendar (including cancelled)."""
@@ -95,9 +94,9 @@ class Engine:
         the current instant is allowed (the event runs in this dispatch
         round, after already-queued events of lower ``(priority, seq)``).
         """
-        if time < self._now:
+        if time < self.now:
             raise EngineError(
-                f"cannot schedule at t={time:.6f} < now={self._now:.6f}"
+                f"cannot schedule at t={time:.6f} < now={self.now:.6f}"
             )
         if callback is None:
             raise EngineError("callback must not be None")
@@ -126,9 +125,9 @@ class Engine:
         """
         if event.cancelled:
             raise EngineError(f"cannot re-arm cancelled event {event.label!r}")
-        if time < self._now:
+        if time < self.now:
             raise EngineError(
-                f"cannot schedule at t={time:.6f} < now={self._now:.6f}"
+                f"cannot schedule at t={time:.6f} < now={self.now:.6f}"
             )
         seq = self._seq
         event.time = time
@@ -154,7 +153,7 @@ class Engine:
         if delay < 0:
             raise EngineError(f"negative delay {delay!r}")
         return self.call_at(
-            self._now + delay, callback, *args, priority=priority, label=label
+            self.now + delay, callback, *args, priority=priority, label=label
         )
 
     def call_at_batch(
@@ -181,7 +180,7 @@ class Engine:
         was_empty = not heap
         priority = int(priority)
         seq = self._seq
-        now = self._now
+        now = self.now
         in_order = True
         last_time = now  # every accepted time is >= now
         count = 0
@@ -248,12 +247,12 @@ class Engine:
         if not self._heap:
             return False
         event = heapq.heappop(self._heap)[3]
-        if self.check_invariants and event.time < self._now:
+        if self.check_invariants and event.time < self.now:
             raise InvariantViolation(
                 f"non-monotone dispatch: event {event.label!r} at "
-                f"t={event.time:.6f} popped while now={self._now:.6f}"
+                f"t={event.time:.6f} popped while now={self.now:.6f}"
             )
-        self._now = event.time
+        self.now = event.time
         self.stats.dispatched += 1
         if self.obs.engine_dispatch:
             self._emit_dispatch(event)
@@ -286,20 +285,20 @@ class Engine:
                 if until is not None and time > until:
                     break
                 heappop(heap)
-                if checked and time < self._now:
+                if checked and time < self.now:
                     raise InvariantViolation(
                         f"non-monotone dispatch: event {event.label!r} at "
-                        f"t={time:.6f} popped while now={self._now:.6f}"
+                        f"t={time:.6f} popped while now={self.now:.6f}"
                     )
-                self._now = time
+                self.now = time
                 stats.dispatched += 1
                 if obs.engine_dispatch:
                     self._emit_dispatch(event)
                 event.callback(*event.args)
         finally:
             self._running = False
-        if until is not None and self._now < until and not self._stopped:
-            self._now = until
+        if until is not None and self.now < until and not self._stopped:
+            self.now = until
 
     def stop(self) -> None:
         """Request :meth:`run` to return after the current callback."""
@@ -338,11 +337,11 @@ class Engine:
                         f"seq={event.seq}) sorts after child at "
                         f"{child_index} (t={heap[child_index][0]:.6f})"
                     )
-            if not event.cancelled and event.time < self._now:
+            if not event.cancelled and event.time < self.now:
                 raise InvariantViolation(
                     f"active event {event.label!r} scheduled at "
                     f"t={event.time:.6f} lies in the past (now="
-                    f"{self._now:.6f})"
+                    f"{self.now:.6f})"
                 )
 
     # -- internals --------------------------------------------------------------
@@ -367,7 +366,7 @@ class Engine:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Engine(now={self._now:.3f}, pending={len(self._heap)}, "
+            f"Engine(now={self.now:.3f}, pending={len(self._heap)}, "
             f"dispatched={self.stats.dispatched})"
         )
 

@@ -228,7 +228,7 @@ class LRUSegmentCache:
         if end - start > self.capacity_events:
             start = end - self.capacity_events
         self.stats.inserted_events += end - start
-        self._restamp(start, end, now, fill=True)
+        self._stamp(start, end, now, fill=True)
         evicted_before = self.stats.evicted_events
         self._evict_to_fit(start, end)
         if self.obs.enabled:
@@ -244,7 +244,7 @@ class LRUSegmentCache:
 
     def touch(self, start: int, end: int, now: float) -> None:
         """Refresh the LRU timestamp of the cached parts of ``[start, end)``."""
-        self.stats.touched_events += self._restamp(start, end, now, fill=False)
+        self.stats.touched_events += self._stamp(start, end, now, fill=False)
 
     def invalidate(self, start: int, end: int) -> int:
         """Drop any cached events inside ``[start, end)``; returns count."""
@@ -260,6 +260,51 @@ class LRUSegmentCache:
         self._used = 0
 
     # -- internals ---------------------------------------------------------------
+
+    def _stamp(self, start: int, end: int, now: float, fill: bool) -> int:
+        """:meth:`_restamp` with ``now`` set, short-cut for its two common
+        shapes when no neighbour is stamped ``now`` (nothing coalesces):
+        a touch covering exactly one whole extent, re-stamped in place,
+        and an insert into a gap, one new run.  Either pushes the one heap
+        entry the walk would, so runs, stamps, tiebreaks and eviction
+        order are the walk's; every other shape goes to the walk."""
+        runs = self._runs
+        starts = runs._starts
+        ends = runs._ends
+        extents = runs._values
+        count = len(starts)
+        lo = bisect_right(ends, start)
+        if fill:
+            if lo == count or starts[lo] >= end:
+                if lo > 0 and ends[lo - 1] == start:
+                    if extents[lo - 1].last_access == now:  # simlint: disable=SIM003
+                        return self._restamp(start, end, now, fill)
+                if lo < count and starts[lo] == end:
+                    if extents[lo].last_access == now:  # simlint: disable=SIM003
+                        return self._restamp(start, end, now, fill)
+                starts.insert(lo, start)
+                ends.insert(lo, end)
+                extents.insert(lo, self._push(start, end, now))
+                self._used += end - start
+                if len(self._lru_heap) > 2 * len(starts) + _HEAP_SLACK:
+                    self._compact_heap()
+                return 0
+        elif lo < count:
+            head = starts[lo]
+            tail = ends[lo]
+            if start <= head and tail <= end and (lo + 1 == count or starts[lo + 1] >= end):
+                if lo > 0 and ends[lo - 1] == head:
+                    if extents[lo - 1].last_access == now:  # simlint: disable=SIM003
+                        return self._restamp(start, end, now, fill)
+                if lo + 1 < count and starts[lo + 1] == tail:
+                    if extents[lo + 1].last_access == now:  # simlint: disable=SIM003
+                        return self._restamp(start, end, now, fill)
+                extents[lo].alive = False
+                extents[lo] = self._push(head, tail, now)
+                if len(self._lru_heap) > 2 * count + _HEAP_SLACK:
+                    self._compact_heap()
+                return tail - head
+        return self._restamp(start, end, now, fill)
 
     def _restamp(
         self, query_start: int, query_end: int, now: Optional[float], fill: bool

@@ -38,7 +38,7 @@ from ..rules import RuleVisitor
 
 #: Private Engine attributes nothing outside the kernel may touch.
 ENGINE_PRIVATE_ATTRS = frozenset(
-    {"_now", "_heap", "_seq", "_running", "_stopped"}
+    {"_heap", "_seq", "_running", "_stopped"}
 )
 
 #: Methods that feed work into the event calendar.

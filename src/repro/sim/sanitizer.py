@@ -11,6 +11,8 @@ module checks properties of a *running* simulation:
 * the cluster's idle-node index lists exactly the nodes a full scan
   finds free (no subjob, not failed, not reserved), in id order, and
   every node's ``idle`` flag agrees with that scan;
+* a running node's chunk-completion event is live in the calendar, and
+  an idle node's kept (fired) event is neither queued nor cancelled;
 * the stream counts the planners hold for running chunks balance: each
   tier's ``active_streams`` equals the number of running chunks whose
   plan routes via its uplink, and a contention planner's active remote
@@ -197,10 +199,11 @@ class InvariantChecker:
         channel: Optional["ControlChannel"],
     ) -> None:
         """Validate the calendar heap, every node and tier cache, the
-        idle-node index, the planners' stream counts, the node,
-        node-to-tape and tertiary event balances, the planner's access
-        counters, the control channel and job/subjob bookkeeping;
-        piggybacked on the simulator's metric probe."""
+        idle-node index, the nodes' completion events, the planners'
+        stream counts, the node, node-to-tape and tertiary event
+        balances, the planner's access counters, the control channel and
+        job/subjob bookkeeping; piggybacked on the simulator's metric
+        probe."""
         self.checks_run += 1
         engine.validate_heap()
         tertiary.validate()
@@ -214,6 +217,7 @@ class InvariantChecker:
         running: List["ChunkPlan"] = []
         scanned_idle: List[int] = []
         from_tape = 0
+        queued = {id(event) for event in engine.pending_events()}
         for node in cluster:
             plan = node.current_plan()
             if plan is not None:
@@ -237,6 +241,22 @@ class InvariantChecker:
                 )
             if free:
                 scanned_idle.append(node.node_id)
+            completion = node.completion_event()
+            if current is not None:
+                if completion is None or id(completion) not in queued:
+                    raise InvariantViolation(
+                        f"node {node.node_id} runs {current.sid} but its "
+                        f"completion event is not live in the calendar at "
+                        f"t={engine.now:.6f}"
+                    )
+            elif completion is not None and (
+                completion.cancelled or id(completion) in queued
+            ):
+                state = "cancelled" if completion.cancelled else "queued"
+                raise InvariantViolation(
+                    f"idle node {node.node_id} keeps a {state} completion "
+                    f"event {completion.label!r} at t={engine.now:.6f}"
+                )
             if current is not None and self._running.get(current.sid) != node.node_id:
                 raise InvariantViolation(
                     f"node {node.node_id} runs {current.sid} but the "

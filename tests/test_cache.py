@@ -2,9 +2,10 @@
 
 Includes a hypothesis property suite comparing the extent-granular cache
 against a reference model: a dict of event → last-access time with
-pointwise LRU eviction; and an oracle suite holding the one-walk
+pointwise LRU eviction; an oracle suite holding the one-walk
 re-stamping to the carve-and-merge cache it replaced, extent for extent,
-stamp for stamp and in LRU eviction order.
+stamp for stamp and in LRU eviction order; and one holding the touch and
+insert fast paths to the general walk, heap entry for heap entry.
 """
 
 import heapq
@@ -481,6 +482,8 @@ def _apply(cache, op, interval, now):
     try:
         if op == "invalidate":
             return cache.invalidate(interval.start, interval.end)
+        if op == "clear":
+            return cache.clear()
         return getattr(cache, op)(interval.start, interval.end, now)
     except CacheError:
         return CacheError
@@ -640,3 +643,97 @@ class TestHeapBound:
             for target in (cache, oracle):
                 target.insert(interval.start, interval.end, now)
             _assert_same_state(cache, oracle)
+
+
+# -- the re-stamp fast paths against the general walk ---------------------------------
+
+
+class _GeneralWalkCache(LRUSegmentCache):
+    """The cache with its fast paths disabled: every touch and insert
+    goes through the general re-stamp walk."""
+
+    _stamp = LRUSegmentCache._restamp
+
+
+def _heap_state(cache):
+    """The LRU heap as it lies, entry for entry: the pop order of equal
+    stamps follows the tiebreaks, so fast paths must push alike."""
+    return [
+        (stamp, tiebreak, extent.start, extent.end, extent.alive)
+        for stamp, tiebreak, extent in cache._lru_heap
+    ]
+
+
+@st.composite
+def walk_ops(draw):
+    op = draw(st.sampled_from(["insert"] * 4 + ["touch"] * 4 + ["invalidate", "clear"]))
+    # Mostly whole cells of ten events, so abutting extents and
+    # whole-extent touches are common; half-cell offsets and other
+    # lengths give partial overlaps.
+    start = 10 * draw(st.integers(0, 3)) + draw(st.sampled_from([0, 0, 0, 0, 5]))
+    length = draw(st.sampled_from([10] * 5 + [0, 5, 20]))
+    # Repeated stamps exercise the neighbour-stamped-``now`` guards.
+    step = draw(st.sampled_from([0.0, 0.0, 0.0, 1.0, 2.5]))
+    return (op, Interval(start, start + length), step)
+
+
+class TestFastPathsAgainstGeneralWalk:
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(1, 50), st.lists(walk_ops(), min_size=10, max_size=40))
+    def test_every_operation_matches(self, capacity, operations):
+        cache = LRUSegmentCache(capacity)
+        walk = _GeneralWalkCache(capacity)
+        now = 0.0
+        for op, interval, step in operations:
+            now += step
+            outcome = _apply(cache, op, interval, now)
+            assert outcome == _apply(walk, op, interval, now)
+            if outcome is CacheError:
+                return
+            assert list(cache) == list(walk)
+            assert cache.stats == walk.stats
+            assert cache.used_events == walk.used_events
+            assert _heap_state(cache) == _heap_state(walk)
+            cache.validate()
+            walk.validate()
+        # Drain both caches: they evict the same extents in the same order.
+        for step in range(1, 2 * capacity + 1):
+            for target in (cache, walk):
+                target.insert(1000 + step, 1001 + step, now + step)
+            assert list(cache) == list(walk)
+            assert cache.stats == walk.stats
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_long_random_walk_matches(self, seed):
+        rng = random.Random(seed)
+        cache = LRUSegmentCache(400)
+        walk = _GeneralWalkCache(400)
+        now = 0.0
+        for _ in range(4000):
+            op = rng.choice(["insert", "touch", "touch", "touch", "invalidate"])
+            start = 10 * rng.randrange(0, 100)
+            interval = Interval(start, start + 10 * rng.randrange(0, 6) + rng.choice([0, 0, 3]))
+            now += rng.choice([0.0, 1.0])
+            assert _apply(cache, op, interval, now) == _apply(walk, op, interval, now)
+        assert _heap_state(cache) == _heap_state(walk)
+        assert cache.stats == walk.stats
+        assert cache.stats.evicted_events > 0
+        cache.validate()
+
+    @pytest.mark.parametrize(
+        "second, last, runs",
+        [
+            # A whole-extent touch next to an extent stamped ``now``.
+            ((10, 20), ("touch", 0, 10), [(Interval(0, 20), 2.0)]),
+            # A gap insert next to an extent stamped ``now``.
+            ((20, 30), ("insert", 10, 20), [(Interval(0, 10), 1.0), (Interval(10, 30), 2.0)]),
+        ],
+    )
+    def test_fast_path_shape_next_to_a_now_stamp_coalesces(self, second, last, runs):
+        op, start, end = last
+        for target in (LRUSegmentCache(100), _GeneralWalkCache(100)):
+            target.insert(0, 10, now=1.0)
+            target.insert(*second, now=2.0)
+            getattr(target, op)(start, end, 2.0)
+            assert list(target) == runs
+            target.validate()

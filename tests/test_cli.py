@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -74,6 +76,28 @@ class TestSimulate:
         )
         assert code == 0
         assert "delayed" in capsys.readouterr().out
+
+    def test_delayed_run_ending_at_its_first_boundary_says_so(self, capsys, tmp_path):
+        # The default period is two days: a two-day run measures no job.
+        dump = tmp_path / "summary.json"
+        code = main(
+            ["simulate", "--policy", "delayed", "--days", "2", "--dump-json", str(dump)]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        brief = out.splitlines()[0]
+        assert "no job completed in the measured window" in brief
+        assert "no period boundary fell inside the 2day horizon" in brief
+        assert "OVERLOADED" not in out and "nan" not in brief
+        # Only the text changes: the summary keeps its verdict.
+        assert json.loads(dump.read_text())["overloaded"] is True
+
+    def test_empty_window_of_other_policies_names_no_period(self, capsys):
+        code = main(["simulate", "--policy", "farm", "--load", "0.01", "--days", "0.1"])
+        assert code == 0
+        brief = capsys.readouterr().out.splitlines()[0]
+        assert "no job completed in the measured window" in brief
+        assert "period" not in brief
 
     def test_unknown_policy_rejected_by_argparse(self):
         with pytest.raises(SystemExit):

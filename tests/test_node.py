@@ -449,11 +449,19 @@ class TestChunkLoopContract:
         node.start(subjob)
         engine.run()
         assert subjob.state is SubjobState.DONE
-        # 0-100 before the preemption, then 150-250 and 250-300.
-        assert [chunk["label"] for chunk in log.chunks] == [f"chunk:{subjob.sid}@7"] * 3
+        # The next subjob re-arms the kept event under its own label.
+        second = make_subjob(1000, 200)
+        node.start(second)
+        engine.run()
+        assert second.state is SubjobState.DONE
+        # 0-100 before the preemption, then 150-250 and 250-300; then the
+        # second subjob's two chunks.
+        assert [chunk["label"] for chunk in log.chunks] == [
+            f"chunk:{subjob.sid}@7"
+        ] * 3 + [f"chunk:{second.sid}@7"] * 2
         assert [chunk["priority"] for chunk in log.chunks] == [
             EventPriority.COMPLETION
-        ] * 3
+        ] * 5
 
     # Empty, misaligned, and running past the subjob's 100-event segment.
     @pytest.mark.parametrize("bad", [(0, 0), (5, 50), (0, 150)])
@@ -498,8 +506,9 @@ class TestChunkLoopContract:
         assert built == []
 
     def test_uninterrupted_subjob_builds_one_completion_event(self, space, monkeypatch):
-        # Every chunk after the first re-arms the fired completion event;
-        # a preemption drops it, so the resumed subjob builds one more.
+        # Every chunk after the first re-arms the fired completion event,
+        # and so does the next subjob's first chunk; a preemption drops
+        # it, so the resumed subjob builds one more.
         import repro.core.engine as engine_module
 
         built = []
@@ -531,7 +540,39 @@ class TestChunkLoopContract:
         node.start(other)
         engine.run()
         assert other.state is SubjobState.DONE
-        assert len(built) == 3
+        assert len(built) == 2
+
+    def test_back_to_back_subjobs_share_one_completion_event(self, space, monkeypatch):
+        import repro.core.engine as engine_module
+
+        built = []
+
+        class CountingEvent(engine_module.ScheduledEvent):
+            __slots__ = ()
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(engine_module, "ScheduledEvent", CountingEvent)
+        engine, node, _ = build_node(space, chunk_events=100)
+        subjobs = [make_subjob(300 * index, 250) for index in range(5)]
+        pending = list(subjobs)
+
+        def next_subjob(n, finished):
+            if pending:
+                n.start(pending.pop(0))
+
+        node.on_subjob_complete = next_subjob
+        node.start(pending.pop(0))
+        engine.run()
+        assert all(subjob.state is SubjobState.DONE for subjob in subjobs)
+        assert node.stats.chunks_started == 15
+        assert len(built) == 1
+        assert engine.stats.scheduled == engine.stats.dispatched == 15
+        # Idle again: the fired event is kept, neither queued nor cancelled.
+        assert node.completion_event() is built[0]
+        assert not built[0].cancelled and len(engine) == 0
 
     def test_keyword_chunk_plan_keeps_path_defaults(self):
         # The tiered planner builds plans with keywords only.

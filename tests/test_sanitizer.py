@@ -184,6 +184,63 @@ class TestIdleIndexCorruption:
             sim.engine.run(until=sim.config.duration)
 
 
+class TestCompletionEventCorruption:
+    """A node keeps its fired completion event while idle; the deep check
+    holds it out of the calendar, and a running node's event in it."""
+
+    @staticmethod
+    def _run_with(corrupt, running: bool, match: str) -> None:
+        sim = _checked_simulation("out-of-order")
+        sim.prime()
+
+        def attempt() -> None:
+            # The first node in the wanted state that has an event, else
+            # try again an hour later.
+            for node in sim.cluster:
+                if (node.current is not None) is running and node.completion_event():
+                    corrupt(sim.engine, node.completion_event())
+                    return
+            sim.engine.call_at(sim.engine.now + units.HOUR, attempt)
+
+        sim.engine.call_at(units.DAY, attempt)
+        with pytest.raises(InvariantViolation, match=match):
+            sim.engine.run(until=sim.config.duration)
+
+    def test_rearmed_idle_event_is_caught(self):
+        # Re-arm an idle node's kept event behind the node's back.
+        self._run_with(
+            lambda engine, event: engine.rearm(event, engine.now + 1.0),
+            running=False,
+            match="keeps a queued completion event",
+        )
+
+    def test_cancelled_idle_event_is_caught(self):
+        self._run_with(
+            lambda engine, event: engine.cancel(event),
+            running=False,
+            match="keeps a cancelled completion event",
+        )
+
+    def test_running_node_without_live_event_is_caught(self):
+        self._run_with(
+            lambda engine, event: engine.cancel(event),
+            running=True,
+            match="not live in the calendar",
+        )
+
+    def test_faulted_run_keeps_events_consistent(self):
+        # Crashes cancel and drop a running node's event; an idle node's
+        # crash keeps it.  Every probe's deep check must pass.
+        config = replace(
+            _config(),
+            faults=FaultConfig(
+                node_mtbf=12 * units.HOUR, node_mttr=units.HOUR, wipe_cache_on_failure=True
+            ),
+        )
+        result = Simulation(config, create_policy("out-of-order"), check_invariants=True).run()
+        assert result.faults is not None and result.faults.failures > 0
+
+
 class TestAccountingBalanceCorruption:
     """Each balance the deep check holds across the chunk loop, broken
     behind the accounting code's back as a mis-credited chunk would."""

@@ -111,15 +111,31 @@ class Engine:
             self.stats.max_queue = len(self._heap)
         return event
 
-    def rearm(self, event: ScheduledEvent, time: float) -> ScheduledEvent:
-        """Push ``event``, which has already fired, back into the calendar
-        at absolute time ``time`` with its callback, arguments, priority
-        and label unchanged.
+    def reserve_seq(self) -> int:
+        """Take the next sequence number without pushing anything.
+
+        A later :meth:`rearm` at this ``seq`` sorts exactly where a
+        :meth:`call_at` made now would have, among every push before and
+        after the reservation.  A reservation is not counted in
+        ``stats.scheduled``; the push that uses it is.
+        """
+        seq = self._seq
+        self._seq = seq + 1
+        return seq
+
+    def rearm(
+        self, event: ScheduledEvent, time: float, seq: Optional[int] = None
+    ) -> ScheduledEvent:
+        """Push ``event``, which has already fired (or was never pushed),
+        back into the calendar at absolute time ``time`` with its
+        callback, arguments, priority and label unchanged.
 
         The event takes the next sequence number, exactly as a fresh
-        :meth:`call_at` at this point would, so the calendar order and
-        the scheduling counters are the same as with a new event; only
-        the record is reused.  A cancelled event is never re-armed (raises
+        :meth:`call_at` at this point would, or ``seq`` when given: a
+        number from :meth:`reserve_seq`, used once.  Either way the
+        calendar order and the scheduling counters are the same as with a
+        new event made when the number was taken; only the record is
+        reused.  A cancelled event is never re-armed (raises
         :class:`EngineError`), and an event still pending must not be
         passed (:meth:`validate_heap` reports an event queued twice).
         """
@@ -129,10 +145,11 @@ class Engine:
             raise EngineError(
                 f"cannot schedule at t={time:.6f} < now={self.now:.6f}"
             )
-        seq = self._seq
+        if seq is None:
+            seq = self._seq
+            self._seq = seq + 1
         event.time = time
         event.seq = seq
-        self._seq = seq + 1
         heap = self._heap
         heapq.heappush(heap, (time, event.priority, seq, event))
         stats = self.stats

@@ -39,22 +39,40 @@ channel disabled (``config is None`` or all probabilities zero)
 calendar events — so disabled runs are bit-identical to a channel-less
 build.
 
-Accounting invariant (checked by :meth:`ControlChannel.validate` under
+Acks and retransmit timers cost no calendar event of their own.  An
+ack that survives its draws is recorded on its message as the instant
+it lands, ``(ack_at, ack_ord)``: ``ack_ord`` comes from the channel's
+ordinal counter, which every copy also draws from when it is pushed, so
+a copy (``MESSAGE`` priority) sees the ack iff ``(ack_at, ack_ord) <
+(now, ordinal)`` — exactly the order the ack's own ``MESSAGE`` event
+would have taken — and a timer (``TIMER`` priority, after every
+message of its instant) sees it iff ``ack_at <= now``.  The timeout of
+attempt *k* is constant, so the timers armed at one attempt level come
+due in arm order: each level is one FIFO of ``(deadline, seq,
+message)`` behind one reused calendar event, queued at its head's
+``(deadline, TIMER, seq)``, where ``seq`` was reserved from the engine
+when the timer was armed.  Every timeout therefore fires exactly where
+a per-message timer event would have.  A retire or a landed ack leaves
+the calendar alone; the firing that reaches a finished message drops
+it.
+
+Accounting invariants (checked by :meth:`ControlChannel.validate` under
 the sanitizer): for reliable messages, at every instant,
 ``sent == delivered + dead_letters + (in-flight messages not yet
 delivered)`` — a delivered message stays in flight until its ack
-arrives, so it counts as delivered already.  Every in-flight message
-has exactly one live retransmit timer, so no message is ever silently
+lands, so it counts as delivered already.  Every in-flight message sits
+in exactly one FIFO, the one of its attempt level, and every non-empty
+FIFO's event is queued at its head, so no message is ever silently
 stranded.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -109,7 +127,7 @@ class ChannelStats:
     reordered: int = 0
     #: Retransmissions performed by the ack state machine.
     retransmits: int = 0
-    #: Ack timers that fired.
+    #: Messages whose ack timer ran out (one per timed-out attempt).
     timeouts: int = 0
     #: Arbiter failover re-elections (incremented by the decentral policy).
     failovers: int = 0
@@ -127,22 +145,23 @@ class _Message:
     __slots__ = (
         "msg_id",
         "kind",
-        "labels",
+        "label",
         "node",
         "deliver",
         "on_dead_letter",
         "unlimited",
         "attempt",
         "delivered",
-        "done",
-        "retransmit_event",
+        "retired",
+        "ack_at",
+        "ack_ord",
     )
 
     def __init__(
         self,
         msg_id: int,
         kind: str,
-        labels: Tuple[str, str, str],
+        label: str,
         node: int,
         deliver: Callable[[], None],
         on_dead_letter: Optional[Callable[[], None]],
@@ -150,16 +169,39 @@ class _Message:
     ) -> None:
         self.msg_id = msg_id
         self.kind = kind
-        #: ``(copy, ack, rto)`` calendar labels, shared by the kind.
-        self.labels = labels
+        #: Calendar label of the message's copies, shared by the kind.
+        self.label = label
         self.node = node
         self.deliver = deliver
         self.on_dead_letter = on_dead_letter
         self.unlimited = unlimited
         self.attempt = 1
         self.delivered = False
-        self.done = False
-        self.retransmit_event: Optional[ScheduledEvent] = None
+        #: Given up on: dead-lettered, or delivered with every ack lost.
+        self.retired = False
+        #: When and in which channel ordinal the earliest surviving ack
+        #: lands (``inf`` until one is sent).
+        self.ack_at = float("inf")
+        self.ack_ord = -1
+
+
+class _RetransmitLevel:
+    """The retransmit timers of one attempt level: ``(deadline, seq,
+    message)`` entries in arm order, behind one reused calendar event
+    that is queued at the head's key while the FIFO is non-empty."""
+
+    __slots__ = ("attempt", "timeout", "entries", "event")
+
+    def __init__(
+        self, attempt: int, timeout: float, callback: Callable[..., None]
+    ) -> None:
+        self.attempt = attempt
+        #: Ack timeout of this attempt: ``exponential_backoff(attempt)``.
+        self.timeout = timeout
+        self.entries: Deque[Tuple[float, int, _Message]] = deque()
+        self.event = ScheduledEvent(
+            timeout, _TIMER, -1, callback, (self,), False, f"net.rto@{attempt}"
+        )
 
 
 class ControlChannel:
@@ -186,8 +228,13 @@ class ControlChannel:
         self.obs = obs
         self.stats = ChannelStats()
         self._seq = 0
-        self._messages: Dict[int, _Message] = {}
-        self._labels: Dict[str, Tuple[str, str, str]] = {}
+        #: Order of copies and acks among the channel's ``MESSAGE`` traffic.
+        self._ordinal = 0
+        #: Retransmit FIFOs by attempt level (index ``attempt - 1``).
+        self._levels: List[_RetransmitLevel] = []
+        #: Messages that left the FIFOs for good: acked, or given up on.
+        self._settled = 0
+        self._labels: Dict[str, str] = {}
         # -- central-dispatch coordination -----------------------------------
         self.policy: Optional["SchedulerPolicy"] = None
         self._repend_backlog: List[Subjob] = []
@@ -214,45 +261,95 @@ class ControlChannel:
 
     @property
     def in_flight(self) -> int:
-        """Reliable messages neither delivered+acked nor dead-lettered."""
-        return len(self._messages)
+        """Reliable messages neither delivered+acked nor given up on."""
+        now = self.engine.now
+        return sum(
+            1
+            for level in self._levels
+            for _, _, msg in level.entries
+            if not msg.retired and msg.ack_at > now
+        )
 
     def validate(self) -> None:
-        """Deep consistency check (sim-sanitizer mode): the reliable
-        balance law of the module docstring, and exactly one live
-        retransmit timer per in-flight message.  O(calendar) — called
-        from the simulator's periodic probe."""
+        """Deep consistency check (sim-sanitizer mode): each retransmit
+        FIFO in arm order, every in-flight message in exactly one FIFO
+        (its attempt level's), each non-empty FIFO's event queued at its
+        head and each empty one's not queued, and the reliable balance
+        law of the module docstring.  O(calendar) — called from the
+        simulator's periodic probe."""
+        now = self.engine.now
         stats = self.stats
-        undelivered = sum(
-            1 for msg in self._messages.values() if not msg.delivered
+        where: Dict[int, int] = {}
+        undelivered = 0
+        for level in self._levels:
+            previous: Optional[Tuple[float, int]] = None
+            for deadline, seq, msg in level.entries:
+                if previous is not None and (
+                    deadline < previous[0] or seq <= previous[1]
+                ):
+                    raise InvariantViolation(
+                        f"retransmit FIFO {level.attempt} out of order at "
+                        f"t={now:.6f}: (t={deadline:.6f}, seq={seq}) "
+                        f"follows (t={previous[0]:.6f}, seq={previous[1]})"
+                    )
+                previous = (deadline, seq)
+                other = where.setdefault(msg.msg_id, level.attempt)
+                if other != level.attempt:
+                    raise InvariantViolation(
+                        f"message {msg.msg_id} ({msg.kind}) is queued in "
+                        f"retransmit FIFOs {other} and {level.attempt}"
+                    )
+                if msg.retired or msg.ack_at <= now:
+                    continue  # finished; the next firing drops it
+                if msg.attempt != level.attempt:
+                    raise InvariantViolation(
+                        f"in-flight message {msg.msg_id} ({msg.kind}) at "
+                        f"attempt {msg.attempt} is queued in retransmit "
+                        f"FIFO {level.attempt}"
+                    )
+                if not msg.delivered:
+                    undelivered += 1
+        armed = Counter(
+            id(event)
+            for event in self.engine.pending_events()
+            if event.callback == self._on_rto
         )
+        for level in self._levels:
+            event = level.event
+            queued = armed[id(event)]
+            if not level.entries:
+                if queued:
+                    raise InvariantViolation(
+                        f"retransmit FIFO {level.attempt} is empty but its "
+                        f"event is queued at t={event.time:.6f}"
+                    )
+                continue
+            deadline, seq, msg = level.entries[0]
+            if queued != 1 or (event.time, event.priority, event.seq) != (
+                deadline,
+                _TIMER,
+                seq,
+            ):
+                raise InvariantViolation(
+                    f"retransmit FIFO {level.attempt}'s event is queued "
+                    f"{queued} times at (t={event.time:.6f}, "
+                    f"prio={event.priority}, seq={event.seq}), not at its "
+                    f"head's (t={deadline:.6f}, prio={_TIMER}, seq={seq}) "
+                    f"(message {msg.msg_id})"
+                )
+        if stats.sent != self._settled + len(where):
+            raise InvariantViolation(
+                f"a reliable message is missing from the retransmit FIFOs "
+                f"at t={now:.6f}: sent ({stats.sent}) != settled "
+                f"({self._settled}) + queued ({len(where)})"
+            )
         if stats.sent != stats.delivered + stats.dead_letters + undelivered:
             raise InvariantViolation(
-                f"control channel balance broken at t={self.engine.now:.6f}: "
+                f"control channel balance broken at t={now:.6f}: "
                 f"sent ({stats.sent}) != delivered ({stats.delivered}) + "
                 f"dead letters ({stats.dead_letters}) + undelivered in "
                 f"flight ({undelivered})"
             )
-        timers = Counter(
-            event.args[0].msg_id
-            for event in self.engine.pending_events()
-            if event.callback == self._on_timeout
-        )
-        for msg_id, msg in self._messages.items():
-            event = msg.retransmit_event
-            if (
-                msg.done
-                or event is None
-                or event.cancelled
-                or event.args[0] is not msg
-                or timers[msg_id] != 1
-            ):
-                raise InvariantViolation(
-                    f"in-flight message {msg_id} ({msg.kind}) has "
-                    f"{timers[msg_id]} live retransmit timers at "
-                    f"t={self.engine.now:.6f} (done={msg.done}, "
-                    f"armed={event is not None and not event.cancelled})"
-                )
 
     # -- one-way posts ----------------------------------------------------------
 
@@ -293,15 +390,13 @@ class ControlChannel:
         if not self.enabled:
             deliver()
             return
-        labels = self._labels.get(kind)
-        if labels is None:
-            labels = (f"net:{kind}", f"net.ack:{kind}", f"net.rto:{kind}")
-            self._labels[kind] = labels
+        label = self._labels.get(kind)
+        if label is None:
+            label = self._labels[kind] = f"net:{kind}"
         msg = _Message(
-            self._seq, kind, labels, node, deliver, on_dead_letter, unlimited
+            self._seq, kind, label, node, deliver, on_dead_letter, unlimited
         )
         self._seq += 1
-        self._messages[msg.msg_id] = msg
         self.stats.sent += 1
         self._transmit(msg)
         self._arm(msg)
@@ -335,16 +430,19 @@ class ControlChannel:
         if config.reorder > 0 and self._reorder() < config.reorder:
             self.stats.reordered += 1
             delay += config.reorder_window * (1.0 + self._reorder())
+        ordinal = self._ordinal
+        self._ordinal = ordinal + 1
         engine = self.engine
         engine.call_at(
             engine.now + delay,
             self._deliver_copy,
             msg,
+            ordinal,
             priority=_MESSAGE,
-            label=msg.labels[0],
+            label=msg.label,
         )
 
-    def _deliver_copy(self, msg: _Message) -> None:
+    def _deliver_copy(self, msg: _Message, ordinal: int) -> None:
         if msg.delivered:
             # Receiver-side dedup: count the redundant copy and re-ack it
             # (the retransmit implies the sender missed the earlier ack).
@@ -357,7 +455,7 @@ class ControlChannel:
                     node=msg.node,
                     msg=msg.kind,
                 )
-            self._send_ack(msg)
+            self._send_ack(msg, ordinal)
             return
         msg.delivered = True
         self.stats.delivered += 1
@@ -373,60 +471,75 @@ class ControlChannel:
         # Draw the ack's fate before running the handler so the channel's
         # stream consumption per delivery is a fixed prefix, independent
         # of whatever scheduling cascade the handler triggers.
-        self._send_ack(msg)
+        self._send_ack(msg, ordinal)
         msg.deliver()
 
-    def _send_ack(self, msg: _Message) -> None:
-        if msg.done:
+    def _send_ack(self, msg: _Message, ordinal: int) -> None:
+        """Ack the copy of channel ordinal ``ordinal`` — unless the
+        sender is done with the message: given up on, or an earlier ack
+        landed before this copy in calendar order."""
+        now = self.engine.now
+        if msg.retired or (msg.ack_at, msg.ack_ord) < (now, ordinal):
             return
         config = self.config
         if self._loss() < config.loss:
             self.stats.copies_lost += 1
             return  # lost ack: the sender's timer keeps retransmitting
-        delay = self._delay() if config.delay_mean > 0 else 0.0
-        engine = self.engine
-        engine.call_at(
-            engine.now + delay,
-            self._on_ack,
-            msg,
-            priority=_MESSAGE,
-            label=msg.labels[1],
-        )
-
-    def _on_ack(self, msg: _Message) -> None:
-        if not msg.done:
-            self._retire(msg)
-
-    def _retire(self, msg: _Message) -> None:
-        msg.done = True
-        if msg.retransmit_event is not None:
-            self.engine.cancel(msg.retransmit_event)
-            msg.retransmit_event = None
-        del self._messages[msg.msg_id]
+        ack_at = now + self._delay() if config.delay_mean > 0 else now
+        ack_ord = self._ordinal
+        self._ordinal = ack_ord + 1
+        if ack_at < msg.ack_at:  # at a tie the earlier ordinal lands first
+            msg.ack_at = ack_at
+            msg.ack_ord = ack_ord
 
     # -- retransmit state machine ---------------------------------------------------
 
-    def _arm(self, msg: _Message) -> None:
+    def _level(self, attempt: int) -> _RetransmitLevel:
+        """The FIFO of attempt level ``attempt``, made on first use."""
+        levels = self._levels
         config = self.config
-        timeout = exponential_backoff(
-            msg.attempt,
-            config.ack_timeout,
-            config.ack_backoff_factor,
-            config.ack_timeout_max,
-        )
-        engine = self.engine
-        msg.retransmit_event = engine.call_at(
-            engine.now + timeout,
-            self._on_timeout,
-            msg,
-            priority=_TIMER,
-            label=msg.labels[2],
-        )
+        while len(levels) < attempt:
+            number = len(levels) + 1
+            timeout = exponential_backoff(
+                number,
+                config.ack_timeout,
+                config.ack_backoff_factor,
+                config.ack_timeout_max,
+            )
+            levels.append(_RetransmitLevel(number, timeout, self._on_rto))
+        return levels[attempt - 1]
 
-    def _on_timeout(self, msg: _Message) -> None:
-        if msg.done:
+    def _arm(self, msg: _Message) -> None:
+        """Queue ``msg``'s timer in its attempt level's FIFO, pushing the
+        FIFO's event when the timer is its new head."""
+        level = self._level(msg.attempt)
+        engine = self.engine
+        deadline = engine.now + level.timeout
+        seq = engine.reserve_seq()
+        entries = level.entries
+        entries.append((deadline, seq, msg))
+        if len(entries) == 1:
+            engine.rearm(level.event, deadline, seq)
+
+    def _on_rto(self, level: _RetransmitLevel) -> None:
+        """The timer at the head of ``level`` is due: re-arm the FIFO at
+        its next unfinished entry, then time the head out unless it was
+        acked or given up on meanwhile."""
+        now = self.engine.now
+        entries = level.entries
+        msg = entries.popleft()[2]
+        while entries:
+            head = entries[0][2]
+            if head.retired or head.ack_at <= now:
+                entries.popleft()
+                self._settled += 1
+                continue
+            deadline, seq, _ = entries[0]
+            self.engine.rearm(level.event, deadline, seq)
+            break
+        if msg.retired or msg.ack_at <= now:
+            self._settled += 1
             return
-        msg.retransmit_event = None
         self.stats.timeouts += 1
         if self.obs.enabled:
             self.obs.emit(
@@ -438,6 +551,7 @@ class ControlChannel:
                 attempt=msg.attempt,
             )
         if not msg.unlimited and msg.attempt > self.config.retransmit_budget:
+            self._settled += 1
             self._give_up(msg)
             return
         msg.attempt += 1
@@ -455,11 +569,11 @@ class ControlChannel:
         self._arm(msg)
 
     def _give_up(self, msg: _Message) -> None:
+        msg.retired = True
         if msg.delivered:
             # The payload arrived; only the acks were lost.  Retiring
             # without the dead-letter path is what keeps delivery
             # exactly-once — re-pending here would double-book the work.
-            self._retire(msg)
             return
         self.stats.dead_letters += 1
         if self.obs.enabled:
@@ -472,7 +586,6 @@ class ControlChannel:
                 attempts=msg.attempt,
             )
         callback = msg.on_dead_letter
-        self._retire(msg)
         if callback is not None:
             callback()
 
@@ -501,16 +614,20 @@ class ControlChannel:
         )
 
     def _deliver_dispatch(self, node: "Node", subjob: Subjob) -> None:
-        node.reserved = False
         if (
             subjob.state not in (SubjobState.PENDING, SubjobState.SUSPENDED)
             or subjob.remaining_events == 0
         ):
+            node.reserved = False
             return  # finished or resumed through another path meanwhile
         if node.failed or node.busy:
+            node.reserved = False
             self._repend(subjob)
             return
+        # Start first, then drop the reservation: the node goes from
+        # reserved to busy without passing through the idle index.
         node.start(subjob)
+        node.reserved = False
 
     def _dispatch_dead_letter(self, node: "Node", subjob: Subjob) -> None:
         node.reserved = False

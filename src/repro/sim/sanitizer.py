@@ -32,7 +32,8 @@ module checks properties of a *running* simulation:
   replication) is a canonical count map
   (:meth:`repro.cluster.access.RemoteAccessCounter.check_invariants`);
 * the control channel's reliable messages balance and each in-flight
-  message has exactly one live retransmit timer
+  message sits in exactly one retransmit FIFO, whose event is queued at
+  its head
   (:meth:`repro.faults.net.ControlChannel.validate`);
 * subjobs follow the documented state machine
   (``PENDING → RUNNING ⇄ SUSPENDED → DONE``) and are never assigned to

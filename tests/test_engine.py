@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.engine import Engine
-from repro.core.errors import EngineError
+from repro.core.errors import EngineError, InvariantViolation
 from repro.core.events import EventPriority, describe_event
 
 
@@ -237,7 +237,61 @@ def _chunk_loop(rearm: bool):
     return log, eng.stats
 
 
+def _reserved_push(reserve: bool):
+    """A fired event pushed again at ``t=1`` among competing pushes at the
+    same ``(time, priority)`` made before and after a point: through a
+    seq reserved at that point and a later :meth:`Engine.rearm`, or a
+    fresh ``call_at`` made there."""
+    eng = Engine()
+    log = []
+
+    def other(tag):
+        log.append((eng.now, tag))
+
+    timer = eng.call_at(0.0, other, "timer")
+    eng.run()
+    eng.call_at(1.0, other, "before")
+    if reserve:
+        seq = eng.reserve_seq()
+        scheduled = eng.stats.scheduled
+    else:
+        eng.call_at(1.0, other, "timer")
+    eng.call_at(1.0, other, "after")
+    eng.call_at(1.0, other, "early", priority=EventPriority.MESSAGE)
+    eng.call_at(1.0, other, "last")
+    if reserve:
+        assert eng.stats.scheduled == scheduled + 3
+        assert eng.rearm(timer, 1.0, seq) is timer
+    eng.run()
+    return log, eng.stats
+
+
 class TestRearm:
+    def test_reserved_seq_sorts_where_call_at_would(self):
+        rearmed, rearmed_stats = _reserved_push(reserve=True)
+        fresh, fresh_stats = _reserved_push(reserve=False)
+        assert rearmed == fresh
+        assert [tag for _, tag in rearmed] == [
+            "timer", "early", "before", "timer", "after", "last"
+        ]
+        assert rearmed_stats == fresh_stats
+
+    def test_reservation_is_not_counted_as_scheduled(self):
+        eng = Engine()
+        assert (eng.reserve_seq(), eng.reserve_seq()) == (0, 1)
+        assert eng.stats.scheduled == 0
+        event = eng.call_at(1.0, lambda: None)
+        assert event.seq == 2
+        assert eng.stats.scheduled == 1
+
+    def test_validate_heap_rejects_a_reserved_rearm_of_a_queued_event(self):
+        eng = Engine()
+        event = eng.call_at(1.0, lambda: None, label="fifo")
+        eng.validate_heap()
+        eng.rearm(event, 2.0, eng.reserve_seq())
+        with pytest.raises(InvariantViolation, match="'fifo' is queued twice"):
+            eng.validate_heap()
+
     def test_orders_exactly_like_call_at(self):
         rearmed, rearmed_stats = _chunk_loop(rearm=True)
         fresh, fresh_stats = _chunk_loop(rearm=False)

@@ -18,7 +18,8 @@ missing points execute.
     repro simulate --policy out-of-order --load 1.5 --days 20
     repro trace --policy out-of-order --days 7 -o run   # traced run
     repro calibrate --stripe 5000       # measure the adaptive delay table
-    repro lint                          # simlint static analysis
+    repro lint                          # simlint, per-file rules
+    repro lint --flow src/repro benchmarks examples   # + whole-program rules
     repro bench --quick --baseline-dir .   # benchmark + regression check
 """
 
@@ -509,21 +510,9 @@ def _build_parser() -> argparse.ArgumentParser:
     lint_parser.add_argument(
         "--flow",
         action="store_true",
-        help="run the whole-program flow analysis (SIM101-SIM105) instead "
-        "of the per-file rules",
-    )
-    lint_parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="flow-findings baseline JSON (default: .simlint-flow.json "
-        "when it exists); new findings gate, grandfathered ones report",
-    )
-    lint_parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="with --flow: rewrite the baseline file from the current "
-        "findings (justifications left as TODO) and exit 0",
+        help="also run the whole-program flow rules (SIM101-SIM105) over "
+        "the same parse; they judge the given files together, so pass "
+        "the whole project",
     )
 
     bench_parser = sub.add_parser(
@@ -996,66 +985,13 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         print(format_table(["code", "rule"], rows, title="simlint rule catalogue"))
         return 0
     try:
-        config = make_config(
-            args.select.split(",") if args.select else None
-        )
-        if args.flow:
-            return _lint_flow(args, config)
-        if args.update_baseline:
-            print(
-                "repro lint: --update-baseline requires --flow",
-                file=sys.stderr,
-            )
-            return 2
-        findings, files_checked = lint_paths(args.paths, config)
+        config = make_config(args.select.split(",") if args.select else None)
+        report = lint_paths(args.paths, config, flow=args.flow)
     except LintUsageError as error:
         print(f"repro lint: {error}", file=sys.stderr)
         return 2
-    if args.format == "json":
-        print(render_json(findings, files_checked))
-    else:
-        print(render_text(findings, files_checked))
-    return 1 if findings else 0
-
-
-def _lint_flow(args: argparse.Namespace, config) -> int:
-    from pathlib import Path
-
-    from .lint import render_flow_json, render_flow_text
-    from .lint.flow import (
-        DEFAULT_BASELINE_NAME,
-        BaselineError,
-        default_flow_config,
-        flow_lint_paths,
-        write_baseline,
-    )
-
-    if not args.select:
-        config = default_flow_config()
-    if args.baseline is not None:
-        baseline_path = Path(args.baseline)
-    else:
-        default = Path(DEFAULT_BASELINE_NAME)
-        baseline_path = default if default.exists() else None
-    if args.update_baseline:
-        report = flow_lint_paths(args.paths, config, baseline_path=None)
-        target = baseline_path or Path(DEFAULT_BASELINE_NAME)
-        write_baseline(target, report.all_findings)
-        print(
-            f"repro lint: wrote {len(report.all_findings)} entr"
-            f"{'y' if len(report.all_findings) == 1 else 'ies'} to {target}"
-        )
-        return 0
-    try:
-        report = flow_lint_paths(args.paths, config, baseline_path=baseline_path)
-    except BaselineError as error:
-        print(f"repro lint: {error}", file=sys.stderr)
-        return 2
-    if args.format == "json":
-        print(render_flow_json(report))
-    else:
-        print(render_flow_text(report))
-    return 0 if report.is_clean() else 1
+    print(render_json(report) if args.format == "json" else render_text(report))
+    return 1 if report.findings else 0
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:

@@ -21,7 +21,7 @@ profiling runs on this workload.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Set, Tuple
 
 from ..obs.hooks import NULL_BUS, HookBus, kinds
 from .errors import EngineError, InvariantViolation
@@ -172,59 +172,6 @@ class Engine:
         return self.call_at(
             self.now + delay, callback, *args, priority=priority, label=label
         )
-
-    def call_at_batch(
-        self,
-        entries: Iterable[Tuple[float, Callable[..., None], Tuple[Any, ...], str]],
-        priority: int = EventPriority.TIMER,
-    ) -> int:
-        """Bulk-schedule ``(time, callback, args, label)`` entries.
-
-        Calendar fast path for homogeneous pre-generated event streams
-        (e.g. priming a run from an explicit workload trace): entries are
-        appended in one pass and the heap property is restored with a
-        single O(n) ``heapify`` instead of n O(log n) pushes — and when
-        the calendar is empty and the batch arrives time-sorted (the
-        common trace case), the appended list *is* already a valid heap
-        and even the heapify is skipped.
-
-        Sequence numbers are assigned in input order, so same-time
-        entries dispatch in input order — exactly as if each entry had
-        been passed to :meth:`call_at` in turn.  Returns the number of
-        events scheduled.
-        """
-        heap = self._heap
-        was_empty = not heap
-        priority = int(priority)
-        seq = self._seq
-        now = self.now
-        in_order = True
-        last_time = now  # every accepted time is >= now
-        count = 0
-        for time, callback, args, label in entries:
-            if time < now:
-                raise EngineError(
-                    f"cannot schedule at t={time:.6f} < now={now:.6f}"
-                )
-            if callback is None:
-                raise EngineError("callback must not be None")
-            time = float(time)
-            event = ScheduledEvent(time, priority, seq, callback, args, False, label)
-            heap.append((time, priority, seq, event))
-            if time < last_time:
-                in_order = False
-            last_time = time
-            seq += 1
-            count += 1
-        self._seq = seq
-        if count and not (was_empty and in_order):
-            # A sorted run appended to an empty calendar is already a
-            # valid heap; anything else needs one linear-time repair.
-            heapq.heapify(heap)
-        self.stats.scheduled += count
-        if len(heap) > self.stats.max_queue:
-            self.stats.max_queue = len(heap)
-        return count
 
     def cancel(self, event: Optional[ScheduledEvent]) -> None:
         """Cancel a previously scheduled event (no-op on ``None``)."""

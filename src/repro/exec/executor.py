@@ -4,10 +4,10 @@
 with two backends — serial (in-process) and a ``multiprocessing`` pool —
 chosen by ``jobs``.  Whatever the backend:
 
-* results stream back as they complete (live :class:`Progress` callbacks
-  and ``exec.*`` observability events) but are reassembled in spec order,
-  so the returned slots — and everything serialised from them — are
-  bit-identical regardless of ``--jobs``;
+* results stream back as they complete (live :class:`Progress`
+  callbacks) but are reassembled in spec order, so the returned slots —
+  and everything serialised from them — are bit-identical regardless of
+  ``--jobs``;
 * a worker exception becomes a structured
   :class:`~repro.exec.outcomes.SpecError` attached to that slot instead
   of aborting the pool, after bounded in-worker retries with the fault
@@ -31,7 +31,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
@@ -46,7 +46,6 @@ from typing import (
 )
 
 from ..core.clock import wall_clock
-from ..obs.hooks import NULL_BUS, HookBus, kinds
 from .cache import ResultCache
 from .fingerprint import spec_fingerprint
 from .outcomes import ExecOutcome, ExecStats, Progress, SpecError
@@ -218,13 +217,11 @@ class Executor:
         jobs: Optional[int] = None,
         cache: Optional[ResultCache] = None,
         retry: RetryPolicy = NO_RETRY,
-        obs: HookBus = NULL_BUS,
         spec_timeout: Optional[float] = None,
     ) -> None:
         self.jobs = jobs
         self.cache = cache
         self.retry = retry
-        self.obs = obs
         self.spec_timeout = spec_timeout
 
     # -- the one entry point --------------------------------------------------
@@ -241,8 +238,6 @@ class Executor:
         slots: List[Optional[Union["SimulationResult", SpecError]]] = [
             None
         ] * len(specs)
-        if self.obs.enabled:
-            self.obs.emit(0.0, kinds.EXEC_SWEEP_START, "exec", total=len(specs))
 
         fingerprints = self._fingerprints(specs)
         done = 0
@@ -273,11 +268,6 @@ class Executor:
             )
 
         stats.wall_seconds = wall_clock() - started
-        if self.obs.enabled:
-            self.obs.emit(
-                stats.wall_seconds, kinds.EXEC_SWEEP_END, "exec",
-                **asdict(stats),
-            )
         results = [slot for slot in slots if slot is not None]
         assert len(results) == len(specs), "executor lost a slot"
         return ExecOutcome(results=results, stats=stats)
@@ -307,8 +297,6 @@ class Executor:
         if result is None:
             return None
         stats.cache_hits += 1
-        if self.obs.enabled:
-            self.obs.emit(0.0, kinds.EXEC_CACHE_HIT, "exec", index=index)
         return result
 
     # -- phase 2: execution ---------------------------------------------------
@@ -371,16 +359,11 @@ class Executor:
         """Account one executed slot; write successes back to the cache."""
         stats.executed += 1
         stats.retries += attempts - 1
-        if self.obs.enabled and attempts > 1:
-            self.obs.emit(
-                0.0, kinds.EXEC_RETRY, "exec",
-                index=index, attempts=attempts,
-            )
         if isinstance(payload, _Failure):
             stats.failed += 1
             if payload.kind == TIMEOUT_KIND:
                 stats.timeouts += 1
-            error = SpecError(
+            return SpecError(
                 index=index,
                 label=spec.label,
                 policy=spec.policy,
@@ -389,16 +372,8 @@ class Executor:
                 traceback=payload.traceback,
                 attempts=attempts,
             )
-            if self.obs.enabled:
-                self.obs.emit(
-                    0.0, kinds.EXEC_SPEC_ERROR, "exec",
-                    index=index, error_kind=error.kind, attempts=attempts,
-                )
-            return error
         if self.cache is not None and fingerprints is not None:
             self.cache.put(fingerprints[index], payload)
-        if self.obs.enabled:
-            self.obs.emit(0.0, kinds.EXEC_SPEC_DONE, "exec", index=index)
         return payload
 
     # -- bookkeeping ----------------------------------------------------------

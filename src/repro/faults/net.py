@@ -19,9 +19,10 @@ state machine:
 * after ``retransmit_budget`` retransmits without an ack the message is
   **dead-lettered**: if it was genuinely never delivered its
   ``on_dead_letter`` callback runs (dispatches re-pend their subjob, so
-  lost work is re-queued rather than stranded); if it *was* delivered
-  and only the acks were lost, it is silently retired — running the
-  dead-letter path would double-book the work;
+  lost work is re-queued rather than stranded), and a copy of it still
+  in flight is dropped when it lands; if it *was* delivered and only
+  the acks were lost, it is silently retired — running the dead-letter
+  path would double-book the work;
 * completion reports are sent ``unlimited`` — ground truth must
   eventually reach the master, so they retransmit without a budget.
 
@@ -443,6 +444,10 @@ class ControlChannel:
         )
 
     def _deliver_copy(self, msg: _Message, ordinal: int) -> None:
+        if msg.retired and not msg.delivered:
+            # Dead-lettered: ``on_dead_letter`` already re-pended the
+            # work, so a copy still in flight must not deliver it again.
+            return
         if msg.delivered:
             # Receiver-side dedup: count the redundant copy and re-ack it
             # (the retransmit implies the sender missed the earlier ack).

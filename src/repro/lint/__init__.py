@@ -6,42 +6,45 @@ randomness (SIM002), no exact float comparison of simulation times
 (SIM003), guarded hook emissions (SIM004), immutable shared configs
 (SIM005) and no I/O from simulation code (SIM006).
 
-On top of the per-file pass, :mod:`repro.lint.flow` builds a
-project-wide graph and checks *cross-module* determinism contracts
-(SIM101–SIM105): RNG stream ownership, event-ordering discipline,
-summary-JSON schema agreement, stale suppressions and the obs hook
-taxonomy.
+Every run parses each file once into a project-wide graph
+(:mod:`repro.lint.flow`).  With ``--flow`` the run also checks the
+*cross-module* determinism contracts over that graph (SIM101–SIM105):
+RNG stream ownership, event-ordering discipline, summary-JSON schema
+agreement, stale suppressions and the obs hook taxonomy.  The flow
+rules judge files together, so lint the whole project with them.  The
+only way to waive a finding is a ``# simlint: disable=`` comment at its
+line, which SIM104 keeps honest.
 
 Run it as ``repro lint src/repro`` (exit code 1 on findings), add
-``--flow`` for the whole-program pass, or use the API::
+``--flow`` for the whole-program rules, or use the API::
 
     from repro.lint import lint_paths, render_text
 
-    findings, n_files = lint_paths(["src/repro"])
-    print(render_text(findings, n_files))
+    report = lint_paths(["src/repro"], flow=True)
+    print(render_text(report))
 """
 
 from .checker import (
     JSON_SCHEMA_VERSION,
+    LintReport,
     LintUsageError,
     iter_python_files,
     lint_paths,
-    lint_source,
+    lint_sources,
     make_config,
-    parse_suppression_directives,
     render_json,
     render_text,
-    syntax_error_finding,
 )
 from .config import LintConfig
-from .findings import ALL_RULES, FLOW_RULES, RULES, Finding, suggest_rule_codes
-from .flow import (
-    FlowReport,
-    default_flow_config,
-    flow_lint_paths,
-    render_flow_json,
-    render_flow_text,
+from .findings import (
+    ALL_RULES,
+    FLOW_RULES,
+    RULES,
+    Finding,
+    suggest_rule_codes,
+    syntax_error_finding,
 )
+from .flow import parse_suppression_directives
 
 __all__ = [
     "Finding",
@@ -49,10 +52,10 @@ __all__ = [
     "FLOW_RULES",
     "ALL_RULES",
     "LintConfig",
+    "LintReport",
     "LintUsageError",
     "JSON_SCHEMA_VERSION",
-    "FlowReport",
-    "lint_source",
+    "lint_sources",
     "lint_paths",
     "iter_python_files",
     "make_config",
@@ -61,8 +64,4 @@ __all__ = [
     "syntax_error_finding",
     "render_text",
     "render_json",
-    "default_flow_config",
-    "flow_lint_paths",
-    "render_flow_text",
-    "render_flow_json",
 ]

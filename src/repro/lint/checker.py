@@ -1,4 +1,14 @@
-"""simlint driver: file walking, suppression comments, report rendering.
+"""simlint driver: one pipeline for every run.
+
+A run reads every ``.py`` file under its paths and builds the project
+graph (:func:`repro.lint.flow.build_graph`): one ``ast.parse``, one
+per-file :class:`~repro.lint.rules.RuleVisitor` and one suppression
+scan per file.  The report holds the per-file findings ``select`` asks
+for; with ``flow=True`` the whole-program rules SIM101–SIM105 run over
+the same graph and add theirs, so a flow run is a superset of a plain
+one.  Every rule runs whatever ``select`` says; suppressions apply to
+all findings through the one function below, and ``select`` picks what
+is reported.
 
 Suppression syntax (targeted, never blanket)::
 
@@ -7,114 +17,100 @@ Suppression syntax (targeted, never blanket)::
     if a.last_access == b.last_access: ...
 
 A bare ``# simlint: disable`` (no codes) suppresses every rule on its
-line; prefer naming the codes so later readers know what was waived.
+line except SIM104, the finding that flags a stale directive itself;
+prefer naming the codes so later readers know what was waived.
 """
 
 from __future__ import annotations
 
-import ast
-import io
 import json
-import re
-import tokenize
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set
 
 from ..core.errors import ReproError
 from .config import LintConfig
 from .findings import ALL_RULES, Finding, suggest_rule_codes
-from .rules import RuleVisitor
+from .flow.graph import ProjectGraph, build_graph
+from .flow.rules import run_flow_rules
 
 #: Bumped when the JSON report shape changes.
-JSON_SCHEMA_VERSION = 1
-
-_SUPPRESS_RE = re.compile(
-    r"#\s*simlint:\s*(?P<directive>disable(?:-next-line)?)"
-    r"(?:\s*=\s*(?P<codes>[A-Z0-9,\s]+))?"
-)
-
-#: Sentinel meaning "every rule" in a suppression set.
-_ALL = "*"
+JSON_SCHEMA_VERSION = 2
 
 
 class LintUsageError(ReproError):
     """Bad lint invocation (unknown rule code, missing path, ...)."""
 
 
-def parse_suppression_directives(
-    source: str,
-) -> List[Tuple[int, int, Tuple[str, ...]]]:
-    """Every suppression comment in ``source``, in file order.
+@dataclass(frozen=True)
+class LintReport:
+    """Outcome of one lint run."""
 
-    Returns ``(comment_line, target_line, codes)`` triples; an empty
-    ``codes`` tuple means a bare ``disable`` (every rule).  The target
-    line is the comment's own line, or the next line for
-    ``disable-next-line`` — including one past EOF when the directive is
-    the last line of the file (such a directive can never match and is
-    exactly what SIM104 exists to catch).
-    """
-    directives: List[Tuple[int, int, Tuple[str, ...]]] = []
-    reader = io.StringIO(source).readline
-    try:
-        tokens = list(tokenize.generate_tokens(reader))
-    except (tokenize.TokenError, IndentationError):  # pragma: no cover
-        return directives
-    for token in tokens:
-        if token.type != tokenize.COMMENT:
-            continue
-        match = _SUPPRESS_RE.search(token.string)
-        if match is None:
-            continue
-        codes_text = match.group("codes")
-        codes = (
-            tuple(
-                sorted(
-                    {code.strip() for code in codes_text.split(",") if code.strip()}
-                )
-            )
-            if codes_text
-            else ()
-        )
-        comment_line = token.start[0]
-        target_line = comment_line
-        if match.group("directive") == "disable-next-line":
-            target_line += 1
-        directives.append((comment_line, target_line, codes))
-    return directives
-
-
-def _parse_suppressions(source: str) -> Dict[int, Set[str]]:
-    """Map line number -> set of suppressed codes (or ``{"*"}``)."""
-    suppressions: Dict[int, Set[str]] = {}
-    for _comment_line, target_line, codes in parse_suppression_directives(source):
-        suppressions.setdefault(target_line, set()).update(codes or {_ALL})
-    return suppressions
+    findings: List[Finding]
+    files_checked: int
+    #: Fact-base size counters from :meth:`ProjectGraph.stats`.
+    graph: Dict[str, int]
 
 
 def _apply_suppressions(
-    findings: Iterable[Finding], suppressions: Dict[int, Set[str]]
+    findings: Sequence[Finding], graph: ProjectGraph
 ) -> List[Finding]:
+    by_path: Dict[str, Dict[int, Set[str]]] = {}
+    for path, info in graph.modules.items():
+        lines: Dict[int, Set[str]] = {}
+        for directive in info.suppressions:
+            lines.setdefault(directive.target_line, set()).update(
+                directive.codes or {"*"}
+            )
+        by_path[path] = lines
     kept: List[Finding] = []
     for finding in findings:
-        codes = suppressions.get(finding.line)
-        if codes is not None and (_ALL in codes or finding.code in codes):
-            continue
+        codes = by_path.get(finding.path, {}).get(finding.line)
+        if codes is not None:
+            # A bare directive must not swallow the SIM104 finding that
+            # flags the directive itself; waiving one takes an explicit
+            # ``disable=SIM104``.
+            blanket = "*" in codes and finding.code != "SIM104"
+            if blanket or finding.code in codes:
+                continue
         kept.append(finding)
     return kept
 
 
-def lint_source(
-    source: str, path: str, config: Optional[LintConfig] = None
-) -> List[Finding]:
-    """Lint one module's source text; ``path`` is used for reporting and
-    for the per-rule module allowlists (match on posix-style paths)."""
+def lint_sources(
+    sources: Mapping[str, str],
+    config: Optional[LintConfig] = None,
+    flow: bool = False,
+) -> LintReport:
+    """Lint an in-memory ``{path: source}`` project.
+
+    ``path`` is used for reporting and for the per-rule module
+    allowlists (matched on posix-style paths).  Unparseable files
+    surface as a finding with code ``SIM000`` so CI fails loudly
+    instead of skipping.
+    """
     config = config or LintConfig()
-    posix_path = Path(path).as_posix()
-    tree = ast.parse(source, filename=path)
-    visitor = RuleVisitor(posix_path, config)
-    visitor.visit(tree)
-    findings = _apply_suppressions(visitor.findings, _parse_suppressions(source))
-    return sorted(findings, key=Finding.sort_key)
+    graph = build_graph(sources, config)
+    findings = [
+        finding for info in graph.modules.values() for finding in info.raw_findings
+    ]
+    if flow:
+        # Every flow rule runs whatever ``select`` says, so SIM104 sees
+        # each finding a suppression may be silencing.
+        findings.extend(
+            run_flow_rules(graph, replace(config, select=frozenset(ALL_RULES)))
+        )
+    findings = [
+        finding
+        for finding in _apply_suppressions(findings, graph)
+        if config.enabled(finding.code)
+    ]
+    findings.extend(graph.parse_errors)
+    return LintReport(
+        findings=sorted(findings, key=Finding.sort_key),
+        files_checked=len(sources),
+        graph=graph.stats(),
+    )
 
 
 def iter_python_files(paths: Sequence[str]) -> List[Path]:
@@ -131,53 +127,25 @@ def iter_python_files(paths: Sequence[str]) -> List[Path]:
     return sorted(files)
 
 
-def syntax_error_finding(path: str, error: SyntaxError) -> Finding:
-    """SIM000 finding for an unparseable file.
-
-    ``SyntaxError.offset`` is already 1-based, so it is used as the
-    column directly; the offending source line (when CPython provides
-    it) is embedded in the message so reports are actionable without
-    opening the file.
-    """
-    message = f"syntax error: {error.msg}"
-    offending = (error.text or "").strip()
-    if offending:
-        message += f" [{offending}]"
-    return Finding(
-        code="SIM000",
-        path=path,
-        line=error.lineno or 1,
-        col=error.offset or 1,
-        message=message,
-    )
-
-
 def lint_paths(
-    paths: Sequence[str], config: Optional[LintConfig] = None
-) -> Tuple[List[Finding], int]:
-    """Lint every ``.py`` file under ``paths``.
-
-    Returns ``(findings, files_checked)``.  Unparseable files surface as a
-    finding with code ``SIM000`` so CI fails loudly instead of skipping.
-    """
-    config = config or LintConfig()
-    findings: List[Finding] = []
-    files = iter_python_files(paths)
-    for file_path in files:
-        source = file_path.read_text(encoding="utf-8")
-        try:
-            findings.extend(lint_source(source, str(file_path), config))
-        except SyntaxError as error:
-            findings.append(syntax_error_finding(file_path.as_posix(), error))
-    return sorted(findings, key=Finding.sort_key), len(files)
+    paths: Sequence[str], config: Optional[LintConfig] = None, flow: bool = False
+) -> LintReport:
+    """Lint every ``.py`` file under ``paths`` (see :func:`lint_sources`)."""
+    return lint_sources(
+        {
+            file_path.as_posix(): file_path.read_text(encoding="utf-8")
+            for file_path in iter_python_files(paths)
+        },
+        config,
+        flow,
+    )
 
 
 def make_config(select: Optional[Sequence[str]] = None) -> LintConfig:
     """Build a config from ``--select`` style code lists.
 
     Unknown codes are rejected with a did-you-mean suggestion (codes
-    validate against the full catalogue, per-file *and* flow, so
-    ``--select SIM101 --flow`` works symmetrically).
+    validate against the full catalogue, per-file *and* flow).
     """
     if not select:
         return LintConfig()
@@ -201,29 +169,31 @@ def make_config(select: Optional[Sequence[str]] = None) -> LintConfig:
 # -- rendering ---------------------------------------------------------------
 
 
-def render_text(findings: Sequence[Finding], files_checked: int) -> str:
+def render_text(report: LintReport) -> str:
     """Human-readable report (one finding per line, grep-friendly)."""
     lines = [
         f"{finding.location()}: {finding.code} {finding.message}"
-        for finding in findings
+        for finding in report.findings
     ]
+    files_checked = report.files_checked
     noun = "file" if files_checked == 1 else "files"
-    if findings:
+    if report.findings:
         lines.append(
-            f"simlint: {len(findings)} finding(s) in {files_checked} {noun}"
+            f"simlint: {len(report.findings)} finding(s) in {files_checked} {noun}"
         )
     else:
         lines.append(f"simlint: clean ({files_checked} {noun} checked)")
     return "\n".join(lines)
 
 
-def render_json(findings: Sequence[Finding], files_checked: int) -> str:
+def render_json(report: LintReport) -> str:
     """Machine-readable report for CI (stable schema, see tests)."""
     payload = {
         "schema_version": JSON_SCHEMA_VERSION,
         "tool": "simlint",
-        "files_checked": files_checked,
-        "count": len(findings),
-        "findings": [finding.as_dict() for finding in findings],
+        "files_checked": report.files_checked,
+        "count": len(report.findings),
+        "findings": [finding.as_dict() for finding in report.findings],
+        "graph": report.graph,
     }
     return json.dumps(payload, indent=2)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fnmatch import fnmatch
 from typing import FrozenSet, Tuple
 
-from .findings import RULES
+from .findings import ALL_RULES
 
 #: The one module allowed to read the wall clock (SIM001).  Everything
 #: else must import :func:`repro.core.clock.wall_clock`.
@@ -31,10 +31,9 @@ DEFAULT_OBS_MODULES: Tuple[str, ...] = ("*/obs/*.py",)
 #: sinks, the sweep runner's progress output, workload-trace files, the
 #: benchmark harness (``repro.perf`` reads/writes BENCH_*.json and runs
 #: ``git rev-parse``), the execution layer (``repro.exec`` owns the
-#: result cache on disk), simlint itself (reads
-#: sources, writes the flow baseline) — and the top-level driver
-#: scripts (benchmarks/, examples/), whose entire job is terminal
-#: output.
+#: result cache on disk), simlint itself (reads sources) — and the
+#: top-level driver scripts (benchmarks/, examples/), whose entire job
+#: is terminal output.
 DEFAULT_IO_MODULES: Tuple[str, ...] = (
     "*/cli.py",
     "*/__main__.py",
@@ -64,10 +63,9 @@ def _match_any(path: str, patterns: Tuple[str, ...]) -> bool:
 class LintConfig:
     """Immutable knob set of one lint run."""
 
-    #: Rules to check; defaults to the full catalogue.
-    select: FrozenSet[str] = field(
-        default_factory=lambda: frozenset(RULES)
-    )
+    #: Rules to report; defaults to the full catalogue (per-file and
+    #: flow rules alike).
+    select: FrozenSet[str] = field(default_factory=lambda: frozenset(ALL_RULES))
     clock_modules: Tuple[str, ...] = DEFAULT_CLOCK_MODULES
     rng_modules: Tuple[str, ...] = DEFAULT_RNG_MODULES
     obs_modules: Tuple[str, ...] = DEFAULT_OBS_MODULES

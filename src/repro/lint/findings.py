@@ -2,9 +2,10 @@
 
 Each rule has a stable code used in reports, in CI gating and in targeted
 suppression comments (``# simlint: disable=SIM003``).  ``SIM001``–``SIM006``
-are per-file AST rules; ``SIM101``–``SIM105`` are whole-program flow rules
-(``repro lint --flow``, package :mod:`repro.lint.flow`) that need the
-project-wide import/call/constant graph.  The catalogue doubles as
+are per-file AST rules, reported by every run; ``SIM101``–``SIM105`` are
+whole-program flow rules (package :mod:`repro.lint.flow`) that judge the
+project graph as a whole and run only with ``repro lint --flow``.
+``SIM000`` marks a file that does not parse.  The catalogue doubles as
 documentation: ``repro lint --rules`` prints it.
 """
 
@@ -108,3 +109,24 @@ class Finding:
 
     def sort_key(self) -> tuple:
         return (self.path, self.line, self.col, self.code)
+
+
+def syntax_error_finding(path: str, error: SyntaxError) -> Finding:
+    """SIM000 finding for an unparseable file.
+
+    ``SyntaxError.offset`` is already 1-based, so it is used as the
+    column directly; the offending source line (when CPython provides
+    it) is embedded in the message so reports are actionable without
+    opening the file.
+    """
+    message = f"syntax error: {error.msg}"
+    offending = (error.text or "").strip()
+    if offending:
+        message += f" [{offending}]"
+    return Finding(
+        code="SIM000",
+        path=path,
+        line=error.lineno or 1,
+        col=error.offset or 1,
+        message=message,
+    )

@@ -1,53 +1,31 @@
 """Whole-program flow lint: cross-module determinism contracts.
 
-Where :mod:`repro.lint` checks one file at a time, this package builds a
+Where a per-file rule judges one module, this package builds a
 project-wide fact base (:mod:`.graph`) and checks contracts that only
 exist *between* modules (:mod:`.rules`, SIM101–SIM105): RNG stream
 ownership, event-ordering discipline, writer/reader schema agreement,
-suppression staleness and the obs hook taxonomy.  Pre-existing accepted
-findings live in a committed baseline (:mod:`.baseline`) so CI gates on
-regressions only.
+suppression staleness and the obs hook taxonomy.  Every lint run builds
+the graph, because it is also the one parse the per-file rules read;
+the flow rules run over it with ``repro lint --flow``
+(:func:`repro.lint.lint_paths` with ``flow=True``).
 """
 
-from .baseline import (
-    BASELINE_SCHEMA_VERSION,
-    BaselineEntry,
-    BaselineError,
-    DEFAULT_BASELINE_NAME,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
+from .graph import (
+    ProjectGraph,
+    Suppression,
+    build_graph,
+    collect_module,
+    component_of,
+    parse_suppression_directives,
 )
-from .checker import (
-    FLOW_JSON_SCHEMA_VERSION,
-    FlowReport,
-    default_flow_config,
-    flow_lint_paths,
-    flow_lint_source,
-    render_flow_json,
-    render_flow_text,
-)
-from .graph import ProjectGraph, build_graph, collect_module, component_of
 from .rules import run_flow_rules
 
 __all__ = [
-    "BASELINE_SCHEMA_VERSION",
-    "BaselineEntry",
-    "BaselineError",
-    "DEFAULT_BASELINE_NAME",
-    "FLOW_JSON_SCHEMA_VERSION",
-    "FlowReport",
     "ProjectGraph",
-    "apply_baseline",
+    "Suppression",
     "build_graph",
     "collect_module",
     "component_of",
-    "default_flow_config",
-    "flow_lint_paths",
-    "flow_lint_source",
-    "load_baseline",
-    "render_flow_json",
-    "render_flow_text",
+    "parse_suppression_directives",
     "run_flow_rules",
-    "write_baseline",
 ]

@@ -19,21 +19,36 @@ into a :class:`ProjectGraph`:
   stores to ``.now``, the class-inheritance table, and what each
   ``on_event`` observer method schedules or mutates;
 * **suppressions & raw findings** — per-file ``# simlint: disable``
-  directives plus the *pre-suppression* per-file findings, so SIM104 can
+  directives plus the *pre-suppression* per-file findings of every
+  SIM00x rule: the report of every lint run, and what SIM104 needs to
   prove a directive still suppresses something.
 
-Nothing here decides what is a violation — that is :mod:`.rules`.
+Every lint run builds this graph, flow rules or not: it is the one parse
+of each file.  Nothing here decides what is a flow violation — that is
+:mod:`.rules`.
 """
 
 from __future__ import annotations
 
 import ast
+import io
+import re
+import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..config import LintConfig
-from ..findings import Finding
+from ..findings import Finding, syntax_error_finding
 from ..rules import RuleVisitor
 
 #: Private Engine attributes nothing outside the kernel may touch.
@@ -123,14 +138,50 @@ class SchemaVersionLiteral:
     col: int
 
 
-@dataclass(frozen=True)
-class Suppression:
+class Suppression(NamedTuple):
     """One suppression directive: where it sits and what it targets."""
 
     comment_line: int
     target_line: int
     codes: Tuple[str, ...]  # empty tuple == bare disable (all codes)
-    path: str
+
+
+_SUPPRESS_RE = re.compile(
+    r"#\s*simlint:\s*(?P<directive>disable(?:-next-line)?)"
+    r"(?:\s*=\s*(?P<codes>[A-Z0-9,\s]+))?"
+)
+
+
+def parse_suppression_directives(source: str) -> List[Suppression]:
+    """Every suppression comment in ``source``, in file order.
+
+    The target line is the comment's own line, or the next line for
+    ``disable-next-line`` — including one past EOF when the directive is
+    the last line of the file (such a directive can never match and is
+    exactly what SIM104 exists to catch).
+    """
+    directives: List[Suppression] = []
+    reader = io.StringIO(source).readline
+    try:
+        tokens = list(tokenize.generate_tokens(reader))
+    except (tokenize.TokenError, IndentationError):  # pragma: no cover
+        return directives
+    for token in tokens:
+        if token.type != tokenize.COMMENT:
+            continue
+        match = _SUPPRESS_RE.search(token.string)
+        if match is None:
+            continue
+        codes_text = match.group("codes") or ""
+        codes = tuple(
+            sorted({code.strip() for code in codes_text.split(",") if code.strip()})
+        )
+        comment_line = token.start[0]
+        target_line = comment_line
+        if match.group("directive") == "disable-next-line":
+            target_line += 1
+        directives.append(Suppression(comment_line, target_line, codes))
+    return directives
 
 
 @dataclass
@@ -562,51 +613,38 @@ class FlowCollector(ast.NodeVisitor):
 def collect_module(
     path: str, source: str, config: Optional[LintConfig] = None
 ) -> ModuleInfo:
-    """Parse one module and extract its flow facts (plus raw per-file
-    findings and suppression directives for SIM104)."""
-    from ..checker import parse_suppression_directives
-
+    """Parse one module and extract its flow facts, its per-file
+    findings before suppression, and its suppression directives."""
     config = config or LintConfig()
     posix = Path(path).as_posix()
     info = ModuleInfo(path=posix, component=component_of(posix))
     tree = ast.parse(source, filename=path)
     FlowCollector(info).visit(tree)
-    # Raw (pre-suppression) per-file findings with the FULL rule set: a
-    # suppression is live as long as it silences *some* default finding,
-    # regardless of the current --select.
-    visitor = RuleVisitor(posix, LintConfig())
+    # Every per-file rule runs whatever ``config.select`` says: a
+    # suppression is live as long as it silences *some* finding, and the
+    # report picks the selected codes afterwards.
+    visitor = RuleVisitor(posix, config)
     visitor.visit(tree)
-    info.raw_findings = sorted(visitor.findings, key=Finding.sort_key)
-    for comment_line, target_line, codes in parse_suppression_directives(source):
-        info.suppressions.append(
-            Suppression(
-                comment_line=comment_line,
-                target_line=target_line,
-                codes=codes,
-                path=posix,
-            )
-        )
+    info.raw_findings = visitor.findings
+    info.suppressions = parse_suppression_directives(source)
     return info
 
 
 def build_graph(
-    files: Sequence[Path], config: Optional[LintConfig] = None
+    sources: Mapping[str, str], config: Optional[LintConfig] = None
 ) -> ProjectGraph:
-    """Parse every file and assemble the whole-program graph.
+    """Parse every ``{path: source}`` module into the whole-program graph.
 
     Unparseable files surface as SIM000 findings on
     :attr:`ProjectGraph.parse_errors` instead of aborting the build.
     """
-    from ..checker import syntax_error_finding
-
     graph = ProjectGraph()
-    for file_path in files:
-        source = file_path.read_text(encoding="utf-8")
+    for path in sorted(sources):
         try:
-            info = collect_module(str(file_path), source, config)
+            info = collect_module(path, sources[path], config)
         except SyntaxError as error:
             graph.parse_errors.append(
-                syntax_error_finding(file_path.as_posix(), error)
+                syntax_error_finding(Path(path).as_posix(), error)
             )
             continue
         graph.modules[info.path] = info

@@ -1,8 +1,8 @@
 """The flow-rule passes SIM101–SIM105 over a :class:`ProjectGraph`.
 
 Each pass is a pure function ``(graph, config) -> List[Finding]``; the
-driver (:mod:`.checker`) applies suppression comments and the committed
-baseline afterwards.  Rule semantics:
+driver (:mod:`repro.lint.checker`) applies suppression comments
+afterwards.  Rule semantics:
 
 SIM101 — **RNG stream aliasing.**  Every named stream must have exactly
 one owning component: two components calling ``streams.get("x")`` share

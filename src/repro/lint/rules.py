@@ -142,8 +142,6 @@ class RuleVisitor(ast.NodeVisitor):
     # -- helpers -------------------------------------------------------------
 
     def _report(self, code: str, node: ast.AST, message: str) -> None:
-        if not self.config.enabled(code):
-            return
         self.findings.append(
             Finding(
                 code=code,

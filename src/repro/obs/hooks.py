@@ -101,14 +101,6 @@ class kinds:
     SIM_END = "sim.end"
     ENGINE_DISPATCH = "engine.dispatch"
 
-    # -- execution layer (repro.exec; time = wall seconds into the batch) -----
-    EXEC_SWEEP_START = "exec.sweep_start"
-    EXEC_SPEC_DONE = "exec.spec_done"
-    EXEC_SPEC_ERROR = "exec.spec_error"  # SpecError attached to a slot
-    EXEC_CACHE_HIT = "exec.cache_hit"  # slot satisfied without running
-    EXEC_RETRY = "exec.retry"  # worker needed more than one attempt
-    EXEC_SWEEP_END = "exec.sweep_end"
-
 
 @dataclass(slots=True)
 class TraceEvent:

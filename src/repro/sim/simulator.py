@@ -243,14 +243,21 @@ class Simulation:
     # -- wiring ---------------------------------------------------------------
 
     def _make_workload(self) -> Iterator[JobRequest]:
-        """The run's arrival stream, lazily (never the whole list).
+        """The run's arrival stream, in arrival order.
 
         Generated workloads stay a generator all the way into the
         chained arrival pump, so a million-job run never materialises a
-        million :class:`JobRequest` objects.
+        million :class:`JobRequest` objects.  An explicit trace, possibly
+        unsorted, is sorted by arrival time; the sort is stable, so
+        equal-time arrivals keep their trace order.
         """
         if self._trace is not None:
-            return (r for r in self._trace if r.arrival_time < self.config.duration)
+            return iter(
+                sorted(
+                    (r for r in self._trace if r.arrival_time < self.config.duration),
+                    key=lambda r: r.arrival_time,
+                )
+            )
         generator = WorkloadGenerator(
             dataspace=self.config.dataspace(),
             arrival_rate_per_hour=self.config.arrival_rate_per_hour,
@@ -382,26 +389,14 @@ class Simulation:
         Called automatically by :meth:`run`; call it directly when driving
         the engine manually (e.g. stepping a policy in tests).
 
-        Explicit traces (possibly unsorted) are bulk-loaded through the
-        engine's :meth:`~repro.core.engine.Engine.call_at_batch` fast
-        path; generated workloads go through the chained arrival pump so
-        the calendar holds one pending arrival at a time.  Both dispatch
-        bit-identically to the historical push-everything loop.
+        Arrivals go through the chained arrival pump, so the calendar
+        holds one pending arrival at a time.
         """
         if self._primed:
             return
         self._primed = True
-        if self._trace is not None:
-            self.engine.call_at_batch(
-                (
-                    (r.arrival_time, self._on_arrival, (r,), f"arrival:{r.job_id}")
-                    for r in self._make_workload()
-                ),
-                priority=EventPriority.ARRIVAL,
-            )
-        else:
-            self._arrivals = self._make_workload()
-            self._pump_next_arrival()
+        self._arrivals = self._make_workload()
+        self._pump_next_arrival()
         if self.injector is not None:
             self.injector.prime()
         self.engine.call_at(0.0, self._probe, priority=EventPriority.PROBE)

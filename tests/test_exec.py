@@ -14,7 +14,6 @@ from repro.core import units
 from repro.core.errors import ExecError
 from repro.exec import (
     Executor,
-    NO_RETRY,
     RetryPolicy,
     ResultCache,
     SpecError,
@@ -223,26 +222,6 @@ class TestProgressStreaming:
         )
         assert all(e.cached for e in events)
         assert all(e.brief.startswith("cached ") for e in events)
-
-
-class TestObsIntegration:
-    def test_exec_events_emitted(self):
-        from repro.obs.hooks import HookBus, TraceSink, kinds
-
-        seen = []
-
-        class Collector(TraceSink):
-            def on_event(self, event):
-                seen.append(event.kind)
-
-        bus = HookBus()
-        bus.attach(Collector())
-        executor = Executor(jobs=1, retry=NO_RETRY, obs=bus)
-        executor.run(_specs(1) + [_bad_spec()])
-        assert kinds.EXEC_SWEEP_START in seen
-        assert kinds.EXEC_SPEC_DONE in seen
-        assert kinds.EXEC_SPEC_ERROR in seen
-        assert kinds.EXEC_SWEEP_END in seen
 
 
 class TestStats:

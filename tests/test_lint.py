@@ -14,10 +14,11 @@ from repro.lint import (
     RULES,
     Finding,
     LintConfig,
+    LintReport,
     LintUsageError,
     iter_python_files,
     lint_paths,
-    lint_source,
+    lint_sources,
     make_config,
     parse_suppression_directives,
     render_json,
@@ -27,6 +28,13 @@ from repro.lint import (
 FIXTURES = Path(__file__).parent / "lint_fixtures"
 REPO_ROOT = Path(__file__).parent.parent
 SRC = REPO_ROOT / "src" / "repro"
+
+
+def lint_source(
+    source: str, path: str, config: LintConfig | None = None
+) -> list[Finding]:
+    """Per-file findings of one module, through the one lint pipeline."""
+    return lint_sources({path: source}, config).findings
 
 
 def lint_fixture(name: str, config: LintConfig | None = None) -> list[Finding]:
@@ -188,24 +196,23 @@ class TestAllowlists:
 
 class TestReports:
     def test_json_schema(self):
-        findings, n_files = lint_paths([str(FIXTURES / "bad_io.py")])
-        payload = json.loads(render_json(findings, n_files))
-        assert payload["schema_version"] == JSON_SCHEMA_VERSION
+        payload = json.loads(render_json(lint_paths([str(FIXTURES / "bad_io.py")])))
+        assert payload["schema_version"] == JSON_SCHEMA_VERSION == 2
         assert payload["tool"] == "simlint"
         assert payload["files_checked"] == 1
         assert payload["count"] == len(payload["findings"]) == 3
+        assert payload["graph"]["modules"] == 1
         for entry in payload["findings"]:
             assert set(entry) == {"code", "path", "line", "col", "message"}
             assert entry["code"] in RULES
 
     def test_text_report_lists_location_and_code(self):
-        findings, n_files = lint_paths([str(FIXTURES / "bad_io.py")])
-        text = render_text(findings, n_files)
+        text = render_text(lint_paths([str(FIXTURES / "bad_io.py")]))
         assert "bad_io.py:7:5: SIM006" in text
         assert "3 finding(s) in 1 file" in text
 
     def test_text_report_clean(self):
-        assert "clean" in render_text([], 4)
+        assert "clean" in render_text(LintReport([], 4, {}))
 
     def test_iter_python_files_rejects_missing_path(self):
         with pytest.raises(LintUsageError, match="no such file"):
@@ -217,8 +224,9 @@ class TestReports:
     def test_sim000_carries_column_and_source_line(self, tmp_path):
         bad = tmp_path / "broken.py"
         bad.write_text("def f(:\n    pass\n")
-        findings, n_files = lint_paths([str(bad)])
-        assert n_files == 1
+        report = lint_paths([str(bad)])
+        findings = report.findings
+        assert report.files_checked == 1
         assert [f.code for f in findings] == ["SIM000"]
         finding = findings[0]
         assert finding.line == 1
@@ -226,7 +234,7 @@ class TestReports:
         assert finding.col == 7
         assert "def f(:" in finding.message
         # Same shape as every other rule: the JSON payload validates.
-        payload = json.loads(render_json(findings, n_files))
+        payload = json.loads(render_json(report))
         assert set(payload["findings"][0]) == {
             "code",
             "path",
@@ -265,12 +273,12 @@ class TestCli:
 
 class TestTreeIsClean:
     def test_simlint_clean_on_shipped_tree(self):
-        findings, n_files = lint_paths([str(SRC)])
-        assert n_files > 50
-        assert findings == [], render_text(findings, n_files)
+        report = lint_paths([str(SRC)])
+        assert report.files_checked > 50
+        assert report.findings == [], render_text(report)
 
     def test_simlint_clean_on_driver_scripts(self):
-        findings, n_files = lint_paths(
+        report = lint_paths(
             [str(REPO_ROOT / "benchmarks"), str(REPO_ROOT / "examples")]
         )
-        assert findings == [], render_text(findings, n_files)
+        assert report.findings == [], render_text(report)

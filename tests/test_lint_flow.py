@@ -1,33 +1,30 @@
 """Tests for the whole-program flow lint (repro.lint.flow): the graph
-builder, SIM101-SIM105 rule passes, the baseline workflow, the CLI, and
-the meta-test that the shipped tree is flow-clean against the committed
-baseline."""
+builder, SIM101-SIM105 rule passes, the flow run as a superset of the
+plain run, the CLI, and the meta-test that the shipped project is
+flow-clean with no waiver but in-source suppressions."""
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
 
-import pytest
-
 from repro.cli import main
-from repro.lint import FLOW_RULES, default_flow_config, suggest_rule_codes
-from repro.lint.flow import (
-    BaselineEntry,
-    BaselineError,
-    apply_baseline,
-    component_of,
-    flow_lint_paths,
-    flow_lint_source,
-    load_baseline,
-    render_flow_json,
-    render_flow_text,
-    write_baseline,
+from repro.lint import (
+    FLOW_RULES,
+    lint_paths,
+    lint_sources,
+    make_config,
+    render_json,
+    render_text,
+    suggest_rule_codes,
 )
+from repro.lint.flow import component_of
 
 REPO_ROOT = Path(__file__).parent.parent
 SRC = REPO_ROOT / "src" / "repro"
-BASELINE = REPO_ROOT / ".simlint-flow.json"
+FIXTURES = Path(__file__).parent / "lint_fixtures"
+#: What CI lints with ``--flow``: the whole project.
+PROJECT = [str(SRC), str(REPO_ROOT / "benchmarks"), str(REPO_ROOT / "examples")]
 
 #: A minimal kinds taxonomy used by the hook-contract fixtures.
 HOOKS_MODULE = '''\
@@ -43,8 +40,7 @@ class kinds:
 
 
 def flow(sources: dict) -> list:
-    findings, _graph = flow_lint_source(sources, default_flow_config())
-    return findings
+    return lint_sources(sources, flow=True).findings
 
 
 def codes(findings: list) -> list:
@@ -363,6 +359,16 @@ class TestStaleSuppressions:
         assert codes(findings) == ["SIM104"]
         assert "bare" in findings[0].message
 
+    def test_live_flow_suppression_not_stale_under_select(self):
+        sources = {
+            "src/repro/sched/a.py": (
+                "def f(engine):\n"
+                "    return len(engine._heap)  # simlint: disable=SIM102\n"
+            ),
+        }
+        config = make_config(["SIM104"])
+        assert lint_sources(sources, config, flow=True).findings == []
+
     def test_suppression_of_live_flow_finding_not_stale(self):
         findings = flow(
             {
@@ -458,103 +464,55 @@ class TestHookContract:
         assert "did you mean 'demo.used'" in typo.message
 
 
-class TestBaseline:
-    def test_entry_covers_by_code_glob_and_substring(self):
-        entry = BaselineEntry(
-            code="SIM105",
-            path="*/obs/hooks.py",
-            match="hook kind DEAD",
-            justification="known",
-        )
-        findings = flow(
-            {
-                "src/repro/obs/hooks.py": 'class kinds:\n    DEAD = "demo.dead"\n',
-                "src/repro/obs/recorder.py": (
-                    "from .hooks import kinds\n"
-                    "\n"
-                    "\n"
-                    "def count(event):\n"
-                    "    return event.kind == kinds.DEAD\n"
-                ),
-            }
-        )
-        new, grandfathered, unused = apply_baseline(findings, [entry])
-        assert new == [] and len(grandfathered) == 1 and unused == []
-
-    def test_unused_entries_reported(self):
-        entry = BaselineEntry(
-            code="SIM101", path="*", match="nothing", justification="old"
-        )
-        new, grandfathered, unused = apply_baseline([], [entry])
-        assert unused == [entry]
-
-    def test_empty_justification_rejected(self, tmp_path):
-        bad = tmp_path / "base.json"
-        bad.write_text(
-            json.dumps(
-                {
-                    "schema_version": 1,
-                    "entries": [
-                        {
-                            "code": "SIM101",
-                            "path": "*",
-                            "match": "x",
-                            "justification": "  ",
-                        }
-                    ],
-                }
-            )
-        )
-        with pytest.raises(BaselineError, match="justification"):
-            load_baseline(bad)
-
-    def test_wrong_schema_version_rejected(self, tmp_path):
-        bad = tmp_path / "base.json"
-        bad.write_text(json.dumps({"schema_version": 99, "entries": []}))
-        with pytest.raises(BaselineError, match="schema_version"):
-            load_baseline(bad)
-
-    def test_missing_file_is_empty_baseline(self, tmp_path):
-        assert load_baseline(tmp_path / "absent.json") == []
-
-    def test_write_then_load_roundtrip(self, tmp_path):
-        findings = flow(
-            {
-                "src/repro/sched/a.py": (
-                    'def f(streams):\n    return streams.get("dup.x")\n'
-                ),
-                "src/repro/perf/b.py": (
-                    'def g(streams):\n    return streams.get("dup.x")\n'
-                ),
-            }
-        )
-        target = tmp_path / "base.json"
-        write_baseline(target, findings)
-        payload = json.loads(target.read_text())
-        assert payload["tool"] == "simlint-flow"
-        # The written file has TODO justifications, which load_baseline
-        # accepts (non-empty); the entries then cover the same findings.
-        entries = load_baseline(target)
-        new, grandfathered, unused = apply_baseline(findings, entries)
-        assert new == [] and unused == []
-
-
 class TestRendering:
     def test_flow_json_schema(self):
-        report = flow_lint_paths([str(SRC)], baseline_path=BASELINE)
-        payload = json.loads(render_flow_json(report))
-        assert payload["schema_version"] == 1
-        assert payload["tool"] == "simlint-flow"
+        payload = json.loads(render_json(lint_paths([str(SRC)], flow=True)))
+        assert payload["schema_version"] == 2
+        assert payload["tool"] == "simlint"
         assert payload["count"] == len(payload["findings"])
         assert payload["graph"]["modules"] > 50
-        for entry in payload["findings"] + payload["grandfathered"]:
+        for entry in payload["findings"]:
             assert set(entry) == {"code", "path", "line", "col", "message"}
 
-    def test_flow_text_marks_grandfathered(self):
-        report = flow_lint_paths([str(SRC)], baseline_path=BASELINE)
-        text = render_flow_text(report)
-        assert "[baseline]" in text
-        assert "clean" in text
+    def test_flow_text_uses_the_one_renderer(self):
+        sources = {"src/repro/sched/a.py": "def f(engine):\n    engine.now = 1.0\n"}
+        plain = lint_sources(sources)
+        flowed = lint_sources(sources, flow=True)
+        assert render_text(plain) == "simlint: clean (1 file checked)"
+        assert render_text(flowed).endswith("simlint: 1 finding(s) in 1 file")
+        assert "SIM102" in render_text(flowed)
+
+
+#: One line with a per-file finding (SIM001) and a flow finding (SIM102).
+CLOCK_STORE = (
+    "import time\n"
+    "\n"
+    "\n"
+    "def f(engine):\n"
+    "    engine.now = time.time()\n"
+)
+
+
+class TestFlowIsASuperset:
+    def test_flow_run_keeps_per_file_findings(self):
+        sources = {"src/repro/sched/a.py": CLOCK_STORE}
+        assert codes(lint_sources(sources).findings) == ["SIM001"]
+        assert codes(flow(sources)) == ["SIM102", "SIM001"]
+        # --select filters both kinds alike.
+        config = make_config(["SIM102"])
+        assert codes(lint_sources(sources, config, flow=True).findings) == [
+            "SIM102"
+        ]
+        assert lint_sources(sources, config).findings == []
+
+    def test_one_suppression_waives_both_kinds(self):
+        sources = {
+            "src/repro/sched/a.py": CLOCK_STORE.replace(
+                "time.time()\n", "time.time()  # simlint: disable\n"
+            )
+        }
+        assert flow(sources) == []
+        assert lint_sources(sources).findings == []
 
 
 class TestDidYouMean:
@@ -574,62 +532,22 @@ class TestDidYouMean:
 
 
 class TestCli:
-    def test_flow_clean_with_baseline(self, capsys):
-        assert (
-            main(["lint", "--flow", "--baseline", str(BASELINE), str(SRC)]) == 0
-        )
+    def test_flow_clean_on_shipped_project(self, capsys):
+        assert main(["lint", "--flow", *PROJECT]) == 0
         assert "clean" in capsys.readouterr().out
 
-    def test_flow_without_baseline_reports_grandfathered_as_new(self, capsys):
-        # Without the baseline the EXEC_* findings gate: exit 1.
-        assert (
-            main(
-                [
-                    "lint",
-                    "--flow",
-                    "--baseline",
-                    "/nonexistent-simlint-baseline.json",
-                    str(SRC),
-                ]
-            )
-            == 1
-        )
-        assert "SIM105" in capsys.readouterr().out
-
-    def test_update_baseline_requires_flow(self, capsys):
-        assert main(["lint", "--update-baseline", str(SRC)]) == 2
-        assert "--flow" in capsys.readouterr().err
-
-    def test_update_baseline_writes_file(self, tmp_path, capsys):
-        target = tmp_path / "flow-base.json"
-        assert (
-            main(
-                [
-                    "lint",
-                    "--flow",
-                    "--update-baseline",
-                    "--baseline",
-                    str(target),
-                    str(SRC),
-                ]
-            )
-            == 0
-        )
-        payload = json.loads(target.read_text())
-        assert payload["tool"] == "simlint-flow"
-        assert all(e["justification"] for e in payload["entries"])
+    def test_flow_reports_every_per_file_finding(self, capsys):
+        assert main(["lint", "--format", "json", str(FIXTURES)]) == 1
+        plain = json.loads(capsys.readouterr().out)
+        assert main(["lint", "--flow", "--format", "json", str(FIXTURES)]) == 1
+        flowed = json.loads(capsys.readouterr().out)
+        assert plain["count"] > 0
+        assert all(entry in flowed["findings"] for entry in plain["findings"])
+        assert flowed["files_checked"] == plain["files_checked"]
 
 
 class TestTreeIsFlowClean:
     def test_flow_lint_clean_on_shipped_tree(self):
-        report = flow_lint_paths([str(SRC)], baseline_path=BASELINE)
+        report = lint_paths(PROJECT, flow=True)
         assert report.files_checked > 50
-        assert report.new == [], render_flow_text(report)
-
-    def test_committed_baseline_has_no_unused_entries(self):
-        report = flow_lint_paths([str(SRC)], baseline_path=BASELINE)
-        assert report.unused_entries == [], render_flow_text(report)
-
-    def test_committed_baseline_justifications_are_real(self):
-        for entry in load_baseline(BASELINE):
-            assert "TODO" not in entry.justification
+        assert report.findings == [], render_text(report)

@@ -220,6 +220,32 @@ class TestChannelProtocol:
         assert channel.stats.dead_letters == 0
         assert channel.in_flight == 0
 
+    def test_late_copy_of_a_dead_letter_is_dropped(self):
+        # Delays far above the ack timeout: copies are still in flight
+        # when their message runs out of retransmits and is dead-lettered.
+        # Such a copy must not deliver what on_dead_letter re-pended.
+        engine, channel = self._channel(
+            NetFaultConfig(loss=0.3, delay_mean=3.0, ack_timeout=0.5,
+                           retransmit_budget=1),
+            seed=7,
+        )
+        delivered = []
+        dead = []
+        for i in range(200):
+            channel.send_reliable(
+                lambda i=i: delivered.append(i),
+                kind="dispatch",
+                on_dead_letter=lambda i=i: dead.append(i),
+            )
+        engine.run()
+        stats = channel.stats
+        assert dead, "the setup must dead-letter some messages"
+        assert set(delivered).isdisjoint(dead)
+        assert len(delivered) == stats.delivered
+        assert len(dead) == stats.dead_letters
+        assert channel.in_flight == 0
+        assert stats.sent == stats.delivered + stats.dead_letters
+
     def test_balance_law_holds_at_every_instant(self):
         engine, channel = self._channel(
             NetFaultConfig(loss=0.3, duplicate=0.1, delay_mean=0.2,
@@ -497,6 +523,8 @@ class _ScalarChannel:
                                label=f"net:{msg.kind}")
 
     def _deliver_copy(self, msg):
+        if msg.done and not msg.delivered:
+            return  # a late copy of a dead letter
         if msg.delivered:
             self.stats.duplicates_dropped += 1
             self._send_ack(msg)

@@ -539,7 +539,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help="compare against the committed BENCH_scale.json in DIR; exit 1 "
-        "when any record's slowdown exceeds the threshold",
+        "when any record's slowdown exceeds the threshold, 2 when a record "
+        "counts its work in another unit than the baseline's",
     )
     bench_parser.add_argument(
         "--threshold",
@@ -1035,7 +1036,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             f"{args.baseline_dir}; skipping comparison"
         )
         return 0
-    comparison = compare_reports(report, baseline, threshold)
+    try:
+        comparison = compare_reports(report, baseline, threshold)
+    except ValueError as error:
+        print(f"repro bench: {error}", file=sys.stderr)
+        return 2
     print(comparison.describe())
     if comparison.regressed:
         print("repro bench: throughput regression detected", file=sys.stderr)

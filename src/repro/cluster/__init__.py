@@ -6,6 +6,7 @@ from .access import (
     ChunkPlan,
     DataAccessPlanner,
     NoCachePlanner,
+    WholeSegmentPlanner,
     RemoteAccessCounter,
     RemoteReadPlanner,
     ReplicationStats,
@@ -19,6 +20,7 @@ __all__ = [
     "DataSource",
     "DataAccessPlanner",
     "NoCachePlanner",
+    "WholeSegmentPlanner",
     "CachingPlanner",
     "RemoteReadPlanner",
     "ContentionRemoteReadPlanner",

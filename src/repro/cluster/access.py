@@ -17,7 +17,8 @@ next chunk of a subjob, two questions, one call each:
 Policies differ only in the planner they install:
 
 * processing farm & plain job splitting never touch the caches
-  (:class:`NoCachePlanner`);
+  (:class:`NoCachePlanner`; the farm's :class:`WholeSegmentPlanner`
+  plans a subjob's whole segment at once);
 * every cache-aware policy uses :class:`CachingPlanner` (tertiary reads
   populate the local LRU cache, hits refresh it);
 * the §4.2 replication variant uses :class:`RemoteReadPlanner`, which
@@ -36,7 +37,7 @@ runs it overlaps, not a pass over every extent the owner has served.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from ..core.errors import InvariantViolation
 from ..data.intervals import IntervalSet, RunMap
@@ -119,7 +120,8 @@ class DataAccessPlanner:
         self, node: "Node", start: int, end: int, max_events: int
     ) -> ChunkPlan:
         """Choose the next uniform chunk of the remaining events
-        ``[start, end)``: left-aligned, at most ``max_events`` long."""
+        ``[start, end)``: left-aligned, at most ``max_events`` long (only
+        :class:`WholeSegmentPlanner` plans further)."""
         cap = start + max_events
         if cap < end:
             end = cap
@@ -220,6 +222,59 @@ class NoCachePlanner(DataAccessPlanner):
         start = plan.start
         if end > start:
             self.tertiary.read(node.node_id, start, end, node.engine.now)
+
+
+class WholeSegmentPlanner(NoCachePlanner):
+    """The processing farm's planner: the whole remaining segment as one
+    tertiary plan.
+
+    The node times the plan as sub-chunks of at most ``max_events``
+    events and credits them lazily (:meth:`~repro.cluster.node.Node.settle`), so a farm subjob
+    costs one calendar event instead of one per chunk, with every
+    statistic unchanged.  A no-cache chunk's accounting is its tape read
+    alone, with no cache stamp or stream to keep in time, which is what
+    lets the node credit a run of them after the fact.
+
+    The planner also holds :attr:`ends`, the chunk-end times of every
+    live run on its nodes, which the nodes keep so that runs ending a
+    chunk at the same instant fall back to one event per chunk
+    (:meth:`~repro.cluster.node.Node._break_ties`).  Splitting keeps the
+    per-chunk :class:`NoCachePlanner`: its equal pieces end at the same
+    instant by design.
+    """
+
+    def __init__(self, tertiary: TertiaryStorage) -> None:
+        super().__init__(tertiary)
+        #: Chunk-end time -> the node whose run ends a chunk then, or the
+        #: number of runs that do when several do (kept by the nodes).
+        self.ends: Dict[float, Union["Node", int]] = {}
+
+    def plan_chunk(
+        self, node: "Node", start: int, end: int, max_events: int
+    ) -> ChunkPlan:
+        return ChunkPlan(start, end, _TERTIARY)
+
+    def on_chunks_processed(
+        self, node: "Node", start: int, end: int, chunks: int, now: float
+    ) -> None:
+        """Record ``chunks`` whole sub-chunks tiling ``[start, end)``,
+        credited in one step by :meth:`~repro.cluster.node.Node.settle`:
+        one tape read of ``chunks`` requests, stamped ``now``."""
+        self.tertiary.read(node.node_id, start, end, now, chunks)
+
+    def check_ends(self, running: Mapping[float, int]) -> None:
+        """Sanitizer check: :attr:`ends` counts exactly the unsettled
+        chunk ends of the ``running`` runs (end time -> number of runs)."""
+        held = {
+            time: count if isinstance(count, int) else 1
+            for time, count in self.ends.items()
+        }
+        if held != dict(running):
+            stray = sorted(set(held.items()) ^ set(running.items()))[:3]
+            raise InvariantViolation(
+                f"chunk-end index holds {len(held)} end times but the "
+                f"running runs end {len(running)} (first differences: {stray})"
+            )
 
 
 class CachingPlanner(DataAccessPlanner):

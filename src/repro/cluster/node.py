@@ -4,21 +4,37 @@ subjob execution.
 A node runs at most one subjob at a time (§2.4: "we only run a single job
 or subjob per processor at any given time").  Execution is *chunked*: the
 node asks its :class:`~repro.cluster.access.DataAccessPlanner` for the next
-uniform-rate run of events, schedules one engine event at the chunk's
-completion time, and repeats, re-arming that same event for every further
-chunk, across subjobs, until a preemption or a crash cancels it.  Each
-chunk costs the planner two calls: one to plan it and one to account for
-what of it was processed.  Preemption between
-events is exact: an interrupted chunk credits the whole events finished
-so far and re-queues the rest (the in-flight fractional event is
-re-processed later, matching the paper's event-atomic processing).
+uniform-rate run of events and schedules one engine event at its
+completion time, re-arming that same event for every further run, across
+subjobs, until a preemption or a crash cancels it.
+
+A run is at most ``chunk_events`` long for every planner but the farm's,
+whose :class:`~repro.cluster.access.WholeSegmentPlanner` plans the whole
+remaining segment at once.  The node times any longer run as
+``ceil(len / chunk_events)`` sub-chunks, each paying the setup latency,
+with the same float recurrence as one engine event per chunk, so the run's
+end time is the same to the last bit; it arms one event at that end and
+credits the sub-chunks lazily.  :meth:`Node.settle` credits, in order,
+every sub-chunk ended by now: at the run's completion, before a crash or a
+preemption, at the horizon, and when a tertiary stall changes the rate
+(the run is then cut back to its in-flight sub-chunk and the rest planned
+at the new rate when it ends, the rate being snapshotted at plan time).
+Simultaneous completions run in the order their events were armed, which
+one event per chunk would set at each chunk end, so a run stays lazy only
+while no other run ends a chunk at any of its chunk ends; the nodes share
+an index of those times to check (:meth:`Node._break_ties`).
+
+Preemption between events is exact: an interrupted chunk credits the
+whole events finished so far and re-queues the rest (the in-flight
+fractional event is re-processed later, matching the paper's event-atomic
+processing).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.sanitizer import InvariantChecker
@@ -29,7 +45,7 @@ from ..core.events import EventPriority, ScheduledEvent
 from ..data.cache import LRUSegmentCache
 from ..obs.hooks import NULL_BUS, HookBus, kinds
 from ..workload.jobs import Subjob, SubjobState
-from .access import ChunkPlan, DataAccessPlanner
+from .access import ChunkPlan, DataAccessPlanner, WholeSegmentPlanner
 from .costmodel import CostModel, DataSource
 
 #: Tolerance for float round-off when counting whole events in an elapsed
@@ -41,6 +57,22 @@ _EVENT_EPSILON = 1e-9
 _COMPLETION = int(EventPriority.COMPLETION)
 
 _TERTIARY = DataSource.TERTIARY
+
+
+def _chunk_ends(
+    time: float, start: int, end: int, step: int, per_event: float, setup: float
+) -> List[float]:
+    """End times of the sub-chunks of the run ``[start, end)`` begun at
+    ``time``, each at most ``step`` events long and paying ``setup``: the
+    float recurrence of one completion event per chunk, whose next chunk
+    starts at the previous one's end."""
+    ends = []
+    while start < end:
+        events = end - start if end - start < step else step
+        time = time + (setup + events * per_event)
+        ends.append(time)
+        start += events
+    return ends
 
 
 @dataclass
@@ -117,9 +149,13 @@ class Node:
         self.obs = obs
         self.stats = NodeStats()
         self.current: Optional[Subjob] = None
-        #: The in-flight chunk, kept in plain attributes rather than a
-        #: record per chunk: its plan (``None`` when idle), per-event time,
-        #: setup latency, start time and completion event.  The event is
+        #: The in-flight run, kept in plain attributes rather than a
+        #: record per run: its plan (``None`` when idle), per-event time,
+        #: setup latency, start time and completion event.  For a run of
+        #: several sub-chunks, :meth:`settle` narrows the plan to its
+        #: unsettled part and moves the start time to that part's first
+        #: sub-chunk, so the pair always describes what is still in
+        #: flight.  The event is
         #: built by the first chunk after construction, a preemption or a
         #: crash, and re-armed for every further chunk: of the subjob, and
         #: of the subjobs started after it ends.  While the node is idle
@@ -130,6 +166,14 @@ class Node:
         self._setup = 0.0
         self._started_at = 0.0
         self._completion: Optional[ScheduledEvent] = None
+        #: The chunk-end times of every live run on the planner's nodes,
+        #: shared through a :class:`WholeSegmentPlanner` (``None`` with
+        #: any other planner, whose runs are single chunks): the time
+        #: maps to the one run ending a chunk then, or to how many runs
+        #: do when several do.  See :meth:`_break_ties`.
+        self._ends: Optional[Dict[float, Union["Node", int]]] = (
+            planner.ends if isinstance(planner, WholeSegmentPlanner) else None
+        )
         #: Calendar label of the running subjob's chunk completions, built
         #: once per :meth:`start` (and written onto the kept event).
         self._label = ""
@@ -150,7 +194,8 @@ class Node:
         self.idle_index: Optional[List[int]] = None
         #: Per-event time multiplier for tertiary chunks (tertiary-stall
         #: modelling; snapshotted into each chunk at plan time, mirroring
-        #: the contention planner's rate_factor approximation).
+        #: the contention planner's rate_factor approximation).  Read-only:
+        #: :meth:`set_tertiary_slowdown` changes it.
         self.tertiary_slowdown = 1.0
         #: Installed by the simulator: ``callback(node, subjob)``.
         self.on_subjob_complete: Optional[Callable[["Node", Subjob], None]] = None
@@ -254,13 +299,14 @@ class Node:
         subjob = self.current
         if subjob is None:
             return None
+        self.settle()
         plan = self._plan
         assert plan is not None
         self.engine.cancel(self._completion)
         elapsed = self.engine.now - self._started_at
         productive = max(0.0, elapsed - self._setup)
         events_done = int(productive / self._per_event + _EVENT_EPSILON)
-        events_done = min(events_done, plan.end - plan.start)
+        events_done = min(events_done, plan.end - plan.start, self.chunk_events)
         self._account_chunk(
             subjob,
             plan,
@@ -268,6 +314,7 @@ class Node:
             events_done,
             events_done * self._per_event + min(elapsed, self._setup),
         )
+        self._release(self._started_at, plan.start, plan.end)
         self._plan = None
         self._completion = None
         self.current = None
@@ -304,8 +351,9 @@ class Node:
         in-flight chunk — the whole events already computed in it are lost
         work (tracked in :attr:`NodeStats.lost_events` /
         :attr:`NodeStats.lost_seconds`).  Progress from previously
-        completed chunks survives, so a retried subjob resumes from the
-        last chunk boundary.  Returns the aborted subjob (SUSPENDED), or
+        completed chunks (and sub-chunks, which :meth:`settle` credits
+        first) survives, so a retried subjob resumes from the last chunk
+        boundary.  Returns the aborted subjob (SUSPENDED), or
         ``None`` if the node was not running one.
         """
         if self.failed:
@@ -313,16 +361,20 @@ class Node:
         subjob = self.current
         aborted: Optional[Subjob] = None
         if subjob is not None:
+            # Sub-chunks that ended by now are done; only the in-flight
+            # one is lost.
+            self.settle()
             plan = self._plan
             assert plan is not None
             self.engine.cancel(self._completion)
             elapsed = self.engine.now - self._started_at
             productive = max(0.0, elapsed - self._setup)
             lost = int(productive / self._per_event + _EVENT_EPSILON)
-            lost = min(lost, plan.end - plan.start)
+            lost = min(lost, plan.end - plan.start, self.chunk_events)
             # Account the chunk with an empty prefix: nothing is credited,
             # but the planner releases the streams its plan counted.
             self.planner.on_chunk_processed(self, plan, plan.start)
+            self._release(self._started_at, plan.start, plan.end)
             self._plan = None
             self._completion = None
             self.current = None
@@ -385,6 +437,176 @@ class Node:
             self.stats.downtime_seconds += self.engine.now - self._down_since
             self._down_since = self.engine.now
 
+    # -- lazily credited runs ------------------------------------------------------
+
+    def settle(self) -> None:
+        """Credit, in order, every sub-chunk of the running run that has
+        ended by now.
+
+        Only a run longer than ``chunk_events`` has sub-chunks to settle;
+        a single chunk is credited by its completion event (or by
+        :meth:`preempt`).  Each sub-chunk adds its own busy seconds, so
+        the float sum is the one per-chunk crediting makes; the events
+        are credited to the subjob, the job and the tape in one step.  A
+        traced run reads the tape and records ``CHUNK_DONE`` once per
+        sub-chunk instead, stamped with that sub-chunk's end time.
+        """
+        plan = self._plan
+        if plan is None:
+            return
+        start = plan.start
+        end = plan.end
+        step = self.chunk_events
+        if end - start <= step:
+            return
+        now = self.engine.now
+        per_event = self._per_event
+        setup = self._setup
+        began = time = self._started_at
+        if time + (setup + step * per_event) > now:
+            return
+        subjob = self.current
+        planner = self.planner
+        assert subjob is not None and isinstance(planner, WholeSegmentPlanner)
+        stats = self.stats
+        busy = stats.busy_seconds
+        traced = self.obs.enabled
+        position = start
+        chunks = 0
+        while position < end:
+            events = end - position if end - position < step else step
+            finish = time + (setup + events * per_event)
+            if finish > now:
+                break
+            seconds = events * per_event + setup
+            busy += seconds
+            if traced:
+                planner.on_chunks_processed(self, position, position + events, 1, finish)
+                self._emit_chunk_done(subjob, plan.source, events, seconds, finish)
+            position += events
+            time = finish
+            chunks += 1
+        if not traced:
+            planner.on_chunks_processed(self, start, position, chunks, now)
+        self._release(began, start, position)
+        events = position - start
+        stats.busy_seconds = busy
+        subjob.processed += events
+        subjob.job.note_progress(events)
+        stats.events_processed += events
+        stats.events_by_source[plan.source] += events
+        # Each credited sub-chunk but the run's last had a successor start
+        # the moment it ended.
+        stats.chunks_started += chunks if position < end else chunks - 1
+        plan.start = position
+        self._started_at = time
+
+    def chunk_ends(self) -> List[float]:
+        """End times of the in-flight run's unsettled (sub-)chunks, in
+        order, recomputed with the recurrence the completion event was
+        armed by (empty when idle): the sanitizer checks the last one is
+        the event's time to the bit."""
+        plan = self._plan
+        if plan is None:
+            return []
+        return _chunk_ends(
+            self._started_at,
+            plan.start,
+            plan.end,
+            self.chunk_events,
+            self._per_event,
+            self._setup,
+        )
+
+    def set_tertiary_slowdown(self, factor: float) -> None:
+        """Change the per-event multiplier of tertiary chunks (a tertiary
+        stall starting or ending).
+
+        A chunk keeps the rate it was planned at.  A run of several
+        sub-chunks is therefore cut back to its in-flight sub-chunk and
+        plans the rest at the new rate when that sub-chunk ends, exactly
+        where a chunk-at-a-time run would plan its next chunk.
+        """
+        if factor == self.tertiary_slowdown:
+            return
+        self.tertiary_slowdown = factor
+        self._cut_back()
+
+    def _cut_back(self) -> None:
+        """Settle a run of several sub-chunks and cut it back to its
+        in-flight sub-chunk, re-arming the completion event at that
+        sub-chunk's end (a no-op for a run of one chunk)."""
+        plan = self._plan
+        step = self.chunk_events
+        if plan is None or plan.end - plan.start <= step:
+            return
+        self.settle()
+        if plan.end - plan.start <= step:
+            return
+        finish = self._started_at + (self._setup + step * self._per_event)
+        self._release(finish, plan.start + step, plan.end)
+        plan.end = plan.start + step
+        engine = self.engine
+        engine.cancel(self._completion)
+        self._completion = engine.call_at(
+            finish,
+            self._on_chunk_complete,
+            priority=_COMPLETION,
+            label=self._label,
+        )
+
+    def _claim(self, marks: List[float]) -> None:
+        """Enter a run's chunk-end times in the shared end index."""
+        ends = self._ends
+        assert ends is not None
+        for time in marks:
+            held = ends.get(time)
+            if held is None:
+                ends[time] = self
+            elif isinstance(held, int):
+                ends[time] = held + 1
+            else:
+                ends[time] = 2
+
+    def _release(self, time: float, start: int, end: int) -> None:
+        """Remove from the shared end index the ends of the sub-chunks
+        tiling ``[start, end)`` from ``time`` on (a no-op without one)."""
+        ends = self._ends
+        if ends is None:
+            return
+        step = self.chunk_events
+        for finish in _chunk_ends(time, start, end, step, self._per_event, self._setup):
+            held = ends[finish]
+            if held is self or held == 1:
+                del ends[finish]
+            else:
+                assert isinstance(held, int)
+                ends[finish] = held - 1
+
+    def _break_ties(self, marks: List[float]) -> bool:
+        """Whether a chunk end of a run about to be armed at ``marks``
+        coincides with one already in the shared end index; every run
+        holding such a time as a sub-chunk end is cut back first.
+
+        Simultaneous completions run in calendar order, which one event
+        per chunk sets by when each chunk was armed.  A run of several
+        sub-chunks arms nothing at its inner chunk ends, so it stays one
+        only while no other run ends a chunk at the same instant: then
+        the order that the per-chunk events would have taken is the one
+        the remaining events take.
+        """
+        ends = self._ends
+        assert ends is not None
+        tied = False
+        for time in marks:
+            held = ends.get(time)
+            if held is None:
+                continue
+            tied = True
+            if isinstance(held, Node):
+                held._cut_back()
+        return tied
+
     # -- internals ----------------------------------------------------------------
 
     def _sync_idle(self) -> None:
@@ -403,16 +625,19 @@ class Node:
             del index[bisect_left(index, self.node_id)]
 
     def _begin_next_chunk(self) -> None:
-        """Plan the next chunk of the running subjob and schedule its
+        """Plan the next run of the running subjob and schedule its
         completion: one planner call and one calendar push, re-arming the
-        node's fired completion event when it has one."""
+        node's fired completion event when it has one.  A run longer than
+        ``chunk_events`` (whole-segment plans only) is timed as
+        sub-chunks, the recurrence of one event per chunk written out."""
         subjob = self.current
         assert subjob is not None
         segment = subjob.segment
         start = segment.start + subjob.processed
         end = segment.end
         assert start < end
-        plan = self.planner.plan_chunk(self, start, end, self.chunk_events)
+        step = self.chunk_events
+        plan = self.planner.plan_chunk(self, start, end, step)
         chunk_end = plan.end
         if plan.start != start or not start < chunk_end <= end:
             raise SchedulingError(
@@ -424,19 +649,37 @@ class Node:
         per_event = per_event * plan.rate_factor
         if source is _TERTIARY and self.tertiary_slowdown != 1.0:
             per_event *= self.tertiary_slowdown
-        duration = setup + (chunk_end - start) * per_event
         engine = self.engine
         now = engine.now
+        if chunk_end - start <= step:
+            finish = now + (setup + (chunk_end - start) * per_event)
+            if self._ends is not None:
+                marks = [finish]
+                self._break_ties(marks)
+                self._claim(marks)
+        else:
+            if self._ends is None:
+                raise SchedulingError(
+                    f"planner returned chunk [{start}, {chunk_end}) longer "
+                    f"than {step} events; only a whole-segment planner may"
+                )
+            marks = _chunk_ends(now, start, chunk_end, step, per_event, setup)
+            if self._break_ties(marks):
+                # Run one chunk now and plan again at its end.
+                plan.end = start + step
+                del marks[1:]
+            self._claim(marks)
+            finish = marks[-1]
         event = self._completion
         if event is None:
             self._completion = engine.call_at(
-                now + duration,
+                finish,
                 self._on_chunk_complete,
                 priority=_COMPLETION,
                 label=self._label,
             )
         else:
-            engine.rearm(event, now + duration)
+            engine.rearm(event, finish)
         self._plan = plan
         self._per_event = per_event
         self._setup = setup
@@ -444,30 +687,40 @@ class Node:
         self.stats.chunks_started += 1
 
     def _on_chunk_complete(self) -> None:
-        """Credit the whole planned range of the finished chunk, then
-        plan the next one (re-arming this event) or finish the subjob.
+        """Credit the whole planned range of the finished run, then plan
+        the next one (re-arming this event) or finish the subjob.
 
-        The crediting is :meth:`_account_chunk` and
+        A run of sub-chunks is credited by :meth:`settle`.  A single
+        chunk's crediting is :meth:`_account_chunk` and
         :meth:`Subjob.advance` written out: this runs once per chunk."""
         subjob = self.current
         plan = self._plan
         assert subjob is not None and plan is not None
         end = plan.end
-        events = end - plan.start
-        seconds = events * self._per_event + self._setup
-        self.planner.on_chunk_processed(self, plan, end)
         segment = subjob.segment
-        processed = subjob.processed + events
-        if processed > segment.end - segment.start:
-            raise SchedulingError(f"subjob {subjob.sid} progressed past its segment")
-        subjob.processed = processed
-        subjob.job.note_progress(events)
-        stats = self.stats
-        stats.busy_seconds += seconds
-        stats.events_processed += events
-        stats.events_by_source[plan.source] += events
-        if self.obs.enabled:
-            self._emit_chunk_done(subjob, plan, events, seconds)
+        if end - plan.start > self.chunk_events:
+            self.settle()
+        else:
+            events = end - plan.start
+            seconds = events * self._per_event + self._setup
+            self.planner.on_chunk_processed(self, plan, end)
+            processed = subjob.processed + events
+            if processed > segment.end - segment.start:
+                raise SchedulingError(
+                    f"subjob {subjob.sid} progressed past its segment"
+                )
+            subjob.processed = processed
+            subjob.job.note_progress(events)
+            stats = self.stats
+            stats.busy_seconds += seconds
+            stats.events_processed += events
+            stats.events_by_source[plan.source] += events
+            if self.obs.enabled:
+                self._emit_chunk_done(
+                    subjob, plan.source, events, seconds, self.engine.now
+                )
+        if self._ends is not None:
+            self._release(self._started_at, plan.start, end)
         self._plan = None
         if end == segment.end:
             self.current = None
@@ -495,21 +748,28 @@ class Node:
         stats.events_processed += events
         stats.events_by_source[plan.source] += events
         if self.obs.enabled and events > 0:
-            self._emit_chunk_done(subjob, plan, events, seconds)
+            self._emit_chunk_done(
+                subjob, plan.source, events, seconds, self.engine.now
+            )
 
     def _emit_chunk_done(
-        self, subjob: Subjob, plan: ChunkPlan, events: int, seconds: float
+        self,
+        subjob: Subjob,
+        source: DataSource,
+        events: int,
+        seconds: float,
+        time: float,
     ) -> None:
-        # Guarded at both call sites with `if self.obs.enabled`, so the
+        # Guarded at every call site with `if self.obs.enabled`, so the
         # untraced chunk path makes no call here.
         self.obs.emit(  # simlint: disable=SIM004
-            self.engine.now,
+            time,
             kinds.CHUNK_DONE,
             "node",
             node=self.node_id,
             job=subjob.job.job_id,
             sid=subjob.sid,
-            src=plan.source.value,
+            src=source.value,
             events=events,
             duration=seconds,
         )

@@ -55,10 +55,16 @@ class TertiaryStorage:
         self._distinct = IntervalSet()
 
     def read(
-        self, node_id: int, start: int, end: int, now: Optional[float] = None
+        self,
+        node_id: int,
+        start: int,
+        end: int,
+        now: Optional[float] = None,
+        requests: int = 1,
     ) -> None:
         """Record that ``node_id`` streamed ``[start, end)`` from tertiary
-        storage (``now`` timestamps the trace event when tracing)."""
+        storage in ``requests`` consecutive reads (``now`` timestamps the
+        trace event when tracing)."""
         if end <= start:
             return
         if start < 0 or end > self.dataspace.total_events:
@@ -67,7 +73,7 @@ class TertiaryStorage:
         events = end - start
         stats = self.stats
         stats.events_read += events
-        stats.read_requests += 1
+        stats.read_requests += requests
         per_node = stats.events_read_per_node
         per_node[node_id] = per_node.get(node_id, 0) + events
         stats.distinct_events_read += self._distinct.add_measure(start, end)

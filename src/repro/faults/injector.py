@@ -154,7 +154,7 @@ class FaultInjector:
         if self._stall_depth == 1:
             self._stall_since = self.engine.now
         for node in self.cluster:
-            node.tertiary_slowdown = self.config.stall_slowdown
+            node.set_tertiary_slowdown(self.config.stall_slowdown)
         if self.obs.enabled:
             self.obs.emit(
                 self.engine.now,
@@ -169,6 +169,6 @@ class FaultInjector:
             return  # scripted stalls may overlap; end with the last one
         self.stats_stall_seconds += self.engine.now - self._stall_since
         for node in self.cluster:
-            node.tertiary_slowdown = 1.0
+            node.set_tertiary_slowdown(1.0)
         if self.obs.enabled:
             self.obs.emit(self.engine.now, kinds.STALL_END, "faults")

@@ -9,7 +9,9 @@ that file: a record **regresses** when
 i.e. the threshold is the tolerated slowdown factor.  Records carrying a
 peak-RSS measurement (``rss_kb``, every ``scale`` record) are
 additionally gated on memory: ``current_rss / baseline_rss >
-rss_threshold`` regresses too.  Records present on only one side are
+rss_threshold`` regresses too.  Matched records must count the same unit
+of work: comparing dispatches/s with engine events/s would gate nothing,
+so :func:`compare_reports` refuses it.  Records present on only one side are
 reported but never fail the comparison — quick CI runs deliberately
 execute a subset of the committed full baseline, and
 ``tests/test_perf.py`` checks that the committed record names are
@@ -17,11 +19,11 @@ exactly the full-mode points, so none runs ungated.
 
 >>> from .report import BenchRecord, BenchReport
 >>> base = BenchReport(kind="scale", records=(
-...     BenchRecord("a", wall_seconds=1.0, work=100, unit="events", repeats=1),))
+...     BenchRecord("a", wall_seconds=1.0, work=100, unit="dispatches", repeats=1),))
 >>> fast = BenchReport(kind="scale", records=(
-...     BenchRecord("a", wall_seconds=0.5, work=100, unit="events", repeats=1),))
+...     BenchRecord("a", wall_seconds=0.5, work=100, unit="dispatches", repeats=1),))
 >>> slow = BenchReport(kind="scale", records=(
-...     BenchRecord("a", wall_seconds=9.0, work=100, unit="events", repeats=1),))
+...     BenchRecord("a", wall_seconds=9.0, work=100, unit="dispatches", repeats=1),))
 >>> compare_reports(fast, base, threshold=2.0).regressed
 False
 >>> compare_reports(slow, base, threshold=2.0).regressed
@@ -147,8 +149,17 @@ def compare_reports(
 
     Throughput is gated by ``threshold`` on every matched record; peak
     RSS is additionally gated by ``rss_threshold`` on records where both
-    sides carry ``rss_kb`` (the ``scale`` report).
+    sides carry ``rss_kb`` (the ``scale`` report).  Raises
+    :class:`ValueError` when a matched record counts its work in another
+    unit than the baseline's (a baseline from before a change of unit).
     """
+    for entry in current.records:
+        base = baseline.record(entry.name)
+        if base is not None and base.unit != entry.unit:
+            raise ValueError(
+                f"record {entry.name} counts {entry.unit} but the baseline "
+                f"counts {base.unit}; regenerate the baseline"
+            )
     baseline_names = {entry.name for entry in baseline.records}
     current_names = {entry.name for entry in current.records}
     compared = tuple(

@@ -3,7 +3,7 @@
 The ``scale`` report times whole ``run_simulation`` calls.  Every point
 is a :class:`BenchPoint` — a record name, a
 :class:`~repro.sim.config.SimulationConfig` and a policy — and reports
-wall time, engine-event throughput **and peak RSS**, so CI catches both
+wall time, dispatch throughput **and peak RSS**, so CI catches both
 a slowdown and a memory-bound regression (e.g. a per-job list sneaking
 back into the metrics path).  The points (:func:`bench_points`):
 
@@ -29,9 +29,12 @@ Design notes, documented in docs/SCALING.md:
   ``fork``) child gets a fresh address space whose high-water mark
   (:func:`~repro.perf.report.peak_rss_kb`) is its own; the parent
   never pays the simulation's memory.
-* **Throughput counts engine events**, not data events: one unit for
-  every policy and cluster size (data events/s spreads 18x across
-  policies on the same workload).
+* **Throughput counts node dispatches** (``sched.subjobs_started``),
+  not engine events or data events: one unit for every policy and
+  cluster size that a cheaper calendar does not shrink.  Engine events
+  per dispatch differ by policy and move with the implementation (a
+  farm job takes about 2, an out-of-order job about 92), and data
+  events/s spreads 18x across policies on the same workload.
 
 For a profile of where a run's time goes, use the repository benchmark:
 ``python bench/run.py --trace 1`` splits self time across layers.
@@ -41,7 +44,7 @@ For a profile of where a run's time goes, use the repository benchmark:
 >>> record.name
 'sim.scale.n4'
 >>> record.unit
-'events'
+'dispatches'
 >>> record.rss_kb is not None and record.rss_kb > 0
 True
 """
@@ -169,14 +172,15 @@ def bench_points(quick: bool = False) -> Tuple[BenchPoint, ...]:
     )
 
 
-#: What a child sends back: (wall seconds, engine events, peak RSS KiB).
+#: What a child sends back: (wall seconds, node dispatches, peak RSS KiB).
 _Payload = Tuple[float, int, int]
 
 
 def _point_payload(config: SimulationConfig, policy: str) -> _Payload:
     """Run one point and summarise it (runs inside the child)."""
     result = run_simulation(config, policy)
-    return result.wall_seconds, result.engine_events, peak_rss_kb()
+    assert result.sched is not None
+    return result.wall_seconds, result.sched.subjobs_started, peak_rss_kb()
 
 
 def _point_child(
@@ -214,7 +218,7 @@ def _run_in_child(point: BenchPoint) -> _Payload:
 
 
 def bench_point(point: BenchPoint, in_process: bool = False) -> BenchRecord:
-    """Benchmark one point end-to-end, once; work is engine events.
+    """Benchmark one point end-to-end, once; work is node dispatches.
 
     The run happens in a fresh spawned child process so ``rss_kb`` is
     its true peak.  ``in_process=True`` skips the child — cheaper for
@@ -222,14 +226,14 @@ def bench_point(point: BenchPoint, in_process: bool = False) -> BenchRecord:
     monotone peak.
     """
     if in_process:
-        wall, events, rss_kb = _point_payload(point.config, point.policy)
+        wall, dispatches, rss_kb = _point_payload(point.config, point.policy)
     else:
-        wall, events, rss_kb = _run_in_child(point)
+        wall, dispatches, rss_kb = _run_in_child(point)
     return BenchRecord(
         name=point.name,
         wall_seconds=wall,
-        work=events,
-        unit="events",
+        work=dispatches,
+        unit="dispatches",
         repeats=1,
         rss_kb=rss_kb,
     )

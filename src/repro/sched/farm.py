@@ -5,6 +5,10 @@ available node.  This node remains dedicated to that job until its end.
 No disk caching is performed."  The cluster behaves as an M/Er/m queue
 (validated against the Allen–Cunneen approximation in
 ``repro.analysis.queueing``).
+
+A dedicated node never yields its job, so the farm plans each job's whole
+segment at once (:class:`~repro.cluster.access.WholeSegmentPlanner`) and
+the node runs it as one calendar event.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict
 
-from ..cluster.access import DataAccessPlanner, NoCachePlanner
+from ..cluster.access import DataAccessPlanner, WholeSegmentPlanner
 from ..cluster.node import Node
 from ..data.tertiary import TertiaryStorage
 from ..workload.jobs import Job, Subjob
@@ -30,7 +34,7 @@ class ProcessingFarmPolicy(SchedulerPolicy):
         self.queue: Deque[Job] = deque()
 
     def make_planner(self, tertiary: TertiaryStorage) -> DataAccessPlanner:
-        return NoCachePlanner(tertiary)
+        return WholeSegmentPlanner(tertiary)
 
     # -- notifications -------------------------------------------------------
 

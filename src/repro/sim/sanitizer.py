@@ -11,8 +11,13 @@ module checks properties of a *running* simulation:
 * the cluster's idle-node index lists exactly the nodes a full scan
   finds free (no subjob, not failed, not reserved), in id order, and
   every node's ``idle`` flag agrees with that scan;
-* a running node's chunk-completion event is live in the calendar, and
-  an idle node's kept (fired) event is neither queued nor cancelled;
+* a running node's chunk-completion event is live in the calendar at
+  the time the chunk-time recurrence gives from its in-flight
+  (sub-)chunk (:meth:`repro.cluster.node.Node.chunk_ends`), and an idle
+  node's kept (fired) event is neither queued nor cancelled; under the
+  farm's whole-segment planner, the shared chunk-end index holds
+  exactly the unsettled chunk ends of the running runs
+  (:meth:`repro.cluster.access.WholeSegmentPlanner.check_ends`);
 * the stream counts the planners hold for running chunks balance: each
   tier's ``active_streams`` equals the number of running chunks whose
   plan routes via its uplink, and a contention planner's active remote
@@ -56,8 +61,10 @@ a message naming the component, the simulated time and the broken law.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set
 
+from ..cluster.access import WholeSegmentPlanner
 from ..cluster.costmodel import DataSource
 from ..core.errors import InvariantViolation, SchedulingError
 from ..workload.jobs import Job, Subjob, SubjobState
@@ -219,6 +226,7 @@ class InvariantChecker:
         scanned_idle: List[int] = []
         from_tape = 0
         queued = {id(event) for event in engine.pending_events()}
+        running_ends: Counter[float] = Counter()
         for node in cluster:
             plan = node.current_plan()
             if plan is not None:
@@ -250,6 +258,16 @@ class InvariantChecker:
                         f"completion event is not live in the calendar at "
                         f"t={engine.now:.6f}"
                     )
+                # Exact on purpose: the event was armed by this very
+                # recurrence, so any difference is a broken run.
+                chunk_ends = node.chunk_ends()
+                if completion.time != chunk_ends[-1]:  # simlint: disable=SIM003
+                    raise InvariantViolation(
+                        f"node {node.node_id} runs {current.sid} with its "
+                        f"completion event at t={completion.time!r} but its "
+                        f"in-flight run ends at t={chunk_ends[-1]!r}"
+                    )
+                running_ends.update(chunk_ends)
             elif completion is not None and (
                 completion.cancelled or id(completion) in queued
             ):
@@ -273,6 +291,8 @@ class InvariantChecker:
                     f"failed node {node.node_id} is executing {current.sid}"
                 )
         cluster.planner.check_stream_counts(running)
+        if isinstance(cluster.planner, WholeSegmentPlanner):
+            cluster.planner.check_ends(running_ends)
         if from_tape != tertiary.stats.events_read:
             raise InvariantViolation(
                 f"nodes credited {from_tape} tertiary events but the tape "

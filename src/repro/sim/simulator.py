@@ -414,6 +414,10 @@ class Simulation:
                 duration=self.config.duration,
             )
         self.engine.run(until=self.config.duration)
+        # Runs still in flight at the horizon credit the sub-chunks they
+        # finished, as one event per chunk would have.
+        for node in self.cluster:
+            node.settle()
         if self.obs.enabled:
             self.obs.emit(self.engine.now, kinds.SIM_END, "sim")
         wall = wall_clock() - started

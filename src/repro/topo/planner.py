@@ -104,6 +104,11 @@ class TieredPlanner(DataAccessPlanner):
         self, node: "Node", start: int, end: int, max_events: int
     ) -> ChunkPlan:
         plan = self.base.plan_chunk(node, start, end, max_events)
+        if plan.end - plan.start > max_events:
+            # A whole-segment plan (the farm's) runs chunk by chunk here:
+            # each chunk routes, holds its links and checks the tier
+            # caches as it is planned.
+            plan = ChunkPlan(plan.start, plan.start + max_events, plan.source)
         if plan.source is _TERTIARY:
             plan = self._route_tertiary(node, plan)
         elif plan.source is _REMOTE:

@@ -186,6 +186,34 @@ class TestBenchArguments:
         assert "--threshold must be > 0" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_baseline_in_another_unit_exits_2(self, capsys, tmp_path, monkeypatch):
+        import repro.perf
+        from repro.perf import BenchRecord, BenchReport
+
+        def report(unit):
+            record = BenchRecord(
+                name="sim.scale.n10", wall_seconds=1.0, work=100, unit=unit, repeats=1
+            )
+            return BenchReport(kind="scale", records=(record,))
+
+        baseline_dir = tmp_path / "baseline"
+        report("events").write(str(baseline_dir / "BENCH_scale.json"))
+        monkeypatch.setattr(
+            repro.perf, "run_scale_bench", lambda quick: report("dispatches")
+        )
+        code = main(
+            [
+                "bench",
+                "--quick",
+                "--baseline-dir",
+                str(baseline_dir),
+                "--out-dir",
+                str(tmp_path),
+            ]
+        )
+        assert code == 2
+        assert "regenerate the baseline" in capsys.readouterr().err
+
     def test_policies_kind_rejected(self, capsys):
         # There is one report, so ``--kind`` is not an option at all.
         for kind in ("policies", "kernel", "scale"):

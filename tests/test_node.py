@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.cluster.access import CachingPlanner, ChunkPlan, NoCachePlanner
+from repro.cluster.access import (
+    CachingPlanner,
+    ChunkPlan,
+    NoCachePlanner,
+    WholeSegmentPlanner,
+)
 from repro.cluster.costmodel import CostModel, DataSource
 from repro.cluster.node import Node
 from repro.core.engine import Engine
@@ -586,3 +591,145 @@ class TestChunkLoopContract:
             (),
             None,
         )
+
+
+def _farm_node(space, planner_class, chunk_events=100, latency=0.0):
+    engine = Engine()
+    tertiary = TertiaryStorage(space)
+    node = Node(
+        node_id=0,
+        engine=engine,
+        cache=LRUSegmentCache(10_000),
+        cost_model=CostModel.from_hardware(600 * units.KB, tertiary_latency=latency),
+        planner=planner_class(tertiary),
+        chunk_events=chunk_events,
+    )
+    node.on_subjob_complete = lambda n, s: None
+    return engine, node, tertiary
+
+
+def _same_as_per_chunk(space, scenario, **node_kwargs):
+    """Run ``scenario(engine, node)`` on a whole-segment node and on a
+    per-chunk node; both must end in the same state, to the bit.
+    Returns the whole-segment run's ``(engine, node, tertiary, subjob)``
+    and the per-chunk engine."""
+    runs = []
+    for planner_class in (WholeSegmentPlanner, NoCachePlanner):
+        engine, node, tertiary = _farm_node(space, planner_class, **node_kwargs)
+        subjob = scenario(engine, node)
+        node.settle()
+        runs.append((engine, node, tertiary, subjob))
+    (engine, node, tertiary, subjob), (chunked_engine, chunked, chunked_tape, oracle) = runs
+    assert node.stats == chunked.stats
+    assert tertiary.stats == chunked_tape.stats
+    assert (subjob.processed, subjob.state) == (oracle.processed, oracle.state)
+    assert subjob.job.events_done == oracle.job.events_done
+    assert engine.now == chunked_engine.now
+    return (engine, node, tertiary, subjob), chunked_engine
+
+
+def _crash_at(time):
+    def scenario(engine, node):
+        subjob = make_subjob(0, 1000)
+        node.start(subjob)
+        engine.call_at(time, node.fail, priority=EventPriority.FAULT)
+        engine.run()
+        return subjob
+
+    return scenario
+
+
+class TestWholeSegmentRuns:
+    """A whole-segment plan runs as sub-chunks under one calendar event
+    and credits them as one event per chunk would.  One 100-event
+    tertiary chunk takes exactly 80 s here."""
+
+    def test_uninterrupted_run_is_one_event(self, space):
+        def scenario(engine, node):
+            subjob = make_subjob(0, 1000)
+            node.start(subjob)
+            engine.run()
+            return subjob
+
+        (engine, node, tertiary, subjob), chunked = _same_as_per_chunk(space, scenario)
+        assert subjob.state is SubjobState.DONE and engine.now == 800.0
+        assert node.stats.chunks_started == 10
+        assert tertiary.stats.read_requests == 10
+        assert engine.stats.dispatched == 1 and chunked.stats.dispatched == 10
+
+    def test_short_last_sub_chunk(self, space):
+        def scenario(engine, node):
+            subjob = make_subjob(0, 250)
+            node.start(subjob)
+            engine.run()
+            return subjob
+
+        (engine, node, tertiary, _), _ = _same_as_per_chunk(
+            space, scenario, latency=0.37
+        )
+        # 100 + 100 + 50 events, each sub-chunk paying the latency.
+        assert node.stats.chunks_started == 3
+        assert tertiary.stats.read_requests == 3
+        assert engine.now == pytest.approx(3 * 0.37 + 250 * 0.8)
+
+    def test_crash_exactly_at_a_sub_chunk_end(self, space):
+        # The chunk ending at the crash instant completes first: two
+        # chunks are kept and the third, just started, loses nothing.
+        (_, node, _, subjob), _ = _same_as_per_chunk(space, _crash_at(160.0))
+        assert subjob.processed == 200
+        assert node.stats.chunks_started == 3
+        assert (node.stats.lost_events, node.stats.lost_seconds) == (0, 0.0)
+
+    def test_crash_mid_sub_chunk(self, space):
+        (_, node, _, subjob), _ = _same_as_per_chunk(space, _crash_at(200.0))
+        assert subjob.processed == 200
+        assert node.stats.lost_events == 50
+        assert node.stats.lost_seconds == 40.0
+
+    def test_stall_flip_mid_sub_chunk(self, space):
+        # The in-flight chunk keeps its rate; the rest is planned at four
+        # times the per-event time when it ends.
+        def scenario(engine, node):
+            subjob = make_subjob(0, 1000)
+            node.start(subjob)
+            engine.call_at(
+                120.0, node.set_tertiary_slowdown, 4.0, priority=EventPriority.FAULT
+            )
+            engine.run()
+            return subjob
+
+        (engine, node, _, subjob), _ = _same_as_per_chunk(space, scenario)
+        assert subjob.state is SubjobState.DONE
+        assert engine.now == 160.0 + 8 * 320.0
+
+    def test_horizon_exactly_on_a_sub_chunk_boundary(self, space):
+        def scenario(engine, node):
+            subjob = make_subjob(0, 1000)
+            node.start(subjob)
+            engine.run(until=240.0)
+            return subjob
+
+        (_, node, tertiary, subjob), _ = _same_as_per_chunk(space, scenario)
+        assert subjob.processed == 300
+        assert node.stats.busy_seconds == 240.0
+        assert tertiary.stats.events_read == 300
+
+    def test_preempt_mid_run_credits_whole_events(self, space):
+        def scenario(engine, node):
+            subjob = make_subjob(0, 1000)
+            node.start(subjob)
+            engine.run(until=200.0)
+            assert node.preempt() is subjob
+            return subjob
+
+        (_, node, _, subjob), _ = _same_as_per_chunk(space, scenario)
+        assert subjob.processed == 250 and subjob.state is SubjobState.SUSPENDED
+        assert node.stats.preemptions == 1
+
+    def test_only_whole_segment_planners_may_plan_past_the_chunk(self, space):
+        _, node, _ = _farm_node(space, NoCachePlanner)
+        node.planner.plan_chunk = lambda n, start, end, cap: ChunkPlan(
+            start, end, DataSource.TERTIARY
+        )
+        with pytest.raises(SchedulingError, match="only a whole-segment planner"):
+            node.start(make_subjob(0, 1000))

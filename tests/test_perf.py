@@ -169,6 +169,22 @@ class TestBaseline:
         assert not result.regressed
         assert result.compared[0].slowdown < 1.0
 
+    def test_records_counting_different_units_are_refused(self):
+        # A baseline of engine events/s against dispatches/s would gate
+        # nothing: a change that cuts engine events reads as a slowdown.
+        events = BenchReport(
+            kind="scale",
+            records=(
+                BenchRecord(
+                    name="a", wall_seconds=1.0, work=1000, unit="events", repeats=1
+                ),
+            ),
+        )
+        with pytest.raises(ValueError, match="counts ops but the baseline counts events"):
+            compare_reports(_single("a", 1.0), events)
+        # Unmatched records are never compared, whatever their unit.
+        assert not compare_reports(_single("b", 1.0), events).compared
+
     def test_unmatched_records_reported_but_not_failing(self):
         current = _single("sim.quick.farm", 1.0)
         baseline = _single("sim.scale.n1000", 1.0)
@@ -253,7 +269,7 @@ class TestBaseline:
         for point in points:
             record = baseline.record(point.name)
             assert record is not None
-            assert record.unit == "events"
+            assert record.unit == "dispatches"
             assert record.rss_kb is not None and record.rss_kb > 0, point.name
 
 
@@ -264,7 +280,7 @@ class TestHarness:
     def test_scale_point_in_process(self):
         record = time_point(scale_point(3, duration_days=0.1), in_process=True)
         assert record.name == "sim.scale.n3"
-        assert record.unit == "events"
+        assert record.unit == "dispatches"
         assert record.work > 0
         assert record.rss_kb is not None and record.rss_kb > 0
 

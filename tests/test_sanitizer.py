@@ -241,6 +241,60 @@ class TestCompletionEventCorruption:
         assert result.faults is not None and result.faults.failures > 0
 
 
+class TestWholeSegmentRunCorruption:
+    """A farm run of several sub-chunks has one calendar event, at the
+    end the chunk-time recurrence gives, and the planner's chunk-end index
+    holds exactly the running runs' unsettled chunk ends."""
+
+    @staticmethod
+    def _farm_simulation() -> Simulation:
+        config = replace(
+            _config(),
+            chunk_events=100,
+            faults=FaultConfig(
+                node_mtbf=12 * units.HOUR,
+                node_mttr=units.HOUR,
+                stall_interval=6 * units.HOUR,
+            ),
+        )
+        return Simulation(config, create_policy("farm"), check_invariants=True)
+
+    def _run_with(self, corrupt, match: str) -> None:
+        sim = self._farm_simulation()
+        sim.prime()
+
+        def attempt() -> None:
+            # Just before a probe, on the first node running several
+            # sub-chunks; else try again at the next probe.
+            for node in sim.cluster:
+                plan = node.current_plan()
+                if plan is not None and plan.end - plan.start > node.chunk_events:
+                    corrupt(sim, node)
+                    return
+            sim.engine.call_after(sim.config.probe_interval, attempt)
+
+        sim.engine.call_at(units.DAY, attempt)
+        with pytest.raises(InvariantViolation, match=match):
+            sim.engine.run(until=sim.config.duration)
+
+    def test_faulted_farm_run_passes(self):
+        result = self._farm_simulation().run()
+        assert result.faults.failures > 0 and result.faults.stalls > 0
+
+    def test_event_off_the_recurrence_is_caught(self):
+        def corrupt(sim, node) -> None:
+            # The run's rate changes behind its event's back.
+            node._per_event *= 1.5
+
+        self._run_with(corrupt, match="in-flight run ends at")
+
+    def test_chunk_end_index_drift_is_caught(self):
+        def corrupt(sim, node) -> None:
+            sim.cluster.planner.ends[sim.engine.now + 1.5] = node
+
+        self._run_with(corrupt, match="chunk-end index holds")
+
+
 class TestAccountingBalanceCorruption:
     """Each balance the deep check holds across the chunk loop, broken
     behind the accounting code's back as a mis-credited chunk would."""

@@ -16,6 +16,7 @@ import os
 
 import pytest
 
+from repro.exec import Executor
 from repro.experiments import Scale, run_experiment
 
 
@@ -30,7 +31,7 @@ def run_figure_benchmark(benchmark, exp_id: str, scale: Scale | None = None):
     outcome = benchmark.pedantic(
         run_experiment,
         args=(exp_id,),
-        kwargs={"scale": scale, "processes": None},
+        kwargs={"scale": scale, "executor": Executor()},
         rounds=1,
         iterations=1,
     )

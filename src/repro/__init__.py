@@ -19,7 +19,7 @@ Quickstart::
 from .core import Engine, RandomStreams, units
 from .core.errors import ReproError
 from .cluster import Cluster, CostModel, DataSource, Node
-from .exec import Executor, ExecStats, ResultCache, RetryPolicy, SpecError, make_cache
+from .exec import Executor, ExecStats, ResultCache, SpecError, make_cache
 from .data import DataSpace, Interval, IntervalSet, LRUSegmentCache, TertiaryStorage
 from .obs import (
     HookBus,
@@ -103,7 +103,6 @@ __all__ = [
     "Executor",
     "ExecStats",
     "ResultCache",
-    "RetryPolicy",
     "SpecError",
     "make_cache",
 ]

@@ -106,7 +106,7 @@ def _add_exec_args(parser: argparse.ArgumentParser, cache: bool = True) -> None:
 
 def _executor_from_args(args: argparse.Namespace) -> "Executor":
     """Build the executor a sweep-shaped command asked for."""
-    from .exec import Executor, RetryPolicy, make_cache
+    from .exec import Executor, make_cache
 
     cache = None
     if not getattr(args, "no_cache", True):
@@ -114,7 +114,6 @@ def _executor_from_args(args: argparse.Namespace) -> "Executor":
     return Executor(
         jobs=args.jobs,
         cache=cache,
-        retry=RetryPolicy(max_attempts=2),
         spec_timeout=getattr(args, "spec_timeout", None),
     )
 
@@ -162,7 +161,7 @@ def _add_fault_args(parser: argparse.ArgumentParser) -> None:
         default=0.0,
         metavar="P",
         help="per-message control-plane loss probability in [0, 1) "
-        "(default 0: perfect network, zero-overhead pass-through)",
+        "(default 0: perfect network, no control channel)",
     )
     net.add_argument(
         "--net-dup",
@@ -935,7 +934,7 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
         config,
         policy,
         n_replications=args.replications,
-        processes=args.jobs,
+        executor=_executor_from_args(args),
         **params,
     )
     rows = [
@@ -961,7 +960,7 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     config = paper_config(duration=args.days * units.DAY)
     table = calibrate_delay_table(
-        config, stripe_events=args.stripe, processes=args.jobs
+        config, stripe_events=args.stripe, executor=_executor_from_args(args)
     )
     print(summarize_table(table))
     print("\nPython literal for AdaptiveDelayPolicy(delay_table=...):")
@@ -1049,7 +1048,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    jobs = getattr(args, "jobs", None)
+    if jobs is not None and jobs < 1:
+        parser.error(f"--jobs must be >= 1, got {jobs}")
     if args.command == "policies":
         return _cmd_policies()
     if args.command == "experiments":

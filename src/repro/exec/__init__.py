@@ -4,10 +4,13 @@ Every paper figure is a sweep of dozens-to-hundreds of independent
 simulations; this package is the one owner of how such batches run.
 :class:`Executor` provides serial and process-pool backends behind a
 single API with streamed completions, per-spec crash isolation
-(:class:`SpecError` slots instead of aborted pools), bounded retries and
-a content-addressed :class:`ResultCache` (``.repro-cache/``).  The cache
-is also the checkpoint of an interrupted sweep: running the same sweep
-again executes only the points it does not hold.
+(:class:`SpecError` slots instead of aborted pools), a per-spec timeout
+and a content-addressed :class:`ResultCache` (``.repro-cache/``).  Each
+spec runs once: a seeded point that fails would fail the same way again.
+The cache is the checkpoint of an interrupted sweep: running the same
+sweep again executes only the points it does not hold, failed ones
+included.  An :class:`Executor` is the one way to say how a sweep runs:
+every sweep function takes ``executor=`` (``None`` means ``Executor()``).
 
 The high-level entry points — :func:`repro.sim.runner.run_sweep`, the
 experiment registry, ``repro sweep``/``repro run`` — all build on this;
@@ -17,15 +20,12 @@ nothing else in the repository spawns worker processes.
 from .cache import CACHE_DIR_ENV, DEFAULT_CACHE_DIR, ResultCache, resolve_cache_dir
 from .executor import (
     JOBS_ENV,
-    NO_RETRY,
     SPEC_TIMEOUT_ENV,
     TIMEOUT_KIND,
     Executor,
-    RetryPolicy,
     make_cache,
     resolve_jobs,
     resolve_spec_timeout,
-    run_with_retries,
 )
 from .fingerprint import FINGERPRINT_VERSION, spec_fingerprint, spec_payload
 from .outcomes import ExecOutcome, ExecStats, Progress, SpecError
@@ -38,10 +38,8 @@ __all__ = [
     "Executor",
     "FINGERPRINT_VERSION",
     "JOBS_ENV",
-    "NO_RETRY",
     "Progress",
     "ResultCache",
-    "RetryPolicy",
     "SPEC_TIMEOUT_ENV",
     "SpecError",
     "TIMEOUT_KIND",
@@ -49,7 +47,6 @@ __all__ = [
     "resolve_cache_dir",
     "resolve_jobs",
     "resolve_spec_timeout",
-    "run_with_retries",
     "spec_fingerprint",
     "spec_payload",
 ]

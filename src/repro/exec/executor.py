@@ -10,8 +10,8 @@ chosen by ``jobs``.  Whatever the backend:
   ``--jobs``;
 * a worker exception becomes a structured
   :class:`~repro.exec.outcomes.SpecError` attached to that slot instead
-  of aborting the pool, after bounded in-worker retries with the fault
-  subsystem's exponential backoff;
+  of aborting the pool.  Each spec runs once: it is a seeded computation
+  with no side effects, so a rerun would fail the same way;
 * with a spec timeout (``--spec-timeout`` / ``$REPRO_SPEC_TIMEOUT``) a
   stuck worker is killed and surfaces as ``SpecError(kind="timeout")``
   in its slot instead of hanging the batch forever;
@@ -30,12 +30,10 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import time
-from dataclasses import dataclass
+import traceback
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
-    Any,
     Callable,
     Iterator,
     List,
@@ -68,40 +66,6 @@ TIMEOUT_KIND = "timeout"
 ProgressCallback = Callable[[Progress], None]
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded in-worker retries for transient spec failures.
-
-    ``max_attempts`` counts the first try; the delay before retry *n*
-    follows the fault subsystem's exponential backoff
-    (``base * factor**(n-1)``, capped).  Deterministic failures simply
-    exhaust the budget quickly and surface as a :class:`SpecError`.
-    """
-
-    max_attempts: int = 2
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError(
-                f"max_attempts must be >= 1, got {self.max_attempts}"
-            )
-
-    def delay(self, attempt: int) -> float:
-        """Backoff before retry number ``attempt`` (1-based)."""
-        from ..faults.recovery import exponential_backoff
-
-        return exponential_backoff(
-            attempt, self.backoff_base, self.backoff_factor, self.backoff_max
-        )
-
-
-#: Retry policy that fails fast on the first error.
-NO_RETRY = RetryPolicy(max_attempts=1)
-
-
 def resolve_jobs(jobs: Optional[int], n_specs: int) -> int:
     """Worker count: explicit argument > ``$REPRO_JOBS`` > heuristic
     (serial for tiny batches, one worker per spec up to the CPU count)."""
@@ -109,11 +73,14 @@ def resolve_jobs(jobs: Optional[int], n_specs: int) -> int:
         env = os.environ.get(JOBS_ENV, "").strip()
         if env:
             try:
-                jobs = int(env)
+                count = int(env)
             except ValueError:
+                count = 0
+            if count < 1:
                 raise ValueError(
-                    f"${JOBS_ENV} must be an integer, got {env!r}"
-                ) from None
+                    f"${JOBS_ENV} must be an integer >= 1, got {env!r}"
+                )
+            jobs = count
     if jobs is None:
         return 1 if n_specs <= 2 else min(n_specs, os.cpu_count() or 1)
     return max(1, min(jobs, max(1, n_specs)))
@@ -137,18 +104,8 @@ def resolve_spec_timeout(spec_timeout: Optional[float]) -> Optional[float]:
     return spec_timeout
 
 
-@dataclass(frozen=True)
-class _Failure:
-    """Pickle-safe carrier of a worker exception across the pool."""
-
-    kind: str
-    message: str
-    traceback: str
-
-
-_Payload = Union["SimulationResult", _Failure]
-#: (index, attempts, payload) — what a worker sends back per task.
-_TaskResult = Tuple[int, int, _Payload]
+#: (index, result or failure) — what a worker sends back per task.
+_TaskResult = Tuple[int, Union["SimulationResult", SpecError]]
 
 
 def _execute_spec(spec: "RunSpec") -> "SimulationResult":
@@ -158,42 +115,28 @@ def _execute_spec(spec: "RunSpec") -> "SimulationResult":
     return run_simulation(spec.config, spec.policy, **dict(spec.policy_params))
 
 
-def run_with_retries(
-    run: Callable[[], Any],
-    retry: RetryPolicy,
-    sleep: Callable[[float], None] = time.sleep,
-) -> Tuple[int, Union[Any, _Failure]]:
-    """``run()`` with the retry policy applied; returns (attempts, payload).
+def _pool_task(task: Tuple[int, "RunSpec"]) -> _TaskResult:
+    """Pool entry point: run one spec once, never raise.
 
-    The payload is the call's return value, or a :class:`_Failure` when
-    the final attempt raised.  ``sleep`` is injectable for tests.
+    A spec is a seeded computation with no side effects, so running it
+    again would fail the same way: its first exception is its outcome.
     """
-    import traceback as traceback_module
-
-    attempt = 1
-    while True:
-        try:
-            return attempt, run()
-        except Exception as error:  # noqa: BLE001 - crash isolation boundary
-            if attempt >= retry.max_attempts:
-                return attempt, _Failure(
-                    kind=type(error).__name__,
-                    message=str(error),
-                    traceback="".join(
-                        traceback_module.format_exception(
-                            type(error), error, error.__traceback__
-                        )
-                    ),
+    index, spec = task
+    try:
+        return index, _execute_spec(spec)
+    except Exception as error:  # noqa: BLE001 - crash isolation boundary
+        return index, SpecError(
+            index=index,
+            label=spec.label,
+            policy=spec.policy,
+            kind=type(error).__name__,
+            message=str(error),
+            traceback="".join(
+                traceback.format_exception(
+                    type(error), error, error.__traceback__
                 )
-            sleep(retry.delay(attempt))
-            attempt += 1
-
-
-def _pool_task(task: Tuple[int, "RunSpec", RetryPolicy]) -> _TaskResult:
-    """Pool entry point: run one spec with retries, never raise."""
-    index, spec, retry = task
-    attempts, payload = run_with_retries(lambda: _execute_spec(spec), retry)
-    return index, attempts, payload
+            ),
+        )
 
 
 def _result_schema_version() -> int:
@@ -216,12 +159,10 @@ class Executor:
         self,
         jobs: Optional[int] = None,
         cache: Optional[ResultCache] = None,
-        retry: RetryPolicy = NO_RETRY,
         spec_timeout: Optional[float] = None,
     ) -> None:
         self.jobs = jobs
         self.cache = cache
-        self.retry = retry
         self.spec_timeout = spec_timeout
 
     # -- the one entry point --------------------------------------------------
@@ -256,15 +197,13 @@ class Executor:
             )
 
         # Phase 2: execute the misses, streaming completions.
-        for index, attempts, payload in self._execute(pending, specs):
-            spec = specs[index]
-            outcome = self._finish(
-                index, spec, attempts, payload, fingerprints, stats
-            )
+        for index, outcome in self._execute(pending, specs):
+            self._account(index, outcome, fingerprints, stats)
             slots[index] = outcome
             done += 1
             self._notify(
-                progress, done, len(specs), index, spec, outcome, cached=False
+                progress, done, len(specs), index, specs[index], outcome,
+                cached=False,
             )
 
         stats.wall_seconds = wall_clock() - started
@@ -316,7 +255,7 @@ class Executor:
             return
         timeout = resolve_spec_timeout(self.spec_timeout)
         jobs = resolve_jobs(self.jobs, len(pending))
-        tasks = [(index, specs[index], self.retry) for index in pending]
+        tasks = [(index, specs[index]) for index in pending]
         if timeout is None and jobs <= 1:
             for task in tasks:
                 yield _pool_task(task)
@@ -328,53 +267,44 @@ class Executor:
             seen: set = set()
             for _ in range(len(tasks)):
                 try:
-                    index, attempts, payload = iterator.next(timeout)
+                    index, payload = iterator.next(timeout)
                 except StopIteration:  # pragma: no cover - defensive
                     break
                 except multiprocessing.TimeoutError:
                     pool.terminate()
                     for stuck in pending:
                         if stuck not in seen:
-                            yield stuck, 1, _Failure(
+                            yield stuck, SpecError(
+                                index=stuck,
+                                label=specs[stuck].label,
+                                policy=specs[stuck].policy,
                                 kind=TIMEOUT_KIND,
                                 message=(
                                     f"no completion within the "
                                     f"{timeout:g}s spec timeout"
                                 ),
-                                traceback="",
                             )
                     return
                 seen.add(index)
-                yield index, attempts, payload
+                yield index, payload
 
-    def _finish(
+    def _account(
         self,
         index: int,
-        spec: "RunSpec",
-        attempts: int,
-        payload: _Payload,
+        outcome: Union["SimulationResult", SpecError],
         fingerprints: Optional[List[str]],
         stats: ExecStats,
-    ) -> Union["SimulationResult", SpecError]:
-        """Account one executed slot; write successes back to the cache."""
+    ) -> None:
+        """Count one executed slot; write a success back to the cache.
+
+        A failed slot is never cached, so a rerun executes it again."""
         stats.executed += 1
-        stats.retries += attempts - 1
-        if isinstance(payload, _Failure):
+        if isinstance(outcome, SpecError):
             stats.failed += 1
-            if payload.kind == TIMEOUT_KIND:
+            if outcome.kind == TIMEOUT_KIND:
                 stats.timeouts += 1
-            return SpecError(
-                index=index,
-                label=spec.label,
-                policy=spec.policy,
-                kind=payload.kind,
-                message=payload.message,
-                traceback=payload.traceback,
-                attempts=attempts,
-            )
-        if self.cache is not None and fingerprints is not None:
-            self.cache.put(fingerprints[index], payload)
-        return payload
+        elif self.cache is not None and fingerprints is not None:
+            self.cache.put(fingerprints[index], outcome)
 
     # -- bookkeeping ----------------------------------------------------------
 

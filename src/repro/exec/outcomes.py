@@ -2,9 +2,9 @@
 
 A batch run fills one slot per :class:`~repro.sim.runner.RunSpec`: either
 the spec's :class:`~repro.sim.simulator.SimulationResult` or a
-:class:`SpecError` describing why the worker failed after its retry
-budget.  :class:`ExecStats` aggregates what the executor did (executed,
-cache hits, retries), and :class:`Progress` is the payload of the live
+:class:`SpecError` describing why its one run failed or timed out.
+:class:`ExecStats` aggregates what the executor did (executed, cache
+hits, failures, timeouts), and :class:`Progress` is the payload of the live
 per-completion callback.
 
 This module deliberately imports nothing outside the standard library so
@@ -32,19 +32,13 @@ class SpecError:
     kind: str
     message: str
     traceback: str = ""
-    attempts: int = 1
 
     def brief(self) -> str:
         """One-line summary for logs and progress output."""
-        retries = f" after {self.attempts} attempts" if self.attempts > 1 else ""
-        return f"{self.label}: {self.kind}: {self.message}{retries}"
+        return f"{self.label}: {self.kind}: {self.message}"
 
     def as_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "message": self.message,
-            "attempts": self.attempts,
-        }
+        return {"kind": self.kind, "message": self.message}
 
 
 @dataclass
@@ -52,16 +46,14 @@ class ExecStats:
     """What one executor batch did, slot by slot.
 
     ``executed + cache_hits`` equals ``total``; ``failed`` counts executed
-    slots that ended as :class:`SpecError` and ``retries`` counts extra
-    attempts beyond each slot's first.  ``timeouts`` counts
-    the subset of failures killed by the executor's spec timeout.
+    slots that ended as :class:`SpecError`, and ``timeouts`` counts the
+    subset of failures killed by the executor's spec timeout.
     """
 
     total: int = 0
     executed: int = 0
     cache_hits: int = 0
     failed: int = 0
-    retries: int = 0
     timeouts: int = 0
     wall_seconds: float = 0.0
 
@@ -70,8 +62,7 @@ class ExecStats:
         return (
             f"exec: total={self.total} executed={self.executed} "
             f"cache_hits={self.cache_hits} "
-            f"failed={self.failed} retries={self.retries} "
-            f"timeouts={self.timeouts} "
+            f"failed={self.failed} timeouts={self.timeouts} "
             f"wall={self.wall_seconds:.1f}s"
         )
 

@@ -34,7 +34,6 @@ def max_sustained_load_for_delay(
     delay: float,
     stripe_events: int,
     loads_per_hour: Sequence[float],
-    processes: Optional[int] = None,
     executor: Optional["Executor"] = None,
 ) -> float:
     """Highest offered load (from the given grid) that stays in steady
@@ -47,7 +46,7 @@ def max_sustained_load_for_delay(
         period=delay,
         stripe_events=stripe_events,
     )
-    sweep = run_sweep(specs, processes=processes, executor=executor)
+    sweep = run_sweep(specs, executor=executor)
     sustained = [r.load_per_hour for _, r in sweep.pairs() if r.steady]
     return max(sustained) if sustained else 0.0
 
@@ -58,7 +57,6 @@ def calibrate_delay_table(
     delays: Sequence[float] = DEFAULT_CANDIDATE_DELAYS,
     loads_per_hour: Optional[Sequence[float]] = None,
     headroom: float = 0.95,
-    processes: Optional[int] = None,
     executor: Optional["Executor"] = None,
 ) -> List[Tuple[float, float]]:
     """Measure a (sustainable load fraction → delay) table.
@@ -75,8 +73,7 @@ def calibrate_delay_table(
     floor = 0.0
     for delay in sorted(delays):
         ceiling = max_sustained_load_for_delay(
-            config, delay, stripe_events, loads_per_hour,
-            processes=processes, executor=executor,
+            config, delay, stripe_events, loads_per_hour, executor=executor
         )
         fraction = max(floor, headroom * ceiling / maximum)
         floor = fraction

@@ -47,7 +47,6 @@ def _render_errors(sweep: SweepResult) -> str:
 def run_experiment(
     exp_id: str,
     scale: Scale = Scale.QUICK,
-    processes: Optional[int] = None,
     progress: bool = False,
     executor: Optional["Executor"] = None,
 ) -> ExperimentOutcome:
@@ -60,7 +59,6 @@ def run_experiment(
     started = wall_clock()
     sweep = run_sweep(
         experiment.specs(scale),
-        processes=processes,
         progress=progress,
         executor=executor,
         on_error="capture",
@@ -79,7 +77,6 @@ def run_experiment(
 def run_all(
     scale: Scale = Scale.QUICK,
     exp_ids: Optional[Sequence[str]] = None,
-    processes: Optional[int] = None,
     progress: bool = False,
     executor: Optional["Executor"] = None,
 ) -> List[ExperimentOutcome]:
@@ -88,7 +85,6 @@ def run_all(
         run_experiment(
             exp_id,
             scale=scale,
-            processes=processes,
             progress=progress,
             executor=executor,
         )

@@ -34,11 +34,11 @@ time and hands them out one per decision.  Nothing else reads these
 streams, and on Philox a block draw yields exactly the values the same
 number of single draws would, so the order of reads *within* a stream
 is all that fixes each decision's value — how the streams' reads
-interleave, or where a block boundary falls, changes nothing.  With the
-channel disabled (``config is None`` or all probabilities zero)
-``send_reliable`` degenerates to a synchronous call — no draws, no
-calendar events — so disabled runs are bit-identical to a channel-less
-build.
+interleave, or where a block boundary falls, changes nothing.  A
+perfect network has no channel at all: the simulator builds one only
+for a config with some fault enabled, and the constructor refuses any
+other, so every control path of a perfect-network run is synchronous
+and draw-free.
 
 Acks and retransmit timers cost no calendar event of their own.  An
 ack that survives its draws is recorded on its message as the instant
@@ -77,8 +77,8 @@ from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.engine import Engine, Timer
-from ..core.errors import InvariantViolation
+from ..core.engine import Engine
+from ..core.errors import ConfigurationError, InvariantViolation
 from ..core.events import EventPriority, ScheduledEvent
 from ..core.rng import RandomStreams
 from ..obs.hooks import NULL_BUS, HookBus, kinds
@@ -208,24 +208,26 @@ class _RetransmitLevel:
 class ControlChannel:
     """The unreliable control LAN between schedulers and nodes.
 
-    When disabled every call is a synchronous pass-through with zero
-    random draws and zero calendar events.  When enabled, deliveries are
-    dispatched at :attr:`EventPriority.MESSAGE` and the channel owns the
-    ``faults.net.loss/dup/delay/reorder`` streams.
+    Deliveries are dispatched at :attr:`EventPriority.MESSAGE` and the
+    channel owns the ``faults.net.loss/dup/delay/reorder`` streams.  A
+    config with no fault enabled is refused: a perfect network has no
+    channel.
     """
 
     def __init__(
         self,
         engine: Engine,
-        config: Optional[NetFaultConfig],
+        config: NetFaultConfig,
         streams: RandomStreams,
         obs: HookBus = NULL_BUS,
     ) -> None:
+        if not config.enabled:
+            raise ConfigurationError(
+                "a ControlChannel needs a NetFaultConfig with some fault "
+                "enabled; a perfect network runs without one"
+            )
         self.engine = engine
-        self.config: NetFaultConfig = (
-            config if config is not None else NetFaultConfig()
-        )
-        self.enabled: bool = config is not None and config.enabled
+        self.config = config
         self.obs = obs
         self.stats = ChannelStats()
         self._seq = 0
@@ -239,24 +241,21 @@ class ControlChannel:
         # -- central-dispatch coordination -----------------------------------
         self.policy: Optional["SchedulerPolicy"] = None
         self._repend_backlog: List[Subjob] = []
-        self._repend_timer: Optional[Timer] = None
-        if self.enabled:
-            self._loss = _block_reader(streams.get("faults.net.loss").random)
-            self._dup = _block_reader(streams.get("faults.net.dup").random)
-            self._delay = _block_reader(
-                partial(
-                    streams.get("faults.net.delay").exponential,
-                    self.config.delay_mean,
-                )
+        self._loss = _block_reader(streams.get("faults.net.loss").random)
+        self._dup = _block_reader(streams.get("faults.net.dup").random)
+        self._delay = _block_reader(
+            partial(
+                streams.get("faults.net.delay").exponential, config.delay_mean
             )
-            self._reorder = _block_reader(
-                streams.get("faults.net.reorder").random
-            )
-            self._repend_timer = engine.timer(
-                self._on_repend_timer,
-                priority=EventPriority.TIMER,
-                label="net.repend",
-            )
+        )
+        self._reorder = _block_reader(
+            streams.get("faults.net.reorder").random
+        )
+        self._repend_timer = engine.timer(
+            self._on_repend_timer,
+            priority=EventPriority.TIMER,
+            label="net.repend",
+        )
 
     # -- queries ---------------------------------------------------------------
 
@@ -357,10 +356,7 @@ class ControlChannel:
     def attempt(self, kind: str = "post", node: int = -1) -> bool:
         """One loss draw for a fire-and-forget message (standing bids,
         lease beats).  Returns whether the post survived; the sender owns
-        any recovery logic (re-advertisement timers, lease-miss counts).
-        Disabled channel: always ``True``, no draw."""
-        if not self.enabled:
-            return True
+        any recovery logic (re-advertisement timers, lease-miss counts)."""
         self.stats.oneway_sent += 1
         if self._loss() < self.config.loss:
             self.stats.oneway_lost += 1
@@ -385,12 +381,8 @@ class ControlChannel:
         """Send a message that must eventually invoke ``deliver`` exactly
         once, or — after the retransmit budget — ``on_dead_letter``.
 
-        ``unlimited`` removes the budget (completion reports).  Disabled
-        channel: ``deliver()`` runs synchronously, nothing is recorded.
+        ``unlimited`` removes the budget (completion reports).
         """
-        if not self.enabled:
-            deliver()
-            return
         label = self._labels.get(kind)
         if label is None:
             label = self._labels[kind] = f"net:{kind}"
@@ -683,8 +675,6 @@ class ControlChannel:
         self.drain()
 
     def _arm_repend(self) -> None:
-        if self._repend_timer is None:
-            return
         if self._repend_backlog:
             self._repend_timer.schedule_after(self.config.ack_timeout)
         else:
@@ -692,6 +682,5 @@ class ControlChannel:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"ControlChannel(enabled={self.enabled}, "
-            f"in_flight={self.in_flight}, stats={self.stats})"
+            f"ControlChannel(in_flight={self.in_flight}, stats={self.stats})"
         )

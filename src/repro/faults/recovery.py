@@ -44,8 +44,9 @@ def exponential_backoff(
     """Capped exponential backoff before retry number ``attempt``
     (1-based): ``base * factor**(attempt-1)``, at most ``cap``.
 
-    Shared by the in-simulation :class:`RecoveryManager` and the
-    execution layer's (``repro.exec``) worker retries.
+    Shared by the :class:`RecoveryManager`'s subjob retries (through
+    :func:`backoff_delay`) and the control channel's retransmit levels
+    (:mod:`repro.faults.net`), whose ack timeouts it sets.
     """
     if attempt < 1:
         raise ValueError(f"attempt must be >= 1, got {attempt}")

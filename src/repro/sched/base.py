@@ -89,7 +89,7 @@ class SchedulerPolicy(ABC):
     name: str = ""
 
     #: Whether dispatches are master→node control messages that must ride
-    #: the unreliable channel when one is enabled.  Decentral policies set
+    #: the unreliable channel when the run has one.  Decentral policies set
     #: this ``False``: a grant already moved the task to the node, so its
     #: local queue→CPU handoff is not LAN traffic (their control messages
     #: — bids, grants, leases — go through the channel explicitly).
@@ -259,7 +259,6 @@ class SchedulerPolicy(ABC):
         if (
             ctx is not None
             and ctx.channel is not None
-            and ctx.channel.enabled
             and self.uses_central_dispatch
         ):
             ctx.channel.dispatch(node, subjob)

@@ -124,7 +124,7 @@ class DecentralPolicy(SchedulerPolicy):
             streams = RandomStreams(ctx.config.seed)
         self._rng = streams.get("sched.arbiter")
         channel = ctx.channel
-        if channel is not None and channel.enabled:
+        if channel is not None:
             # Arbiter liveness: a lease beat every lease_interval; enough
             # consecutive lost beats trigger a failover re-election.
             interval = channel.config.lease_interval
@@ -138,11 +138,9 @@ class DecentralPolicy(SchedulerPolicy):
 
     @property
     def _channel(self) -> Optional["ControlChannel"]:
-        """The enabled control channel, or ``None`` on a perfect LAN."""
+        """The control channel, or ``None`` on a perfect LAN."""
         ctx = self.ctx
-        if ctx is None or ctx.channel is None or not ctx.channel.enabled:
-            return None
-        return ctx.channel
+        return None if ctx is None else ctx.channel
 
     # -- rule publication (job arrival) -------------------------------------
 

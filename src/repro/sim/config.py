@@ -199,10 +199,9 @@ class NetFaultConfig:
     def enabled(self) -> bool:
         """Whether any fault dimension is actually active.
 
-        An all-zero config is the perfect network: the channel becomes a
-        synchronous pass-through that draws no random numbers and
-        schedules no events, so runs stay bit-identical to a channel-less
-        build.
+        An all-zero config is the perfect network: the simulator builds
+        no control channel for it, so the run draws no random numbers
+        and schedules no events on the control plane.
         """
         return (
             self.loss > 0

@@ -119,7 +119,6 @@ def run_replications(
     policy: str,
     n_replications: int = 5,
     base_seed: int = 1000,
-    processes: Optional[int] = None,
     executor: Optional["Executor"] = None,
     **policy_params,
 ) -> ReplicatedResult:
@@ -128,7 +127,7 @@ def run_replications(
     Seeds are ``base_seed + i``; each replication draws an entirely fresh
     workload, so the CI captures both workload and scheduling variance.
     The replications run through the execution layer (``repro.exec``);
-    pass ``executor`` to enable result caching or retries.
+    ``executor`` sets the worker count, result cache and spec timeout.
     """
     if n_replications < 1:
         raise ValueError(f"n_replications must be >= 1, got {n_replications}")
@@ -141,7 +140,7 @@ def run_replications(
         )
         for index in range(n_replications)
     ]
-    sweep = run_sweep(specs, processes=processes, executor=executor)
+    sweep = run_sweep(specs, executor=executor)
     replicated = ReplicatedResult(
         policy=policy, results=[result for _, result in sweep.pairs()]
     )
@@ -157,7 +156,6 @@ def compare_policies(
     policies: List[Tuple[str, dict]],
     n_replications: int = 5,
     base_seed: int = 1000,
-    processes: Optional[int] = None,
     executor: Optional["Executor"] = None,
 ) -> Dict[str, ReplicatedResult]:
     """Replicated comparison of several policies on matched seeds.
@@ -171,7 +169,6 @@ def compare_policies(
             name,
             n_replications=n_replications,
             base_seed=base_seed,
-            processes=processes,
             executor=executor,
             **params,
         )

@@ -2,13 +2,15 @@
 
 A sweep is a list of :class:`RunSpec` (config + policy + policy
 parameters, built with :meth:`RunSpec.make` or the :func:`load_sweep`
-helper).  :func:`run_sweep` hands the specs to a
-:class:`repro.exec.Executor` — serial for small sweeps, a process pool
-otherwise, with streamed per-completion progress, crash isolation and
-optional content-addressed caching — and returns a :class:`SweepResult`
-pairing each spec with its
-:class:`~repro.sim.simulator.SimulationResult` (or, in ``capture`` mode,
-the :class:`~repro.exec.SpecError` that felled it).
+helper).  :func:`run_sweep` hands the specs to the caller's
+:class:`repro.exec.Executor` (``None`` means ``Executor()``: serial for
+small sweeps, a process pool otherwise), which streams per-completion
+progress, runs each spec once with crash isolation and optionally
+caches by content, and returns a :class:`SweepResult` pairing each spec
+with its :class:`~repro.sim.simulator.SimulationResult` (or, in
+``capture`` mode, the :class:`~repro.exec.SpecError` that felled it).
+The executor is the one knob for how a sweep runs; no sweep function
+takes a separate worker count.
 
 ``SweepResult`` then post-processes the pairs:
 
@@ -93,7 +95,7 @@ class SweepResult:
 
     specs: List[RunSpec]
     results: List[SpecOutcome]
-    #: Execution accounting (cache hits, retries, wall time) when the
+    #: Execution accounting (cache hits, failures, wall time) when the
     #: sweep ran through an executor; not part of the JSON export.
     stats: Optional[ExecStats] = field(default=None, compare=False)
 
@@ -223,7 +225,6 @@ def _print_progress(progress: Progress) -> None:  # pragma: no cover - console
 
 def run_sweep(
     specs: Sequence[RunSpec],
-    processes: Optional[int] = None,
     progress: bool = False,
     *,
     executor: Optional["Executor"] = None,
@@ -231,10 +232,9 @@ def run_sweep(
 ) -> SweepResult:
     """Run all specs through the execution layer.
 
-    ``processes=None`` picks a sensible default (serial for small sweeps,
-    a process pool otherwise; ``$REPRO_JOBS`` overrides).  Pass a
-    preconfigured :class:`repro.exec.Executor` to enable result caching,
-    retries or observability.
+    ``executor`` says how: its worker count, result cache and spec
+    timeout.  ``None`` means ``Executor()`` — serial for small sweeps, a
+    process pool otherwise, ``$REPRO_JOBS`` overriding the default.
 
     ``on_error="raise"`` (the default) raises :class:`ExecError` if any
     spec failed — the historical abort semantics; ``on_error="capture"``
@@ -249,9 +249,7 @@ def run_sweep(
         )
     specs = list(specs)
     if executor is None:
-        executor = Executor(jobs=processes)
-    elif processes is not None:
-        executor.jobs = processes
+        executor = Executor()
     outcome = executor.run(
         specs, progress=_print_progress if progress else None
     )

@@ -217,7 +217,7 @@ class InvariantChecker:
         tertiary.validate()
         for counter in cluster.planner.access_counters():
             counter.check_invariants()
-        if channel is not None and channel.enabled:
+        if channel is not None:
             channel.validate()
         for tier in tiers:
             if tier.cache is not None:

@@ -198,9 +198,9 @@ class Simulation:
         self._primed = False
 
         self.cluster.set_completion_callback(self._on_subjob_complete)
-        #: Unreliable control plane (repro.faults.net); ``None`` keeps
-        #: every control path synchronous and draw-free (bit-identical to
-        #: a channel-less build).
+        #: Unreliable control plane (repro.faults.net); ``None`` on a
+        #: perfect network keeps every control path synchronous and
+        #: draw-free.
         self.channel: Optional["ControlChannel"] = None
         if config.net is not None and config.net.enabled:
             from ..faults.net import ControlChannel
@@ -328,7 +328,7 @@ class Simulation:
                     waited=job.waiting_time,
                     processed=job.processing_time,
                 )
-        if self.channel is not None and self.channel.enabled:
+        if self.channel is not None:
             # The node's completion report is a control message: the
             # master-side reaction (retry drains, policy handlers) waits
             # for it to arrive.  Reports retransmit without a budget —
@@ -463,7 +463,7 @@ class Simulation:
             sched_stats = SchedulerStats.central_estimate(dispatches, completions)
         else:
             sched_stats = dataclasses.replace(sched_stats, subjobs_started=dispatches)
-        if self.channel is not None and self.channel.enabled:
+        if self.channel is not None:
             net = self.channel.stats
             sched_stats = dataclasses.replace(
                 sched_stats,

@@ -6,6 +6,7 @@ from repro.core import units
 from repro.core.errors import WorkloadError
 from repro.core.rng import RandomStreams
 from repro.data.dataspace import DataSpace
+from repro.exec import Executor
 from repro.workload.characterize import (
     characterize,
     estimate_arrivals,
@@ -115,7 +116,7 @@ class TestGnuplotExport:
             load_sweep(
                 quick_config(duration=2 * units.DAY), "farm", [1.0, 2.0]
             ),
-            processes=1,
+            executor=Executor(jobs=1),
         )
         script = export_sweep(sweep, tmp_path / "fig", title="demo")
         assert script.exists()

@@ -160,6 +160,20 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["run", "fig2", "--scale", "enormous"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "farmq", "--scale", "smoke", "--jobs", "0"],
+            ["replicate", "--policy", "farm", "-j", "-3"],
+        ],
+    )
+    def test_jobs_below_one_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        message = f"--jobs must be >= 1, got {argv[-1]}"
+        assert message in capsys.readouterr().err
+
 
 class TestBenchArguments:
     """``repro bench`` rejects bad gate arguments before timing anything."""

@@ -4,6 +4,7 @@ import pytest
 
 from repro.analysis.complexity import CallbackProfile, profile_policy
 from repro.core import units
+from repro.exec import Executor
 
 from .policy_helpers import micro_config, trace
 
@@ -89,6 +90,8 @@ class TestComplexityExperiment:
     def test_registered_and_renders(self):
         from repro.experiments import Scale, run_experiment
 
-        outcome = run_experiment("complexity", scale=Scale.SMOKE, processes=1)
+        outcome = run_experiment(
+            "complexity", scale=Scale.SMOKE, executor=Executor(jobs=1)
+        )
         assert "arrival mean (ms)" in outcome.rendered
         assert "out-of-order@10n" in outcome.rendered

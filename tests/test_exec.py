@@ -1,9 +1,9 @@
 """Tests for the execution layer (repro.exec).
 
-Covers the tentpole guarantees: content-addressed fingerprints and
-caching (the checkpoint an interrupted sweep reruns from), crash
-isolation with bounded retries, and bit-identical sweep output
-regardless of the worker count.
+Covers content-addressed fingerprints and caching (the checkpoint an
+interrupted sweep reruns from), crash isolation with each spec run
+exactly once and no failure cached, worker-count resolution, the spec
+timeout, and bit-identical sweep output regardless of the worker count.
 """
 
 import json
@@ -14,12 +14,10 @@ from repro.core import units
 from repro.core.errors import ExecError
 from repro.exec import (
     Executor,
-    RetryPolicy,
     ResultCache,
     SpecError,
     make_cache,
     resolve_jobs,
-    run_with_retries,
     spec_fingerprint,
 )
 from repro.sim.config import quick_config
@@ -95,41 +93,6 @@ class TestResultCache:
         assert make_cache(tmp_path).schema_version == SCHEMA_VERSION
 
 
-class TestRetries:
-    def test_flaky_callable_recovers(self):
-        calls = {"n": 0}
-        slept = []
-
-        def flaky():
-            calls["n"] += 1
-            if calls["n"] < 3:
-                raise RuntimeError("transient")
-            return "ok"
-
-        attempts, payload = run_with_retries(
-            flaky, RetryPolicy(max_attempts=3), sleep=slept.append
-        )
-        assert (attempts, payload) == (3, "ok")
-        # Exponential backoff from the fault subsystem: base, base*factor.
-        assert slept == [0.05, 0.1]
-
-    def test_budget_exhaustion_returns_failure(self):
-        def always():
-            raise ValueError("permanent")
-
-        attempts, payload = run_with_retries(
-            always, RetryPolicy(max_attempts=2), sleep=lambda _: None
-        )
-        assert attempts == 2
-        assert payload.kind == "ValueError"
-        assert "permanent" in payload.message
-        assert "ValueError" in payload.traceback
-
-    def test_max_attempts_validated(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-
-
 class TestResolveJobs:
     def test_explicit_wins_and_is_clamped(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "7")
@@ -144,6 +107,12 @@ class TestResolveJobs:
         with pytest.raises(ValueError):
             resolve_jobs(None, 10)
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_env_below_one_is_refused(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_JOBS", value)
+        with pytest.raises(ValueError, match="REPRO_JOBS must be an integer"):
+            resolve_jobs(None, 10)
+
     def test_tiny_batches_stay_serial(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)
         assert resolve_jobs(None, 1) == 1
@@ -153,7 +122,7 @@ class TestResolveJobs:
 class TestCrashIsolation:
     def test_bad_spec_lands_in_slot_others_complete(self):
         specs = _specs(2) + [_bad_spec()]
-        sweep = run_sweep(specs, processes=1, on_error="capture")
+        sweep = run_sweep(specs, executor=Executor(jobs=1), on_error="capture")
         assert sweep.n_failed == 1
         error = sweep.results[2]
         assert isinstance(error, SpecError)
@@ -166,29 +135,56 @@ class TestCrashIsolation:
 
     def test_pool_mode_survives_crash(self):
         specs = _specs(3) + [_bad_spec()]
-        sweep = run_sweep(specs, processes=2, on_error="capture")
+        sweep = run_sweep(specs, executor=Executor(jobs=2), on_error="capture")
         assert sweep.n_failed == 1
         assert len(list(sweep.pairs())) == 3
 
-    def test_retry_budget_is_accounted(self):
-        executor = Executor(jobs=1, retry=RetryPolicy(
-            max_attempts=2, backoff_base=0.0, backoff_max=0.0))
-        outcome = executor.run([_bad_spec()])
-        error = outcome.results[0]
-        assert isinstance(error, SpecError)
-        assert error.attempts == 2
-        assert outcome.stats.retries == 1
-        assert outcome.stats.failed == 1
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failure_runs_exactly_once(self, jobs, monkeypatch, tmp_path):
+        # A seeded spec that fails fails the same way on a rerun, so
+        # neither backend runs it a second time.  Runs are logged to a
+        # file: pool workers are forked and inherit the patch.  One spec
+        # at jobs=2 would resolve to the serial backend, so the pool
+        # case runs a good spec beside the bad one.
+        import repro.exec.executor as executor_module
+
+        real = executor_module._execute_spec
+        log = tmp_path / "runs.log"
+
+        def logged(spec):
+            with open(log, "a") as handle:
+                handle.write(spec.label + "\n")
+            return real(spec)
+
+        monkeypatch.setattr(executor_module, "_execute_spec", logged)
+        specs = _specs(jobs - 1) + [_bad_spec()]
+        events = []
+        outcome = Executor(jobs=jobs).run(specs, progress=events.append)
+        assert log.read_text().splitlines().count("boom") == 1
+        assert isinstance(outcome.results[-1], SpecError)
+        assert (outcome.stats.executed, outcome.stats.failed) == (jobs, 1)
+        errors = [event.error for event in events if event.error is not None]
+        assert errors == [outcome.results[-1]]
+
+    def test_failed_slot_is_not_cached(self, tmp_path):
+        specs = _specs(1) + [_bad_spec()]
+        first = Executor(jobs=1, cache=make_cache(tmp_path)).run(specs)
+        assert first.stats.failed == 1
+        rerun = Executor(jobs=1, cache=make_cache(tmp_path)).run(specs)
+        assert rerun.stats.cache_hits == 1
+        assert (rerun.stats.executed, rerun.stats.failed) == (1, 1)
+        assert isinstance(rerun.results[1], SpecError)
 
     def test_raise_mode_raises_exec_error(self):
         with pytest.raises(ExecError, match="no-such-policy"):
-            run_sweep([_bad_spec()], processes=1)
+            run_sweep([_bad_spec()], executor=Executor(jobs=1))
 
 
 class TestDeterminism:
     def test_to_json_bit_identical_across_jobs(self):
-        serial = run_sweep(_specs(4, policy="out-of-order"), processes=1)
-        pooled = run_sweep(_specs(4, policy="out-of-order"), processes=3)
+        specs = _specs(4, policy="out-of-order")
+        serial = run_sweep(specs, executor=Executor(jobs=1))
+        pooled = run_sweep(specs, executor=Executor(jobs=3))
         assert serial.to_json() == pooled.to_json()
 
     def test_cache_hits_reproduce_bytes(self, tmp_path):
@@ -226,7 +222,7 @@ class TestProgressStreaming:
 
 class TestStats:
     def test_brief_is_greppable(self):
-        sweep = run_sweep(_specs(1), processes=1)
+        sweep = run_sweep(_specs(1), executor=Executor(jobs=1))
         brief = sweep.stats.brief()
         assert brief.startswith("exec: total=1 ")
         assert "cache_hits=0" in brief

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.errors import ConfigurationError
+from repro.exec import Executor
 from repro.experiments import (
     Scale,
     all_experiments,
@@ -57,7 +58,9 @@ class TestRegistry:
 class TestRunAndRender:
     @pytest.fixture(scope="class")
     def outcome(self):
-        return run_experiment("farmq", scale=Scale.SMOKE, processes=1)
+        return run_experiment(
+            "farmq", scale=Scale.SMOKE, executor=Executor(jobs=1)
+        )
 
     def test_outcome_has_results(self, outcome):
         assert outcome.sweep.results
@@ -75,7 +78,9 @@ class TestRunAndRender:
 
 class TestFig4Smoke:
     def test_histogram_rendered(self):
-        outcome = run_experiment("fig4", scale=Scale.SMOKE, processes=2)
+        outcome = run_experiment(
+            "fig4", scale=Scale.SMOKE, executor=Executor(jobs=2)
+        )
         assert "waiting-time distribution" in outcome.rendered
 
 
@@ -89,7 +94,7 @@ class TestCalibration:
             loads_per_hour=[
                 config.max_theoretical_load_per_hour * f for f in (0.3, 0.6)
             ],
-            processes=1,
+            executor=Executor(jobs=1),
         )
         assert len(table) == 2
         fractions = [f for f, _ in table]

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.core import units
+from repro.exec import Executor
 from repro.sim.config import FaultConfig, NetFaultConfig, quick_config
 from repro.sim.export import (
     SCHEMA_VERSION,
@@ -176,7 +177,10 @@ class TestNestedSummaryLayout:
         assert json.loads(json.dumps(nested, default=float)) == nested
 
     def test_sweep_json(self, chaos_config):
-        sweep = run_sweep([RunSpec.make(chaos_config, "decentral")], processes=1)
+        sweep = run_sweep(
+            [RunSpec.make(chaos_config, "decentral")],
+            executor=Executor(jobs=1),
+        )
         (entry,) = json.loads(sweep.to_json())["results"]
         _assert_nested_layout(entry)
 

@@ -1,7 +1,7 @@
 """Tests for the unreliable control plane (repro.faults.net).
 
-Covers the tentpole guarantees: zero-overhead pass-through when
-disabled (bit-identical to a channel-less run), deterministic seeded
+Covers the tentpole guarantees: no channel on a perfect network (a
+disabled config builds none and is refused), deterministic seeded
 fault injection when enabled (bit-identical across repeats, --jobs and
 the sanitizer), the ack+retransmit/dead-letter accounting invariant
 and ``ControlChannel.validate``, exactly-once delivery under
@@ -23,9 +23,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import units
 from repro.core.engine import Engine
-from repro.core.errors import InvariantViolation
+from repro.core.errors import ConfigurationError, InvariantViolation
 from repro.core.events import EventPriority
 from repro.core.rng import RandomStreams
+from repro.exec import Executor
 from repro.faults import ChannelStats, ControlChannel
 from repro.faults.recovery import exponential_backoff
 from repro.sched.base import create_policy
@@ -95,14 +96,12 @@ class TestDisabledPassThrough:
         )
         assert _comparable(bare) == _comparable(disabled)
 
-    def test_disabled_channel_delivers_synchronously(self):
-        channel = ControlChannel(Engine(), None, RandomStreams(0))
-        seen = []
-        channel.send_reliable(lambda: seen.append("now"), kind="test")
-        assert seen == ["now"]
-        assert channel.attempt() is True
-        assert channel.stats == ChannelStats()
-        assert channel.in_flight == 0
+    def test_perfect_network_has_no_channel(self):
+        for net in (None, NetFaultConfig()):
+            sim = Simulation(_config(net=net), create_policy("out-of-order"))
+            assert sim.channel is None
+        with pytest.raises(ConfigurationError, match="perfect network"):
+            ControlChannel(Engine(), NetFaultConfig(), RandomStreams(0))
 
     def test_reliability_counters_zero_on_perfect_network(self):
         result = run_simulation(_config(), "out-of-order")
@@ -134,8 +133,8 @@ class TestDeterminism:
                 for policy in ("out-of-order", "decentral")
             ]
 
-        serial = run_sweep(specs(), processes=1)
-        pooled = run_sweep(specs(), processes=3)
+        serial = run_sweep(specs(), executor=Executor(jobs=1))
+        pooled = run_sweep(specs(), executor=Executor(jobs=3))
         assert serial.to_json() == pooled.to_json()
 
     def test_adding_the_channel_does_not_perturb_other_streams(self):

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.core import units
+from repro.exec import Executor
 from repro.sim.config import quick_config
 from repro.sim.replications import (
     MetricEstimate,
@@ -67,7 +68,11 @@ class TestRunReplications:
     def replicated(self):
         config = quick_config(duration=3 * units.DAY, arrival_rate_per_hour=4.0)
         return run_replications(
-            config, "out-of-order", n_replications=3, base_seed=50, processes=1
+            config,
+            "out-of-order",
+            n_replications=3,
+            base_seed=50,
+            executor=Executor(jobs=1),
         )
 
     def test_replication_count(self, replicated):
@@ -100,7 +105,7 @@ class TestComparePolicies:
             [("farm", {}), ("out-of-order", {})],
             n_replications=2,
             base_seed=9,
-            processes=1,
+            executor=Executor(jobs=1),
         )
         assert set(outcome) == {"farm", "out-of-order"}
         # Matched seeds: each policy saw the same workloads; out-of-order

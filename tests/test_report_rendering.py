@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import units
+from repro.exec import Executor
 from repro.experiments import Scale, get_experiment
 from repro.experiments.report import render_markdown_report, run_experiment
 from repro.sim.config import quick_config
@@ -15,7 +16,7 @@ def tiny_sweep():
         quick_config(duration=2 * units.DAY, seed=2), "farm", [1.0, 2.0],
         label="farm",
     )
-    return run_sweep(specs, processes=1)
+    return run_sweep(specs, executor=Executor(jobs=1))
 
 
 class TestSeriesExtraction:
@@ -47,7 +48,7 @@ class TestSeriesExtraction:
             quick_config(duration=4 * units.DAY, seed=2), "farm", [40.0],
             label="farm",
         )
-        sweep = run_sweep(specs, processes=1)
+        sweep = run_sweep(specs, executor=Executor(jobs=1))
         assert sweep.results[0].overload.overloaded
         assert sweep.series("speedup")["farm"] == []
         assert len(sweep.series("speedup", include_overloaded=True)["farm"]) == 1
@@ -60,7 +61,9 @@ class TestRendererSmoke:
 
     @pytest.mark.parametrize("exp_id", ["farmq", "ablate-minsize"])
     def test_render(self, exp_id):
-        outcome = run_experiment(exp_id, scale=Scale.SMOKE, processes=1)
+        outcome = run_experiment(
+            exp_id, scale=Scale.SMOKE, executor=Executor(jobs=1)
+        )
         assert len(outcome.rendered) > 100
 
     def test_expectations_all_set(self):
@@ -75,8 +78,8 @@ class TestRendererSmoke:
 class TestMarkdownReport:
     def test_multiple_outcomes(self):
         outcomes = [
-            run_experiment("farmq", scale=Scale.SMOKE, processes=1),
-            run_experiment("ablate-minsize", scale=Scale.SMOKE, processes=1),
+            run_experiment(exp_id, scale=Scale.SMOKE, executor=Executor(jobs=1))
+            for exp_id in ("farmq", "ablate-minsize")
         ]
         report = render_markdown_report(outcomes, Scale.SMOKE)
         assert report.count("## ") == 2

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import units
+from repro.exec import Executor
 from repro.sim.config import quick_config
 from repro.sim.runner import RunSpec, load_sweep, run_sweep
 from repro.sim.simulator import Simulation, run_simulation
@@ -125,7 +126,7 @@ class TestRunner:
         specs = load_sweep(
             quick_config(duration=2 * units.DAY), "farm", [1.0, 2.0]
         )
-        sweep = run_sweep(specs, processes=1)
+        sweep = run_sweep(specs, executor=Executor(jobs=1))
         assert len(sweep.results) == 2
         series = sweep.series("speedup")
         assert len(series["farm"]) == 2
@@ -134,15 +135,15 @@ class TestRunner:
         specs = load_sweep(
             quick_config(duration=2 * units.DAY), "farm", [1.0, 2.0, 3.0]
         )
-        sweep = run_sweep(specs, processes=2)
+        sweep = run_sweep(specs, executor=Executor(jobs=2))
         assert len(sweep.results) == 3
 
     def test_parallel_matches_serial(self):
         specs = load_sweep(
             quick_config(duration=2 * units.DAY), "out-of-order", [1.0, 2.0]
         )
-        serial = run_sweep(specs, processes=1)
-        parallel = run_sweep(specs, processes=2)
+        serial = run_sweep(specs, executor=Executor(jobs=1))
+        parallel = run_sweep(specs, executor=Executor(jobs=2))
         for a, b in zip(serial.results, parallel.results):
             assert a.measured.mean_speedup == b.measured.mean_speedup
 

@@ -541,8 +541,8 @@ def _tiered_specs():
 
 class TestTieredDeterminism:
     def test_bit_identical_across_jobs(self):
-        serial = run_sweep(_tiered_specs(), processes=1)
-        pooled = run_sweep(_tiered_specs(), processes=3)
+        serial = run_sweep(_tiered_specs(), executor=Executor(jobs=1))
+        pooled = run_sweep(_tiered_specs(), executor=Executor(jobs=3))
         assert serial.to_json() == pooled.to_json()
 
     def test_bit_identical_under_invariant_checks(self):

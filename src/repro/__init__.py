@@ -4,8 +4,8 @@ Clusters of PCs".
 
 A discrete-event simulator of a PC cluster backed by tertiary mass
 storage, the paper's seven job-parallelization/scheduling policies, the
-LHCb-style analysis workload model, and a benchmark harness that
-regenerates every figure of the paper's evaluation.
+LHCb-style analysis workload model, and registered experiments that
+regenerate every figure of the paper's evaluation and check its claims.
 
 Quickstart::
 

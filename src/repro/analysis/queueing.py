@@ -10,7 +10,7 @@ system."  We implement the standard tools —
   ``Wq(M/Ek/m) ≈ Wq(M/M/m) × (1 + 1/k) / 2``
 
 — so the simulated farm can be validated against theory (see
-``tests/test_queueing.py`` and ``benchmarks/bench_queueing.py``).
+``tests/test_queueing.py`` and the ``farmq`` experiment's verdict).
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
-"""ASCII tables and figure-series rendering for the benchmark harness.
+"""ASCII tables and figure-series rendering for the experiments.
 
-Every bench prints the rows/series of the paper figure it regenerates;
-these helpers keep that output aligned and consistent.
+Every experiment prints the rows/series of the paper figure it
+regenerates; these helpers keep that output aligned and consistent.
 """
 
 from __future__ import annotations

@@ -37,6 +37,7 @@ from .analysis.tables import format_table
 from .analysis.theory import theoretical_limits
 from .core import units
 from .experiments import (
+    ExperimentOutcome,
     Scale,
     available_experiments,
     calibrate_delay_table,
@@ -121,6 +122,11 @@ def _executor_from_args(args: argparse.Namespace) -> "Executor":
 def _print_exec_stats(sweep) -> None:
     if sweep.stats is not None:
         print(sweep.stats.brief())
+
+
+def _print_verdict(outcome: ExperimentOutcome) -> None:
+    for line in outcome.verdict_lines():
+        print(f"{outcome.experiment.exp_id} verdict: {line}")
 
 
 def _add_fault_args(parser: argparse.ArgumentParser) -> None:
@@ -609,12 +615,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     print(outcome.rendered)
     _print_exec_stats(outcome.sweep)
+    _print_verdict(outcome)
     if args.output:
         report = render_markdown_report([outcome], Scale(args.scale))
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(report)
         print(f"\nreport written to {args.output}")
-    return 1 if outcome.sweep.n_failed else 0
+    return 0 if outcome.ok else 1
 
 
 def _cmd_run_all(args: argparse.Namespace) -> int:
@@ -628,6 +635,7 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
             )
         )
         _print_exec_stats(outcomes[-1].sweep)
+        _print_verdict(outcomes[-1])
     report = render_markdown_report(outcomes, Scale(args.scale))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -635,7 +643,7 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
         print(f"report written to {args.output}")
     else:
         print(report)
-    return 1 if any(outcome.sweep.n_failed for outcome in outcomes) else 0
+    return 0 if all(outcome.ok for outcome in outcomes) else 1
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -1053,6 +1061,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     jobs = getattr(args, "jobs", None)
     if jobs is not None and jobs < 1:
         parser.error(f"--jobs must be >= 1, got {jobs}")
+    if hasattr(args, "jobs"):
+        # The executor reads $REPRO_JOBS and $REPRO_SPEC_TIMEOUT only when
+        # it runs; a bad value fails here, before any work.
+        from .exec import resolve_jobs, resolve_spec_timeout
+
+        try:
+            resolve_jobs(jobs, 1)
+            resolve_spec_timeout(getattr(args, "spec_timeout", None))
+        except ValueError as exc:
+            print(f"repro {args.command}: {exc}", file=sys.stderr)
+            raise SystemExit(2) from None
     if args.command == "policies":
         return _cmd_policies()
     if args.command == "experiments":

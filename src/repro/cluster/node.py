@@ -448,8 +448,8 @@ class Node:
         :meth:`preempt`).  Each sub-chunk adds its own busy seconds, so
         the float sum is the one per-chunk crediting makes; the events
         are credited to the subjob, the job and the tape in one step.  A
-        traced run reads the tape and records ``CHUNK_DONE`` once per
-        sub-chunk instead, stamped with that sub-chunk's end time.
+        traced node never arms such a run (:meth:`_begin_next_chunk`), so
+        its records keep time order.
         """
         plan = self._plan
         if plan is None:
@@ -470,7 +470,6 @@ class Node:
         assert subjob is not None and isinstance(planner, WholeSegmentPlanner)
         stats = self.stats
         busy = stats.busy_seconds
-        traced = self.obs.enabled
         position = start
         chunks = 0
         while position < end:
@@ -478,16 +477,11 @@ class Node:
             finish = time + (setup + events * per_event)
             if finish > now:
                 break
-            seconds = events * per_event + setup
-            busy += seconds
-            if traced:
-                planner.on_chunks_processed(self, position, position + events, 1, finish)
-                self._emit_chunk_done(subjob, plan.source, events, seconds, finish)
+            busy += events * per_event + setup
             position += events
             time = finish
             chunks += 1
-        if not traced:
-            planner.on_chunks_processed(self, start, position, chunks, now)
+        planner.on_chunks_processed(self, start, position, chunks, now)
         self._release(began, start, position)
         events = position - start
         stats.busy_seconds = busy
@@ -629,7 +623,9 @@ class Node:
         completion: one planner call and one calendar push, re-arming the
         node's fired completion event when it has one.  A run longer than
         ``chunk_events`` (whole-segment plans only) is timed as
-        sub-chunks, the recurrence of one event per chunk written out."""
+        sub-chunks, the recurrence of one event per chunk written out.  A
+        traced node runs such a plan one chunk at a time instead, as it
+        does a tied one, so each chunk's records are made when it ends."""
         subjob = self.current
         assert subjob is not None
         segment = subjob.segment
@@ -664,7 +660,7 @@ class Node:
                     f"than {step} events; only a whole-segment planner may"
                 )
             marks = _chunk_ends(now, start, chunk_end, step, per_event, setup)
-            if self._break_ties(marks):
+            if self.obs.enabled or self._break_ties(marks):
                 # Run one chunk now and plan again at its end.
                 plan.end = start + step
                 del marks[1:]

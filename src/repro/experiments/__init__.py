@@ -25,7 +25,6 @@ from .calibration import (
 from .report import (
     ExperimentOutcome,
     render_markdown_report,
-    run_all,
     run_experiment,
 )
 
@@ -36,7 +35,6 @@ __all__ = [
     "available_experiments",
     "all_experiments",
     "run_experiment",
-    "run_all",
     "render_markdown_report",
     "ExperimentOutcome",
     "calibrate_delay_table",

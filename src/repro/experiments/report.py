@@ -1,9 +1,10 @@
 """Paper-vs-measured reporting.
 
-``build_report`` runs (or accepts) experiment sweeps and renders a
-markdown report in the EXPERIMENTS.md format: one section per experiment
-with the paper's qualitative claim, our measured series, and a PASS/CHECK
-shape assessment where one can be computed mechanically.
+:func:`run_experiment` runs one experiment's sweep, renders it and checks
+its verdict; :func:`render_markdown_report` renders outcomes in the
+EXPERIMENTS.md format: one section per experiment with the paper's
+qualitative claim, whether the experiment's verdict holds, and our
+measured series.
 
 Experiment sweeps run through the execution layer in *capture* mode: a
 crashed point is reported as a structured error line instead of taking
@@ -19,7 +20,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence
 from ..core.clock import wall_clock
 from ..exec.executor import TIMEOUT_KIND
 from ..sim.runner import SweepResult, run_sweep
-from .registry import Experiment, Scale, all_experiments, get_experiment
+from .registry import Experiment, Scale, get_experiment
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..exec.executor import Executor
@@ -31,6 +32,21 @@ class ExperimentOutcome:
     sweep: SweepResult
     rendered: str
     wall_seconds: float
+    #: The claims the experiment's verdict found failed (empty when it
+    #: holds); ``None`` when it has no verdict or a point failed.
+    failed_claims: Optional[List[str]] = None
+
+    @property
+    def ok(self) -> bool:
+        """No point failed and no claim failed."""
+        return not self.sweep.n_failed and not self.failed_claims
+
+    def verdict_lines(self) -> List[str]:
+        """``holds``, or one line per failed claim; none when the verdict
+        was not checked."""
+        if self.failed_claims is None:
+            return []
+        return [f"FAILED: {claim}" for claim in self.failed_claims] or ["holds"]
 
 
 def _render_errors(sweep: SweepResult) -> str:
@@ -50,10 +66,11 @@ def run_experiment(
     progress: bool = False,
     executor: Optional["Executor"] = None,
 ) -> ExperimentOutcome:
-    """Run one registered experiment end to end.
+    """Run one registered experiment end to end and check its verdict.
 
     A crashed sweep point becomes an error line in the rendering rather
-    than an exception — the surviving points still draw the figure.
+    than an exception — the surviving points still draw the figure, but
+    the verdict is checked only on a complete sweep.
     """
     experiment = get_experiment(exp_id)
     started = wall_clock()
@@ -64,32 +81,18 @@ def run_experiment(
         on_error="capture",
     )
     rendered = experiment.render(sweep)
+    failed_claims: Optional[List[str]] = None
     if sweep.n_failed:
         rendered = rendered + "\n\n" + _render_errors(sweep)
+    elif experiment.verdict is not None:
+        failed_claims = experiment.verdict(sweep, scale)
     return ExperimentOutcome(
         experiment=experiment,
         sweep=sweep,
         rendered=rendered,
         wall_seconds=wall_clock() - started,
+        failed_claims=failed_claims,
     )
-
-
-def run_all(
-    scale: Scale = Scale.QUICK,
-    exp_ids: Optional[Sequence[str]] = None,
-    progress: bool = False,
-    executor: Optional["Executor"] = None,
-) -> List[ExperimentOutcome]:
-    ids = list(exp_ids) if exp_ids else [e.exp_id for e in all_experiments()]
-    return [
-        run_experiment(
-            exp_id,
-            scale=scale,
-            progress=progress,
-            executor=executor,
-        )
-        for exp_id in ids
-    ]
 
 
 def render_markdown_report(outcomes: Sequence[ExperimentOutcome], scale: Scale) -> str:
@@ -109,6 +112,8 @@ def render_markdown_report(outcomes: Sequence[ExperimentOutcome], scale: Scale) 
         lines.append("")
         lines.append(f"*Paper reference:* {experiment.paper_ref}.")
         lines.append(f"*Expectation:* {experiment.expectation}.")
+        if outcome.failed_claims is not None:
+            lines.append(f"*Verdict:* {'; '.join(outcome.verdict_lines())}.")
         lines.append(f"*Wall time:* {outcome.wall_seconds:.1f} s.")
         lines.append("")
         lines.append("```")

@@ -8,10 +8,10 @@ the cost of not having replicated exceeds the cost of replication — the
 paper instantiates that online-replication rule as "replicate on the 3rd
 remote access".
 
-The paper's finding — reproduced by ``benchmarks/bench_replication.py`` —
-is that this buys nothing: out-of-order splitting spreads every large
-segment over many nodes, so the overloaded-node situation replication
-targets occurs for well under 1 ‰ of job arrivals.
+The paper's finding — reproduced by the ``repl`` experiment, whose
+verdict checks it — is that this buys nothing: out-of-order splitting
+spreads every large segment over many nodes, so the overloaded-node
+situation replication targets occurs for well under 1 ‰ of job arrivals.
 """
 
 from __future__ import annotations

@@ -41,8 +41,9 @@ from typing import (
     Union,
 )
 
-from ..core.errors import ExecError
+from ..core.errors import ConfigurationError, ExecError
 from ..exec.outcomes import ExecStats, Progress, SpecError
+from ..sched import policy_parameters
 from .config import SimulationConfig
 from .export import SCHEMA_VERSION
 from .simulator import SimulationResult, run_simulation
@@ -71,6 +72,17 @@ class RunSpec:
         label: str = "",
         **policy_params,
     ) -> "RunSpec":
+        """A sweep point; raises :class:`ConfigurationError` for a keyword
+        the policy does not take, before any spec runs."""
+        if policy_params:
+            accepted = policy_parameters(policy)
+            unknown = sorted(set(policy_params) - set(accepted))
+            if unknown:
+                raise ConfigurationError(
+                    f"policy {policy!r} has no parameter(s) "
+                    f"{', '.join(unknown)}; it accepts: "
+                    f"{', '.join(accepted) or 'none'}"
+                )
         return cls(
             config=config,
             policy=policy,

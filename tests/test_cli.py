@@ -125,6 +125,31 @@ class TestRun:
         assert out_file.exists()
         assert "farmq" in out_file.read_text()
 
+    def test_passing_verdict_prints_holds(self, capsys):
+        argv = ["run", "farmq", "--scale", "smoke", "--jobs", "1", "--no-cache"]
+        assert main(argv) == 0
+        assert "farmq verdict: holds" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["run", "run-all"])
+    def test_failed_claim_exits_1_and_names_it(self, capsys, monkeypatch, command):
+        import dataclasses
+
+        from repro.experiments import registry
+
+        stub = dataclasses.replace(
+            registry.get_experiment("farmq"),
+            verdict=lambda sweep, scale: [
+                f"stub claim over {len(sweep.results)} points at {scale.value}"
+            ],
+        )
+        monkeypatch.setitem(registry._EXPERIMENTS, "farmq", stub)
+        target = ["farmq"] if command == "run" else ["--only", "farmq"]
+        argv = [command, *target, "--scale", "smoke", "--jobs", "1", "--no-cache"]
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert "farmq verdict: FAILED: stub claim over 2 points at smoke" in out
+        assert "verdict: holds" not in out
+
     def test_run_unknown_experiment(self):
         from repro.core.errors import ConfigurationError
 
@@ -173,6 +198,20 @@ class TestParser:
         assert exit_info.value.code == 2
         message = f"--jobs must be >= 1, got {argv[-1]}"
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "variable, value",
+        [("REPRO_JOBS", "nope"), ("REPRO_SPEC_TIMEOUT", "soon")],
+    )
+    def test_bad_environment_value_exits_2(self, capsys, monkeypatch, variable, value):
+        monkeypatch.setenv(variable, value)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "farmq", "--scale", "smoke", "--no-cache"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"${variable}" in err and repr(value) in err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestBenchArguments:

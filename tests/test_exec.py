@@ -11,7 +11,7 @@ import json
 import pytest
 
 from repro.core import units
-from repro.core.errors import ExecError
+from repro.core.errors import ConfigurationError, ExecError
 from repro.exec import (
     Executor,
     ResultCache,
@@ -62,6 +62,24 @@ class TestFingerprint:
     def test_sensitive_to_schema_version(self):
         spec = RunSpec.make(quick_config(), "farm")
         assert spec_fingerprint(spec, 3) != spec_fingerprint(spec, 4)
+
+
+class TestRunSpecParameters:
+    def test_unknown_policy_parameter_rejected(self):
+        with pytest.raises(ConfigurationError) as info:
+            RunSpec.make(quick_config(), "farm", processes=1)
+        assert "processes" in str(info.value)
+
+    def test_message_names_the_accepted_parameters(self):
+        with pytest.raises(ConfigurationError) as info:
+            RunSpec.make(quick_config(), "delayed", perod=100.0)
+        message = str(info.value)
+        assert "perod" in message
+        assert "period" in message and "stripe_events" in message
+
+    def test_known_parameters_accepted(self):
+        spec = RunSpec.make(quick_config(), "delayed", period=100.0)
+        assert spec.policy_params == (("period", 100.0),)
 
 
 class TestResultCache:

@@ -49,6 +49,17 @@ class TestRegistry:
             full = experiment.specs(Scale.FULL)
             assert len(full) >= len(specs)
 
+    def test_exactly_the_claim_experiments_carry_a_verdict(self):
+        with_verdict = {e.exp_id for e in all_experiments() if e.verdict}
+        assert with_verdict == {
+            "fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
+            "repl", "maxload", "farmq", "nodes",
+            "ablate-chunk", "ablate-pipeline", "ablate-minsize",
+            "ablate-fairness", "ablate-mixed", "ablate-tape-latency",
+            "ablate-hotspot",
+            "fairness", "ablate-network", "scenario-diurnal",
+        }
+
     def test_specs_share_seed_within_experiment(self):
         for experiment in all_experiments():
             seeds = {spec.config.seed for spec in experiment.specs(Scale.SMOKE)}
@@ -73,7 +84,13 @@ class TestRunAndRender:
         report = render_markdown_report([outcome], Scale.SMOKE)
         assert "## farmq" in report
         assert "Paper reference" in report
+        assert "*Verdict:* holds." in report
         assert "```" in report
+
+    def test_verdict_holds(self, outcome):
+        assert outcome.failed_claims == []
+        assert outcome.ok
+        assert outcome.verdict_lines() == ["holds"]
 
 
 class TestFig4Smoke:

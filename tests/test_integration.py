@@ -1,7 +1,7 @@
 """Cross-policy integration tests: the paper's qualitative orderings.
 
 These are the load-bearing reproduction checks at test scale (the full-
-scale versions live in the benchmark harness): each test asserts a
+scale versions are the experiments' verdicts): each test asserts a
 relationship the paper's figures exhibit, on a shared reduced workload.
 """
 
@@ -84,7 +84,7 @@ class TestFig3Ordering:
     def test_waiting(self, shared):
         # At this comfortable load both policies start jobs near-instantly;
         # out-of-order must not be worse beyond noise (the decisive gap
-        # appears at high load, exercised by benchmarks/bench_fig3.py).
+        # appears at high load, checked by the fig3 experiment's verdict).
         _, run = shared
         assert (
             run("out-of-order").measured.mean_waiting

@@ -57,7 +57,7 @@ class TestSeriesExtraction:
 class TestRendererSmoke:
     """Every registered experiment's renderer must produce non-empty text
     (run at smoke scale for the cheap ones; expensive renderers are
-    covered by the benchmark suite)."""
+    covered by ``repro run-all --scale smoke`` in CI)."""
 
     @pytest.mark.parametrize("exp_id", ["farmq", "ablate-minsize"])
     def test_render(self, exp_id):

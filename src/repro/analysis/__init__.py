@@ -3,7 +3,6 @@ report rendering."""
 
 from .batchmeans import BatchMeansEstimate, batch_means, speedup_ci, waiting_time_ci
 from .capacity import CapacityResult, capacity_by_policy, find_max_sustained_load
-from .complexity import CallbackProfile, ComplexityReport, profile_policy
 from .fairness import (
     FairnessReport,
     fairness_report,
@@ -28,9 +27,6 @@ __all__ = [
     "batch_means",
     "waiting_time_ci",
     "speedup_ci",
-    "ComplexityReport",
-    "CallbackProfile",
-    "profile_policy",
     "CapacityResult",
     "find_max_sustained_load",
     "capacity_by_policy",

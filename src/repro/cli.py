@@ -26,13 +26,15 @@ missing points execute.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from .exec.executor import Executor
 
 from . import __version__
+from .core.errors import ConfigurationError
 from .analysis.tables import format_table
 from .analysis.theory import theoretical_limits
 from .core import units
@@ -96,7 +98,7 @@ def _add_exec_args(parser: argparse.ArgumentParser, cache: bool = True) -> None:
     )
     group.add_argument(
         "--spec-timeout",
-        type=float,
+        type=_finite,
         default=None,
         metavar="SECONDS",
         help="kill a sweep point that produces no completion within this "
@@ -129,6 +131,28 @@ def _print_verdict(outcome: ExperimentOutcome) -> None:
         print(f"{outcome.experiment.exp_id} verdict: {line}")
 
 
+def _number(parse: Callable[[str], float], what: str) -> Callable[[str], float]:
+    """An argparse ``type=``: ``parse``, refusing unreadable and non-finite
+    values with a message naming ``what`` was expected."""
+
+    def convert(text: str) -> float:
+        try:
+            value = parse(text)
+        except (ValueError, OverflowError):
+            value = math.nan
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"not {what}: {text!r}")
+        return value
+
+    return convert
+
+
+_finite = _number(float, "a finite number")
+_duration = _number(units.parse_duration, "a duration such as 30mn, 6h, 1d or 1w")
+#: ``--cache-gb``, read as bytes.
+_gigabytes = _number(lambda text: int(float(text) * units.GB), "a size in GB")
+
+
 def _add_fault_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("fault injection (repro.faults)")
     group.add_argument(
@@ -139,18 +163,21 @@ def _add_fault_args(parser: argparse.ArgumentParser) -> None:
     group.add_argument(
         "--mtbf",
         default="1d",
+        type=_duration,
         metavar="DUR",
         help="mean time between failures per node, e.g. 6h, 1d, 1w (default 1d)",
     )
     group.add_argument(
         "--mttr",
         default="2h",
+        type=_duration,
         metavar="DUR",
         help="mean time to repair per node (default 2h)",
     )
     group.add_argument(
         "--stall-interval",
         default=None,
+        type=_duration,
         metavar="DUR",
         help="also inject cluster-wide tertiary stalls with this mean gap "
         "(off unless given)",
@@ -163,7 +190,7 @@ def _add_fault_args(parser: argparse.ArgumentParser) -> None:
     net = parser.add_argument_group("control-plane faults (repro.faults.net)")
     net.add_argument(
         "--net-loss",
-        type=float,
+        type=_finite,
         default=0.0,
         metavar="P",
         help="per-message control-plane loss probability in [0, 1) "
@@ -171,21 +198,21 @@ def _add_fault_args(parser: argparse.ArgumentParser) -> None:
     )
     net.add_argument(
         "--net-dup",
-        type=float,
+        type=_finite,
         default=0.0,
         metavar="P",
         help="per-message duplication probability in [0, 1)",
     )
     net.add_argument(
         "--net-delay",
-        type=float,
+        type=_finite,
         default=0.0,
         metavar="SECONDS",
         help="mean exponential one-way message delay in simulated seconds",
     )
     net.add_argument(
         "--net-reorder",
-        type=float,
+        type=_finite,
         default=0.0,
         metavar="P",
         help="probability a message copy is held back past later traffic",
@@ -215,7 +242,6 @@ def _resolve_topology(value: str, prog: str):
     import json
     import os
 
-    from .core.errors import ConfigurationError
     from .topo.spec import TOPOLOGY_PRESETS, TopologySpec, topology_preset
 
     def _die(message: str) -> "SystemExit":
@@ -271,18 +297,14 @@ def _net_config_from_args(args: argparse.Namespace) -> Optional[NetFaultConfig]:
 def _fault_config_from_args(args: argparse.Namespace) -> Optional[FaultConfig]:
     if not args.faults:
         if args.wipe_cache or args.stall_interval is not None:
-            raise SystemExit(
-                "repro: --wipe-cache/--stall-interval require --faults"
-            )
+            raise ConfigurationError("--wipe-cache/--stall-interval require --faults")
         return None
     return FaultConfig(
-        node_mtbf=units.parse_duration(args.mtbf),
-        node_mttr=units.parse_duration(args.mttr),
+        node_mtbf=args.mtbf,
+        node_mttr=args.mttr,
         wipe_cache_on_failure=args.wipe_cache,
         stall_interval=(
-            units.parse_duration(args.stall_interval)
-            if args.stall_interval is not None
-            else 0.0
+            args.stall_interval if args.stall_interval is not None else 0.0
         ),
     )
 
@@ -348,12 +370,18 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help="policy name (see `repro policies`; underscores are accepted)",
     )
-    sim_parser.add_argument("--load", type=float, default=1.0, help="jobs/hour")
-    sim_parser.add_argument("--days", type=float, default=20.0)
-    sim_parser.add_argument("--cache-gb", type=float, default=100.0)
+    sim_parser.add_argument("--load", type=_finite, default=1.0, help="jobs/hour")
+    sim_parser.add_argument("--days", type=_finite, default=20.0)
+    sim_parser.add_argument(
+        "--cache-gb",
+        type=_gigabytes,
+        default=100 * units.GB,
+        dest="cache_bytes",
+        metavar="GB",
+    )
     sim_parser.add_argument("--nodes", type=int, default=10)
     sim_parser.add_argument("--seed", type=int, default=0)
-    sim_parser.add_argument("--period", type=float, default=None, help="seconds")
+    sim_parser.add_argument("--period", type=_finite, default=None, help="seconds")
     sim_parser.add_argument("--stripe", type=int, default=None, help="events")
     sim_parser.add_argument(
         "--grant-batch",
@@ -399,12 +427,18 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help="policy name (see `repro policies`; underscores are accepted)",
     )
-    trace_parser.add_argument("--load", type=float, default=1.0, help="jobs/hour")
-    trace_parser.add_argument("--days", type=float, default=7.0)
-    trace_parser.add_argument("--cache-gb", type=float, default=100.0)
+    trace_parser.add_argument("--load", type=_finite, default=1.0, help="jobs/hour")
+    trace_parser.add_argument("--days", type=_finite, default=7.0)
+    trace_parser.add_argument(
+        "--cache-gb",
+        type=_gigabytes,
+        default=100 * units.GB,
+        dest="cache_bytes",
+        metavar="GB",
+    )
     trace_parser.add_argument("--nodes", type=int, default=10)
     trace_parser.add_argument("--seed", type=int, default=0)
-    trace_parser.add_argument("--period", type=float, default=None, help="seconds")
+    trace_parser.add_argument("--period", type=_finite, default=None, help="seconds")
     trace_parser.add_argument("--stripe", type=int, default=None, help="events")
     trace_parser.add_argument(
         "--quick",
@@ -427,7 +461,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     trace_parser.add_argument(
         "--sample-seconds",
-        type=float,
+        type=_finite,
         default=3600.0,
         help="counter time-series sampling interval (simulated seconds)",
     )
@@ -471,11 +505,17 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help="policy name (see `repro policies`; underscores are accepted)",
     )
-    rep_parser.add_argument("--load", type=float, default=1.0, help="jobs/hour")
-    rep_parser.add_argument("--days", type=float, default=16.0)
-    rep_parser.add_argument("--cache-gb", type=float, default=100.0)
+    rep_parser.add_argument("--load", type=_finite, default=1.0, help="jobs/hour")
+    rep_parser.add_argument("--days", type=_finite, default=16.0)
+    rep_parser.add_argument(
+        "--cache-gb",
+        type=_gigabytes,
+        default=100 * units.GB,
+        dest="cache_bytes",
+        metavar="GB",
+    )
     rep_parser.add_argument("-n", "--replications", type=int, default=5)
-    rep_parser.add_argument("--period", type=float, default=None, help="seconds")
+    rep_parser.add_argument("--period", type=_finite, default=None, help="seconds")
     rep_parser.add_argument("--stripe", type=int, default=None, help="events")
     _add_exec_args(rep_parser, cache=False)
 
@@ -483,7 +523,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "calibrate", help="measure the adaptive policy's delay table"
     )
     cal_parser.add_argument("--stripe", type=int, default=5000)
-    cal_parser.add_argument("--days", type=float, default=30.0)
+    cal_parser.add_argument("--days", type=_finite, default=30.0)
     _add_exec_args(cal_parser, cache=False)
 
     lint_parser = sub.add_parser(
@@ -549,7 +589,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     bench_parser.add_argument(
         "--threshold",
-        type=float,
+        type=_finite,
         default=None,
         metavar="FACTOR",
         help="tolerated slowdown factor for --baseline-dir (default 2.0)",
@@ -675,7 +715,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     config = paper_config(
         arrival_rate_per_hour=args.load,
         duration=args.days * units.DAY,
-        cache_bytes=int(args.cache_gb * units.GB),
+        cache_bytes=args.cache_bytes,
         n_nodes=args.nodes,
         seed=args.seed,
         faults=_fault_config_from_args(args),
@@ -816,7 +856,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     config = factory(
         arrival_rate_per_hour=args.load,
         duration=args.days * units.DAY,
-        cache_bytes=int(args.cache_gb * units.GB),
+        cache_bytes=args.cache_bytes,
         n_nodes=args.nodes,
         seed=args.seed,
         faults=_fault_config_from_args(args),
@@ -931,7 +971,7 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
     config = paper_config(
         arrival_rate_per_hour=args.load,
         duration=args.days * units.DAY,
-        cache_bytes=int(args.cache_gb * units.GB),
+        cache_bytes=args.cache_bytes,
     )
     params = {}
     if args.period is not None:
@@ -1055,12 +1095,35 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+_COMMANDS = {
+    "policies": lambda args: _cmd_policies(),
+    "experiments": lambda args: _cmd_experiments(),
+    "limits": lambda args: _cmd_limits(),
+    "run": _cmd_run,
+    "run-all": _cmd_run_all,
+    "sweep": _cmd_sweep,
+    "simulate": _cmd_simulate,
+    "trace": _cmd_trace,
+    "topo": _cmd_topo_show,
+    "export": _cmd_export,
+    "replicate": _cmd_replicate,
+    "calibrate": _cmd_calibrate,
+    "lint": _cmd_lint,
+    "bench": _cmd_bench,
+}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one command; bad input exits 2 with one line on stderr."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     jobs = getattr(args, "jobs", None)
     if jobs is not None and jobs < 1:
         parser.error(f"--jobs must be >= 1, got {jobs}")
+    replications = getattr(args, "replications", None)
+    if replications is not None and replications < 1:
+        parser.error(f"--replications must be >= 1, got {replications}")
+    prog = f"repro {args.command}"
     if hasattr(args, "jobs"):
         # The executor reads $REPRO_JOBS and $REPRO_SPEC_TIMEOUT only when
         # it runs; a bad value fails here, before any work.
@@ -1070,37 +1133,15 @@ def main(argv: Optional[List[str]] = None) -> int:
             resolve_jobs(jobs, 1)
             resolve_spec_timeout(getattr(args, "spec_timeout", None))
         except ValueError as exc:
-            print(f"repro {args.command}: {exc}", file=sys.stderr)
+            print(f"{prog}: {exc}", file=sys.stderr)
             raise SystemExit(2) from None
-    if args.command == "policies":
-        return _cmd_policies()
-    if args.command == "experiments":
-        return _cmd_experiments()
-    if args.command == "limits":
-        return _cmd_limits()
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "run-all":
-        return _cmd_run_all(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "simulate":
-        return _cmd_simulate(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "topo":
-        return _cmd_topo_show(args)
-    if args.command == "export":
-        return _cmd_export(args)
-    if args.command == "replicate":
-        return _cmd_replicate(args)
-    if args.command == "calibrate":
-        return _cmd_calibrate(args)
-    if args.command == "lint":
-        return _cmd_lint(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
-    raise AssertionError("unreachable")
+    try:
+        return _COMMANDS[args.command](args)
+    except ConfigurationError as exc:
+        # An unknown experiment or an out-of-range flag, however deep
+        # the check that caught it.
+        print(f"{prog}: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 if __name__ == "__main__":  # pragma: no cover

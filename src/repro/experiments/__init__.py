@@ -10,8 +10,7 @@ from .registry import (
 )
 from . import figures  # noqa: F401  (registers fig2..fig7, repl, maxload, ...)
 from . import ablations  # noqa: F401  (registers ablate-*)
-from . import extensions  # noqa: F401  (registers fairness, ablate-network, scenario-diurnal)
-from . import complexity_exp  # noqa: F401  (registers complexity)
+from . import extensions  # noqa: F401  (registers fairness, ablate-network)
 from . import faults_exp  # noqa: F401  (registers faults)
 from . import crossover_exp  # noqa: F401  (registers crossover)
 from . import degradation_exp  # noqa: F401  (registers degradation)

@@ -6,9 +6,6 @@
 * ``ablate-network`` — re-runs the §4.2 replication comparison with a
   *contended* network and owner disks, stress-testing the paper's
   implicit free-remote-read assumption.
-* ``scenario-diurnal`` — day/night load modulation: how the adaptive
-  policy rides a realistic non-stationary load (complements the
-  examples/load_spike.py step-change scenario).
 
 Each carries its claim as a verdict beside its build and render.
 """
@@ -20,10 +17,7 @@ from typing import Dict, List, Tuple
 from ..analysis.fairness import FairnessReport, fairness_report
 from ..analysis.tables import format_table
 from ..core import units
-from ..core.rng import RandomStreams
 from ..sim.runner import RunSpec, SweepResult
-from ..sim.simulator import run_simulation
-from ..workload.scenarios import DiurnalWorkload
 from .figures import _base
 from .registry import Experiment, Scale, failed_claims, register_experiment
 
@@ -224,89 +218,3 @@ register_experiment(
     )
 )
 
-
-# ---------------------------------------------------------------------------
-# Diurnal load scenario
-# ---------------------------------------------------------------------------
-
-
-def _diurnal_specs(scale: Scale):
-    base = _base(scale, cache_bytes=100 * units.GB)
-    # Mean 1.5 jobs/h swinging ±1.0: nights are quiet, afternoons close to
-    # out-of-order's saturation point.
-    return base, 1.5, 1.0
-
-
-def _diurnal_build(scale: Scale) -> List[RunSpec]:
-    # The sweep runner re-generates Poisson workloads from the config, so
-    # for the scenario experiment we pre-generate the diurnal trace at
-    # render time instead; build returns placeholder specs for the two
-    # policies at the mean rate (used only for timing comparison).
-    base, mean, _ = _diurnal_specs(scale)
-    config = base.with_(arrival_rate_per_hour=mean)
-    return [
-        RunSpec.make(config, "out-of-order", label="ooo-diurnal"),
-        RunSpec.make(config, "adaptive", label="adaptive-diurnal", stripe_events=1000),
-    ]
-
-
-def _diurnal_render(sweep: SweepResult) -> str:
-    # Re-run both policies on one shared diurnal trace (the sweep results
-    # themselves are the constant-rate baseline at the same mean load).
-    base_config = sweep.specs[0].config
-    _, mean, amplitude = _diurnal_specs(Scale.QUICK)
-    workload = DiurnalWorkload(
-        dataspace=base_config.dataspace(),
-        mean_rate_per_hour=mean,
-        amplitude_per_hour=amplitude,
-        job_size=base_config.job_size_distribution(),
-        start_distribution=base_config.start_distribution(),
-        streams=RandomStreams(base_config.seed),
-    )
-    trace = workload.generate_list(base_config.duration)
-    rows = []
-    for spec, constant_result in sweep.pairs():
-        params = dict(spec.policy_params)
-        diurnal_result = run_simulation(
-            spec.config, spec.policy, trace=trace, **params
-        )
-        rows.append(
-            [
-                spec.label.replace("-diurnal", ""),
-                f"{constant_result.measured.mean_speedup:.2f}",
-                units.fmt_duration(constant_result.measured.mean_waiting),
-                f"{diurnal_result.measured.mean_speedup:.2f}",
-                units.fmt_duration(diurnal_result.measured.mean_waiting),
-                "overloaded" if diurnal_result.overload.overloaded else "steady",
-            ]
-        )
-    return format_table(
-        ["policy", "const speedup", "const wait", "diurnal speedup",
-         "diurnal wait", "diurnal state"],
-        rows,
-        title=f"Diurnal load ({mean}±{amplitude} jobs/h, peak 15:00) vs "
-        "constant load at the same mean",
-    )
-
-
-def _diurnal_verdict(sweep: SweepResult, scale: Scale) -> List[str]:
-    return failed_claims(
-        (bool(sweep.results), "the constant-load baseline has results"),
-    )
-
-
-register_experiment(
-    Experiment(
-        exp_id="scenario-diurnal",
-        title="Day/night load modulation",
-        paper_ref="§6 (motivating scenario, not evaluated in the paper)",
-        build=_diurnal_build,
-        render=_diurnal_render,
-        expectation=(
-            "both policies survive the diurnal swing at this mean load; "
-            "the afternoon peaks cost waiting time relative to the "
-            "constant-load baseline, more for out-of-order than adaptive"
-        ),
-        verdict=_diurnal_verdict,
-    )
-)

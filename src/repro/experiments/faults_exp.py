@@ -11,20 +11,25 @@ farm policy runs whole jobs from tertiary storage (~0.8 s/event), so its
 in-flight chunks are long and every crash wastes a lot of compute; the
 cache-aware policies process mostly cached chunks (~0.26 s/event) and
 split work into smaller per-node pieces, so the same crash schedule
-costs them strictly less lost work — cache locality doubles as crash
-resilience.
+costs them less lost work while crashes are frequent.  At an MTBF of a
+week the few crashes land where they land: on smoke, cache-splitting
+loses more events than farm, so the verdict claims farm's lead only at
+6 h and 1 day.  Speedup is not claimed monotone in MTBF either: rare
+crashes move it by noise (out-of-order reads 10.33 at 1 week against
+10.29 with no faults at quick).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..analysis.tables import format_table
 from ..core import units
 from ..sim.config import FaultConfig
 from ..sim.runner import RunSpec, SweepResult
+from ..sim.simulator import SimulationResult
 from .figures import _base
-from .registry import Experiment, Scale, register_experiment
+from .registry import Experiment, Scale, failed_claims, register_experiment
 
 _POLICIES = ("farm", "cache-splitting", "out-of-order", "delayed")
 
@@ -64,30 +69,28 @@ def _faults_build(scale: Scale) -> List[RunSpec]:
     return specs
 
 
+def _lost_events(result) -> int:
+    return result.faults.lost_events if result.faults is not None else 0
+
+
+def _goodput(result) -> float:
+    return result.faults.goodput if result.faults is not None else 1.0
+
+
 def _faults_render(sweep: SweepResult) -> str:
     rows = []
     for spec, result in sweep.pairs():
         faults = result.faults
         duration = spec.config.duration * spec.config.n_nodes
-        if faults is None:
-            availability = 1.0
-            lost_events = 0
-            lost_pct = 0.0
-            retries = 0
-            goodput = 1.0
-        else:
-            availability = 1.0 - faults.downtime_seconds / duration
-            lost_events = faults.lost_events
-            lost_pct = 100.0 * (1.0 - faults.goodput)
-            retries = faults.retries
-            goodput = faults.goodput
+        downtime = faults.downtime_seconds if faults is not None else 0.0
+        goodput = _goodput(result)
         rows.append(
             [
                 spec.label,
-                f"{availability:.4f}",
-                lost_events,
-                f"{lost_pct:.2f}",
-                retries,
+                f"{1.0 - downtime / duration:.4f}",
+                _lost_events(result),
+                f"{100.0 * (1.0 - goodput):.2f}",
+                faults.retries if faults is not None else 0,
                 f"{goodput:.4f}",
                 f"{result.measured.mean_speedup:.2f}",
                 result.measured.n_jobs,
@@ -117,6 +120,45 @@ def _faults_render(sweep: SweepResult) -> str:
     )
 
 
+def _faults_verdict(sweep: SweepResult, scale: Scale) -> List[str]:
+    # policy -> MTBF -> result, each policy's points in _MTBF_POINTS order.
+    by_policy: Dict[str, Dict[Optional[float], SimulationResult]] = {}
+    for spec, result in sweep.pairs():
+        faults = spec.config.faults
+        mtbf = faults.node_mtbf if faults is not None else None
+        by_policy.setdefault(spec.policy, {})[mtbf] = result
+    checks: List[Tuple[bool, str]] = []
+    for mtbf in (6 * units.HOUR, 1 * units.DAY):
+        lost = {
+            policy: _lost_events(points[mtbf])
+            for policy, points in by_policy.items()
+        }
+        farm = lost.pop("farm")
+        rival = max(lost, key=lost.__getitem__)
+        checks.append((
+            farm > lost[rival],
+            f"farm loses the most events at MTBF {_fault_label(mtbf)}: "
+            f"{farm:,} vs {rival} {lost[rival]:,}",
+        ))
+    for policy, points in by_policy.items():
+        goodputs = [_goodput(points[mtbf]) for mtbf in _MTBF_POINTS]
+        checks.append((
+            goodputs == sorted(goodputs),
+            f"{policy} goodput does not rise as MTBF shrinks "
+            f"({', '.join(_fault_label(mtbf) for mtbf in _MTBF_POINTS)}): "
+            f"{', '.join(f'{g:.4f}' for g in goodputs)}",
+        ))
+        frequent, none = (
+            points[mtbf].measured.mean_speedup for mtbf in (_MTBF_POINTS[0], None)
+        )
+        checks.append((
+            frequent < none,
+            f"{policy} speedup at MTBF {_fault_label(_MTBF_POINTS[0])} below "
+            f"its fault-free speedup: {frequent:.2f} vs {none:.2f}",
+        ))
+    return failed_claims(*checks)
+
+
 register_experiment(
     Experiment(
         exp_id="faults",
@@ -125,10 +167,11 @@ register_experiment(
         build=_faults_build,
         render=_faults_render,
         expectation=(
-            "with the same crash schedule, the farm policy shows the most "
-            "lost work (long uncached in-flight chunks) while at least one "
-            "cache-aware policy loses strictly less; goodput and speedup "
-            "degrade monotonically as MTBF shrinks"
+            "with the same crash schedule, the farm policy loses the most "
+            "events (long uncached in-flight chunks) at MTBFs of 6 h and "
+            "1 day; every policy's goodput falls as MTBF shrinks, and its "
+            "speedup at 6 h is below its fault-free speedup"
         ),
+        verdict=_faults_verdict,
     )
 )

@@ -3,17 +3,17 @@ spec.
 
 An :class:`Experiment` bundles a builder (producing the sweep's
 :class:`~repro.sim.runner.RunSpec` list at a given scale) with a renderer
-that turns the sweep results into the paper-figure series/rows, and, for
-an experiment that makes a checkable claim, a verdict: the claim as a
-predicate over the sweep.  ``repro run`` renders the figure and checks
-the verdict in one pass, so each claim lives in one place.
+that turns the sweep results into the paper-figure series/rows, and a
+verdict: the experiment's claim as a predicate over the sweep.  Every
+experiment has one.  ``repro run`` renders the figure and checks the
+verdict in one pass, so each claim lives in one place.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from ..core.errors import ConfigurationError
 from ..sim.runner import RunSpec, SweepResult
@@ -44,7 +44,7 @@ class Experiment:
     expectation: str  # the paper's qualitative claim, for the report
     #: The claim as a predicate: the failed claims, each with its measured
     #: numbers (empty when the claim holds).
-    verdict: Optional[Callable[[SweepResult, Scale], List[str]]] = None
+    verdict: Callable[[SweepResult, Scale], List[str]]
 
     def specs(self, scale: Scale = Scale.QUICK) -> List[RunSpec]:
         return self.build(scale)

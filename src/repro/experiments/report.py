@@ -33,7 +33,7 @@ class ExperimentOutcome:
     rendered: str
     wall_seconds: float
     #: The claims the experiment's verdict found failed (empty when it
-    #: holds); ``None`` when it has no verdict or a point failed.
+    #: holds); ``None`` when a point failed and the verdict was not checked.
     failed_claims: Optional[List[str]] = None
 
     @property
@@ -84,7 +84,7 @@ def run_experiment(
     failed_claims: Optional[List[str]] = None
     if sweep.n_failed:
         rendered = rendered + "\n\n" + _render_errors(sweep)
-    elif experiment.verdict is not None:
+    else:
         failed_claims = experiment.verdict(sweep, scale)
     return ExperimentOutcome(
         experiment=experiment,

@@ -17,12 +17,13 @@ in GB-hours.  The flat point runs with no topology object at all, so
 the curves are anchored to the exact bit-identical baseline of every
 other experiment.
 
-The expected shape: on the flat cluster replication changes nothing by
-construction; it keeps changing (almost) nothing on deeper grids while
-uplinks stay unsaturated, and starts paying for itself exactly where
-link queueing sets in — deeper trees and higher loads.  The render
-names the first (depth, load) point where a placement policy beats
-``none`` materially, and prices the win in storage GB-hours.
+The verdict: on the flat cluster replication changes nothing by
+construction, but on both deeper grids root-only and lru-rack serve
+reads from their tier caches and beat ``none`` on speedup at every
+load, unsaturated uplinks included: depth2 never saturates a link and
+still gains (root-only 11.87 -> 14.59 at quick), while depth3 saturates
+links at every point.  The table prices each placement in storage
+GB-hours.
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ from ..analysis.tables import format_table
 from ..core import units
 from ..sim.config import quick_config
 from ..sim.runner import RunSpec, SweepResult
+from ..sim.simulator import SimulationResult
 from ..topo.spec import TopologySpec, topology_preset
-from .registry import Experiment, Scale, register_experiment
+from .registry import Experiment, Scale, failed_claims, register_experiment
 
 #: One seed for every point (the sweep compares topologies, not seeds).
 _SEED = 13
@@ -62,10 +64,6 @@ _DURATIONS = {
     Scale.QUICK: 2 * units.DAY,
     Scale.FULL: 4 * units.DAY,
 }
-
-#: A placement "beats none" when it cuts mean waiting by at least this
-#: fraction at the same (depth, load) point.
-_MATERIAL_WIN = 0.05
 
 
 def _config_for(load: float, duration: float, topology: Optional[TopologySpec]):
@@ -109,6 +107,10 @@ def _tier_hit_fraction(result) -> float:
     return tier / total if total else 0.0
 
 
+def _link_saturations(result) -> int:
+    return result.topo.link_saturated_plans if result.topo is not None else 0
+
+
 def _storage_gb_hours(result, event_bytes: int) -> float:
     if result.topo is None:
         return 0.0
@@ -119,16 +121,10 @@ def _storage_gb_hours(result, event_bytes: int) -> float:
 
 def _tiering_render(sweep: SweepResult) -> str:
     rows = []
-    # (load -> label -> (mean_waiting, storage_gb_hours)) for the verdict.
-    curves: Dict[float, Dict[str, Tuple[float, float]]] = {}
     for spec, result in sweep.pairs():
         load = spec.config.arrival_rate_per_hour
         topo = result.topo
         storage = _storage_gb_hours(result, spec.config.event_bytes)
-        curves.setdefault(load, {})[spec.label] = (
-            result.measured.mean_waiting,
-            storage,
-        )
         rows.append(
             [
                 spec.label,
@@ -142,7 +138,7 @@ def _tiering_render(sweep: SweepResult) -> str:
                 "OVERLOADED" if result.overload.overloaded else "steady",
             ]
         )
-    table = format_table(
+    return format_table(
         [
             "topology/placement",
             "load/h",
@@ -161,35 +157,45 @@ def _tiering_render(sweep: SweepResult) -> str:
             "bit-identical to every other experiment)"
         ),
     )
-    lines = [table, "", 'where "replication changes nothing" breaks:']
-    breaks: List[str] = []
-    for load in sorted(curves):
-        points = curves[load]
-        for depth in _DEPTHS:
-            base = points.get(f"{depth}/none")
-            if base is None or base[0] <= 0:
-                continue
-            for placement in _PLACEMENTS[1:]:
-                entry = points.get(f"{depth}/{placement}")
-                if entry is None:
-                    continue
-                wait, storage = entry
-                win = 1.0 - wait / base[0]
-                if win >= _MATERIAL_WIN:
-                    breaks.append(
-                        f"  {depth}/{placement} @ load {load:.1f}/h: "
-                        f"waiting -{win:.0%} vs none "
-                        f"for {storage:.1f} GB-hours of replicas"
-                    )
-    if breaks:
-        lines.extend(breaks)
-    else:
-        lines.append(
-            "  nowhere at these scales: no placement cuts mean waiting by "
-            f">= {_MATERIAL_WIN:.0%} over 'none' (uplinks never queue long "
-            "enough to matter)"
-        )
-    return "\n".join(lines)
+
+
+def _tiering_verdict(sweep: SweepResult, scale: Scale) -> List[str]:
+    # (load, depth) -> placement -> result; flat points carry no depth.
+    points: Dict[Tuple[float, str], Dict[str, SimulationResult]] = {}
+    for spec, result in sweep.pairs():
+        depth, _, placement = spec.label.partition("/")
+        key = (spec.config.arrival_rate_per_hour, depth)
+        points.setdefault(key, {})[placement] = result
+    checks: List[Tuple[bool, str]] = []
+    for (load, depth), results in sorted(points.items()):
+        if depth not in _DEPTHS:
+            continue
+        at = f"at {depth}, load {load:.1f}/h"
+        none = results["none"].measured.mean_speedup
+        for placement in ("root-only", "lru-rack"):
+            speedup = results[placement].measured.mean_speedup
+            hits = _tier_hit_fraction(results[placement])
+            checks += [
+                (speedup > none,
+                 f"{placement} beats none on speedup {at}: "
+                 f"{speedup:.2f} vs {none:.2f}"),
+                (hits > 0.0, f"{placement} hits its tier caches {at}: {hits:.2f}"),
+            ]
+        saturated = {
+            placement: _link_saturations(result)
+            for placement, result in results.items()
+        }
+        if depth == "depth2":
+            checks.append((
+                not any(saturated.values()),
+                f"no uplink saturates {at}: {saturated}",
+            ))
+        else:
+            checks.append((
+                all(saturated.values()),
+                f"uplinks saturate under every placement {at}: {saturated}",
+            ))
+    return failed_claims(*checks)
 
 
 register_experiment(
@@ -200,10 +206,12 @@ register_experiment(
         build=_tiering_build,
         render=_tiering_render,
         expectation=(
-            "flat and 'none' placements anchor the baseline; replication "
-            "changes nothing while uplinks stay unsaturated, and the first "
-            "material win for a placement policy appears on the deeper "
-            "tree at the higher loads, priced in storage GB-hours"
+            "flat and 'none' placements anchor the baseline; on both "
+            "depth2 (no uplink ever saturates) and depth3 (uplinks "
+            "saturate at every point), root-only and lru-rack hit their "
+            "tier caches and beat 'none' on speedup at every load, priced "
+            "in storage GB-hours"
         ),
+        verdict=_tiering_verdict,
     )
 )

@@ -3,8 +3,11 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.cli import main
+from repro.experiments import available_experiments
+from repro.sched import available_policies
 
 
 class TestListingCommands:
@@ -150,11 +153,12 @@ class TestRun:
         assert "farmq verdict: FAILED: stub claim over 2 points at smoke" in out
         assert "verdict: holds" not in out
 
-    def test_run_unknown_experiment(self):
-        from repro.core.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
+    def test_run_unknown_experiment(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
             main(["run", "fig99", "--scale", "smoke"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro run: unknown experiment 'fig99'; available: ")
 
     def test_run_all_subset(self, capsys, tmp_path):
         out_file = tmp_path / "all.md"
@@ -377,3 +381,178 @@ class TestSweep:
         assert code == 0
         assert "executed=1 cache_hits=1 " in capsys.readouterr().out
         assert first.read_bytes() == second.read_bytes()
+
+
+def _exit_code(argv, capsys):
+    """``main(argv)``'s exit status and stderr; any other exception
+    escapes and fails the test with its traceback."""
+    try:
+        code = main(argv)
+    except SystemExit as exit_info:
+        code = exit_info.code
+    return code, capsys.readouterr().err
+
+
+def _assert_rejected(argv, capsys):
+    code, err = _exit_code(argv, capsys)
+    assert code == 2, (argv, code, err)
+    assert "Traceback" not in err
+    assert err.strip(), argv
+
+
+class TestBadInput:
+    """Bad input exits 2 with a message, before any simulation runs."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "nope"], "repro run: unknown experiment 'nope'"),
+            (["sweep", "nope"], "repro sweep: unknown experiment 'nope'"),
+            (["run-all", "--only", "nope"], "repro run-all: unknown experiment"),
+            (["run", "complexity"], "repro run: unknown experiment 'complexity'"),
+            (["simulate", "--policy", "farm", "--days", "0"], "duration must be > 0"),
+            (["simulate", "--policy", "farm", "--nodes", "0"], "n_nodes must be >= 1"),
+            (["simulate", "--policy", "farm", "--load=-2"], "arrival_rate_per_hour"),
+            (["simulate", "--policy", "farm", "--cache-gb=-5"], "cache_bytes"),
+            (["simulate", "--policy", "farm", "--net-loss", "1.5"], "loss"),
+            (["trace", "--policy", "farm", "--days=-2"], "repro trace: duration"),
+            (
+                ["replicate", "--policy", "farm", "--replications", "0"],
+                "--replications must be >= 1, got 0",
+            ),
+            (
+                ["simulate", "--policy", "farm", "--faults", "--mtbf", "xyz"],
+                "argument --mtbf: not a duration such as 30mn, 6h, 1d or 1w: 'xyz'",
+            ),
+            (
+                ["simulate", "--policy", "farm", "--wipe-cache"],
+                "repro simulate: --wipe-cache/--stall-interval require --faults",
+            ),
+        ],
+    )
+    def test_probe_exits_2_with_one_message(self, capsys, argv, message):
+        code, err = _exit_code(argv, capsys)
+        assert code == 2
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_unknown_experiment_lists_the_registry(self, capsys):
+        _, err = _exit_code(["run", "complexity"], capsys)
+        assert len(err.strip().splitlines()) == 1
+        listed = err.split("available: ", 1)[1].strip().split(", ")
+        assert listed == available_experiments()
+        assert len(listed) == 23
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_fuzzed_bad_input_exits_2(self, capsys, data):
+        command = data.draw(st.sampled_from(sorted(_BAD_INPUT)))
+        base, flags = _BAD_INPUT[command]
+        chosen = data.draw(
+            st.lists(st.sampled_from(sorted(flags)), min_size=1, max_size=3, unique=True)
+        )
+        argv = [command, *data.draw(base)]
+        for flag in chosen:
+            argv += data.draw(flags[flag])
+        _assert_rejected(argv, capsys)
+
+
+# Malformed values only: every draw below fails before a simulation or a
+# worker starts.
+_NAME = st.from_regex(r"[a-z][a-z0-9_-]{0,11}", fullmatch=True)
+_UNKNOWN_POLICY = _NAME.filter(
+    lambda name: name.replace("_", "-") not in available_policies()
+)
+_UNKNOWN_EXPERIMENT = _NAME.filter(lambda name: name not in available_experiments())
+_UNKNOWN_PRESET = _NAME.filter(lambda name: name not in ("flat", "depth2", "depth3"))
+_MISSING_PATH = _NAME.map(lambda name: f"no-such-dir/{name}.json")
+
+
+def _opt(flag, values):
+    return values.map(lambda value: [f"{flag}={value}"])
+
+
+_NON_POSITIVE = st.floats(max_value=0.0, allow_nan=False, allow_infinity=False)
+_NEGATIVE = st.floats(max_value=-1e-3, allow_nan=False, allow_infinity=False)
+_NON_POSITIVE_INT = st.integers(max_value=0)
+_NOT_A_PROBABILITY = (
+    st.floats(min_value=1.0, allow_nan=False, allow_infinity=False)
+    | st.floats(max_value=-1e-9, allow_nan=False, allow_infinity=False)
+)
+_NOT_A_DURATION = (
+    st.sampled_from(["xyz", "6hours!", "1d2h", "nan", "inf", "-", "h", ""]) | _NAME
+)
+_NEGATIVE_DURATION = st.sampled_from(["-1h", "-30mn", "-1d", "-1w", "-5"])
+_BAD_SCALE = _NAME.filter(lambda name: name not in ("smoke", "quick", "full"))
+
+#: The simulation flags of ``simulate`` and ``trace`` (``--faults`` is in
+#: their base argv, so the fault durations are read).
+_RUN_FLAGS = {
+    "--policy": _opt("--policy", _UNKNOWN_POLICY),
+    "--days": _opt("--days", _NON_POSITIVE),
+    "--nodes": _opt("--nodes", _NON_POSITIVE_INT),
+    "--load": _opt("--load", _NON_POSITIVE),
+    "--cache-gb": _opt("--cache-gb", _NEGATIVE.map(lambda gb: gb - 1.0)),
+    "--mtbf": _opt("--mtbf", _NOT_A_DURATION | _NEGATIVE_DURATION),
+    "--mttr": _opt("--mttr", _NOT_A_DURATION | _NEGATIVE_DURATION | st.just("0")),
+    "--stall-interval": _opt("--stall-interval", _NOT_A_DURATION | _NEGATIVE_DURATION),
+    "--net-loss": _opt("--net-loss", _NOT_A_PROBABILITY),
+    "--net-dup": _opt("--net-dup", _NOT_A_PROBABILITY),
+    "--net-reorder": _opt("--net-reorder", _NOT_A_PROBABILITY),
+    "--net-delay": _opt("--net-delay", _NEGATIVE),
+    "--topology": _opt("--topology", _UNKNOWN_PRESET | _MISSING_PATH),
+}
+_SWEEP_FLAGS = {
+    "--jobs": _opt("--jobs", _NON_POSITIVE_INT),
+    "--scale": _opt("--scale", _BAD_SCALE),
+}
+
+_UNKNOWN_ID = _UNKNOWN_EXPERIMENT.map(lambda name: [name])
+
+#: command -> (its argv before the flags, {flag: malformed argv piece}).
+_BAD_INPUT = {
+    "simulate": (st.just(["--policy", "farm", "--faults"]), _RUN_FLAGS),
+    "trace": (
+        st.just(["--policy", "farm", "--faults", "--quick", "-o", "no-such-dir/t"]),
+        {**_RUN_FLAGS, "--limit-events": _opt("--limit-events", _NON_POSITIVE_INT)},
+    ),
+    "replicate": (
+        st.just(["--policy", "farm"]),
+        {
+            "--policy": _opt("--policy", _UNKNOWN_POLICY),
+            "--replications": _opt("--replications", _NON_POSITIVE_INT),
+            "--days": _opt("--days", _NON_POSITIVE),
+            "--load": _opt("--load", _NON_POSITIVE),
+            "--jobs": _opt("--jobs", _NON_POSITIVE_INT),
+        },
+    ),
+    "run": (_UNKNOWN_ID, _SWEEP_FLAGS),
+    "sweep": (_UNKNOWN_ID, _SWEEP_FLAGS),
+    "export": (_UNKNOWN_ID.map(lambda argv: [*argv, "-o", "no-such-dir/e"]), _SWEEP_FLAGS),
+    "run-all": (
+        st.lists(_UNKNOWN_EXPERIMENT, min_size=1, max_size=3).map(
+            lambda names: ["--only", *names]
+        ),
+        _SWEEP_FLAGS,
+    ),
+    "calibrate": (
+        st.just([]),
+        {
+            "--days": _opt("--days", _NON_POSITIVE),
+            "--jobs": _opt("--jobs", _NON_POSITIVE_INT),
+        },
+    ),
+    "topo": (
+        st.just(["show"]),
+        {"spec": (_UNKNOWN_PRESET | _MISSING_PATH).map(lambda spec: [spec])},
+    ),
+    "lint": (st.just([]), {"path": _MISSING_PATH.map(lambda path: [path])}),
+    "bench": (
+        st.just(["--baseline-dir", "no-such-dir"]),
+        {"--threshold": _opt("--threshold", _NON_POSITIVE)},
+    ),
+}

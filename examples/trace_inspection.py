@@ -10,7 +10,7 @@ Walks the full observability pipeline from Python:
 5. export a Chrome/Perfetto trace plus the counter time-series.
 
 The same pipeline is available from the command line as
-``repro trace --policy out-of-order --days 7 -o run``.
+``repro simulate --policy out-of-order --days 7 --trace run``.
 
 Usage::
 

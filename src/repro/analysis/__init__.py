@@ -2,7 +2,6 @@
 report rendering."""
 
 from .batchmeans import BatchMeansEstimate, batch_means, speedup_ci, waiting_time_ci
-from .capacity import CapacityResult, capacity_by_policy, find_max_sustained_load
 from .fairness import (
     FairnessReport,
     fairness_report,
@@ -27,9 +26,6 @@ __all__ = [
     "batch_means",
     "waiting_time_ci",
     "speedup_ci",
-    "CapacityResult",
-    "find_max_sustained_load",
-    "capacity_by_policy",
     "FairnessReport",
     "fairness_report",
     "jain_index",

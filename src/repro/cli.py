@@ -16,7 +16,7 @@ cacheable ``--no-cache`` and ``--cache-dir``.  The result cache is the
 checkpoint of an interrupted sweep: rerun the same command and only the
 missing points execute.
     repro simulate --policy out-of-order --load 1.5 --days 20
-    repro trace --policy out-of-order --days 7 -o run   # traced run
+    repro simulate --policy out-of-order --days 7 --trace run   # traced run
     repro calibrate --stripe 5000       # measure the adaptive delay table
     repro lint                          # simlint, per-file rules
     repro lint --flow src/repro benchmarks examples   # + whole-program rules
@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING, Callable, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from .exec.executor import Executor
+    from .obs import TraceRecorder
 
 from . import __version__
 from .core.errors import ConfigurationError
@@ -55,8 +56,9 @@ from .sched import (
     policy_parameters,
     unknown_policy_message,
 )
-from .sim.config import FaultConfig, NetFaultConfig, paper_config
-from .sim.simulator import Simulation, run_simulation
+from .sim.config import FaultConfig, NetFaultConfig, paper_config, quick_config
+from .sim.runner import RunSpec
+from .sim.simulator import Simulation
 
 
 def _add_scale(parser: argparse.ArgumentParser) -> None:
@@ -277,12 +279,6 @@ def _resolve_topology(value: str, prog: str):
         raise _die(f"{value!r}: {error}") from None
 
 
-def _topology_from_args(args: argparse.Namespace, prog: str):
-    if getattr(args, "topology", None) is None:
-        return None
-    return _resolve_topology(args.topology, prog)
-
-
 def _net_config_from_args(args: argparse.Namespace) -> Optional[NetFaultConfig]:
     """The control-plane fault model the flags describe (None = perfect)."""
     net = NetFaultConfig(
@@ -309,13 +305,141 @@ def _fault_config_from_args(args: argparse.Namespace) -> Optional[FaultConfig]:
     )
 
 
+def _add_run_args(
+    parser: argparse.ArgumentParser, days: float, seed: int = 0
+) -> None:
+    """The flags that describe one run (``simulate``, ``replicate``)."""
+    parser.add_argument(
+        "--policy",
+        required=True,
+        help="policy name (see `repro policies`; underscores are accepted)",
+    )
+    parser.add_argument("--load", type=_finite, default=1.0, help="jobs/hour")
+    parser.add_argument("--days", type=_finite, default=days)
+    parser.add_argument(
+        "--cache-gb",
+        type=_gigabytes,
+        default=100 * units.GB,
+        dest="cache_bytes",
+        metavar="GB",
+    )
+    parser.add_argument("--nodes", type=int, default=10)
+    parser.add_argument(
+        "--seed",
+        type=int,
+        default=seed,
+        help=f"workload seed (default {seed}; replicate: replication i uses SEED+i)",
+    )
+    parser.add_argument(
+        "--quick",
+        action="store_true",
+        help="use the reduced-scale test configuration instead of the "
+        "paper's (runs in milliseconds)",
+    )
+    params = parser.add_argument_group(
+        "policy parameters (a policy that does not take one refuses it)"
+    )
+    params.add_argument(
+        "--period",
+        type=_finite,
+        default=None,
+        metavar="SECONDS",
+        help="delayed, mixed: accumulation period",
+    )
+    params.add_argument(
+        "--stripe",
+        type=int,
+        default=None,
+        dest="stripe_events",
+        metavar="EVENTS",
+        help="delayed, mixed, adaptive: stripe size",
+    )
+    params.add_argument(
+        "--grant-batch",
+        type=int,
+        default=None,
+        metavar="N",
+        help="decentral: max tasks per grant message",
+    )
+    params.add_argument(
+        "--task-events",
+        type=int,
+        default=None,
+        metavar="EVENTS",
+        help="decentral: rule task size",
+    )
+    _add_topology_arg(parser)
+    _add_fault_args(parser)
+
+
+#: ``_add_run_args``'s policy-parameter dests, named as the policies name them.
+_POLICY_PARAMS = ("period", "stripe_events", "grant_batch", "task_events")
+
+
+def _spec_from_args(args: argparse.Namespace, prog: str) -> RunSpec:
+    """The run ``_add_run_args``'s flags describe.
+
+    Out-of-range input raises :class:`ConfigurationError`, which ``main``
+    turns into exit status 2; the unknown-policy message and its
+    did-you-mean suggestions name the policy as the user spelled it.
+    """
+    policy = args.policy.replace("_", "-")
+    if policy not in available_policies():
+        raise ConfigurationError(unknown_policy_message(args.policy))
+    factory = quick_config if args.quick else paper_config
+    config = factory(
+        arrival_rate_per_hour=args.load,
+        duration=args.days * units.DAY,
+        cache_bytes=args.cache_bytes,
+        n_nodes=args.nodes,
+        seed=args.seed,
+        faults=_fault_config_from_args(args),
+        net=_net_config_from_args(args),
+        topology=(
+            None if args.topology is None else _resolve_topology(args.topology, prog)
+        ),
+    )
+    params = {
+        name: getattr(args, name)
+        for name in _POLICY_PARAMS
+        if getattr(args, name) is not None
+    }
+    return RunSpec.make(config, policy, **params)
+
+
+def _recorder_from_args(args: argparse.Namespace) -> Optional["TraceRecorder"]:
+    """The recorder ``simulate --trace`` attaches, or None without it.
+
+    Like ``--wipe-cache`` without ``--faults``, a tracing flag without
+    ``--trace`` is refused rather than ignored.
+    """
+    from .obs import TraceRecorder
+
+    if args.trace is None:
+        tuned = (args.limit_events, args.sample_seconds, args.width)
+        if args.no_ascii or tuned != (None, None, None):
+            raise ConfigurationError(
+                "--limit-events/--sample-seconds/--width/--no-ascii require --trace"
+            )
+        return None
+    limit = 1_000_000 if args.limit_events is None else args.limit_events
+    interval = 3600.0 if args.sample_seconds is None else args.sample_seconds
+    if limit < 1:
+        raise ConfigurationError(f"--limit-events must be >= 1, got {limit}")
+    if interval < 0:
+        raise ConfigurationError(f"--sample-seconds must be >= 0, got {interval}")
+    if args.width is not None and args.width < 8:
+        raise ConfigurationError(f"--width must be >= 8, got {args.width}")
+    return TraceRecorder(capacity=limit, sample_interval=interval, keep="first")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction of Ponce & Hersch (IPDPS 2004): data-"
         "intensive analysis-job scheduling on PC clusters.",
         epilog=(
-            "fault injection: simulate/trace accept --faults --mtbf DUR "
+            "fault injection: simulate/replicate accept --faults --mtbf DUR "
             "--mttr DUR [--stall-interval DUR] [--wipe-cache], plus "
             "--net-loss/--net-dup/--net-delay/--net-reorder for "
             "control-plane message faults (repro.faults.net).  "
@@ -365,36 +489,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     sim_parser = sub.add_parser("simulate", help="run a single simulation")
-    sim_parser.add_argument(
-        "--policy",
-        required=True,
-        help="policy name (see `repro policies`; underscores are accepted)",
-    )
-    sim_parser.add_argument("--load", type=_finite, default=1.0, help="jobs/hour")
-    sim_parser.add_argument("--days", type=_finite, default=20.0)
-    sim_parser.add_argument(
-        "--cache-gb",
-        type=_gigabytes,
-        default=100 * units.GB,
-        dest="cache_bytes",
-        metavar="GB",
-    )
-    sim_parser.add_argument("--nodes", type=int, default=10)
-    sim_parser.add_argument("--seed", type=int, default=0)
-    sim_parser.add_argument("--period", type=_finite, default=None, help="seconds")
-    sim_parser.add_argument("--stripe", type=int, default=None, help="events")
-    sim_parser.add_argument(
-        "--grant-batch",
-        type=int,
-        default=None,
-        help="decentral: max tasks per grant message",
-    )
-    sim_parser.add_argument(
-        "--task-events",
-        type=int,
-        default=None,
-        help="decentral: rule task size in events",
-    )
+    _add_run_args(sim_parser, days=20.0)
     sim_parser.add_argument(
         "--check-invariants",
         action="store_true",
@@ -414,65 +509,36 @@ def _build_parser() -> argparse.ArgumentParser:
     sim_parser.add_argument(
         "--dump-json", default=None, help="write the result summary JSON here"
     )
-    _add_topology_arg(sim_parser)
-    _add_fault_args(sim_parser)
-
-    trace_parser = sub.add_parser(
-        "trace",
-        help="run one traced simulation; export Chrome-trace JSON, counter "
-        "CSV and an ASCII timeline",
+    trace = sim_parser.add_argument_group("tracing (repro.obs)")
+    trace.add_argument(
+        "--trace",
+        default=None,
+        metavar="PREFIX",
+        help="record the run: write PREFIX.trace.json (Chrome trace) and "
+        "PREFIX.counters.csv, and print an ASCII timeline and the trace "
+        "counters",
     )
-    trace_parser.add_argument(
-        "--policy",
-        required=True,
-        help="policy name (see `repro policies`; underscores are accepted)",
-    )
-    trace_parser.add_argument("--load", type=_finite, default=1.0, help="jobs/hour")
-    trace_parser.add_argument("--days", type=_finite, default=7.0)
-    trace_parser.add_argument(
-        "--cache-gb",
-        type=_gigabytes,
-        default=100 * units.GB,
-        dest="cache_bytes",
-        metavar="GB",
-    )
-    trace_parser.add_argument("--nodes", type=int, default=10)
-    trace_parser.add_argument("--seed", type=int, default=0)
-    trace_parser.add_argument("--period", type=_finite, default=None, help="seconds")
-    trace_parser.add_argument("--stripe", type=int, default=None, help="events")
-    trace_parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="use the reduced-scale test configuration instead of the "
-        "paper's (runs in milliseconds)",
-    )
-    trace_parser.add_argument(
-        "--out",
-        "-o",
-        default="trace",
-        help="output prefix: writes PREFIX.trace.json and PREFIX.counters.csv",
-    )
-    trace_parser.add_argument(
+    trace.add_argument(
         "--limit-events",
         type=int,
-        default=1_000_000,
+        default=None,
         metavar="N",
-        help="safety cap on recorded trace events (keeps the first N)",
+        help="safety cap on recorded trace events (keeps the first N; "
+        "default 1000000)",
     )
-    trace_parser.add_argument(
+    trace.add_argument(
         "--sample-seconds",
         type=_finite,
-        default=3600.0,
-        help="counter time-series sampling interval (simulated seconds)",
+        default=None,
+        help="counter time-series sampling interval (simulated seconds; "
+        "default 3600)",
     )
-    trace_parser.add_argument(
-        "--width", type=int, default=100, help="ASCII timeline width"
+    trace.add_argument(
+        "--width", type=int, default=None, help="ASCII timeline width (default 100)"
     )
-    trace_parser.add_argument(
+    trace.add_argument(
         "--no-ascii", action="store_true", help="skip the ASCII timeline"
     )
-    _add_topology_arg(trace_parser)
-    _add_fault_args(trace_parser)
 
     topo_parser = sub.add_parser(
         "topo",
@@ -500,23 +566,8 @@ def _build_parser() -> argparse.ArgumentParser:
     rep_parser = sub.add_parser(
         "replicate", help="replicated runs with 95%% confidence intervals"
     )
-    rep_parser.add_argument(
-        "--policy",
-        required=True,
-        help="policy name (see `repro policies`; underscores are accepted)",
-    )
-    rep_parser.add_argument("--load", type=_finite, default=1.0, help="jobs/hour")
-    rep_parser.add_argument("--days", type=_finite, default=16.0)
-    rep_parser.add_argument(
-        "--cache-gb",
-        type=_gigabytes,
-        default=100 * units.GB,
-        dest="cache_bytes",
-        metavar="GB",
-    )
+    _add_run_args(rep_parser, days=16.0, seed=1000)
     rep_parser.add_argument("-n", "--replications", type=int, default=5)
-    rep_parser.add_argument("--period", type=_finite, default=None, help="seconds")
-    rep_parser.add_argument("--stripe", type=int, default=None, help="events")
     _add_exec_args(rep_parser, cache=False)
 
     cal_parser = sub.add_parser(
@@ -596,19 +647,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     return parser
-
-
-def _resolve_policy(name: str, prog: str) -> str:
-    """Normalise a user-supplied policy name or die with a helpful error.
-
-    Shared by simulate/replicate/trace so the unknown-policy message (and
-    its did-you-mean suggestions) is identical everywhere.
-    """
-    resolved = name.replace("_", "-")
-    if resolved not in available_policies():
-        print(f"{prog}: {unknown_policy_message(name)}", file=sys.stderr)
-        raise SystemExit(2)
-    return resolved
 
 
 def _cmd_policies() -> int:
@@ -711,27 +749,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    policy = _resolve_policy(args.policy, "repro simulate")
-    config = paper_config(
-        arrival_rate_per_hour=args.load,
-        duration=args.days * units.DAY,
-        cache_bytes=args.cache_bytes,
-        n_nodes=args.nodes,
-        seed=args.seed,
-        faults=_fault_config_from_args(args),
-        net=_net_config_from_args(args),
-        topology=_topology_from_args(args, "repro simulate"),
-    )
-    params = {}
-    if args.period is not None:
-        params["period"] = args.period
-    if args.stripe is not None:
-        params["stripe_events"] = args.stripe
-    if args.grant_batch is not None:
-        params["grant_batch"] = args.grant_batch
-    if args.task_events is not None:
-        params["task_events"] = args.task_events
-    policy_instance = create_policy(policy, **params)
+    spec = _spec_from_args(args, "repro simulate")
+    recorder = _recorder_from_args(args)
+    config = spec.config
+    policy_instance = create_policy(spec.policy, **dict(spec.policy_params))
     # A delayed scheduler schedules nothing before its first period
     # boundary; read it before the run moves it on.
     first_boundary = (
@@ -740,6 +761,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     result = Simulation(
         config,
         policy_instance,
+        sink=recorder,
         check_invariants=args.check_invariants,
         # --dump-records needs every record; truncated CSV would silently
         # misrepresent the run.
@@ -822,6 +844,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 title="Control-plane reliability",
             )
         )
+    if recorder is not None:
+        _write_trace(recorder, args)
     if args.dump_records:
         from .sim.export import write_records_csv
 
@@ -835,69 +859,29 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
-    from .obs import TraceRecorder, render_timeline, write_chrome_trace
-    from .sim.config import quick_config
+def _write_trace(recorder: "TraceRecorder", args: argparse.Namespace) -> None:
+    """Write ``--trace``'s files and print its timeline and counters."""
+    from .obs import render_timeline, write_chrome_trace
 
-    policy = _resolve_policy(args.policy, "repro trace")
-    if args.limit_events < 1:
-        print(
-            f"repro trace: --limit-events must be >= 1, got {args.limit_events}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.width < 8:
-        print(
-            f"repro trace: --width must be >= 8, got {args.width}",
-            file=sys.stderr,
-        )
-        return 2
-    factory = quick_config if args.quick else paper_config
-    config = factory(
-        arrival_rate_per_hour=args.load,
-        duration=args.days * units.DAY,
-        cache_bytes=args.cache_bytes,
-        n_nodes=args.nodes,
-        seed=args.seed,
-        faults=_fault_config_from_args(args),
-        net=_net_config_from_args(args),
-        topology=_topology_from_args(args, "repro trace"),
-    )
-    params = {}
-    if args.period is not None:
-        params["period"] = args.period
-    if args.stripe is not None:
-        params["stripe_events"] = args.stripe
-    recorder = TraceRecorder(
-        capacity=args.limit_events,
-        sample_interval=args.sample_seconds,
-        keep="first",
-    )
-    result = run_simulation(config, policy, sink=recorder, **params)
     recorder.close()
-
-    trace_path = f"{args.out}.trace.json"
-    counters_path = f"{args.out}.counters.csv"
+    trace_path = f"{args.trace}.trace.json"
+    counters_path = f"{args.trace}.counters.csv"
     n_entries = write_chrome_trace(trace_path, recorder)
     n_samples = recorder.write_counters_csv(counters_path)
-
     if not args.no_ascii:
-        print(render_timeline(recorder, width=args.width))
         print()
-    print(result.brief())
-    summary = recorder.summary()
-    rows = [[name, f"{value}"] for name, value in summary.items()]
+        print(render_timeline(recorder, width=args.width or 100))
+    rows = [[name, f"{value}"] for name, value in recorder.summary().items()]
     print(format_table(["counter", "value"], rows, title="Trace counters"))
     if recorder.dropped_events:
         print(
             f"\nNOTE: event cap reached; {recorder.dropped_events} events "
-            f"beyond the first {args.limit_events} were dropped "
+            f"beyond the first {recorder.capacity} were dropped "
             "(raise --limit-events to keep more)."
         )
     print(f"\nchrome trace ({n_entries} entries) written to {trace_path}")
     print("  open it at https://ui.perfetto.dev or chrome://tracing")
     print(f"counter time-series ({n_samples} samples) written to {counters_path}")
-    return 0
 
 
 def _cmd_topo_show(args: argparse.Namespace) -> int:
@@ -967,23 +951,14 @@ def _cmd_export(args: argparse.Namespace) -> int:
 def _cmd_replicate(args: argparse.Namespace) -> int:
     from .sim.replications import run_replications
 
-    policy = _resolve_policy(args.policy, "repro replicate")
-    config = paper_config(
-        arrival_rate_per_hour=args.load,
-        duration=args.days * units.DAY,
-        cache_bytes=args.cache_bytes,
-    )
-    params = {}
-    if args.period is not None:
-        params["period"] = args.period
-    if args.stripe is not None:
-        params["stripe_events"] = args.stripe
+    spec = _spec_from_args(args, "repro replicate")
     replicated = run_replications(
-        config,
-        policy,
+        spec.config,
+        spec.policy,
         n_replications=args.replications,
+        base_seed=args.seed,
         executor=_executor_from_args(args),
-        **params,
+        **dict(spec.policy_params),
     )
     rows = [
         [name, str(estimate)]
@@ -1103,7 +1078,6 @@ _COMMANDS = {
     "run-all": _cmd_run_all,
     "sweep": _cmd_sweep,
     "simulate": _cmd_simulate,
-    "trace": _cmd_trace,
     "topo": _cmd_topo_show,
     "export": _cmd_export,
     "replicate": _cmd_replicate,

@@ -7,7 +7,6 @@ from .errors import (
     EngineError,
     IntervalError,
     InvariantViolation,
-    OverloadedError,
     ReproError,
     SchedulingError,
     WorkloadError,
@@ -30,5 +29,4 @@ __all__ = [
     "IntervalError",
     "InvariantViolation",
     "WorkloadError",
-    "OverloadedError",
 ]

@@ -53,8 +53,3 @@ class InvariantViolation(ReproError):
 class ExecError(ReproError):
     """The execution layer (``repro.exec``) failed a batch: one or more
     specs errored in ``raise`` mode, or the result cache is unusable."""
-
-
-class OverloadedError(ReproError):
-    """Raised by strict analyses when asked for steady-state statistics of
-    a simulation that left steady state (queues growing without bound)."""

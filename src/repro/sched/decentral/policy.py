@@ -41,6 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ...faults.net import ControlChannel
 
 from ...core import units
+from ...core.errors import ConfigurationError
 from ...core.events import EventPriority
 from ...core.rng import RandomStreams
 from ...cluster.node import Node
@@ -84,6 +85,12 @@ class DecentralPolicy(SchedulerPolicy):
         costs: Optional[ControlCostModel] = None,
     ) -> None:
         super().__init__()
+        if task_events is not None and task_events < 1:
+            raise ConfigurationError(f"task_events must be >= 1, got {task_events}")
+        if grant_batch < 1:
+            raise ConfigurationError(f"grant_batch must be >= 1, got {grant_batch}")
+        if bid_window < 1:
+            raise ConfigurationError(f"bid_window must be >= 1, got {bid_window}")
         #: Task size in events (default: the config's chunk size at bind).
         self.task_events = task_events
         self.grant_batch = int(grant_batch)

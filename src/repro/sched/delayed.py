@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Tuple
 
+from ..core.errors import ConfigurationError
 from ..core.events import EventPriority
 from ..cluster.node import Node
 from ..data.intervals import Interval, partition_by
@@ -92,11 +93,11 @@ class DelayedPolicy(SchedulerPolicy):
     ) -> None:
         super().__init__()
         if period < 0:
-            raise ValueError(f"period must be >= 0, got {period}")
+            raise ConfigurationError(f"period must be >= 0, got {period}")
         if stripe_events < 1:
-            raise ValueError(f"stripe_events must be >= 1, got {stripe_events}")
+            raise ConfigurationError(f"stripe_events must be >= 1, got {stripe_events}")
         if job_window is not None and job_window < 1:
-            raise ValueError(f"job_window must be >= 1, got {job_window}")
+            raise ConfigurationError(f"job_window must be >= 1, got {job_window}")
         self.period = float(period)
         self.stripe_events = int(stripe_events)
         #: Optional burst-drain discipline: nodes may only start subjobs of

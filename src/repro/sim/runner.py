@@ -43,7 +43,7 @@ from typing import (
 
 from ..core.errors import ConfigurationError, ExecError
 from ..exec.outcomes import ExecStats, Progress, SpecError
-from ..sched import policy_parameters
+from ..sched import create_policy, policy_parameters
 from .config import SimulationConfig
 from .export import SCHEMA_VERSION
 from .simulator import SimulationResult, run_simulation
@@ -73,7 +73,8 @@ class RunSpec:
         **policy_params,
     ) -> "RunSpec":
         """A sweep point; raises :class:`ConfigurationError` for a keyword
-        the policy does not take, before any spec runs."""
+        the policy does not take or a value its constructor refuses,
+        before any spec runs."""
         if policy_params:
             accepted = policy_parameters(policy)
             unknown = sorted(set(policy_params) - set(accepted))
@@ -83,6 +84,7 @@ class RunSpec:
                     f"{', '.join(unknown)}; it accepts: "
                     f"{', '.join(accepted) or 'none'}"
                 )
+            create_policy(policy, **policy_params)
         return cls(
             config=config,
             policy=policy,

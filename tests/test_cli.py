@@ -415,7 +415,10 @@ class TestBadInput:
             (["simulate", "--policy", "farm", "--load=-2"], "arrival_rate_per_hour"),
             (["simulate", "--policy", "farm", "--cache-gb=-5"], "cache_bytes"),
             (["simulate", "--policy", "farm", "--net-loss", "1.5"], "loss"),
-            (["trace", "--policy", "farm", "--days=-2"], "repro trace: duration"),
+            (
+                ["simulate", "--trace", "no-such-dir/t", "--policy", "farm", "--days=-2"],
+                "repro simulate: duration",
+            ),
             (
                 ["replicate", "--policy", "farm", "--replications", "0"],
                 "--replications must be >= 1, got 0",
@@ -435,6 +438,33 @@ class TestBadInput:
         assert code == 2
         assert message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", "--policy", "delayed", "--period=-5"], "period must be >= 0"),
+            (["simulate", "--policy", "farm", "--period", "3600"], "no parameter(s) period"),
+            (
+                ["simulate", "--policy", "decentral", "--grant-batch", "0", "--days", "2",
+                 "--nodes", "4"],
+                "grant_batch must be >= 1, got 0",
+            ),
+            (
+                ["simulate", "--policy", "farm", "--trace", "t", "--sample-seconds=-1"],
+                "--sample-seconds must be >= 0",
+            ),
+            (["simulate", "--policy", "farm", "--width", "60"], "require --trace"),
+            (["replicate", "--policy", "mixed", "--stripe", "0"], "stripe_events must be >= 1"),
+            (["calibrate", "--stripe", "0"], "stripe_events must be >= 1, got 0"),
+        ],
+    )
+    def test_out_of_range_policy_or_trace_value_exits_2_with_one_line(
+        self, capsys, argv, message
+    ):
+        code, err = _exit_code(argv, capsys)
+        assert code == 2
+        assert err.startswith(f"repro {argv[0]}: ") and message in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_unknown_experiment_lists_the_registry(self, capsys):
         _, err = _exit_code(["run", "complexity"], capsys)
@@ -489,14 +519,41 @@ _NOT_A_DURATION = (
 _NEGATIVE_DURATION = st.sampled_from(["-1h", "-30mn", "-1d", "-1w", "-5"])
 _BAD_SCALE = _NAME.filter(lambda name: name not in ("smoke", "quick", "full"))
 
-#: The simulation flags of ``simulate`` and ``trace`` (``--faults`` is in
-#: their base argv, so the fault durations are read).
+def _param(flag, takers, out_of_range, in_range):
+    """A policy-parameter flag: out of range for a policy that takes it, or
+    in range on the base argv's farm, which takes none."""
+    refused = st.tuples(st.sampled_from(takers), out_of_range).map(
+        lambda pair: ["--policy", pair[0], f"{flag}={pair[1]}"]
+    )
+    return refused | _opt(flag, in_range)
+
+
+def _traced(flag, bad, good):
+    """A tracing flag: a bad value with ``--trace``, or any without it."""
+    with_trace = bad.map(lambda value: ["--trace", "no-such-dir/t", f"{flag}={value}"])
+    return with_trace | _opt(flag, good)
+
+
+_DECENTRAL = ["decentral", "decentral-nolocal"]
+
+#: The flags that describe a run, shared by ``simulate`` and ``replicate``
+#: (``--faults`` is in their base argv, so the fault durations are read).
 _RUN_FLAGS = {
     "--policy": _opt("--policy", _UNKNOWN_POLICY),
     "--days": _opt("--days", _NON_POSITIVE),
     "--nodes": _opt("--nodes", _NON_POSITIVE_INT),
     "--load": _opt("--load", _NON_POSITIVE),
     "--cache-gb": _opt("--cache-gb", _NEGATIVE.map(lambda gb: gb - 1.0)),
+    "--period": _param("--period", ["delayed", "mixed"], _NEGATIVE, st.integers(0, 10**6)),
+    "--stripe": _param(
+        "--stripe", ["delayed", "mixed", "adaptive"], _NON_POSITIVE_INT, st.integers(1, 10**6)
+    ),
+    "--grant-batch": _param(
+        "--grant-batch", _DECENTRAL, _NON_POSITIVE_INT, st.integers(1, 64)
+    ),
+    "--task-events": _param(
+        "--task-events", _DECENTRAL, _NON_POSITIVE_INT, st.integers(1, 10**6)
+    ),
     "--mtbf": _opt("--mtbf", _NOT_A_DURATION | _NEGATIVE_DURATION),
     "--mttr": _opt("--mttr", _NOT_A_DURATION | _NEGATIVE_DURATION | st.just("0")),
     "--stall-interval": _opt("--stall-interval", _NOT_A_DURATION | _NEGATIVE_DURATION),
@@ -505,6 +562,14 @@ _RUN_FLAGS = {
     "--net-reorder": _opt("--net-reorder", _NOT_A_PROBABILITY),
     "--net-delay": _opt("--net-delay", _NEGATIVE),
     "--topology": _opt("--topology", _UNKNOWN_PRESET | _MISSING_PATH),
+}
+_TRACE_FLAGS = {
+    "--limit-events": _traced("--limit-events", _NON_POSITIVE_INT, st.integers(1, 10**6)),
+    "--sample-seconds": _traced(
+        "--sample-seconds", _NEGATIVE, st.floats(0.0, 1e6, allow_nan=False)
+    ),
+    "--width": _traced("--width", st.integers(max_value=7), st.integers(8, 200)),
+    "--no-ascii": st.just(["--no-ascii"]),
 }
 _SWEEP_FLAGS = {
     "--jobs": _opt("--jobs", _NON_POSITIVE_INT),
@@ -515,18 +580,12 @@ _UNKNOWN_ID = _UNKNOWN_EXPERIMENT.map(lambda name: [name])
 
 #: command -> (its argv before the flags, {flag: malformed argv piece}).
 _BAD_INPUT = {
-    "simulate": (st.just(["--policy", "farm", "--faults"]), _RUN_FLAGS),
-    "trace": (
-        st.just(["--policy", "farm", "--faults", "--quick", "-o", "no-such-dir/t"]),
-        {**_RUN_FLAGS, "--limit-events": _opt("--limit-events", _NON_POSITIVE_INT)},
-    ),
+    "simulate": (st.just(["--policy", "farm", "--faults"]), {**_RUN_FLAGS, **_TRACE_FLAGS}),
     "replicate": (
-        st.just(["--policy", "farm"]),
+        st.just(["--policy", "farm", "--faults"]),
         {
-            "--policy": _opt("--policy", _UNKNOWN_POLICY),
+            **_RUN_FLAGS,
             "--replications": _opt("--replications", _NON_POSITIVE_INT),
-            "--days": _opt("--days", _NON_POSITIVE),
-            "--load": _opt("--load", _NON_POSITIVE),
             "--jobs": _opt("--jobs", _NON_POSITIVE_INT),
         },
     ),

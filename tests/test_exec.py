@@ -77,6 +77,20 @@ class TestRunSpecParameters:
         assert "perod" in message
         assert "period" in message and "stripe_events" in message
 
+    @pytest.mark.parametrize(
+        "policy, params, message",
+        [
+            ("delayed", {"period": -5.0}, "period must be >= 0"),
+            ("adaptive", {"stripe_events": 0}, "stripe_events must be >= 1"),
+            ("decentral", {"grant_batch": 0}, "grant_batch must be >= 1"),
+            ("decentral-nolocal", {"bid_window": 0}, "bid_window must be >= 1"),
+            ("decentral", {"task_events": 0}, "task_events must be >= 1"),
+        ],
+    )
+    def test_out_of_range_value_rejected(self, policy, params, message):
+        with pytest.raises(ConfigurationError, match=message):
+            RunSpec.make(quick_config(), policy, **params)
+
     def test_known_parameters_accepted(self):
         spec = RunSpec.make(quick_config(), "delayed", period=100.0)
         assert spec.policy_params == (("period", 100.0),)

@@ -393,7 +393,7 @@ class TestTraceCli:
         monkeypatch.chdir(tmp_path)
         code = main(
             [
-                "trace",
+                "simulate",
                 "--policy",
                 "out_of_order",  # underscores normalised to the registry name
                 "--quick",
@@ -403,7 +403,7 @@ class TestTraceCli:
                 "1",
                 "--seed",
                 "4",
-                "-o",
+                "--trace",
                 "run",
                 "--width",
                 "60",
@@ -420,7 +420,7 @@ class TestTraceCli:
     def test_trace_limit_events(self, capsys, tmp_path):
         code = main(
             [
-                "trace",
+                "simulate",
                 "--policy",
                 "farm",
                 "--quick",
@@ -429,7 +429,7 @@ class TestTraceCli:
                 "--limit-events",
                 "100",
                 "--no-ascii",
-                "-o",
+                "--trace",
                 str(tmp_path / "capped"),
             ]
         )
@@ -437,9 +437,56 @@ class TestTraceCli:
         out = capsys.readouterr().out
         assert "event cap reached" in out
 
+    def test_trace_files_match_the_library_run(self, capsys, tmp_path):
+        code = main(
+            [
+                "simulate",
+                "--policy",
+                "decentral",
+                "--quick",
+                "--days",
+                "1",
+                "--seed",
+                "2",
+                "--topology",
+                "depth3:proactive-site",
+                "--faults",
+                "--mtbf",
+                "6h",
+                "--mttr",
+                "30mn",
+                "--net-loss",
+                "0.2",
+                "--sample-seconds",
+                "1800",
+                "--no-ascii",
+                "--trace",
+                str(tmp_path / "cli"),
+            ]
+        )
+        assert code == 0
+        config = quick_config(
+            duration=units.DAY,
+            cache_bytes=100 * units.GB,  # --cache-gb's default, also under --quick
+            seed=2,
+            topology=topology_preset("depth3", "proactive-site"),
+            faults=FaultConfig(node_mtbf=6 * units.HOUR, node_mttr=30 * units.MINUTE),
+            net=NetFaultConfig(loss=0.2),
+        )
+        recorder = TraceRecorder(
+            capacity=1_000_000, sample_interval=1800.0, keep="first"
+        )
+        run_simulation(config, "decentral", sink=recorder)
+        recorder.close()
+        write_chrome_trace(tmp_path / "lib.trace.json", recorder)
+        recorder.write_counters_csv(tmp_path / "lib.counters.csv")
+        for suffix in ("trace.json", "counters.csv"):
+            cli = (tmp_path / f"cli.{suffix}").read_bytes()
+            assert cli == (tmp_path / f"lib.{suffix}").read_bytes(), suffix
+
     def test_trace_unknown_policy_clean_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["trace", "--policy", "bogus"])
+            main(["simulate", "--policy", "bogus", "--trace", "run"])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "unknown policy" in err

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import units
+from repro.core.errors import ConfigurationError
 from repro.data.intervals import Interval
 from repro.sched.delayed import compute_stripe_points
 
@@ -186,9 +187,9 @@ class TestConservation:
     def test_validation(self):
         from repro.sched.delayed import DelayedPolicy
 
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             DelayedPolicy(period=-1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             DelayedPolicy(stripe_events=0)
 
 
@@ -197,7 +198,7 @@ class TestJobWindow:
     def test_validation(self):
         from repro.sched.delayed import DelayedPolicy
 
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             DelayedPolicy(job_window=0)
 
     def _run_skewed(self, job_window):
